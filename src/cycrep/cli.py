@@ -33,6 +33,7 @@ from .normal_basis import classifier_report, normal_basis_report, unscaled_famil
 from .rep_ring import tau_level
 from .resolution import nontrivial_ext_witness, verify_resolution
 from .serialize import (
+    InvalidModuleFile,
     dumps_canonical,
     load_module,
     morphism_to_json,
@@ -112,14 +113,18 @@ def _cmd_validate(args, rep: Report) -> None:
     from .modules import validate_actions, validate_paths, validate_squares
 
     support = parse_support(args.support)
-    x = load_module(args.source, support, args.prefer_file, args.seed)
-    if args.parallel:
-        with ThreadPoolExecutor() as pool:
-            per_level = pool.map(lambda n: validate_actions(x, n), list(support))
-        violations = [v for vs in per_level for v in vs]
-        violations += validate_squares(x) + validate_paths(x)
+    try:
+        x = load_module(args.source, support, args.prefer_file, args.seed)
+    except InvalidModuleFile as exc:
+        violations = exc.violations
     else:
-        violations = validate(x)
+        if args.parallel:
+            with ThreadPoolExecutor() as pool:
+                per_level = pool.map(lambda n: validate_actions(x, n), list(support))
+            violations = [v for vs in per_level for v in vs]
+            violations += validate_squares(x) + validate_paths(x)
+        else:
+            violations = validate(x)
     for v in violations:
         rep.check(f"violation: {v}", False)
     rep.check(f"module {args.source} valid over {list(support)}", not violations)

@@ -18,12 +18,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .cyclic_site import SupportSet, units
 from .linalg import (
     QMatrix,
-    hstack,
     kernel_basis,
     kronecker,
     column_space_basis,
@@ -360,26 +359,25 @@ def lim_derived(d: InverseSystem, max_k: int) -> DerivedLimit:
     dims = cx.cohomology_dims(max_k)
     witnesses: list[list[list[Fraction]]] = []
     for k in range(max_k + 1):
-        cocycles = kernel_basis(cx.diffs[k]) if k < len(cx.diffs) else QMatrix.zeros(0, 0)
-        if k == 0:
-            image: Optional[QMatrix] = None
-        else:
-            image, _ = column_space_basis(cx.diffs[k - 1])
+        # greedy: the first cocycles of the reduced kernel basis that are
+        # independent modulo the coboundaries and the cocycles already chosen
         chosen: list[list[Fraction]] = []
-        if cocycles.cols:
-            span = image
+        if dims[k]:
+            cocycles = kernel_basis(cx.diffs[k])
+            span = _SpanTracker(cocycles.rows)
+            if k:
+                prev = cx.diffs[k - 1]
+                image_rank = cocycles.cols - dims[k]
+                for j in range(prev.cols):
+                    if span.rank == image_rank:
+                        break
+                    span.add(prev.col(j))
             for j in range(cocycles.cols):
-                if len(chosen) == dims[k]:
-                    break
-                vec = cocycles.column_vector(j)
-                candidate = vec if span is None else None
-                if span is not None:
-                    from .linalg import solve
-                    if solve(span, vec) is None:
-                        candidate = vec
-                if candidate is not None:
-                    chosen.append(candidate.col(0))
-                    span = candidate if span is None else hstack(span, candidate)
+                vec = cocycles.col(j)
+                if span.add(vec):
+                    chosen.append(vec)
+                    if len(chosen) == dims[k]:
+                        break
         witnesses.append(chosen)
     return DerivedLimit(dims, witnesses, cx)
 

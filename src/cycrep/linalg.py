@@ -10,7 +10,12 @@ than eliminating with Fraction arithmetic directly.
 Conventions, fixed once so matrices are reproducible across runs:
 
 * vectors are columns; a linear map ``V -> W`` is a ``dim W x dim V`` matrix,
-* pivot selection takes the first nonzero entry in scan order,
+* the reduced-form routines (``rref``, ``kernel_basis``, ``solve_matrix``,
+  ``column_space_basis``) take the first nonzero entry in scan order as
+  pivot, so the bases they return are in reduced form,
+* ``rank`` eliminates sparse integer rows with a Markowitz pivot rule: the
+  column with the fewest nonzeros (lowest index on ties), then the row in
+  it with the fewest nonzeros (lowest index on ties),
 * tensor products use the lexicographic pairing of basis indices,
 * matrices with 0 rows or 0 columns are legal and arise constantly.
 """
@@ -18,6 +23,7 @@ Conventions, fixed once so matrices are reproducible across runs:
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Iterable, Optional, Sequence, Union
 
@@ -328,11 +334,11 @@ def _combine(row: list[int], prow: list[int], pnz: list[int],
                     break
 
 
-def _eliminate(rows: list[list[int]], ncols: int, reduced: bool) -> list[int]:
+def _eliminate(rows: list[list[int]], ncols: int) -> list[int]:
     """In-place integer row elimination; returns the pivot columns.
 
-    Forward pass produces row echelon form; with ``reduced`` the entries
-    above each pivot are cleared as well, so each column either is a pivot
+    Forward pass produces row echelon form; the backward pass clears the
+    entries above each pivot as well, so each column either is a pivot
     column (single nonzero) or only has entries in pivot rows.
     """
     pivots: list[int] = []
@@ -360,24 +366,23 @@ def _eliminate(rows: list[list[int]], ncols: int, reduced: bool) -> list[int]:
         r += 1
         if r == nrows:
             break
-    if reduced:
-        for r in range(len(pivots) - 1, -1, -1):
-            c = pivots[r]
-            prow = rows[r]
-            pval = prow[c]
-            pnz = [j for j in range(c, ncols) if prow[j]]
-            for i in range(r):
-                row = rows[i]
-                v = row[c]
-                if v:
-                    _combine(row, prow, pnz, pval, v, 0, ncols)
+    for r in range(len(pivots) - 1, -1, -1):
+        c = pivots[r]
+        prow = rows[r]
+        pval = prow[c]
+        pnz = [j for j in range(c, ncols) if prow[j]]
+        for i in range(r):
+            row = rows[i]
+            v = row[c]
+            if v:
+                _combine(row, prow, pnz, pval, v, 0, ncols)
     return pivots
 
 
 def _rref_rows(m: QMatrix) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon rows (Fractions, pivots normalized to 1)."""
     rows = _int_rows(m)
-    pivots = _eliminate(rows, m.cols, reduced=True)
+    pivots = _eliminate(rows, m.cols)
     out: list[list[Fraction]] = []
     for r, c in enumerate(pivots):
         pv = rows[r][c]
@@ -393,9 +398,98 @@ def rref(m: QMatrix) -> tuple[QMatrix, list[int]]:
     return QMatrix.from_rows(rows, cols=m.cols), pivots
 
 
+def _sparse_int_rows(m: QMatrix) -> list[dict[int, int]]:
+    """The nonzero rows of ``m`` as ``{col: int}`` dicts, denominators cleared."""
+    out = []
+    c = m.cols
+    e = m._e
+    for base in range(0, m.rows * c, c or 1):
+        nz = [(j, v) for j, v in enumerate(e[base:base + c]) if v is not _ZERO and v]
+        if not nz:
+            continue
+        den = 1
+        for _, v in nz:
+            d = v.denominator
+            if d != 1:
+                den = den * d // gcd(den, d)
+        if den == 1:
+            out.append({j: v.numerator for j, v in nz})
+        else:
+            out.append({j: v.numerator * (den // v.denominator) for j, v in nz})
+    return out
+
+
 def rank(m: QMatrix) -> int:
-    rows = _int_rows(m)
-    return len(_eliminate(rows, m.cols, reduced=False))
+    """Rank by fraction-free elimination over sparse integer rows.
+
+    Each step pivots on the column with the fewest nonzeros, at its row
+    with the fewest nonzeros (lowest index on either tie), clears that
+    column from the other rows by integer cross-multiplication, reduces
+    every updated row by its gcd and drops the pivot row.  Choosing sparse
+    pivots keeps the fill-in, and so the work, small on the sparse cochain
+    matrices where rank dominates.
+    """
+    rows = _sparse_int_rows(m)
+    cols: dict[int, set[int]] = {}
+    for i, row in enumerate(rows):
+        for j in row:
+            if j in cols:
+                cols[j].add(i)
+            else:
+                cols[j] = {i}
+    # (count, col) entries; an entry is current while its count matches
+    heap = [(len(s), j) for j, s in cols.items()]
+    heapify(heap)
+    r = 0
+    while heap:
+        count, c = heappop(heap)
+        below = cols.get(c)
+        if below is None or len(below) != count:
+            continue
+        p = min(below, key=lambda i: (len(rows[i]), i))
+        prow = rows[p]
+        pval = prow[c]
+        touched = set(prow)
+        for j in prow:
+            cols[j].discard(p)
+        for i in list(below):
+            row = rows[i]
+            g = gcd(pval, row[c])
+            a = pval // g
+            b = row[c] // g
+            if a < 0:
+                a, b = -a, -b
+            if a != 1:
+                for j in row:
+                    row[j] *= a
+            get = row.get
+            for j, w in prow.items():
+                x = get(j)
+                if x is None:
+                    row[j] = -b * w
+                    cols[j].add(i)
+                    touched.add(j)
+                else:
+                    x -= b * w
+                    if x:
+                        row[j] = x
+                    else:
+                        del row[j]
+                        cols[j].discard(i)
+                        touched.add(j)
+            if row:
+                g = gcd(*row.values())
+                if g > 1:
+                    for j in row:
+                        row[j] //= g
+        r += 1
+        for j in touched:
+            s = cols.get(j)
+            if s:
+                heappush(heap, (len(s), j))
+            elif s is not None:
+                del cols[j]
+    return r
 
 
 def rref_with_transform(m: QMatrix) -> tuple[QMatrix, list[int], QMatrix]:

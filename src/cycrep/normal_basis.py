@@ -55,10 +55,6 @@ def _reducer(n: int) -> MonomialReducer:
     return MonomialReducer(n)
 
 
-def _sparse_eq(a: Sparse, b: Sparse) -> bool:
-    return a == b
-
-
 def classifying_element(p: int, k: int) -> QMatrix:
     """Quotient coordinates of the scaled normal-basis generator at p^k.
 

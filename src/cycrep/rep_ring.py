@@ -295,9 +295,6 @@ class TauLevel:
             raise ValueError("level mismatch")
         return self.projection @ a.as_column()
 
-    def lift(self, v: QMatrix) -> RUElement:
-        return RUElement(self.level, (self.section @ v).col(0))
-
     def mul(self, u: QMatrix, v: QMatrix) -> QMatrix:
         t = self.dim
         out = QMatrix.zeros(t, 1)
@@ -487,7 +484,3 @@ class MonomialReducer:
             for j in range(n_over_p):
                 out.append({(j + i * n_over_p) % self.n: _F1 for i in range(p)})
         return out
-
-    def coords(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
-        """Reindex a reduced vector by basis position instead of exponent."""
-        return {self.basis_index[e]: c for e, c in vec.items()}

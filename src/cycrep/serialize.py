@@ -10,6 +10,7 @@ so byte-identical output for identical inputs is part of the contract.
 from __future__ import annotations
 
 import json
+from fractions import Fraction
 from typing import Any
 
 from .cyclic_site import SupportSet, units
@@ -22,12 +23,26 @@ from .modules import (
     random_module,
     regular_module,
     semifree_module,
+    validate,
 )
 from .rep_ring import RUElement, tau_ru_module
 
 
 def matrix_to_json(m: QMatrix) -> list[list[str]]:
     return [[rat_to_str(v) for v in m.row(i)] for i in range(m.rows)]
+
+
+def rat_from_json(x: Any) -> Fraction:
+    """Parse a canonical rational string: "a", or "a/b" in lowest terms with b > 0."""
+    if isinstance(x, str):
+        try:
+            q = Fraction(x)
+        except (ValueError, ZeroDivisionError):
+            q = None
+        if q is not None and rat_to_str(q) == x:
+            return q
+    raise ValueError(f"not a canonical rational string: {x!r} "
+                     f"(expected \"a\" or \"a/b\" in lowest terms, b > 0)")
 
 
 def matrix_from_json(data: Any, rows: int, cols: int) -> QMatrix:
@@ -37,7 +52,7 @@ def matrix_from_json(data: Any, rows: int, cols: int) -> QMatrix:
     for r in data:
         if not isinstance(r, list) or len(r) != cols:
             raise ValueError(f"expected rows of length {cols}")
-        flat.extend(rat(x) for x in r)
+        flat.extend(rat_from_json(x) for x in r)
     return QMatrix(rows, cols, flat)
 
 
@@ -131,9 +146,22 @@ def module_from_name(name: str, support: SupportSet, seed: int = 0) -> OutCycMod
     raise ValueError(f"unknown module name {name!r}; built-ins: {', '.join(BUILTIN_NAMES)}")
 
 
+class InvalidModuleFile(ValueError):
+    """A module file that parses but violates the module invariants."""
+
+    def __init__(self, path: str, violations: list[str]):
+        super().__init__(f"module file {path} is not a valid module: "
+                         + "; ".join(violations))
+        self.violations = violations
+
+
 def load_module(spec: str, support: SupportSet, prefer_file: bool = False,
                 seed: int = 0) -> OutCycModule:
-    """Built-in names resolve before file paths unless a file is preferred."""
+    """Built-in names resolve before file paths unless a file is preferred.
+
+    A module read from a file is validated exhaustively; any violation
+    raises ``InvalidModuleFile`` carrying the list of violations.
+    """
     import os
     if not prefer_file and is_builtin_name(spec):
         return module_from_name(spec, support, seed)
@@ -143,5 +171,8 @@ def load_module(spec: str, support: SupportSet, prefer_file: bool = False,
         if x.support != support:
             raise ValueError(f"module file support {list(x.support)} does not match "
                              f"requested support {list(support)}")
+        violations = validate(x)
+        if violations:
+            raise InvalidModuleFile(spec, violations)
         return x
     return module_from_name(spec, support, seed)

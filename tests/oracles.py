@@ -4,6 +4,8 @@ These recompute expected values by routes disjoint from the library code
 they check: character theory with symbolic cyclotomic reduction, brute
 force counting, explicit fixed-space elimination.  Keeping them here and
 keeping them dumb is the point; do not "optimize" them into the library.
+The simple paths that faster library code replaced live here too, as
+references for differential tests.
 """
 
 from __future__ import annotations
@@ -12,7 +14,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from cycrep.linalg import QMatrix, kernel_basis, vstack
+from cycrep.linalg import (QMatrix, column_space_basis, hstack, kernel_basis,
+                           solve, vstack)
 from cycrep.rep_ring import RUElement
 
 F0 = Fraction(0)
@@ -158,3 +161,46 @@ def induced_char_poly_check(d: int, n: int, j: int) -> bool:
     if len(poly) != len(rhs):
         return False
     return all(roots_equal(a, b, n) for a, b in zip(poly, rhs))
+
+
+# --- exact elimination and witness selection, the simple way
+
+def dense_rank(m: QMatrix) -> int:
+    """Rank by plain Gaussian elimination in Fraction arithmetic, pivoting on
+    the first nonzero entry of each column."""
+    rows = m.to_rows()
+    r = 0
+    for c in range(m.cols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        p = rows[r]
+        support = [j for j in range(c, m.cols) if p[j]]
+        for row in rows[r + 1:]:
+            if row[c]:
+                f = row[c] / p[c]
+                for j in support:
+                    row[j] -= f * p[j]
+        r += 1
+    return r
+
+
+def witnesses_by_solve(diffs: list[QMatrix], dims: list[int]) -> list[list[list[Fraction]]]:
+    """Derived-limit witnesses chosen greedily from the reduced kernel basis
+    of each differential: a cocycle is kept when solving for it against the
+    coboundaries and the cocycles kept so far fails."""
+    witnesses = []
+    for k, want in enumerate(dims):
+        cocycles = kernel_basis(diffs[k])
+        span = None if k == 0 else column_space_basis(diffs[k - 1])[0]
+        chosen: list[list[Fraction]] = []
+        for j in range(cocycles.cols):
+            if len(chosen) == want:
+                break
+            vec = cocycles.column_vector(j)
+            if span is None or solve(span, vec) is None:
+                chosen.append(vec.col(0))
+                span = vec if span is None else hstack(span, vec)
+        witnesses.append(chosen)
+    return witnesses

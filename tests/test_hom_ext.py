@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cycrep.cyclic_site import SupportSet, divisor_closure, support_of_divisors, units
 from cycrep.linalg import QMatrix, rank, solve
@@ -27,6 +28,7 @@ from cycrep.hom_ext import (
     tower_along_chain,
 )
 from cycrep.rep_ring import tau_ru_module
+from oracles import witnesses_by_solve
 
 S123 = SupportSet([1, 2, 3])
 S12 = support_of_divisors(12)
@@ -206,6 +208,43 @@ class TestDerivedLimits:
         _, chains = nerve_complex(dual_system(regular_module(S123)), 1)
         assert chains[0] == [(1,), (2,), (3,)]
         assert chains[1] == [(1, 2), (1, 3)]
+
+
+NON_DIRECTED = [SupportSet([1, 2, 3]), SupportSet([1, 2, 3, 5]),
+                SupportSet([1, 2, 3, 4, 6]), SupportSet([1, 2, 3, 5, 6, 10, 15])]
+
+
+class TestWitnessesAgainstSolveOracle:
+    """lim_derived picks its witnesses with a span tracker seeded by the
+    coboundaries; the oracle re-solves against the growing span instead."""
+
+    def assert_same_witnesses(self, x, max_k=2):
+        out = lim_derived(dual_system(x), max_k)
+        assert out.witnesses == witnesses_by_solve(out.complex.diffs, out.dims)
+        assert [len(w) for w in out.witnesses] == out.dims
+        return out
+
+    def test_atom_over_three_point_support(self):
+        out = self.assert_same_witnesses(atomic_module(1, 1, S123))
+        assert out.dims == [0, 1, 0]
+
+    @pytest.mark.parametrize("support,seed,dims", [
+        (SupportSet([1, 2, 3, 5, 6, 10, 15]), 2, [0, 0, 2]),
+        (SupportSet([1, 2, 3, 5, 6, 10, 15]), 6, [4, 2, 1]),
+        (SupportSet([1, 2, 3, 4, 6]), 25, [1, 2, 0]),
+    ])
+    def test_nonzero_higher_limits_with_coboundaries(self, support, seed, dims):
+        out = self.assert_same_witnesses(random_module(support, seed))
+        assert out.dims == dims
+        # a higher degree with witnesses and a nonzero coboundary space, so
+        # the tracker is seeded before it picks
+        assert any(out.dims[k] and rank(out.complex.diffs[k - 1])
+                   for k in range(1, len(out.dims)))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(NON_DIRECTED), st.integers(0, 10 ** 6))
+    def test_random_modules_over_non_directed_supports(self, support, seed):
+        self.assert_same_witnesses(random_module(support, seed))
 
 
 class TestExtViaResolution:

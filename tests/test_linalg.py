@@ -1,8 +1,13 @@
 from fractions import Fraction
 
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cycrep.cyclic_site import support_of_divisors
+from cycrep.hom_ext import _hom_cochain, resolve_by_representables
+from cycrep.modules import regular_module
 from cycrep.linalg import (
     QMatrix,
     cokernel,
@@ -20,6 +25,7 @@ from cycrep.linalg import (
     solve_matrix,
     vstack,
 )
+from oracles import dense_rank
 
 small_entries = st.integers(min_value=-6, max_value=6)
 
@@ -197,3 +203,83 @@ class TestRationalStrings:
     @given(st.fractions())
     def test_round_trip(self, q):
         assert rat(rat_to_str(q)) == q
+
+
+def rational_matrices(entries, max_rows=6, max_cols=7):
+    """Matrices with 0 to max rows and columns, including the empty shapes."""
+    return st.integers(0, max_rows).flatmap(
+        lambda r: st.integers(0, max_cols).flatmap(
+            lambda c: st.lists(entries, min_size=r * c, max_size=r * c).map(
+                lambda e: QMatrix(r, c, e))))
+
+
+sparse_fractions = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6))
+huge_fractions = st.one_of(
+    st.just(Fraction(0)),
+    st.integers(-(1 << 120), 1 << 120).map(Fraction),
+    st.fractions(min_value=-(1 << 90), max_value=1 << 90, max_denominator=1 << 60))
+
+
+@st.composite
+def matrices_with_repeated_rows(draw):
+    """A small matrix plus scaled copies of some of its rows."""
+    m = draw(rational_matrices(sparse_fractions, max_rows=4, max_cols=6))
+    rows = m.to_rows()
+    if rows:
+        for _ in range(draw(st.integers(1, 4))):
+            src = rows[draw(st.integers(0, len(rows) - 1))]
+            c = draw(st.fractions(min_value=-3, max_value=3, max_denominator=3))
+            rows.insert(draw(st.integers(0, len(rows))), [c * v for v in src])
+    return QMatrix.from_rows(rows, cols=m.cols)
+
+
+@lru_cache(maxsize=None)
+def hom_cochain_matrices():
+    """The differentials of Hom(resolution, regular) behind
+    ext_via_resolution(regular, regular, 3) over divisors(60), with the
+    ranks the Fraction oracle gives for them."""
+    reg = regular_module(support_of_divisors(60))
+    diffs = _hom_cochain(resolve_by_representables(reg, 4), reg, reg.support).diffs
+    return tuple((d, dense_rank(d)) for d in diffs)
+
+
+class TestSparseRankAgainstDenseOracle:
+    def test_degenerate_shapes(self):
+        for m in [QMatrix.zeros(0, 0), QMatrix.zeros(0, 4), QMatrix.zeros(3, 0),
+                  QMatrix.zeros(3, 4)]:
+            assert rank(m) == dense_rank(m) == 0
+        row = [Fraction(1, 2), 0, Fraction(-3)]
+        assert rank(QMatrix.from_rows([row, row, [2 * v for v in row]])) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(rational_matrices(sparse_fractions))
+    def test_small_rational_matrices(self, m):
+        assert rank(m) == dense_rank(m)
+
+    @settings(max_examples=100, deadline=None)
+    @given(matrices_with_repeated_rows())
+    def test_repeated_rows(self, m):
+        assert rank(m) == dense_rank(m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rational_matrices(huge_fractions, max_rows=5, max_cols=5))
+    def test_large_numerators_and_denominators(self, m):
+        assert rank(m) == dense_rank(m)
+
+    def test_hom_cochain_matrices(self):
+        for d, expected in hom_cochain_matrices():
+            assert rank(d) == expected
+            assert rank(d.transpose()) == expected
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_permuted_hom_cochain_matrices(self, data):
+        # permuting rows and columns moves every pivot tie-break
+        mats = hom_cochain_matrices()
+        d, expected = mats[data.draw(st.integers(0, len(mats) - 1))]
+        rperm = data.draw(st.permutations(range(d.rows)))
+        cperm = data.draw(st.permutations(range(d.cols)))
+        shuffled = QMatrix.from_rows([[d[i, j] for j in cperm] for i in rperm], cols=d.cols)
+        assert rank(shuffled) == expected

@@ -8,6 +8,7 @@ from cycrep.linalg import QMatrix
 from cycrep.modules import atomic_module, random_module, regular_module
 from cycrep.rep_ring import RUElement
 from cycrep.serialize import (
+    InvalidModuleFile,
     matrix_from_json,
     matrix_to_json,
     module_from_json,
@@ -63,6 +64,52 @@ class TestSerialization:
         f = identity_morphism(regular_module(support_of_divisors(4)))
         data = morphism_to_json(f)
         assert set(data["levels"]) == {"1", "2", "4"}
+
+
+def write_module_file(tmp_path, level2_unit1, level3_unit2_corner):
+    """The regular module over 1,2,3 with two action entries overwritten."""
+    obj = module_to_json(regular_module(SupportSet([1, 2, 3])))
+    obj["levels"]["2"]["action"]["1"] = [[level2_unit1]]
+    obj["levels"]["3"]["action"]["2"][0][0] = level3_unit2_corner
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+class TestBoundaryChecks:
+    def test_only_canonical_rational_strings(self):
+        assert matrix_from_json([["-2/3", "0", "7"]], 1, 3) == QMatrix.from_rows([["-2/3", 0, 7]])
+        for bad in ["2/4", "1.5", "3/-4", "-6/1", "+1", " 1", "1e2", "1/0", "x", "", 1, None]:
+            with pytest.raises(ValueError):
+                matrix_from_json([[bad]], 1, 1)
+
+    @pytest.mark.parametrize("verb", ["hom", "ext"])
+    def test_non_canonical_module_file_is_refused(self, tmp_path, verb):
+        # level 2 acts by 2/4, level 3 has a decimal: the file is neither
+        # canonical nor a module, and no verb may report success on it
+        path = write_module_file(tmp_path, "2/4", "1.5")
+        code, text = run([verb, "--support", "1,2,3", "--source", path,
+                          "--target", "regular"])
+        assert code != 0
+        assert "overall: ok" not in text and "not a canonical rational" in text
+
+    @pytest.mark.parametrize("verb", ["hom", "ext"])
+    def test_invalid_module_file_is_refused(self, tmp_path, verb):
+        path = write_module_file(tmp_path, "1/2", "3/2")
+        code, text = run([verb, "--support", "1,2,3", "--source", path,
+                          "--target", "regular"])
+        assert code != 0
+        assert "overall: ok" not in text and "not a valid module" in text
+
+    def test_validate_lists_each_violation(self, tmp_path):
+        path = write_module_file(tmp_path, "1/2", "3/2")
+        with pytest.raises(InvalidModuleFile) as info:
+            load_module(path, SupportSet([1, 2, 3]))
+        code, text = run(["validate", "--support", "1,2,3", "--source", path])
+        assert code == 1 and "overall: FAILED" in text
+        assert info.value.violations
+        for v in info.value.violations:
+            assert f"[FAIL] violation: {v}" in text
 
 
 class TestBuiltinNames:
