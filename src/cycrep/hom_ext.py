@@ -367,6 +367,8 @@ def lim_derived(d: InverseSystem, max_k: int) -> DerivedLimit:
             span = _SpanTracker(cocycles.rows)
             if k:
                 prev = cx.diffs[k - 1]
+                # the coboundaries span this many dimensions; once the
+                # tracker holds them all, later columns cannot grow it
                 image_rank = cocycles.cols - dims[k]
                 for j in range(prev.cols):
                     if span.rank == image_rank:
