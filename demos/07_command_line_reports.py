@@ -11,7 +11,7 @@ INVOCATIONS = [
     ["validate", "--support", "divisors:12", "--source", "regular"],
     ["hom", "--support", "divisors:12", "--source", "tauRU", "--target", "regular"],
     ["ext", "--support", "1,2,3", "--source", "atomic:1:1", "--max-degree", "2"],
-    ["tau-ru", "--support", "divisors:24", "--parallel"],
+    ["tau-ru", "--support", "divisors:24"],
     ["normal-basis", "--support", "divisors:12", "--show-unscaled-failure"],
     ["resolution", "--support", "divisors:30", "--primes", "2,3,5",
      "--max-degree", "3"],

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any
 
 from .cyclic_site import SupportSet, divisor_closure, support_of_divisors, totient
@@ -110,21 +109,13 @@ class Report:
 
 
 def _cmd_validate(args, rep: Report) -> None:
-    from .modules import validate_actions, validate_paths, validate_squares
-
     support = parse_support(args.support)
     try:
         x = load_module(args.source, support, args.prefer_file, args.seed)
     except InvalidModuleFile as exc:
         violations = exc.violations
     else:
-        if args.parallel:
-            with ThreadPoolExecutor() as pool:
-                per_level = pool.map(lambda n: validate_actions(x, n), list(support))
-            violations = [v for vs in per_level for v in vs]
-            violations += validate_squares(x) + validate_paths(x)
-        else:
-            violations = validate(x)
+        violations = validate(x)
     for v in violations:
         rep.check(f"violation: {v}", False)
     rep.check(f"module {args.source} valid over {list(support)}", not violations)
@@ -144,6 +135,8 @@ def _cmd_hom(args, rep: Report) -> None:
     rep.value("results", results_to_json(
         [hs.dimension], [morphism_to_json(f) for f in hs.basis]))
     rep.check("morphism space computed", True, dims=[hs.dimension])
+    rep.check("every basis morphism is equivariant and natural",
+              not any(f.validate() for f in hs.basis))
     if (args.target or "regular") == "regular":
         hl = hom_via_limit(x)
         rep.check("direct solve agrees with the inverse-limit route",
@@ -188,19 +181,10 @@ def _cmd_lim(args, rep: Report) -> None:
 
 def _cmd_tau_ru(args, rep: Report) -> None:
     support = parse_support(args.support)
-    levels = list(support)
-
-    def level_dims(n: int) -> tuple[int, int]:
-        return tau_level(n).dim, totient(n)
-
-    if args.parallel:
-        with ThreadPoolExecutor() as pool:
-            results = dict(zip(levels, pool.map(level_dims, levels)))
-    else:
-        results = {n: level_dims(n) for n in levels}
-    rep.value("dims", {str(n): results[n][0] for n in levels})
+    dims = {n: tau_level(n).dim for n in support}
+    rep.value("dims", {str(n): d for n, d in dims.items()})
     rep.check("quotient dimension equals the totient at every level",
-              all(d == t for d, t in results.values()))
+              all(d == totient(n) for n, d in dims.items()))
 
 
 def _cmd_normal_basis(args, rep: Report) -> None:
@@ -289,8 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=["text", "json"], default="text")
         p.add_argument("--seed", type=int, default=0,
                        help="seed for randomized property batteries")
-        p.add_argument("--parallel", action="store_true",
-                       help="run independent per-level checks in a thread pool")
         p.add_argument("--prefer-file", action="store_true",
                        help="let a file path shadow a built-in module name")
         p.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP,

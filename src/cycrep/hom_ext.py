@@ -17,16 +17,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Sequence
 
 from .cyclic_site import SupportSet, units
 from .linalg import (
     QMatrix,
+    _cancel,
+    _int_row,
+    column_space_basis,
     kernel_basis,
     kronecker,
-    column_space_basis,
     rank,
+    sparse_kernel,
 )
 from .modules import (
     InverseSystem,
@@ -364,7 +368,7 @@ def lim_derived(d: InverseSystem, max_k: int) -> DerivedLimit:
         chosen: list[list[Fraction]] = []
         if dims[k]:
             cocycles = kernel_basis(cx.diffs[k])
-            span = _SpanTracker(cocycles.rows)
+            span = _SpanTracker()
             if k:
                 prev = cx.diffs[k - 1]
                 # the coboundaries span this many dimensions; once the
@@ -456,79 +460,55 @@ def tower_along_chain(d: InverseSystem, chain: Sequence[int]) -> tuple[list[int]
 # ---------------------------------------------------------------------------
 
 class _SpanTracker:
-    """Incremental row-echelon span of integer-scaled vectors."""
+    """Incremental span of rational vectors, kept as sparse integer rows.
 
-    __slots__ = ("dim", "rows", "pivots", "nonzeros")
+    Each row is a ``{index: int}`` dict stored under its pivot, its lowest
+    nonzero index, so the rows are in echelon form.  A vector (a sparse
+    ``{index: Fraction}`` dict, or a dense list) has its denominators
+    cleared and is reduced with the pivot rows it hits, lowest pivot first;
+    an elimination can bring in a later pivot, which then joins the queue.
+    """
 
-    def __init__(self, dim: int):
-        self.dim = dim
-        self.rows: list[list[int]] = []
-        self.pivots: list[int] = []
-        self.nonzeros: list[list[int]] = []
+    __slots__ = ("rows",)
+
+    def __init__(self) -> None:
+        self.rows: dict[int, dict[int, int]] = {}
 
     @property
     def rank(self) -> int:
         return len(self.rows)
 
-    @staticmethod
-    def _scaled(vec: Sequence[Fraction]) -> list[int]:
-        from math import gcd
-        den = 1
-        for v in vec:
-            if v:
-                d = v.denominator
-                if d != 1:
-                    den = den * d // gcd(den, d)
-        if den == 1:
-            return [v.numerator for v in vec]
-        return [v.numerator * (den // v.denominator) for v in vec]
-
-    def _reduce(self, row: list[int]) -> list[int]:
-        from math import gcd
-        for r, p, nz in zip(self.rows, self.pivots, self.nonzeros):
-            v = row[p]
-            if v:
-                pv = r[p]
-                g = gcd(pv, v)
-                a = pv // g
-                b = v // g
-                if a != 1:
-                    for j in range(self.dim):
-                        w = row[j]
-                        if w:
-                            row[j] = a * w
-                for j in nz:
-                    row[j] -= b * r[j]
+    def _reduce(self, row: dict[int, int]) -> dict[int, int]:
+        rows = self.rows
+        queue = [j for j in row if j in rows]
+        heapify(queue)
+        done = -1
+        while queue:
+            c = heappop(queue)
+            if c == done or c not in row:
+                continue
+            done = c
+            prow = rows[c]
+            _cancel(row, prow, c)
+            # pivot rows are zero left of their pivot, so anything new is > c
+            for j in prow:
+                if j in row and j in rows:
+                    heappush(queue, j)
         return row
 
-    def contains(self, vec: Sequence[Fraction]) -> bool:
-        return not any(self._reduce(self._scaled(vec)))
-
     def contains_unit(self, t: int) -> bool:
-        row = [0] * self.dim
-        row[t] = 1
-        return not any(self._reduce(row))
+        return not self._reduce({t: 1})
 
-    def add(self, vec: Sequence[Fraction]) -> bool:
+    def add(self, vec: dict[int, Fraction] | Sequence[Fraction]) -> bool:
         """Insert the vector; True when the span grew."""
-        row = self._reduce(self._scaled(vec))
-        piv = next((j for j, v in enumerate(row) if v), None)
-        if piv is None:
+        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+        row = self._reduce(_int_row((j, v) for j, v in items if v))
+        if not row:
             return False
-        g = 0
-        for x in row:
-            if x:
-                g = gcd(g, -x if x < 0 else x)
-                if g == 1:
-                    break
+        g = gcd(*row.values())
         if g > 1:
-            row = [x // g for x in row]
-        at = 0
-        while at < len(self.pivots) and self.pivots[at] < piv:
-            at += 1
-        self.rows.insert(at, row)
-        self.pivots.insert(at, piv)
-        self.nonzeros.insert(at, [j for j, x in enumerate(row) if x])
+            row = {j: x // g for j, x in row.items()}
+        self.rows[min(row)] = row
         return True
 
 
@@ -536,18 +516,23 @@ class _FreeSum:
     """A finite sum of representable modules, given by generator levels.
 
     The value at level m has one block per generator whose level divides m,
-    with the block basis indexed by the units of the generator level.  All
-    structure maps are index bookkeeping: actions permute within blocks and
-    restrictions relabel blocks, so applying them costs one pass over the
-    vector.
+    with the block basis indexed by the units of the generator level.
+    Vectors are sparse ``{index: value}`` dicts.  All structure maps are
+    index bookkeeping: a unit permutes each block, and a restriction keeps
+    every block but moves it to its offset at the larger level.  Both are
+    cached as index maps, per (level, unit) and per pair of levels, and
+    applied to the nonzeros only.
     """
 
-    __slots__ = ("gens", "support", "_layout")
+    __slots__ = ("gens", "support", "_layout", "_perms", "_shifts", "_block_perms")
 
     def __init__(self, gens: list[int], support: SupportSet):
         self.gens = list(gens)
         self.support = support
         self._layout: dict[int, list[tuple[int, int]]] = {}
+        self._perms: dict[tuple[int, int], list[int]] = {}
+        self._shifts: dict[tuple[int, int], list[int]] = {}
+        self._block_perms: dict[tuple[int, int], list[int]] = {}
         for m in support:
             lay = []
             off = 0
@@ -567,30 +552,34 @@ class _FreeSum:
     def layout(self, m: int) -> list[tuple[int, int]]:
         return self._layout[m]
 
-    def act(self, m: int, l: int, vec: list[Fraction]) -> list[Fraction]:
-        out = [_F0] * len(vec)
-        for i, off in self._layout[m]:
-            un = units(self.gens[i])
-            lbar = 1 if un.modulus == 1 else l % un.modulus
-            for k, u in enumerate(un):
-                v = vec[off + k]
-                if v:
-                    out[off + un.index(un.mul(u, lbar))] = v
-        return out
+    def act(self, m: int, l: int, vec: dict[int, Fraction]) -> dict[int, Fraction]:
+        perm = self._perms.get((m, l))
+        if perm is None:
+            perm = []
+            for i, off in self._layout[m]:
+                n = self.gens[i]
+                lbar = 1 if n == 1 else l % n
+                block = self._block_perms.get((n, lbar))
+                if block is None:
+                    un = units(n)
+                    block = [un.index(un.mul(u, lbar)) for u in un]
+                    self._block_perms[(n, lbar)] = block
+                perm.extend([off + k for k in block])
+            self._perms[(m, l)] = perm
+        return {perm[k]: v for k, v in vec.items()}
 
-    def res(self, n: int, m: int, vec: list[Fraction]) -> list[Fraction]:
+    def res(self, n: int, m: int, vec: dict[int, Fraction]) -> dict[int, Fraction]:
         """Composite restriction from level n to level m (n | m): blocks keep
         their labels, the target simply has room for more of them."""
-        out = [_F0] * self.dim(m)
-        dst = {i: off for i, off in self._layout[m]}
-        for i, off in self._layout[n]:
-            doff = dst[i]
-            size = len(units(self.gens[i]))
-            for k in range(size):
-                v = vec[off + k]
-                if v:
-                    out[doff + k] = v
-        return out
+        shift = self._shifts.get((n, m))
+        if shift is None:
+            dst = dict(self._layout[m])
+            shift = []
+            for i, off in self._layout[n]:
+                doff = dst[i]
+                shift.extend(range(doff, doff + len(units(self.gens[i]))))
+            self._shifts[(n, m)] = shift
+        return {shift[k]: v for k, v in vec.items()}
 
 
 class _Stage:
@@ -603,81 +592,95 @@ class _Stage:
     def dim(self, n: int) -> int:
         raise NotImplementedError
 
-    def generator_images(self, n_gen: int, idx: int) -> dict[int, list[list[Fraction]]]:
+    def generator_images(self, n_gen: int, idx: int) -> dict[int, list[dict[int, Fraction]]]:
         """For the standard basis vector ``idx`` at level ``n_gen``, the value
         of every induced basis map at every level: images[m][k] is the image
-        at level m of the k-th unit of units(n_gen)."""
+        at level m of the k-th unit of units(n_gen), as a sparse vector."""
         raise NotImplementedError
+
+
+def _sparse(vec: Sequence[Fraction]) -> dict[int, Fraction]:
+    return {i: v for i, v in enumerate(vec) if v}
 
 
 class _ModuleStage(_Stage):
     def __init__(self, x: OutCycModule):
         super().__init__(x.support)
         self.x = x
-        self._res_cache: dict[tuple[int, int], QMatrix] = {}
+        self._res_cache: dict[tuple[int, int], list[dict[int, Fraction]]] = {}
 
     def dim(self, n: int) -> int:
         return self.x.dim(n)
 
-    def _res(self, n: int, m: int) -> QMatrix:
+    def _res_cols(self, n: int, m: int) -> list[dict[int, Fraction]]:
+        """The columns of the composite restriction n -> m, sparse."""
         key = (n, m)
         if key not in self._res_cache:
-            self._res_cache[key] = restriction_matrix(self.x, m, n)
+            res = restriction_matrix(self.x, m, n)
+            self._res_cache[key] = [_sparse(res.col(j)) for j in range(res.cols)]
         return self._res_cache[key]
 
-    def generator_images(self, n_gen: int, idx: int) -> dict[int, list[list[Fraction]]]:
-        out: dict[int, list[list[Fraction]]] = {}
+    def generator_images(self, n_gen: int, idx: int) -> dict[int, list[dict[int, Fraction]]]:
+        out: dict[int, list[dict[int, Fraction]]] = {}
         un = units(n_gen)
-        acted = [self.x.action(n_gen, u).col(idx) for u in un]
+        acted = [_sparse(self.x.action(n_gen, u).col(idx)) for u in un]
         for m in self.support.multiples_of(n_gen):
-            res = self._res(n_gen, m)
-            out[m] = [res.apply(v) for v in acted]
+            cols = self._res_cols(n_gen, m)
+            vals = []
+            for v in acted:
+                w: dict[int, Fraction] = {}
+                for j, c in v.items():
+                    for i, r in cols[j].items():
+                        w[i] = w.get(i, _F0) + c * r
+                vals.append({i: s for i, s in w.items() if s})
+            out[m] = vals
         return out
 
 
 class _KernelStage(_Stage):
     """The kernel of a covering map out of a free sum.
 
-    The inclusion matrices are reduced kernel bases, so the coordinates of
-    an ambient kernel vector are just its entries at the free rows; action
-    and restriction are computed ambiently through the free sum's index
-    bookkeeping and then read off.
+    The inclusions are reduced kernel bases, stored as sparse columns, so
+    the coordinates of an ambient kernel vector are just its entries at the
+    free rows; action and restriction are computed ambiently through the
+    free sum's index bookkeeping and then read off.
     """
 
-    def __init__(self, free: _FreeSum, incl: dict[int, QMatrix],
+    def __init__(self, free: _FreeSum, incl: dict[int, list[dict[int, Fraction]]],
                  free_rows: dict[int, list[int]]):
         super().__init__(free.support)
         self.free = free
         self.incl = incl
-        self.free_rows = free_rows
+        self.free_pos = {m: {r: k for k, r in enumerate(rows)}
+                         for m, rows in free_rows.items()}
 
     def dim(self, n: int) -> int:
-        return self.incl[n].cols
+        return len(self.incl[n])
 
-    def generator_images(self, n_gen: int, idx: int) -> dict[int, list[list[Fraction]]]:
-        out: dict[int, list[list[Fraction]]] = {}
-        ambient = self.incl[n_gen].col(idx)
-        un = units(n_gen)
-        acted = [self.free.act(n_gen, u, ambient) for u in un]
+    def generator_images(self, n_gen: int, idx: int) -> dict[int, list[dict[int, Fraction]]]:
+        out: dict[int, list[dict[int, Fraction]]] = {}
+        ambient = self.incl[n_gen][idx]
+        acted = [self.free.act(n_gen, u, ambient) for u in units(n_gen)]
         for m in self.support.multiples_of(n_gen):
-            rows = self.free_rows[m]
+            pos = self.free_pos[m]
             vals = []
             for v in acted:
                 w = self.free.res(n_gen, m, v)
-                vals.append([w[r] for r in rows])
+                vals.append({pos[r]: x for r, x in w.items() if r in pos})
             out[m] = vals
         return out
 
 
 @dataclass
 class ResolutionStep:
-    gens: list[int]                      # generator levels, with multiplicity
-    classifier_cols: list[list[Fraction]]  # image of each generator in the
-                                           # previous step's ambient coordinates
+    gens: list[int]                          # generator levels, with multiplicity
+    classifier_cols: list[dict[int, Fraction]]  # image of each generator in the
+                                             # previous step's ambient
+                                             # coordinates, as a sparse vector
 
 
 def _cover_stage(stage: _Stage) -> tuple[list[int], list[int],
-                                          dict[int, list[list[list[Fraction]]]]]:
+                                          dict[int, list[list[dict[int, Fraction]]]]]:
     """Greedy cover of a stage by representable generators.
 
     Walks the support upward; at each level it adds generators on standard
@@ -686,10 +689,10 @@ def _cover_stage(stage: _Stage) -> tuple[list[int], list[int],
     columns of the covering map, grouped by generator then level).
     """
     support = stage.support
-    trackers = {n: _SpanTracker(stage.dim(n)) for n in support}
+    trackers = {n: _SpanTracker() for n in support}
     gens: list[int] = []
     gen_idx: list[int] = []
-    images: dict[int, list[list[list[Fraction]]]] = {n: [] for n in support}
+    images: dict[int, list[list[dict[int, Fraction]]]] = {n: [] for n in support}
     for n in support:
         d = stage.dim(n)
         guard = 0
@@ -715,21 +718,6 @@ def _cover_stage(stage: _Stage) -> tuple[list[int], list[int],
     return gens, gen_idx, images
 
 
-def _kernel_with_free_rows(m: QMatrix) -> tuple[QMatrix, list[int]]:
-    from .linalg import _rref_rows
-    rows, pivots = _rref_rows(m)
-    pivset = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivset]
-    out = QMatrix.zeros(m.cols, len(free))
-    for k, j in enumerate(free):
-        out._e[j * len(free) + k] = _F1
-        for r, c in enumerate(pivots):
-            v = rows[r][j]
-            if v:
-                out._e[c * len(free) + k] = -v
-    return out, free
-
-
 def resolve_by_representables(x: OutCycModule, depth: int) -> list[ResolutionStep]:
     """A resolution of x by sums of representable modules, to the given depth.
 
@@ -747,25 +735,26 @@ def resolve_by_representables(x: OutCycModule, depth: int) -> list[ResolutionSte
         else:
             prev_stage = stage
             assert isinstance(prev_stage, _KernelStage)
-            classifier_cols = [prev_stage.incl[n].col(i)
-                               for n, i in zip(gens, gen_idx)]
+            classifier_cols = [prev_stage.incl[n][i] for n, i in zip(gens, gen_idx)]
         steps.append(ResolutionStep(gens, classifier_cols))
         if k == depth:
             break
-        # the covering map's matrix at each level, in stage coordinates
-        incl: dict[int, QMatrix] = {}
+        # the covering map's matrix at each level, by sparse rows in stage
+        # coordinates; its columns are the free sum's basis at that level
+        incl: dict[int, list[dict[int, Fraction]]] = {}
         free_rows: dict[int, list[int]] = {}
         all_zero = True
         for m in support:
-            cols: list[list[Fraction]] = []
+            rows: list[dict[int, Fraction]] = [{} for _ in range(stage.dim(m))]
+            col = 0
             for gi, n_gen in enumerate(gens):
                 if m % n_gen == 0:
-                    cols.extend(images[m][gi])
-            eps = QMatrix.from_columns(cols, rows=stage.dim(m))
-            kb, fr = _kernel_with_free_rows(eps)
-            incl[m] = kb
-            free_rows[m] = fr
-            if kb.cols:
+                    for v in images[m][gi]:
+                        for r, val in v.items():
+                            rows[r][col] = val
+                        col += 1
+            incl[m], free_rows[m] = sparse_kernel(rows, col)
+            if incl[m]:
                 all_zero = False
         stage = _KernelStage(free, incl, free_rows)
         if all_zero:
@@ -776,6 +765,17 @@ def resolve_by_representables(x: OutCycModule, depth: int) -> list[ResolutionSte
     return steps
 
 
+def _int_matrix(a: QMatrix) -> tuple[int, list[list[tuple[int, int]]]]:
+    """A matrix as (den, rows of (col, numerator)) with den times it integral."""
+    den = 1
+    for v in a._e:
+        d = v.denominator
+        if d != 1:
+            den = den * d // gcd(den, d)
+    return den, [[(b, v.numerator * (den // v.denominator))
+                  for b, v in enumerate(a.row(i)) if v] for i in range(a.rows)]
+
+
 def _hom_cochain(steps: list[ResolutionStep], y: OutCycModule,
                  support: SupportSet) -> CochainComplex:
     """Apply morphisms-into-y to the resolution, in representable coordinates.
@@ -783,15 +783,26 @@ def _hom_cochain(steps: list[ResolutionStep], y: OutCycModule,
     The degree-k space is the sum of y's values at the k-th generator levels;
     the differential evaluates a morphism on the classifying columns of the
     next differential, using that a morphism out of a representable is the
-    unit-orbit of a single value pushed up through the restrictions.
+    unit-orbit of a single value pushed up through the restrictions.  The
+    block of generator j against generator i is R (sum_t z_t A_t): z the
+    classifying column's entries in i's block, A_t y's action of the t-th
+    unit and R y's restriction to j's level.  It is summed in integers over
+    one common denominator, and each entry becomes one Fraction.
     """
-    res_cache: dict[tuple[int, int], QMatrix] = {}
+    acts: dict[tuple[int, int], tuple[int, list[list[tuple[int, int]]]]] = {}
+    ress: dict[tuple[int, int], tuple[int, list[list[tuple[int, int]]]]] = {}
 
-    def y_res(n: int, m: int) -> QMatrix:
+    def y_act(n: int, u: int) -> tuple[int, list[list[tuple[int, int]]]]:
+        key = (n, u)
+        if key not in acts:
+            acts[key] = _int_matrix(y.action(n, u))
+        return acts[key]
+
+    def y_res(n: int, m: int) -> tuple[int, list[list[tuple[int, int]]]]:
         key = (n, m)
-        if key not in res_cache:
-            res_cache[key] = restriction_matrix(y, m, n)
-        return res_cache[key]
+        if key not in ress:
+            ress[key] = _int_matrix(restriction_matrix(y, m, n))
+        return ress[key]
 
     def layout(gens: list[int]) -> tuple[list[int], int]:
         offs = []
@@ -808,34 +819,55 @@ def _hom_cochain(steps: list[ResolutionStep], y: OutCycModule,
         offs_k, dim_k = layout(gens_k)
         offs_k1, dim_k1 = layout(gens_k1)
         free_k = _FreeSum(gens_k, support)
+        # ambient index -> (generator, unit index), per level of free_k
+        owners: dict[int, list[tuple[int, int]]] = {}
         mat = QMatrix.zeros(dim_k1, dim_k)
+        e = mat._e
         for j, (n_j, z) in enumerate(zip(gens_k1, steps[k + 1].classifier_cols)):
             # z lives in the k-th free sum at level n_j
-            lay = free_k.layout(n_j)
-            for i, off in lay:
+            dy_j = y.dim(n_j)
+            if not dy_j:
+                continue
+            owner = owners.get(n_j)
+            if owner is None:
+                owner = owners[n_j] = [(i, t) for i, _ in free_k.layout(n_j)
+                                       for t in range(len(units(gens_k[i])))]
+            blocks: dict[int, list[tuple[int, Fraction]]] = {}
+            for pos, c in z.items():
+                i, t = owner[pos]
+                blocks.setdefault(i, []).append((t, c))
+            r0 = offs_k1[j]
+            for i, coeffs in blocks.items():
                 n_i = gens_k[i]
-                un = units(n_i)
                 dy = y.dim(n_i)
-                acc = [_F0] * (dy * dy)
-                hit = False
-                for t, u in enumerate(un):
-                    c = z[off + t]
-                    if c:
-                        hit = True
-                        for idx, v in enumerate(y.action(n_i, u)._e):
-                            if v:
-                                acc[idx] += c * v
-                if not hit:
+                if not dy:
                     continue
-                weighted = QMatrix(dy, dy, acc)
-                block = y_res(n_i, n_j) @ weighted
-                r0, c0 = offs_k1[j], offs_k[i]
-                for a in range(block.rows):
+                un = units(n_i).elements
+                den_r, res_rows = y_res(n_i, n_j)
+                den = 1
+                for t, c in coeffs:
+                    d = y_act(n_i, un[t])[0] * c.denominator
+                    den = den * d // gcd(den, d)
+                # weighted = den * sum_t z_t A_t, by sparse integer rows
+                weighted: list[dict[int, int]] = [{} for _ in range(dy)]
+                for t, c in coeffs:
+                    den_a, a_rows = y_act(n_i, un[t])
+                    scale = c.numerator * (den // (den_a * c.denominator))
+                    for a, row in enumerate(a_rows):
+                        acc = weighted[a]
+                        for b, v in row:
+                            acc[b] = acc.get(b, 0) + scale * v
+                den *= den_r
+                c0 = offs_k[i]
+                for a, rrow in enumerate(res_rows):
+                    out: dict[int, int] = {}
+                    for s, rv in rrow:
+                        for b, w in weighted[s].items():
+                            out[b] = out.get(b, 0) + rv * w
                     base = (r0 + a) * dim_k + c0
-                    row = block.row(a)
-                    for b, v in enumerate(row):
+                    for b, v in out.items():
                         if v:
-                            mat._e[base + b] += v
+                            e[base + b] = Fraction(v) if den == 1 else Fraction(v, den)
         diffs.append(mat)
     return CochainComplex(diffs)
 

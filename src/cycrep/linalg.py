@@ -13,9 +13,13 @@ Conventions, fixed once so matrices are reproducible across runs:
 * the reduced-form routines (``rref``, ``kernel_basis``, ``solve_matrix``,
   ``column_space_basis``) take the first nonzero entry in scan order as
   pivot, so the bases they return are in reduced form,
-* ``rank`` eliminates sparse integer rows with a Markowitz pivot rule: the
-  column with the fewest nonzeros (lowest index on ties), then the row in
-  it with the fewest nonzeros (lowest index on ties),
+* ``rank`` and ``sparse_kernel`` eliminate sparse ``{col: int}`` rows with
+  one update (``_cancel``: cross-multiply, drop zeros, divide by the gcd).
+  ``rank`` pivots by the Markowitz rule: the column with the fewest
+  nonzeros (lowest index on ties), then the row in it with the fewest
+  nonzeros (lowest index on ties).  ``sparse_kernel`` returns the reduced
+  kernel basis and its free columns, so it takes pivot columns in
+  increasing order and only chooses the sparsest row within each,
 * tensor products use the lexicographic pairing of basis indices,
 * matrices with 0 rows or 0 columns are legal and arise constantly.
 """
@@ -398,6 +402,20 @@ def rref(m: QMatrix) -> tuple[QMatrix, list[int]]:
     return QMatrix.from_rows(rows, cols=m.cols), pivots
 
 
+def _int_row(nz: Iterable[tuple[int, Fraction]]) -> dict[int, int]:
+    """Nonzero ``(col, Fraction)`` pairs as a ``{col: int}`` row, scaled by
+    the lcm of the denominators; the row's span is unchanged."""
+    nz = list(nz)
+    den = 1
+    for _, v in nz:
+        d = v.denominator
+        if d != 1:
+            den = den * d // gcd(den, d)
+    if den == 1:
+        return {j: v.numerator for j, v in nz}
+    return {j: v.numerator * (den // v.denominator) for j, v in nz}
+
+
 def _sparse_int_rows(m: QMatrix) -> list[dict[int, int]]:
     """The nonzero rows of ``m`` as ``{col: int}`` dicts, denominators cleared."""
     out = []
@@ -405,31 +423,56 @@ def _sparse_int_rows(m: QMatrix) -> list[dict[int, int]]:
     e = m._e
     for base in range(0, m.rows * c, c or 1):
         nz = [(j, v) for j, v in enumerate(e[base:base + c]) if v is not _ZERO and v]
-        if not nz:
-            continue
-        den = 1
-        for _, v in nz:
-            d = v.denominator
-            if d != 1:
-                den = den * d // gcd(den, d)
-        if den == 1:
-            out.append({j: v.numerator for j, v in nz})
-        else:
-            out.append({j: v.numerator * (den // v.denominator) for j, v in nz})
+        if nz:
+            out.append(_int_row(nz))
     return out
 
 
-def rank(m: QMatrix) -> int:
-    """Rank by fraction-free elimination over sparse integer rows.
+def _cancel(row: dict[int, int], prow: dict[int, int], c: int,
+            cols: Optional[dict[int, set[int]]] = None, i: int = -1) -> None:
+    """Clear column ``c`` of ``row`` with the pivot row ``prow``, in place.
 
-    Each step pivots on the column with the fewest nonzeros, at its row
-    with the fewest nonzeros (lowest index on either tie), clears that
-    column from the other rows by integer cross-multiplication, reduces
-    every updated row by its gcd and drops the pivot row.  Choosing sparse
-    pivots keeps the fill-in, and so the work, small on the sparse cochain
-    matrices where rank dominates.
+    The update is fraction-free: ``row := a * row - b * prow`` with
+    ``a / b == prow[c] / row[c]`` in lowest terms and ``a > 0``.  Entries
+    that cancel are dropped, and the row is divided by the gcd of what
+    remains.  When a column index ``cols`` is given, ``row`` is its row
+    ``i`` and the index follows every entry that appears or cancels.  It is
+    the one sparse elimination update in the package.
     """
-    rows = _sparse_int_rows(m)
+    pval = prow[c]
+    v = row[c]
+    g = gcd(pval, v)
+    a = pval // g
+    b = v // g
+    if a < 0:
+        a, b = -a, -b
+    if a != 1:
+        for j in row:
+            row[j] *= a
+    get = row.get
+    for j, w in prow.items():
+        x = get(j)
+        if x is None:
+            row[j] = -b * w
+            if cols is not None:
+                cols[j].add(i)
+        else:
+            x -= b * w
+            if x:
+                row[j] = x
+            else:
+                del row[j]
+                if cols is not None:
+                    cols[j].discard(i)
+    if row:
+        g = gcd(*row.values())
+        if g > 1:
+            for j in row:
+                row[j] //= g
+
+
+def _column_index(rows: list[dict[int, int]]) -> dict[int, set[int]]:
+    """For every column, the rows that are nonzero there."""
     cols: dict[int, set[int]] = {}
     for i, row in enumerate(rows):
         for j in row:
@@ -437,6 +480,20 @@ def rank(m: QMatrix) -> int:
                 cols[j].add(i)
             else:
                 cols[j] = {i}
+    return cols
+
+
+def rank(m: QMatrix) -> int:
+    """Rank by fraction-free elimination over sparse integer rows.
+
+    Each step pivots on the column with the fewest nonzeros, at its row
+    with the fewest nonzeros (lowest index on either tie), clears that
+    column from the other rows and drops the pivot row.  Choosing sparse
+    pivots keeps the fill-in, and so the work, small on the sparse cochain
+    matrices where rank dominates.
+    """
+    rows = _sparse_int_rows(m)
+    cols = _column_index(rows)
     # (count, col) entries; an entry is current while its count matches
     heap = [(len(s), j) for j, s in cols.items()]
     heapify(heap)
@@ -448,42 +505,12 @@ def rank(m: QMatrix) -> int:
             continue
         p = min(below, key=lambda i: (len(rows[i]), i))
         prow = rows[p]
-        pval = prow[c]
-        touched = set(prow)
         for j in prow:
             cols[j].discard(p)
         for i in list(below):
-            row = rows[i]
-            g = gcd(pval, row[c])
-            a = pval // g
-            b = row[c] // g
-            if a < 0:
-                a, b = -a, -b
-            if a != 1:
-                for j in row:
-                    row[j] *= a
-            get = row.get
-            for j, w in prow.items():
-                x = get(j)
-                if x is None:
-                    row[j] = -b * w
-                    cols[j].add(i)
-                    touched.add(j)
-                else:
-                    x -= b * w
-                    if x:
-                        row[j] = x
-                    else:
-                        del row[j]
-                        cols[j].discard(i)
-                        touched.add(j)
-            if row:
-                g = gcd(*row.values())
-                if g > 1:
-                    for j in row:
-                        row[j] //= g
+            _cancel(rows[i], prow, c, cols, i)
         r += 1
-        for j in touched:
+        for j in prow:
             s = cols.get(j)
             if s:
                 heappush(heap, (len(s), j))
@@ -492,68 +519,46 @@ def rank(m: QMatrix) -> int:
     return r
 
 
-def rref_with_transform(m: QMatrix) -> tuple[QMatrix, list[int], QMatrix]:
-    """rref ``R``, pivots, and an invertible ``U`` with ``U @ m == R``.
+def sparse_kernel(rows: Sequence[dict[int, Fraction]],
+                  ncols: int) -> tuple[list[dict[int, Fraction]], list[int]]:
+    """Reduced basis of the null space of a matrix given by sparse rows.
 
-    ``U`` records the row operations performed, so ``m`` can be reassembled
-    from ``R`` as ``U^-1 @ R``.
+    ``rows`` are ``{col: Fraction}`` dicts over ``ncols`` columns.  Returns
+    the basis vectors as ``{index: Fraction}`` dicts, and the free columns:
+    the vector for free column ``j`` has a 1 at ``j`` and its other
+    nonzeros at pivot columns, so it is column ``k`` of ``kernel_basis``
+    of the dense matrix when ``j`` is the ``k``-th free column.  Pivot
+    columns are taken in increasing order, as the reduced form requires;
+    within a column the pivot is its row with the fewest nonzeros (lowest
+    index on ties).  The reduced row echelon form is unique, so that
+    choice changes the work, not the result.
     """
-    n = m.cols
-    aug = hstack(m, QMatrix.identity(m.rows))
-    rows = _int_rows(aug)
-    # eliminate on the left block only; the right block tags along
-    pivots: list[int] = []
-    nrows = len(rows)
-    width = n + m.rows
-    r = 0
-    for c in range(n):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
+    rows = [_int_row((j, v) for j, v in row.items() if v) for row in rows]
+    cols = _column_index(rows)
+    pivot_row: dict[int, int] = {}
+    pivoted: set[int] = set()
+    # fill-in lands only on columns some row starts with, so the initial
+    # column set is every column that can ever be pivoted
+    for c in sorted(cols):
+        hit = cols[c]
+        cand = [i for i in hit if i not in pivoted]
+        if not cand:
             continue
-        if piv != r:
-            rows[piv], rows[r] = rows[r], rows[piv]
-        prow = rows[r]
-        pval = prow[c]
-        for i in range(r + 1, nrows):
-            row = rows[i]
-            v = row[c]
-            if not v:
-                continue
-            for j in range(width):
-                pv = prow[j]
-                row[j] = pval * row[j] - v * pv if pv else pval * row[j]
-            _row_gcd_reduce(row)
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for r in range(len(pivots) - 1, -1, -1):
-        c = pivots[r]
-        prow = rows[r]
-        pval = prow[c]
-        for i in range(r):
-            row = rows[i]
-            v = row[c]
-            if not v:
-                continue
-            for j in range(width):
-                pv = prow[j]
-                row[j] = pval * row[j] - v * pv if pv else pval * row[j]
-            _row_gcd_reduce(row)
-    R_rows, U_rows = [], []
-    for r in range(nrows):
-        if r < len(pivots):
-            pv = rows[r][pivots[r]]
-        else:
-            pv = next((v for v in rows[r][n:] if v), 1)
-        R_rows.append([Fraction(v, pv) if v else _ZERO for v in rows[r][:n]])
-        U_rows.append([Fraction(v, pv) if v else _ZERO for v in rows[r][n:]])
-    return (QMatrix.from_rows(R_rows, cols=n), pivots,
-            QMatrix.from_rows(U_rows, cols=m.rows))
+        p = min(cand, key=lambda i: (len(rows[i]), i))
+        # clearing the earlier pivot rows as well leaves the reduced form
+        for i in [i for i in hit if i != p]:
+            _cancel(rows[i], rows[p], c, cols, i)
+        pivot_row[c] = p
+        pivoted.add(p)
+    free = [j for j in range(ncols) if j not in pivot_row]
+    basis: dict[int, dict[int, Fraction]] = {j: {j: _ONE} for j in free}
+    for c, p in pivot_row.items():
+        prow = rows[p]
+        pv = prow[c]
+        for j, v in prow.items():
+            if j != c:
+                basis[j][c] = Fraction(-v, pv)
+    return [basis[j] for j in free], free
 
 
 def kernel_basis(m: QMatrix) -> QMatrix:

@@ -76,27 +76,55 @@ def module_to_json(x: OutCycModule) -> dict:
     return {"support": list(x.support), "levels": levels, "restrictions": restrictions}
 
 
+def _field(obj: Any, key: str, kind: type, where: str) -> Any:
+    """``obj[key]``, which must exist and be a ``kind`` (never a bool)."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"{where} has no {key!r} entry")
+    val = obj[key]
+    if not isinstance(val, kind) or isinstance(val, bool):
+        raise ValueError(f"{where}: {key!r} must be a JSON {_JSON_KIND[kind]}, "
+                         f"got {val!r}")
+    return val
+
+
+_JSON_KIND = {list: "array", dict: "object", int: "integer"}
+
+
 def module_from_json(obj: Any) -> OutCycModule:
-    support = SupportSet(obj["support"])
+    """Parse a module object; a missing or mistyped entry raises ValueError."""
+    members = _field(obj, "support", list, "module")
+    if not all(isinstance(n, int) and not isinstance(n, bool) for n in members):
+        raise ValueError(f"module: 'support' must list integers, got {members!r}")
+    support = SupportSet(members)
+    levels = _field(obj, "levels", dict, "module")
+    if sorted(levels) != sorted(str(n) for n in support):
+        raise ValueError(f"module: 'levels' must have one entry per support level "
+                         f"{list(support)}, got {sorted(levels)}")
     dims = {}
     actions = {}
-    for key, lv in obj["levels"].items():
-        n = int(key)
-        d = int(lv["dim"])
+    for n in support:
+        lv = levels[str(n)]
+        d = _field(lv, "dim", int, f"level {n}")
+        if d < 0:
+            raise ValueError(f"level {n}: 'dim' must not be negative, got {d}")
         dims[n] = d
         acts = {}
-        for lkey, mat in lv["action"].items():
+        for lkey, mat in _field(lv, "action", dict, f"level {n}").items():
             acts[int(lkey)] = matrix_from_json(mat, d, d)
         for l in units(n):
             if l not in acts:
                 raise ValueError(f"missing action for unit {l} at level {n}")
         actions[n] = acts
     restrictions = {}
-    for key, mat in obj.get("restrictions", {}).items():
-        a, b = key.split("->")
-        n, m = int(a), int(b)
-        restrictions[(n, m)] = matrix_from_json(mat, dims[m], dims[n])
-    for pair in support.covering_pairs():
+    pairs = set(support.covering_pairs())
+    given = _field(obj, "restrictions", dict, "module") if "restrictions" in obj else {}
+    for key, mat in given.items():
+        a, _, b = key.partition("->")
+        pair = (int(a), int(b))
+        if pair not in pairs:
+            raise ValueError(f"restriction {key!r} is not a covering pair of the support")
+        restrictions[pair] = matrix_from_json(mat, dims[pair[1]], dims[pair[0]])
+    for pair in pairs:
         if pair not in restrictions:
             raise ValueError(f"missing restriction for covering pair {pair}")
     return OutCycModule(support, dims, actions, restrictions, name="from-file")
@@ -147,7 +175,7 @@ def module_from_name(name: str, support: SupportSet, seed: int = 0) -> OutCycMod
 
 
 class InvalidModuleFile(ValueError):
-    """A module file that parses but violates the module invariants."""
+    """A module file that is malformed or violates the module invariants."""
 
     def __init__(self, path: str, violations: list[str]):
         super().__init__(f"module file {path} is not a valid module: "
@@ -159,15 +187,19 @@ def load_module(spec: str, support: SupportSet, prefer_file: bool = False,
                 seed: int = 0) -> OutCycModule:
     """Built-in names resolve before file paths unless a file is preferred.
 
-    A module read from a file is validated exhaustively; any violation
-    raises ``InvalidModuleFile`` carrying the list of violations.
+    A module read from a file is parsed strictly and then validated
+    exhaustively; a malformed file or any violation raises
+    ``InvalidModuleFile`` carrying the list of problems.
     """
     import os
     if not prefer_file and is_builtin_name(spec):
         return module_from_name(spec, support, seed)
     if os.path.exists(spec):
         with open(spec) as fh:
-            x = module_from_json(json.load(fh))
+            try:
+                x = module_from_json(json.load(fh))
+            except ValueError as exc:
+                raise InvalidModuleFile(spec, [str(exc)]) from None
         if x.support != support:
             raise ValueError(f"module file support {list(x.support)} does not match "
                              f"requested support {list(support)}")

@@ -14,8 +14,10 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from cycrep.cyclic_site import units
 from cycrep.linalg import (QMatrix, column_space_basis, hstack, kernel_basis,
-                           solve, vstack)
+                           rref, solve, vstack)
+from cycrep.modules import restriction_matrix
 from cycrep.rep_ring import RUElement
 
 F0 = Fraction(0)
@@ -204,3 +206,203 @@ def witnesses_by_solve(diffs: list[QMatrix], dims: list[int]) -> list[list[list[
                 span = vec if span is None else hstack(span, vec)
         witnesses.append(chosen)
     return witnesses
+
+
+# --- the resolution by representables and its Hom cochains, densely
+#
+# The dense path that the sparse resolution layer of cycrep.hom_ext
+# replaced: full-length Fraction vectors, a row-echelon span tracker that
+# scans whole rows, the kernel from the dense reduced row echelon form, and
+# one matrix product per cochain block.
+
+class DenseSpanTracker:
+    """Incremental row-echelon span of integer-scaled dense vectors."""
+
+    def __init__(self, dim: int):
+        self.dim = dim
+        self.rows: list[list[int]] = []
+        self.pivots: list[int] = []
+
+    @property
+    def rank(self) -> int:
+        return len(self.rows)
+
+    def _reduce(self, vec: list[Fraction]) -> list[int]:
+        den = 1
+        for v in vec:
+            den = den * v.denominator // gcd(den, v.denominator)
+        row = [int(v * den) for v in vec]
+        for r, p in zip(self.rows, self.pivots):
+            if row[p]:
+                a, b = r[p], row[p]
+                row = [a * x - b * y for x, y in zip(row, r)]
+        return row
+
+    def contains_unit(self, t: int) -> bool:
+        unit = [F0] * self.dim
+        unit[t] = F1
+        return not any(self._reduce(unit))
+
+    def add(self, vec: list[Fraction]) -> bool:
+        row = self._reduce(vec)
+        piv = next((j for j, v in enumerate(row) if v), None)
+        if piv is None:
+            return False
+        at = sum(1 for p in self.pivots if p < piv)
+        self.rows.insert(at, row)
+        self.pivots.insert(at, piv)
+        return True
+
+
+class DenseFreeSum:
+    """A sum of representables by generator levels, on dense vectors."""
+
+    def __init__(self, gens: list[int], support):
+        self.gens = list(gens)
+        self.layout = {}
+        self.dims = {}
+        for m in support:
+            lay, off = [], 0
+            for i, n in enumerate(self.gens):
+                if m % n == 0:
+                    lay.append((i, off))
+                    off += len(units(n))
+            self.layout[m] = lay
+            self.dims[m] = off
+
+    def act(self, m: int, l: int, vec: list[Fraction]) -> list[Fraction]:
+        out = [F0] * len(vec)
+        for i, off in self.layout[m]:
+            un = units(self.gens[i])
+            lbar = 1 if un.modulus == 1 else l % un.modulus
+            for k, u in enumerate(un):
+                out[off + un.index(un.mul(u, lbar))] = vec[off + k]
+        return out
+
+    def res(self, n: int, m: int, vec: list[Fraction]) -> list[Fraction]:
+        out = [F0] * self.dims[m]
+        dst = dict(self.layout[m])
+        for i, off in self.layout[n]:
+            for k in range(len(units(self.gens[i]))):
+                out[dst[i] + k] = vec[off + k]
+        return out
+
+
+class DenseModuleStage:
+    def __init__(self, x):
+        self.support = x.support
+        self.x = x
+
+    def dim(self, n: int) -> int:
+        return self.x.dim(n)
+
+    def generator_images(self, n_gen: int, idx: int) -> dict:
+        acted = [self.x.action(n_gen, u).col(idx) for u in units(n_gen)]
+        out = {}
+        for m in self.support.multiples_of(n_gen):
+            res = restriction_matrix(self.x, m, n_gen)
+            out[m] = [res.apply(v) for v in acted]
+        return out
+
+
+class DenseKernelStage:
+    def __init__(self, free: DenseFreeSum, support, incl: dict, free_rows: dict):
+        self.support = support
+        self.free = free
+        self.incl = incl
+        self.free_rows = free_rows
+
+    def dim(self, n: int) -> int:
+        return self.incl[n].cols
+
+    def generator_images(self, n_gen: int, idx: int) -> dict:
+        ambient = self.incl[n_gen].col(idx)
+        acted = [self.free.act(n_gen, u, ambient) for u in units(n_gen)]
+        out = {}
+        for m in self.support.multiples_of(n_gen):
+            out[m] = []
+            for v in acted:
+                w = self.free.res(n_gen, m, v)
+                out[m].append([w[r] for r in self.free_rows[m]])
+        return out
+
+
+def dense_cover_stage(stage):
+    """Greedy cover by representables: generators on the first unit vector
+    not yet in the span, level by level upward."""
+    trackers = {n: DenseSpanTracker(stage.dim(n)) for n in stage.support}
+    gens, gen_idx = [], []
+    images = {n: [] for n in stage.support}
+    for n in stage.support:
+        d = stage.dim(n)
+        scan = 0
+        while trackers[n].rank < d:
+            while trackers[n].contains_unit(scan):
+                scan += 1
+            gens.append(n)
+            gen_idx.append(scan)
+            imgs = stage.generator_images(n, scan)
+            for m, vals in imgs.items():
+                if trackers[m].rank < stage.dim(m):
+                    for v in vals:
+                        trackers[m].add(v)
+            for m in stage.support:
+                images[m].append(imgs.get(m, []))
+    return gens, gen_idx, images
+
+
+def dense_resolve_by_representables(x, depth: int) -> list[tuple[list[int], list[list[Fraction]]]]:
+    """(generator levels, dense classifier columns) for each resolution step."""
+    support = x.support
+    stage = DenseModuleStage(x)
+    steps = []
+    for k in range(depth + 1):
+        gens, gen_idx, images = dense_cover_stage(stage)
+        cols = [] if k == 0 else [stage.incl[n].col(i) for n, i in zip(gens, gen_idx)]
+        steps.append((gens, cols))
+        if k == depth:
+            break
+        incl, free_rows = {}, {}
+        for m in support:
+            eps = QMatrix.from_columns(
+                [v for gi, n in enumerate(gens) if m % n == 0 for v in images[m][gi]],
+                rows=stage.dim(m))
+            pivots = set(rref(eps)[1])
+            incl[m] = kernel_basis(eps)
+            free_rows[m] = [j for j in range(eps.cols) if j not in pivots]
+        if all(incl[m].cols == 0 for m in support):
+            steps.extend(([], []) for _ in range(k + 1, depth + 1))
+            break
+        stage = DenseKernelStage(DenseFreeSum(gens, support), support, incl, free_rows)
+    return steps
+
+
+def dense_hom_cochain(steps, y, support) -> list[QMatrix]:
+    """The differentials of Hom(resolution, y), one matrix product per block."""
+    def layout(gens):
+        offs, tot = [], 0
+        for n in gens:
+            offs.append(tot)
+            tot += y.dim(n)
+        return offs, tot
+
+    diffs = []
+    for (gens_k, _), (gens_k1, cols_k1) in zip(steps, steps[1:]):
+        offs_k, dim_k = layout(gens_k)
+        offs_k1, dim_k1 = layout(gens_k1)
+        free_k = DenseFreeSum(gens_k, support)
+        mat = QMatrix.zeros(dim_k1, dim_k)
+        for j, (n_j, z) in enumerate(zip(gens_k1, cols_k1)):
+            for i, off in free_k.layout[n_j]:
+                n_i = gens_k[i]
+                dy = y.dim(n_i)
+                weighted = QMatrix.zeros(dy, dy)
+                for t, u in enumerate(units(n_i)):
+                    if z[off + t]:
+                        weighted = weighted + y.action(n_i, u).scale(z[off + t])
+                block = restriction_matrix(y, n_j, n_i) @ weighted
+                for a in range(block.rows):
+                    for b in range(block.cols):
+                        mat._e[(offs_k1[j] + a) * dim_k + offs_k[i] + b] += block[a, b]
+        diffs.append(mat)
+    return diffs

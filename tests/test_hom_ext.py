@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from cycrep.cyclic_site import SupportSet, divisor_closure, support_of_divisors,
 from cycrep.linalg import QMatrix, rank, solve
 from cycrep.modules import (
     atomic_module,
+    conjugate_module,
     direct_sum,
     dual_system,
     free_module,
@@ -17,6 +19,8 @@ from cycrep.modules import (
 )
 from cycrep.hom_ext import (
     CochainComplex,
+    _SpanTracker,
+    _hom_cochain,
     ext_via_resolution,
     hom_direct,
     hom_via_limit,
@@ -24,11 +28,13 @@ from cycrep.hom_ext import (
     limit_dims_equalizer,
     limit_elements,
     nerve_complex,
+    resolve_by_representables,
     sequential_lim1,
     tower_along_chain,
 )
 from cycrep.rep_ring import tau_ru_module
-from oracles import witnesses_by_solve
+from oracles import (DenseSpanTracker, dense_hom_cochain, dense_resolve_by_representables,
+                     witnesses_by_solve)
 
 S123 = SupportSet([1, 2, 3])
 S12 = support_of_divisors(12)
@@ -245,6 +251,126 @@ class TestWitnessesAgainstSolveOracle:
     @given(st.sampled_from(NON_DIRECTED), st.integers(0, 10 ** 6))
     def test_random_modules_over_non_directed_supports(self, support, seed):
         self.assert_same_witnesses(random_module(support, seed))
+
+    @pytest.mark.parametrize("support", NON_DIRECTED)
+    def test_regular_and_conjugated_modules(self, support):
+        reg = regular_module(support)
+        self.assert_same_witnesses(reg)
+        self.assert_same_witnesses(scramble(reg, 3))
+
+
+def scramble(x, seed):
+    """x conjugated at every level by a seeded invertible matrix with
+    fractional entries, so every structure map gets denominators."""
+    rng = random.Random(seed)
+    transforms = {}
+    for n in x.support:
+        d = x.dim(n)
+        t = QMatrix.identity(d)
+        for i in range(d):
+            t._e[i * d + i] = rng.choice([Fraction(1), Fraction(2), Fraction(-1, 3)])
+            for j in range(i):
+                t._e[i * d + j] = rng.choice([Fraction(0), Fraction(0), Fraction(1), Fraction(-1, 2)])
+        transforms[n] = t
+    return conjugate_module(x, transforms, name=f"scrambled({x.name})")
+
+
+sparse_entries = st.sampled_from([Fraction(0), Fraction(0), Fraction(0), Fraction(1),
+                                  Fraction(-1), Fraction(2), Fraction(1, 2)])
+
+
+class TestSpanTrackerAgainstDenseTracker:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 7).flatmap(lambda d: st.lists(
+        st.lists(sparse_entries, min_size=d, max_size=d), max_size=10)))
+    def test_growth_and_unit_membership(self, vectors):
+        dim = len(vectors[0]) if vectors else 1
+        sparse, dense = _SpanTracker(), DenseSpanTracker(dim)
+        for i, v in enumerate(vectors):
+            # dense lists and sparse dicts are both accepted
+            vec = v if i % 2 else {j: x for j, x in enumerate(v) if x}
+            assert sparse.add(vec) == dense.add(v)
+            assert sparse.rank == dense.rank
+            for t in range(dim):
+                assert sparse.contains_unit(t) == dense.contains_unit(t)
+
+
+class TestSparseResolutionAgainstDenseOracle:
+    """The resolution and its Hom cochains run on sparse vectors with
+    integer accumulation; the oracle is the dense Fraction path."""
+
+    def assert_same_resolution(self, x, y, depth=3):
+        steps = resolve_by_representables(x, depth)
+        ref = dense_resolve_by_representables(x, depth)
+        assert [s.gens for s in steps] == [gens for gens, _ in ref]
+        for step, (_, cols) in zip(steps, ref):
+            assert step.classifier_cols == [{i: v for i, v in enumerate(c) if v}
+                                            for c in cols]
+        assert _hom_cochain(steps, y, x.support).diffs == dense_hom_cochain(ref, y, x.support)
+        return steps
+
+    @pytest.mark.parametrize("top", [12, 36, 60])
+    def test_regular_module(self, top):
+        reg = regular_module(support_of_divisors(top))
+        steps = self.assert_same_resolution(reg, reg)
+        assert all(step.gens for step in steps)
+
+    def test_atomic_and_quotient_modules(self):
+        reg = regular_module(S123)
+        self.assert_same_resolution(atomic_module(1, 1, S123), reg)
+        self.assert_same_resolution(atomic_module(4, 2, S12), regular_module(S12))
+        self.assert_same_resolution(tau_ru_module(S12), regular_module(S12))
+
+    def test_conjugated_modules(self):
+        # denominators in the source reach the tracker and the kernels;
+        # denominators in the target reach the integer cochain assembly
+        reg = regular_module(S12)
+        conj = scramble(reg, 1)
+        for x, y in [(conj, reg), (reg, conj), (conj, scramble(reg, 2))]:
+            self.assert_same_resolution(x, y)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([S12, support_of_divisors(18)] + NON_DIRECTED),
+           st.integers(0, 10 ** 6))
+    def test_random_modules(self, support, seed):
+        x = random_module(support, seed)
+        self.assert_same_resolution(x, random_module(support, seed + 1))
+        self.assert_same_resolution(regular_module(support), x)
+
+
+small_supports = st.lists(st.integers(1, 30), min_size=1, max_size=3).map(divisor_closure)
+
+
+class TestExtMetamorphic:
+    """Identities Ext must satisfy, over small random supports."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(small_supports, st.integers(0, 10 ** 6), st.data())
+    def test_representables_are_projective(self, support, seed, data):
+        n = data.draw(st.sampled_from(list(support)))
+        y = random_module(support, seed)
+        # Hom out of the representable at n is evaluation at n
+        assert ext_via_resolution(free_module(n, support), y, 2) == [y.dim(n), 0, 0]
+
+    @settings(max_examples=50, deadline=None)
+    @given(small_supports, st.integers(0, 10 ** 6))
+    def test_additive_over_direct_sums(self, support, seed):
+        x1, x2, y1, y2 = (random_module(support, seed + i) for i in range(4))
+        def add(a, b):
+            return [p + q for p, q in zip(a, b)]
+        assert ext_via_resolution(direct_sum([x1, x2]), y1, 2) == add(
+            ext_via_resolution(x1, y1, 2), ext_via_resolution(x2, y1, 2))
+        assert ext_via_resolution(x1, direct_sum([y1, y2]), 2) == add(
+            ext_via_resolution(x1, y1, 2), ext_via_resolution(x1, y2, 2))
+
+    @settings(max_examples=50, deadline=None)
+    @given(small_supports, st.integers(0, 10 ** 6))
+    def test_invariant_under_conjugation(self, support, seed):
+        x = random_module(support, seed)
+        y = random_module(support, seed + 1)
+        dims = ext_via_resolution(x, y, 2)
+        assert ext_via_resolution(scramble(x, seed), y, 2) == dims
+        assert ext_via_resolution(x, scramble(y, seed), 2) == dims
 
 
 class TestExtViaResolution:

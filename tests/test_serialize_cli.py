@@ -101,6 +101,32 @@ class TestBoundaryChecks:
         assert code != 0
         assert "overall: ok" not in text and "not a valid module" in text
 
+    @pytest.mark.parametrize("verb", ["validate", "hom", "ext"])
+    @pytest.mark.parametrize("obj,problem", [
+        ({"support": [1, 2]}, "no 'levels' entry"),
+        ({"levels": {}}, "no 'support' entry"),
+        ({"support": "1,2", "levels": {}}, "'support' must be a JSON array"),
+        ({"support": [1, 2], "levels": {"1": {"dim": 1, "action": {"1": [["1"]]}}}},
+         "one entry per support level"),
+        ({"support": [1, 2], "levels": {"1": {"dim": "1", "action": {"1": [["1"]]}},
+                                        "2": {"dim": 1, "action": {"1": [["1"]]}}}},
+         "'dim' must be a JSON integer"),
+        ({"support": [1, 2], "levels": {"1": {"dim": 1, "action": [["1"]]},
+                                        "2": {"dim": 1, "action": {"1": [["1"]]}}}},
+         "'action' must be a JSON object"),
+        ({"support": [1, 2], "levels": {"1": {"dim": 1},
+                                        "2": {"dim": 1, "action": {"1": [["1"]]}}}},
+         "no 'action' entry"),
+    ])
+    def test_malformed_module_file_is_refused(self, tmp_path, verb, obj, problem):
+        path = tmp_path / "malformed.json"
+        path.write_text(json.dumps(obj))
+        with pytest.raises(InvalidModuleFile, match=problem):
+            load_module(str(path), SupportSet([1, 2]))
+        code, text = run([verb, "--support", "1,2", "--source", str(path)])
+        assert code == 1 and text.endswith("overall: FAILED")
+        assert problem in text
+
     def test_validate_lists_each_violation(self, tmp_path):
         path = write_module_file(tmp_path, "1/2", "3/2")
         with pytest.raises(InvalidModuleFile) as info:
@@ -168,6 +194,8 @@ class TestCliRuns:
         assert out["values"]["dim"] == 4
         assert out["values"]["results"]["dims"] == [4]
         assert len(out["values"]["results"]["witnesses"]) == 4
+        assert {"name": "every basis morphism is equivariant and natural",
+                "pass": True} in out["checks"]
 
     def test_ext_example(self):
         code, text = run(["ext", "--support", "1,2,3", "--source", "atomic:1:1",
@@ -217,10 +245,6 @@ class TestCliRuns:
         code, text = run(["hom", "--support", "divisors:60", "--source", "regular",
                           "--size-cap", "10"])
         assert code == 1 and "cap" in text
-
-    def test_parallel_flag_matches_serial(self):
-        base = ["tau-ru", "--support", "divisors:24", "--format", "json"]
-        assert run(base)[1] == run(base + ["--parallel"])[1]
 
     def test_report_verb_small(self):
         code, text = run(["report", "--support", "divisors:6", "--max-degree", "2",
