@@ -37,7 +37,7 @@ atom = atomic_module(4, 2, support)
 print("a two-dimensional atom at level 4:", atom.dims)
 
 print()
-print("=== validation is exhaustive and returns data ===")
+print("=== validation is exact (checked on unit-group generators) and returns data ===")
 print("violations for the regular module:", validate(reg))
 rnd = random_module(support, 42)
 print("a seeded random module validates too:", validate(rnd) == [])

@@ -160,12 +160,13 @@ class UnitsGroup:
     reduction maps stay total (residue arithmetic mod 1 would give 0).
     """
 
-    __slots__ = ("modulus", "elements", "_index")
+    __slots__ = ("modulus", "elements", "_index", "_gens")
 
     def __init__(self, modulus: int, elements: Sequence[int]):
         self.modulus = modulus
         self.elements = tuple(sorted(elements))
         self._index = {u: i for i, u in enumerate(self.elements)}
+        self._gens: tuple[int, ...] | None = None
 
     def __iter__(self):
         return iter(self.elements)
@@ -188,6 +189,32 @@ class UnitsGroup:
         if self.modulus == 1:
             return 1
         return pow(a, -1, self.modulus)
+
+    def generators(self) -> tuple[int, ...]:
+        """A generating set, increasing, chosen greedily and cached.
+
+        Each generator is the smallest unit outside the subgroup generated
+        by the earlier ones, so the set is irredundant and depends on n
+        only: (7, 11) at 90, five units at 840.  It is empty when the group
+        is trivial (n = 1, 2).  A property that is closed under products
+        and holds at 1 and at every generator holds on the whole group;
+        that is what lets the unit-quantified checks and solves of the
+        package loop over these units instead of all of them.
+        """
+        if self._gens is None:
+            gens: list[int] = []
+            sub = {1}
+            for u in self.elements:
+                if u in sub:
+                    continue
+                gens.append(u)
+                # the group is abelian: <sub, u> is the union of the cosets sub*u^k
+                coset, power = list(sub), u
+                while power not in sub:
+                    sub.update(self.mul(h, power) for h in coset)
+                    power = self.mul(power, u)
+            self._gens = tuple(gens)
+        return self._gens
 
     def __repr__(self) -> str:
         return f"UnitsGroup(mod {self.modulus}, {list(self.elements)})"

@@ -26,9 +26,7 @@ from .linalg import (
     QMatrix,
     _cancel,
     _int_row,
-    column_space_basis,
     kernel_basis,
-    kronecker,
     rank,
     sparse_kernel,
 )
@@ -121,22 +119,34 @@ def _equivariant_basis(x: OutCycModule, y: OutCycModule, n: int) -> QMatrix:
     """Columns spanning the equivariant maps x(n) -> y(n), as row-major
     flattened matrices.
 
-    Uses the exact group-averaging projector over all of units(n): its image
-    is precisely the space of equivariant maps, and every unit element
-    enters the average.
+    The null space of the stacked sparse rows of Y(g) f - f X(g) over the
+    generators g of units(n), in the reduced basis of ``sparse_kernel``.
+    Commuting with the generators is the same as commuting with every
+    unit: for valid modules both actions are multiplicative, so a map that
+    commutes with two units commutes with their product.
     """
     dx, dy = x.dim(n), y.dim(n)
-    if dx == 0 or dy == 0:
-        return QMatrix.zeros(dx * dy, 0)
-    un = units(n)
     size = dx * dy
-    total = QMatrix.zeros(size, size)
-    for l in un:
-        linv = un.inv(l)
-        # row-major vec:  vec(A f B) = (A kron B^T) vec(f)
-        total = total + kronecker(y.action(n, linv), x.action(n, l).transpose())
-    avg = total.scale(Fraction(1, len(un)))
-    basis, _ = column_space_basis(avg)
+    if size == 0:
+        return QMatrix.zeros(size, 0)
+    rows: list[dict[int, Fraction]] = []
+    for g in units(n).generators():
+        ax, ay = x.action(n, g), y.action(n, g)
+        ay_rows = [[(s, v) for s, v in enumerate(ay.row(i)) if v] for i in range(dy)]
+        ax_cols = [[(t, v) for t, v in enumerate(ax.col(j)) if v] for j in range(dx)]
+        for i in range(dy):
+            for j in range(dx):
+                # entry (i, j): sum_s Y[i,s] f[s,j] - sum_t f[i,t] X[t,j]
+                row = {s * dx + j: v for s, v in ay_rows[i]}
+                for t, v in ax_cols[j]:
+                    k = i * dx + t
+                    row[k] = row.get(k, _F0) - v
+                rows.append(row)
+    vecs, _ = sparse_kernel(rows, size)
+    basis = QMatrix.zeros(size, len(vecs))
+    for k, vec in enumerate(vecs):
+        for i, v in vec.items():
+            basis._e[i * len(vecs) + k] = v
     return basis
 
 
@@ -249,22 +259,30 @@ def hom_via_limit(x: OutCycModule) -> HomSpace:
     """
     reg = regular_module(x.support)
     families = limit_basis(dual_system(x))
+    # per level, in the order of units(n): the nonzero (i, v) of every
+    # column of action(n, g^-1), shared by all families
+    inv_cols: dict[int, list[list[list[tuple[int, Fraction]]]]] = {}
+    for n in x.support:
+        un = units(n)
+        inv_cols[n] = []
+        for g in un:
+            act = x.action(n, un.inv(g))
+            inv_cols[n].append([[(i, v) for i, v in enumerate(act.col(j)) if v]
+                                for j in range(act.cols)])
     basis = []
     for fam in families:
         mats = {}
         for n in x.support:
-            un = units(n)
             d = x.dim(n)
-            mat = QMatrix.zeros(len(un), d)
+            mat = QMatrix.zeros(len(inv_cols[n]), d)
             lam = fam[n]
-            for g in un:
-                act = x.action(n, un.inv(g))
-                r = un.index(g)
-                for j in range(d):
-                    s = _F0
-                    for i in range(act.rows):
-                        v = act[i, j]
-                        if v:
+            for r, cols in enumerate(inv_cols[n]):
+                for j, col in enumerate(cols):
+                    if len(col) == 1 and col[0][1] == 1:
+                        s = lam[col[0][0]]  # a permutation column: no arithmetic
+                    else:
+                        s = _F0
+                        for i, v in col:
                             s += lam[i] * v
                     if s:
                         mat._e[r * d + j] = s

@@ -33,13 +33,12 @@ from .cyclic_site import (
     SupportSet,
     factorization,
     is_prime,
-    reduce_unit,
     totient,
     unit_reduction,
     units,
 )
 from .linalg import QMatrix, rank
-from .modules import ModuleMorphism, OutCycModule
+from .modules import ModuleMorphism, OutCycModule, regular_action, regular_restriction
 from .rep_ring import MonomialReducer
 
 _F0 = Fraction(0)
@@ -132,25 +131,9 @@ def assemble(support: SupportSet, scaled: bool = True) -> ClassifierFamily:
 def lazy_regular_module(support: SupportSet) -> OutCycModule:
     """The regular module with matrices built on demand; levels in the
     thousands would not fit materialized."""
-    dims = {n: totient(n) for n in support}
-
-    def action_fn(n: int, l: int) -> QMatrix:
-        un = units(n)
-        d = len(un)
-        a = QMatrix.zeros(d, d)
-        for j in un:
-            a._e[un.index(un.mul(l, j)) * d + un.index(j)] = 1
-        return a
-
-    def restriction_fn(n: int, m: int) -> QMatrix:
-        un, um = units(n), units(m)
-        r = QMatrix.zeros(len(um), len(un))
-        for jt in um:
-            r._e[um.index(jt) * len(un) + un.index(reduce_unit(m, n, jt))] = 1
-        return r
-
-    return OutCycModule(support, dims, action_fn=action_fn,
-                        restriction_fn=restriction_fn, name="regular")
+    return OutCycModule(support, {n: totient(n) for n in support},
+                        action_fn=regular_action, restriction_fn=regular_restriction,
+                        name="regular")
 
 
 def monomial_tau_module(support: SupportSet) -> OutCycModule:
@@ -234,11 +217,19 @@ class NormalBasisReport:
 
 
 def _check_equivariance(n: int, cols: dict[int, Sparse]) -> bool:
-    """Full quantification: the action of every unit sends the column of g
-    to the column of l*g."""
+    """Whether the action of every unit l sends the column of g to the
+    column of l*g, for every g.
+
+    Checked for l over the generators of units(n) only, which is
+    equivalent: ``act_unit`` is a group action on the quotient, so if l1
+    and l2 move every column to the right place, so does l1*l2 (first l2,
+    then l1), and the generators reach every unit.  A single corrupted
+    column c_u still fails when units(n) is not trivial: at any generator l
+    the column of l^-1*u is sent somewhere other than c_u.
+    """
     red = _reducer(n)
     un = units(n)
-    for l in un:
+    for l in un.generators():
         for g in un:
             if red.act_unit(l, cols[g]) != cols[un.mul(l, g)]:
                 return False

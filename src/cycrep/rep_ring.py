@@ -330,14 +330,14 @@ def tau_level(n: int) -> TauLevel:
     t = len(basis)
     proj = QMatrix.zeros(t, n)
     for j, bj in enumerate(basis):
-        proj._e[j * n + bj] = 1
+        proj._e[j * n + bj] = _F1
         for r, p in enumerate(pivots):
             v = rows[r][bj]
             if v:
                 proj._e[j * n + p] = -v
     section = QMatrix.zeros(n, t)
     for j, bj in enumerate(basis):
-        section._e[bj * t + j] = 1
+        section._e[bj * t + j] = _F1
     table = QMatrix.zeros(t, t * t)
     for j1 in range(t):
         for j2 in range(t):
@@ -354,24 +354,32 @@ class TauRU:
 
     Holds the per-level quotient data and materializes the induced module
     structure: unit actions and inflation maps conjugated through the
-    projections and sections.
+    projections and sections.  The section sends quotient basis vector j
+    to the monomial X^b, b = basis_monomials[j], and both maps send a
+    monomial to a monomial, so column j of the conjugated matrix is the
+    projection's column at the image exponent: b*l mod n for the action
+    of l, b*(m/n) mod m for the inflation from n to m.
     """
 
     def __init__(self, support: SupportSet):
         self.support = support
         self.levels = {n: tau_level(n) for n in support}
         dims = {n: self.levels[n].dim for n in support}
-        actions = {}
-        for n in support:
-            lv = self.levels[n]
-            actions[n] = {l: lv.projection @ unit_action_matrix(n, l) @ lv.section
-                          for l in units(n)}
-        restrictions = {}
-        for n, m in support.covering_pairs():
-            restrictions[(n, m)] = (self.levels[m].projection
-                                    @ restrict_proj_matrix(m, n)
-                                    @ self.levels[n].section)
+        actions = {n: {l: self._gather(n, n, l) for l in units(n)} for n in support}
+        restrictions = {(n, m): self._gather(n, m, m // n)
+                        for n, m in support.covering_pairs()}
         self.module = OutCycModule(support, dims, actions, restrictions, name="tauRU")
+
+    def _gather(self, n: int, m: int, step: int) -> QMatrix:
+        """The level-n to level-m matrix whose column j is the level-m
+        projection's column at b*step mod m, b the j-th basis monomial of
+        level n."""
+        proj = self.levels[m].projection
+        basis = self.levels[n].basis_monomials
+        out = QMatrix.zeros(proj.rows, len(basis))
+        for j, b in enumerate(basis):
+            out._e[j::len(basis)] = proj.col(b * step % m)
+        return out
 
     def project(self, a: RUElement) -> QMatrix:
         return self.levels[a.level].project(a)

@@ -188,7 +188,7 @@ def load_module(spec: str, support: SupportSet, prefer_file: bool = False,
     """Built-in names resolve before file paths unless a file is preferred.
 
     A module read from a file is parsed strictly and then validated
-    exhaustively; a malformed file or any violation raises
+    (``validate``, exact); a malformed file or any violation raises
     ``InvalidModuleFile`` carrying the list of problems.
     """
     import os

@@ -10,15 +10,17 @@ references for differential tests.
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from cycrep.cyclic_site import units
+from cycrep.cyclic_site import reduce_unit, units
 from cycrep.linalg import (QMatrix, column_space_basis, hstack, kernel_basis,
-                           rref, solve, vstack)
-from cycrep.modules import restriction_matrix
-from cycrep.rep_ring import RUElement
+                           kronecker, rref, solve, vstack)
+from cycrep.modules import conjugate_module, restriction_matrix
+from cycrep.rep_ring import (RUElement, restrict_proj_matrix, tau_level,
+                             unit_action_matrix)
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -406,3 +408,121 @@ def dense_hom_cochain(steps, y, support) -> list[QMatrix]:
                         mat._e[(offs_k1[j] + a) * dim_k + offs_k[i] + b] += block[a, b]
         diffs.append(mat)
     return diffs
+
+
+# --- test inputs
+
+def scramble(x, seed):
+    """x conjugated at every level by a seeded invertible matrix with
+    fractional entries, so every structure map gets denominators."""
+    rng = random.Random(seed)
+    transforms = {}
+    for n in x.support:
+        d = x.dim(n)
+        t = QMatrix.identity(d)
+        for i in range(d):
+            t._e[i * d + i] = rng.choice([Fraction(1), Fraction(2), Fraction(-1, 3)])
+            for j in range(i):
+                t._e[i * d + j] = rng.choice([Fraction(0), Fraction(0), Fraction(1), Fraction(-1, 2)])
+        transforms[n] = t
+    return conjugate_module(x, transforms, name=f"scrambled({x.name})")
+
+
+# --- unit-quantified checks over the full table of units, and the dense
+# --- products the generator-based library code replaced
+
+def all_pairs_validate_actions(x, n: int) -> list[str]:
+    """Identity at 1, shapes, and A(l) A(l') == A(l*l') for every pair."""
+    out: list[str] = []
+    d = x.dim(n)
+    un = units(n)
+    if x.action(n, 1) != QMatrix.identity(d):
+        out.append(f"action(1) is not the identity at level {n}")
+    mats = {l: x.action(n, l) for l in un}
+    for l, a in mats.items():
+        if a.shape() != (d, d):
+            out.append(f"action({l}) at level {n} has shape {a.shape()}, expected {(d, d)}")
+    for l in un:
+        for lp in un:
+            if mats[l] @ mats[lp] != mats[un.mul(l, lp)]:
+                out.append(f"action not multiplicative at level {n}: {l} * {lp}")
+    return out
+
+
+def all_unit_validate_squares(x) -> list[str]:
+    """Equivariance of every restriction against every unit upstairs."""
+    out: list[str] = []
+    for n, m in x.support.covering_pairs():
+        res = x.restriction_step(n, m)
+        if res.shape() != (x.dim(m), x.dim(n)):
+            out.append(f"restriction {n}->{m} has the wrong shape")
+            continue
+        for phi in units(m):
+            if x.action(m, phi) @ res != res @ x.action(n, reduce_unit(m, n, phi)):
+                out.append(f"equivariance fails on square {n}->{m} at unit {phi}")
+    return out
+
+
+def all_unit_morphism_violations(f) -> list[str]:
+    """Equivariance at every unit of every level, and naturality."""
+    out: list[str] = []
+    for n in f.source.support:
+        for l in units(n):
+            if f.mats[n] @ f.source.action(n, l) != f.target.action(n, l) @ f.mats[n]:
+                out.append(f"equivariance fails at level {n}, unit {l}")
+    for n, m in f.source.support.covering_pairs():
+        if f.target.restriction_step(n, m) @ f.mats[n] != f.mats[m] @ f.source.restriction_step(n, m):
+            out.append(f"naturality fails on restriction {n}->{m}")
+    return out
+
+
+def averaged_equivariant_basis(x, y, n: int) -> QMatrix:
+    """Column space of the group-averaging projector over every unit, built
+    from Kronecker products: row-major vec(A f B) = (A kron B^T) vec(f)."""
+    dx, dy = x.dim(n), y.dim(n)
+    if dx == 0 or dy == 0:
+        return QMatrix.zeros(dx * dy, 0)
+    un = units(n)
+    total = QMatrix.zeros(dx * dy, dx * dy)
+    for l in un:
+        total = total + kronecker(y.action(n, un.inv(l)), x.action(n, l).transpose())
+    return column_space_basis(total.scale(Fraction(1, len(un))))[0]
+
+
+def all_unit_check_equivariance(reducer, n: int, cols) -> bool:
+    """Every unit l sends the orbit column of g to the column of l*g."""
+    un = units(n)
+    return all(reducer.act_unit(l, cols[g]) == cols[un.mul(l, g)] for l in un for g in un)
+
+
+def conjugated_tau_matrices(support):
+    """The transfer quotient's actions and restrictions as the products
+    projection @ (unit action or inflation) @ section."""
+    actions = {}
+    for n in support:
+        lv = tau_level(n)
+        actions[n] = {l: lv.projection @ unit_action_matrix(n, l) @ lv.section
+                      for l in units(n)}
+    restrictions = {(n, m): tau_level(m).projection @ restrict_proj_matrix(m, n)
+                    @ tau_level(n).section for n, m in support.covering_pairs()}
+    return actions, restrictions
+
+
+def reference_hom_via_limit_mats(x, families) -> list[dict[int, QMatrix]]:
+    """The inverse-limit reconstruction entry by entry: the level-n matrix
+    has, in the row of unit g, the form composed with the action of g^-1."""
+    out = []
+    for fam in families:
+        mats = {}
+        for n in x.support:
+            un = units(n)
+            d = x.dim(n)
+            mat = QMatrix.zeros(len(un), d)
+            for g in un:
+                act = x.action(n, un.inv(g))
+                for j in range(d):
+                    mat._e[un.index(g) * d + j] = sum(
+                        (fam[n][i] * act[i, j] for i in range(act.rows)), F0)
+            mats[n] = mat
+        out.append(mats)
+    return out

@@ -123,3 +123,48 @@ def test_reduction_composes(mnk):
 def test_prime_utilities():
     assert prime_factors(360) == [2, 3, 5]
     assert is_prime(97) and not is_prime(1) and not is_prime(91)
+
+
+def _closure(n, gens):
+    """The subgroup of units mod n generated by gens, by repeated products."""
+    sub, frontier = {1}, [1]
+    while frontier:
+        nxt = []
+        for a in frontier:
+            for g in gens:
+                b = a * g % n
+                if b not in sub:
+                    sub.add(b)
+                    nxt.append(b)
+        frontier = nxt
+    return sub
+
+
+def test_unit_generators_examples():
+    assert units(1).generators() == ()
+    assert units(2).generators() == ()
+    assert units(12).generators() == (5, 7)
+    assert units(90).generators() == (7, 11)
+    assert len(units(840).generators()) == 5
+
+
+def test_unit_generators_generate_deterministically():
+    # fresh groups (the uncached constructor) keep memory flat over n <= 3000
+    for n in range(1, 3001):
+        un = units.__wrapped__(n)
+        gens = un.generators()
+        assert gens == tuple(sorted(gens)) and len(set(gens)) == len(gens), n
+        assert gens == units.__wrapped__(n).generators(), n
+        assert un.generators() is gens, n
+        assert all(g in un for g in gens), n
+        assert _closure(n, gens) == set(un.elements), n
+
+
+def test_unit_generators_are_all_needed():
+    # negative control: without the last generator the closure is a proper subgroup
+    for n in range(3, 3001):
+        un = units.__wrapped__(n)
+        gens = un.generators()
+        assert gens, n
+        sub = _closure(n, gens[:-1])
+        assert len(sub) < len(un) and gens[-1] not in sub, n

@@ -1,14 +1,12 @@
-import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cycrep.cyclic_site import SupportSet, divisor_closure, support_of_divisors, units
-from cycrep.linalg import QMatrix, rank, solve
+from cycrep.linalg import QMatrix, hstack, rank, solve
 from cycrep.modules import (
     atomic_module,
-    conjugate_module,
     direct_sum,
     dual_system,
     free_module,
@@ -20,11 +18,13 @@ from cycrep.modules import (
 from cycrep.hom_ext import (
     CochainComplex,
     _SpanTracker,
+    _equivariant_basis,
     _hom_cochain,
     ext_via_resolution,
     hom_direct,
     hom_via_limit,
     lim_derived,
+    limit_basis,
     limit_dims_equalizer,
     limit_elements,
     nerve_complex,
@@ -33,11 +33,14 @@ from cycrep.hom_ext import (
     tower_along_chain,
 )
 from cycrep.rep_ring import tau_ru_module
-from oracles import (DenseSpanTracker, dense_hom_cochain, dense_resolve_by_representables,
-                     witnesses_by_solve)
+from oracles import (DenseSpanTracker, averaged_equivariant_basis, dense_hom_cochain,
+                     dense_resolve_by_representables, reference_hom_via_limit_mats,
+                     scramble, witnesses_by_solve)
 
 S123 = SupportSet([1, 2, 3])
 S12 = support_of_divisors(12)
+# divisor closures of up to three numbers in 1..30
+small_supports = st.lists(st.integers(1, 30), min_size=1, max_size=3).map(divisor_closure)
 
 
 def spans_equal(h1, h2):
@@ -94,9 +97,12 @@ class TestHomDirect:
 
 
 class TestMonolithicSystemAgreement:
-    def test_two_stage_solver_matches_single_system(self):
+    @settings(max_examples=50, deadline=None)
+    @given(small_supports, st.integers(0, 10 ** 6), st.booleans())
+    def test_two_stage_solver_matches_single_system(self, support, seed, to_regular):
         # assemble the full equivariance + naturality system in one matrix and
-        # compare its kernel with the staged solver
+        # compare its kernel with the staged solver; the system quantifies
+        # every unit, so it does not share the solver's generating sets
         from cycrep.linalg import QMatrix as QM, kernel_basis as kb
 
         def monolithic_dim(x, y):
@@ -131,11 +137,9 @@ class TestMonolithicSystemAgreement:
                         rows.append(row)
             return kb(QM.from_rows(rows, cols=total)).cols
 
-        for x, y in [(regular_module(S123), regular_module(S123)),
-                     (random_module(S123, 2), regular_module(S123)),
-                     (semifree_module(2, S12), regular_module(S12)),
-                     (random_module(S12, 7), random_module(S12, 8))]:
-            assert hom_direct(x, y).dimension == monolithic_dim(x, y)
+        x = random_module(support, seed)
+        y = regular_module(support) if to_regular else random_module(support, seed + 1)
+        assert hom_direct(x, y).dimension == monolithic_dim(x, y)
 
 
 class TestHomViaLimit:
@@ -175,6 +179,83 @@ class TestCrossOracle:
             limit = hom_via_limit(x)
             assert direct.dimension == limit.dimension, x.name
             assert spans_equal(direct, limit), x.name
+
+
+def same_column_space(a, b):
+    return a.cols == b.cols == rank(a) == rank(b) == rank(hstack(a, b))
+
+
+def hom_battery(support):
+    """Valid modules of every kind the Hom solvers meet: regular, tauRU,
+    random, conjugated with fractional base changes, direct sums."""
+    return [regular_module(support), tau_ru_module(support),
+            random_module(support, 3), scramble(regular_module(support), 5),
+            scramble(random_module(support, 8), 6),
+            direct_sum([tau_ru_module(support), random_module(support, 9)])]
+
+
+class TestEquivariantBasisAgainstAveraging:
+    """The generator kernel against the Kronecker-averaged projector over
+    every unit (oracles.averaged_equivariant_basis)."""
+
+    @pytest.mark.parametrize("support", [S12, support_of_divisors(30)])
+    def test_battery(self, support):
+        mods = hom_battery(support)
+        for x in mods:
+            for y in mods:
+                for n in support:
+                    assert same_column_space(_equivariant_basis(x, y, n),
+                                             averaged_equivariant_basis(x, y, n)), (x.name, y.name, n)
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_supports, st.integers(0, 10 ** 6))
+    def test_random_modules(self, support, seed):
+        x, y = random_module(support, seed), scramble(random_module(support, seed + 1), seed)
+        for n in support:
+            assert same_column_space(_equivariant_basis(x, y, n),
+                                     averaged_equivariant_basis(x, y, n))
+
+
+class TestHomViaLimitAgainstReference:
+    def test_battery(self):
+        for support in [S12, support_of_divisors(30), divisor_closure([8, 9])]:
+            for x in hom_battery(support):
+                h = hom_via_limit(x)
+                ref = reference_hom_via_limit_mats(x, limit_basis(dual_system(x)))
+                assert [f.mats for f in h.basis] == ref, x.name
+
+
+class TestHomMetamorphic:
+    """Identities Hom must satisfy, over small random supports."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(small_supports, st.integers(0, 10 ** 6))
+    def test_additive_over_direct_sums(self, support, seed):
+        x1, x2, y1, y2 = (random_module(support, seed + i) for i in range(4))
+        def dim(x, y):
+            return hom_direct(x, y).dimension
+        assert dim(direct_sum([x1, x2]), y1) == dim(x1, y1) + dim(x2, y1)
+        assert dim(x1, direct_sum([y1, y2])) == dim(x1, y1) + dim(x1, y2)
+        assert hom_via_limit(direct_sum([x1, x2])).dimension == (
+            hom_via_limit(x1).dimension + hom_via_limit(x2).dimension)
+
+    @settings(max_examples=50, deadline=None)
+    @given(small_supports, st.integers(0, 10 ** 6))
+    def test_invariant_under_conjugation(self, support, seed):
+        x, y = random_module(support, seed), random_module(support, seed + 1)
+        d = hom_direct(x, y).dimension
+        assert hom_direct(scramble(x, seed), y).dimension == d
+        assert hom_direct(x, scramble(y, seed)).dimension == d
+        assert hom_via_limit(scramble(x, seed)).dimension == hom_via_limit(x).dimension
+
+    @settings(max_examples=50, deadline=None)
+    @given(small_supports, st.integers(0, 10 ** 6), st.data())
+    def test_representables_evaluate(self, support, seed, data):
+        n = data.draw(st.sampled_from(list(support)))
+        y = random_module(support, seed)
+        free = free_module(n, support)
+        assert hom_direct(free, y).dimension == y.dim(n)
+        assert hom_via_limit(free).dimension == len(units(n))
 
 
 class TestDerivedLimits:
@@ -259,22 +340,6 @@ class TestWitnessesAgainstSolveOracle:
         self.assert_same_witnesses(scramble(reg, 3))
 
 
-def scramble(x, seed):
-    """x conjugated at every level by a seeded invertible matrix with
-    fractional entries, so every structure map gets denominators."""
-    rng = random.Random(seed)
-    transforms = {}
-    for n in x.support:
-        d = x.dim(n)
-        t = QMatrix.identity(d)
-        for i in range(d):
-            t._e[i * d + i] = rng.choice([Fraction(1), Fraction(2), Fraction(-1, 3)])
-            for j in range(i):
-                t._e[i * d + j] = rng.choice([Fraction(0), Fraction(0), Fraction(1), Fraction(-1, 2)])
-        transforms[n] = t
-    return conjugate_module(x, transforms, name=f"scrambled({x.name})")
-
-
 sparse_entries = st.sampled_from([Fraction(0), Fraction(0), Fraction(0), Fraction(1),
                                   Fraction(-1), Fraction(2), Fraction(1, 2)])
 
@@ -336,9 +401,6 @@ class TestSparseResolutionAgainstDenseOracle:
         x = random_module(support, seed)
         self.assert_same_resolution(x, random_module(support, seed + 1))
         self.assert_same_resolution(regular_module(support), x)
-
-
-small_supports = st.lists(st.integers(1, 30), min_size=1, max_size=3).map(divisor_closure)
 
 
 class TestExtMetamorphic:

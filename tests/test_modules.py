@@ -21,9 +21,11 @@ from cycrep.modules import (
     zero_module,
     zero_morphism,
 )
-from cycrep.hom_ext import hom_direct
+from cycrep.hom_ext import hom_direct, hom_via_limit
+from cycrep.rep_ring import tau_ru_module
 
-from oracles import fixed_space_dim
+from oracles import (all_pairs_validate_actions, all_unit_morphism_violations,
+                     all_unit_validate_squares, fixed_space_dim, scramble)
 
 S12 = support_of_divisors(12)
 S60 = support_of_divisors(60)
@@ -274,3 +276,79 @@ class TestInverseSystems:
         direct = d.structure(1, 12)
         step = d.structure_step(1, 2) @ d.structure_step(2, 4) @ d.structure_step(4, 12)
         assert direct == step
+
+
+def _full_table_violations(x):
+    return ([v for n in x.support for v in all_pairs_validate_actions(x, n)]
+            + all_unit_validate_squares(x))
+
+
+def _battery():
+    s30 = support_of_divisors(30)
+    return [regular_module(S12), regular_module(S60), tau_ru_module(S60),
+            random_module(S12, 3), random_module(s30, 11),
+            scramble(regular_module(S12), 1), scramble(tau_ru_module(s30), 2),
+            direct_sum([regular_module(S12), random_module(S12, 4)]),
+            direct_sum([free_module(6, S12), scramble(semifree_module(2, S12), 3)])]
+
+
+def _with_action(x, n, l, mat):
+    actions = {m: {u: x.action(m, u) for u in units(m)} for m in x.support}
+    actions[n][l] = mat
+    res = {pair: x.restriction_step(*pair) for pair in x.support.covering_pairs()}
+    return OutCycModule(x.support, dict(x.dims), actions, res, name=x.name)
+
+
+class TestGeneratorChecksAgainstFullTable:
+    """The generator-based checks against the all-units tables of oracles.py."""
+
+    def test_valid_modules_pass_both(self):
+        for x in _battery():
+            assert validate(x) == [], x.name
+            assert _full_table_violations(x) == [], x.name
+
+    def test_corrupted_non_generator_unit_is_rejected(self):
+        # 11 = 5 * 7 is not among the generators (5, 7) of units(12); a check
+        # of g * g alone, or of the generators alone, would miss it
+        assert 11 not in units(12).generators()
+        for x in _battery():
+            if 12 not in x.support or x.dim(12) == 0:
+                continue
+            bad = _with_action(x, 12, 11, x.action(12, 11).scale(2))
+            found = validate(bad)
+            assert "action not multiplicative at level 12: 5 * 7" in found, x.name
+            assert _full_table_violations(bad), x.name
+
+    def test_every_corrupted_unit_is_rejected(self):
+        x = regular_module(S60)
+        for l in units(60):
+            if l == 1:
+                continue
+            bad = _with_action(x, 60, l, x.action(60, units(60).mul(l, l)))
+            assert validate(bad) != [], l
+            assert _full_table_violations(bad) != [], l
+
+    def test_morphisms_agree_with_full_table(self):
+        reg = regular_module(S12)
+        for x in [regular_module(S12), tau_ru_module(S12), random_module(S12, 6),
+                  scramble(random_module(S12, 7), 4),
+                  direct_sum([tau_ru_module(S12), random_module(S12, 8)])]:
+            for f in hom_direct(x, reg).basis + hom_via_limit(x).basis:
+                assert f.validate() == [] and all_unit_morphism_violations(f) == [], x.name
+
+    def test_natural_but_not_equivariant_morphism_is_rejected(self):
+        # Zero below level 12, and v w^T at level 12: w is the sign character
+        # (1, -1, -1, 1) on units(12) = (1, 5, 7, 11), which kills the images
+        # of the restrictions into level 12, so f is natural.  v = e_1 - e_5
+        # is negated by translation by 5, like w, so f commutes with the
+        # action of 5 but not with that of 7.
+        reg = regular_module(S12)
+        mats = {n: QMatrix.zeros(reg.dim(n), reg.dim(n)) for n in S12}
+        v, w = [1, -1, 0, 0], [1, -1, -1, 1]
+        mats[12] = QMatrix(4, 4, [a * b for a in v for b in w])
+        f = ModuleMorphism(reg, reg, mats)
+        assert units(12).generators() == (5, 7)
+        assert f.validate() == ["equivariance fails at level 12, unit 7"]
+        assert all_unit_morphism_violations(f) == [
+            "equivariance fails at level 12, unit 7",
+            "equivariance fails at level 12, unit 11"]

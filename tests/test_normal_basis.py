@@ -6,6 +6,9 @@ from cycrep.cyclic_site import support_of_divisors, totient, units
 from cycrep.linalg import QMatrix, rank, solve
 from cycrep.modules import validate
 from cycrep.normal_basis import (
+    _check_equivariance,
+    _phi_columns,
+    _reducer,
     assemble,
     classifier_report,
     classifying_element,
@@ -24,6 +27,8 @@ from cycrep.rep_ring import (
     tau_level,
     transfer_ideal,
 )
+
+from oracles import all_unit_check_equivariance
 
 S12 = support_of_divisors(12)
 S60 = support_of_divisors(60)
@@ -188,3 +193,28 @@ class TestPresentationBridge:
         for (a, b) in support.covering_pairs():
             assert bridges[b] @ tau_mono.restriction_step(a, b) == \
                 tau_elim.restriction_step(a, b) @ bridges[a]
+
+
+class TestEquivarianceOnGenerators:
+    """The generator check against the all-units check of oracles.py."""
+
+    @pytest.mark.parametrize("scaled", [True, False])
+    def test_orbits_pass_both(self, scaled):
+        family = assemble(support_of_divisors(360), scaled=scaled)
+        for n in family.support:
+            cols = _phi_columns(family, n)
+            assert _check_equivariance(n, cols)
+            assert all_unit_check_equivariance(_reducer(n), n, cols)
+
+    def test_one_corrupted_column_is_rejected(self):
+        family = assemble(support_of_divisors(120))
+        for n in [5, 8, 12, 24, 40, 120]:
+            cols = _phi_columns(family, n)
+            for u in units(n):
+                if u == 1:
+                    continue
+                for bad_col in (cols[1], {e: 2 * c for e, c in cols[u].items()}):
+                    bad = dict(cols)
+                    bad[u] = bad_col
+                    assert not _check_equivariance(n, bad), (n, u)
+                    assert not all_unit_check_equivariance(_reducer(n), n, bad), (n, u)

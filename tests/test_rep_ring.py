@@ -26,7 +26,8 @@ from cycrep.rep_ring import (
     unit_action_matrix,
 )
 
-from oracles import char_value, embed_roots, roots_equal, induced_char_poly_check
+from oracles import (char_value, conjugated_tau_matrices, embed_roots, roots_equal,
+                     induced_char_poly_check)
 
 
 def random_element(n, rng):
@@ -275,6 +276,21 @@ class TestTauQuotient:
                     v = t.inflate(a * b, b, QMatrix.identity(lb.dim).column_vector(j))
                     cols.append(t.mul(a * b, u, v).col(0))
             assert rank(QMatrix.from_columns(cols, rows=lab.dim)) == lab.dim
+
+
+class TestTauGatherAgainstProducts:
+    @pytest.mark.parametrize("top", [30, 90, 12, 16])
+    def test_matrices_equal_the_conjugated_products(self, top):
+        support = support_of_divisors(top)
+        mod = tau_ru_module(support)
+        actions, restrictions = conjugated_tau_matrices(support)
+        for n in support:
+            for l in units(n):
+                assert mod.action(n, l) == actions[n][l], (n, l)
+                assert all(type(v) is Fraction for v in mod.action(n, l)._e)
+        for pair, mat in restrictions.items():
+            assert mod.restriction_step(*pair) == mat, pair
+            assert all(type(v) is Fraction for v in mod.restriction_step(*pair)._e)
 
 
 class TestCrt:
