@@ -406,11 +406,6 @@ def lim_derived(d: InverseSystem, max_k: int) -> DerivedLimit:
     return DerivedLimit(dims, witnesses, cx)
 
 
-def limit_dims_equalizer(d: InverseSystem) -> int:
-    """The plain limit computed directly from the equalizer system."""
-    return len(limit_basis(d))
-
-
 # ---------------------------------------------------------------------------
 # sequential towers
 # ---------------------------------------------------------------------------

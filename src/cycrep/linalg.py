@@ -2,24 +2,24 @@
 
 Dense matrices of ``fractions.Fraction`` entries are the carrier for every
 linear map in this package.  All results are exact; there is no floating
-point anywhere.  The elimination routines clear denominators and run a
-fraction-free integer Gauss-Jordan internally (cross-multiplication with
-per-row gcd reduction), which is an order of magnitude faster in CPython
-than eliminating with Fraction arithmetic directly.
+point anywhere.  Elimination clears denominators and runs fraction-free
+over sparse ``{col: int}`` rows, which is an order of magnitude faster in
+CPython than eliminating with Fraction arithmetic directly.
 
 Conventions, fixed once so matrices are reproducible across runs:
 
 * vectors are columns; a linear map ``V -> W`` is a ``dim W x dim V`` matrix,
-* the reduced-form routines (``rref``, ``kernel_basis``, ``solve_matrix``,
-  ``column_space_basis``) take the first nonzero entry in scan order as
-  pivot, so the bases they return are in reduced form,
-* ``rank`` and ``sparse_kernel`` eliminate sparse ``{col: int}`` rows with
-  one update (``_cancel``: cross-multiply, drop zeros, divide by the gcd).
-  ``rank`` pivots by the Markowitz rule: the column with the fewest
+* every elimination step is one row update (``_cancel``: cross-multiply,
+  drop zeros, divide by the gcd),
+* the reduced-form routines (``rref``, ``kernel_basis``, ``sparse_kernel``,
+  ``solve_matrix``, ``column_space_basis``, ``cokernel``) share one loop,
+  ``_reduce``: pivot columns in increasing order, as the reduced form
+  requires, and within each the row with the fewest nonzeros.  The reduced
+  row echelon form is unique, so the bases they return do not depend on
+  that choice,
+* ``rank`` alone pivots by the Markowitz rule: the column with the fewest
   nonzeros (lowest index on ties), then the row in it with the fewest
-  nonzeros (lowest index on ties).  ``sparse_kernel`` returns the reduced
-  kernel basis and its free columns, so it takes pivot columns in
-  increasing order and only chooses the sparsest row within each,
+  nonzeros (lowest index on ties),
 * tensor products use the lexicographic pairing of basis indices,
 * matrices with 0 rows or 0 columns are legal and arise constantly.
 """
@@ -265,142 +265,8 @@ def vstack(*mats: QMatrix) -> QMatrix:
 
 
 # ---------------------------------------------------------------------------
-# integer fraction-free elimination core
+# sparse fraction-free elimination core
 # ---------------------------------------------------------------------------
-
-def _int_rows(m: QMatrix) -> list[list[int]]:
-    """Clear denominators row by row; the row space is unchanged."""
-    out = []
-    for i in range(m.rows):
-        row = m.row(i)
-        den = 1
-        for v in row:
-            d = v.denominator
-            if d != 1:
-                den = den * d // gcd(den, d)
-        if den == 1:
-            out.append([v.numerator for v in row])
-        else:
-            out.append([v.numerator * (den // v.denominator) for v in row])
-    return out
-
-
-def _row_gcd_reduce(row: list[int]) -> None:
-    g = 0
-    for v in row:
-        if v:
-            g = gcd(g, -v if v < 0 else v)
-            if g == 1:
-                return
-    if g > 1:
-        for j, v in enumerate(row):
-            if v:
-                row[j] = v // g
-
-
-_GROWTH_LIMIT = 1 << 96
-
-
-def _combine(row: list[int], prow: list[int], pnz: list[int],
-             pval: int, v: int, start: int, ncols: int) -> None:
-    """row := (pval/g) * row - (v/g) * prow, integer and in place.
-
-    When the pivot divides the eliminated entry only the pivot row's nonzero
-    columns are touched, which keeps sparse eliminations near-linear.
-    """
-    g = gcd(pval, v)
-    a = pval // g
-    b = v // g
-    if a == 1:
-        for j in pnz:
-            row[j] -= b * prow[j]
-        if b > _GROWTH_LIMIT or -b > _GROWTH_LIMIT:
-            _row_gcd_reduce(row)
-    elif a == -1:
-        for j in range(start, ncols):
-            row[j] = -row[j]
-        for j in pnz:
-            row[j] -= b * prow[j]
-        if b > _GROWTH_LIMIT or -b > _GROWTH_LIMIT:
-            _row_gcd_reduce(row)
-    else:
-        for j in range(start, ncols):
-            w = row[j]
-            if w:
-                row[j] = a * w
-        for j in pnz:
-            row[j] -= b * prow[j]
-        if abs(a) > 1:
-            for j in range(start, ncols):
-                w = row[j]
-                if w and (w > _GROWTH_LIMIT or -w > _GROWTH_LIMIT):
-                    _row_gcd_reduce(row)
-                    break
-
-
-def _eliminate(rows: list[list[int]], ncols: int) -> list[int]:
-    """In-place integer row elimination; returns the pivot columns.
-
-    Forward pass produces row echelon form; the backward pass clears the
-    entries above each pivot as well, so each column either is a pivot
-    column (single nonzero) or only has entries in pivot rows.
-    """
-    pivots: list[int] = []
-    nrows = len(rows)
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, nrows):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        if piv != r:
-            rows[piv], rows[r] = rows[r], rows[piv]
-        prow = rows[r]
-        pval = prow[c]
-        pnz = [j for j in range(c, ncols) if prow[j]]
-        for i in range(r + 1, nrows):
-            row = rows[i]
-            v = row[c]
-            if v:
-                _combine(row, prow, pnz, pval, v, c, ncols)
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    for r in range(len(pivots) - 1, -1, -1):
-        c = pivots[r]
-        prow = rows[r]
-        pval = prow[c]
-        pnz = [j for j in range(c, ncols) if prow[j]]
-        for i in range(r):
-            row = rows[i]
-            v = row[c]
-            if v:
-                _combine(row, prow, pnz, pval, v, 0, ncols)
-    return pivots
-
-
-def _rref_rows(m: QMatrix) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon rows (Fractions, pivots normalized to 1)."""
-    rows = _int_rows(m)
-    pivots = _eliminate(rows, m.cols)
-    out: list[list[Fraction]] = []
-    for r, c in enumerate(pivots):
-        pv = rows[r][c]
-        out.append([Fraction(v, pv) if v else _ZERO for v in rows[r]])
-    for r in range(len(pivots), m.rows):
-        out.append([_ZERO] * m.cols)
-    return out, pivots
-
-
-def rref(m: QMatrix) -> tuple[QMatrix, list[int]]:
-    """Reduced row echelon form and the pivot columns in increasing order."""
-    rows, pivots = _rref_rows(m)
-    return QMatrix.from_rows(rows, cols=m.cols), pivots
-
 
 def _int_row(nz: Iterable[tuple[int, Fraction]]) -> dict[int, int]:
     """Nonzero ``(col, Fraction)`` pairs as a ``{col: int}`` row, scaled by
@@ -519,23 +385,18 @@ def rank(m: QMatrix) -> int:
     return r
 
 
-def sparse_kernel(rows: Sequence[dict[int, Fraction]],
-                  ncols: int) -> tuple[list[dict[int, Fraction]], list[int]]:
-    """Reduced basis of the null space of a matrix given by sparse rows.
+def _reduce(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
+    """Reduced row echelon form of sparse integer rows, in place.
 
-    ``rows`` are ``{col: Fraction}`` dicts over ``ncols`` columns.  Returns
-    the basis vectors as ``{index: Fraction}`` dicts, and the free columns:
-    the vector for free column ``j`` has a 1 at ``j`` and its other
-    nonzeros at pivot columns, so it is column ``k`` of ``kernel_basis``
-    of the dense matrix when ``j`` is the ``k``-th free column.  Pivot
-    columns are taken in increasing order, as the reduced form requires;
-    within a column the pivot is its row with the fewest nonzeros (lowest
-    index on ties).  The reduced row echelon form is unique, so that
-    choice changes the work, not the result.
+    Returns ``{pivot column: its row}`` in increasing column order; every
+    other row is cleared at every pivot column.  Pivot columns are taken in
+    increasing order, as the reduced form requires; within a column the
+    pivot is its row with the fewest nonzeros (lowest index on ties).  The
+    reduced row echelon form is unique, so that choice changes the work,
+    not the result.  Pivot rows are not scaled: divide by the pivot entry.
     """
-    rows = [_int_row((j, v) for j, v in row.items() if v) for row in rows]
     cols = _column_index(rows)
-    pivot_row: dict[int, int] = {}
+    pivots: dict[int, dict[int, int]] = {}
     pivoted: set[int] = set()
     # fill-in lands only on columns some row starts with, so the initial
     # column set is every column that can ever be pivoted
@@ -545,20 +406,52 @@ def sparse_kernel(rows: Sequence[dict[int, Fraction]],
         if not cand:
             continue
         p = min(cand, key=lambda i: (len(rows[i]), i))
+        prow = rows[p]
         # clearing the earlier pivot rows as well leaves the reduced form
         for i in [i for i in hit if i != p]:
-            _cancel(rows[i], rows[p], c, cols, i)
-        pivot_row[c] = p
+            _cancel(rows[i], prow, c, cols, i)
+        pivots[c] = prow
         pivoted.add(p)
-    free = [j for j in range(ncols) if j not in pivot_row]
+    return pivots
+
+
+def rref(m: QMatrix) -> tuple[QMatrix, list[int]]:
+    """Reduced row echelon form and the pivot columns in increasing order."""
+    pivots = _reduce(_sparse_int_rows(m))
+    out = QMatrix.zeros(m.rows, m.cols)
+    for r, (c, prow) in enumerate(pivots.items()):
+        pv = prow[c]
+        base = r * m.cols
+        for j, v in prow.items():
+            out._e[base + j] = Fraction(v, pv)
+    return out, list(pivots)
+
+
+def _kernel_vectors(pivots: dict[int, dict[int, int]],
+                    ncols: int) -> tuple[list[dict[int, Fraction]], list[int]]:
+    """The reduced kernel basis read off ``_reduce``'s pivot rows, and the
+    free columns in increasing order: the vector for free column ``j`` has a
+    1 at ``j`` and its other nonzeros at pivot columns."""
+    free = [j for j in range(ncols) if j not in pivots]
     basis: dict[int, dict[int, Fraction]] = {j: {j: _ONE} for j in free}
-    for c, p in pivot_row.items():
-        prow = rows[p]
+    for c, prow in pivots.items():
         pv = prow[c]
         for j, v in prow.items():
             if j != c:
                 basis[j][c] = Fraction(-v, pv)
     return [basis[j] for j in free], free
+
+
+def sparse_kernel(rows: Sequence[dict[int, Fraction]],
+                  ncols: int) -> tuple[list[dict[int, Fraction]], list[int]]:
+    """Reduced basis of the null space of a matrix given by sparse rows.
+
+    ``rows`` are ``{col: Fraction}`` dicts over ``ncols`` columns.  Returns
+    the basis vectors as ``{index: Fraction}`` dicts and the free columns,
+    as ``_kernel_vectors`` describes.
+    """
+    return _kernel_vectors(
+        _reduce([_int_row((j, v) for j, v in row.items() if v) for row in rows]), ncols)
 
 
 def kernel_basis(m: QMatrix) -> QMatrix:
@@ -567,21 +460,12 @@ def kernel_basis(m: QMatrix) -> QMatrix:
     The basis is in reduced form: the vector for free column ``j`` has a 1
     in coordinate ``j``, its other nonzero coordinates sit at pivot columns.
     """
-    rows, pivots = _rref_rows(m)
-    pivset = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivset]
-    out = QMatrix.zeros(m.cols, len(free))
-    for k, j in enumerate(free):
-        out._e[j * len(free) + k] = _ONE
-        for r, c in enumerate(pivots):
-            v = rows[r][j]
-            if v:
-                out._e[c * len(free) + k] = -v
+    vecs, _ = _kernel_vectors(_reduce(_sparse_int_rows(m)), m.cols)
+    out = QMatrix.zeros(m.cols, len(vecs))
+    for k, vec in enumerate(vecs):
+        for i, v in vec.items():
+            out._e[i * len(vecs) + k] = v
     return out
-
-
-def nullity(m: QMatrix) -> int:
-    return m.cols - rank(m)
 
 
 def solve(m: QMatrix, b: Union[QMatrix, Sequence[RatLike]]) -> Optional[QMatrix]:
@@ -595,19 +479,25 @@ def solve(m: QMatrix, b: Union[QMatrix, Sequence[RatLike]]) -> Optional[QMatrix]
 
 
 def solve_matrix(a: QMatrix, b: QMatrix) -> Optional[QMatrix]:
-    """A witness ``X`` with ``a @ X == b``, or None when inconsistent."""
+    """A witness ``X`` with ``a @ X == b``, or None when inconsistent.
+
+    The witness is read from the b block of the reduced form of
+    ``[a | b]``: it is zero at the free columns of ``a``.
+    """
     if a.rows != b.rows:
         raise ValueError(f"shape mismatch: {a.shape()} X = {b.shape()}")
-    rows, pivots = _rref_rows(hstack(a, b))
+    pivots = _reduce(_sparse_int_rows(hstack(a, b)))
     # pivot in the b block means an inconsistent column
     if any(c >= a.cols for c in pivots):
         return None
     out = QMatrix.zeros(a.cols, b.cols)
-    for r, c in enumerate(pivots):
-        for j in range(b.cols):
-            v = rows[r][a.cols + j]
-            if v:
-                out._e[c * b.cols + j] = v
+    shift = a.cols
+    for c, prow in pivots.items():
+        pv = prow[c]
+        base = c * b.cols - shift
+        for j, v in prow.items():
+            if j >= shift:
+                out._e[base + j] = Fraction(v, pv)
     return out
 
 
@@ -623,7 +513,7 @@ def cokernel(m: QMatrix) -> tuple[QMatrix, int]:
 
 def column_space_basis(m: QMatrix) -> tuple[QMatrix, list[int]]:
     """The pivot columns of ``m``: a basis of its column space."""
-    _, pivots = _rref_rows(m)
+    pivots = list(_reduce(_sparse_int_rows(m)))
     return QMatrix.from_columns([m.col(j) for j in pivots], rows=m.rows), pivots
 
 
@@ -647,10 +537,3 @@ def kronecker(a: QMatrix, b: QMatrix) -> QMatrix:
                         out._e[obase + l] = v * w
     return out
 
-
-def right_inverse(p: QMatrix) -> QMatrix:
-    """A section of a surjective matrix: ``p @ s == identity``."""
-    s = solve_matrix(p, QMatrix.identity(p.rows))
-    if s is None:
-        raise ValueError("matrix has no right inverse (not surjective)")
-    return s

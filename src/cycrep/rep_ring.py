@@ -10,12 +10,13 @@ quotient is the corresponding cyclotomic field with its Galois action.
 
 Two quotient presentations coexist:
 
-* ``tau_level`` eliminates the transfer ideal directly and takes the
-  non-pivot monomials as the quotient basis (the presentation every
+* ``tau_level`` eliminates the transfer ideal directly (``linalg.rref``
+  of the transferred monomials, on the sparse elimination core) and takes
+  the non-pivot monomials as the quotient basis (the presentation every
   materialized module uses),
 * ``MonomialReducer`` rewrites monomials factorwise through the residue
-  decomposition of the exponent, which scales to levels in the thousands
-  where a dense elimination would not; the large-support normal-basis
+  decomposition of the exponent, without eliminating the ideal, so it
+  scales to levels in the thousands; the large-support normal-basis
   verification runs on it.
 
 At prime powers the two bases coincide (the monomials X^j with
@@ -31,7 +32,7 @@ from math import gcd
 from typing import Sequence
 
 from .cyclic_site import SupportSet, divisors, factorization, units
-from .linalg import QMatrix, Rat, RatLike, rat
+from .linalg import QMatrix, Rat, RatLike, rat, rref
 from .modules import OutCycModule
 
 _F0 = Fraction(0)
@@ -321,10 +322,7 @@ class TauLevel:
 @lru_cache(maxsize=None)
 def tau_level(n: int) -> TauLevel:
     """Eliminate the transfer ideal at level n and package the quotient."""
-    from .linalg import _rref_rows
-
-    ideal = transfer_ideal(n)
-    rows, pivots = _rref_rows(ideal.transpose())
+    reduced, pivots = rref(transfer_ideal(n).transpose())
     pivset = set(pivots)
     basis = tuple(i for i in range(n) if i not in pivset)
     t = len(basis)
@@ -332,7 +330,7 @@ def tau_level(n: int) -> TauLevel:
     for j, bj in enumerate(basis):
         proj._e[j * n + bj] = _F1
         for r, p in enumerate(pivots):
-            v = rows[r][bj]
+            v = reduced[r, bj]
             if v:
                 proj._e[j * n + p] = -v
     section = QMatrix.zeros(n, t)

@@ -16,10 +16,9 @@ from functools import lru_cache
 from math import gcd
 
 from cycrep.cyclic_site import reduce_unit, units
-from cycrep.linalg import (QMatrix, column_space_basis, hstack, kernel_basis,
-                           kronecker, rref, solve, vstack)
+from cycrep.linalg import QMatrix, column_space_basis, hstack, kronecker, solve, vstack
 from cycrep.modules import conjugate_module, restriction_matrix
-from cycrep.rep_ring import (RUElement, restrict_proj_matrix, tau_level,
+from cycrep.rep_ring import (RUElement, restrict_proj_matrix, tau_level, transfer_ideal,
                              unit_action_matrix)
 
 F0 = Fraction(0)
@@ -132,7 +131,7 @@ def fixed_space_dim(mats: list[QMatrix]) -> int:
     if d == 0:
         return 0
     stacked = vstack(*[m - QMatrix.identity(d) for m in mats])
-    return kernel_basis(stacked).cols
+    return stacked.cols - dense_rank(stacked)
 
 
 # --- induced representations of cyclic groups, from first principles
@@ -190,13 +189,188 @@ def dense_rank(m: QMatrix) -> int:
     return r
 
 
+def _int_rows(m: QMatrix) -> list[list[int]]:
+    """Clear denominators row by row; the row space is unchanged."""
+    out = []
+    for i in range(m.rows):
+        row = m.row(i)
+        den = 1
+        for v in row:
+            d = v.denominator
+            if d != 1:
+                den = den * d // gcd(den, d)
+        if den == 1:
+            out.append([v.numerator for v in row])
+        else:
+            out.append([v.numerator * (den // v.denominator) for v in row])
+    return out
+
+
+def _row_gcd_reduce(row: list[int]) -> None:
+    g = 0
+    for v in row:
+        if v:
+            g = gcd(g, -v if v < 0 else v)
+            if g == 1:
+                return
+    if g > 1:
+        for j, v in enumerate(row):
+            if v:
+                row[j] = v // g
+
+
+_GROWTH_LIMIT = 1 << 96
+
+
+def _combine(row: list[int], prow: list[int], pnz: list[int],
+             pval: int, v: int, start: int, ncols: int) -> None:
+    """row := (pval/g) * row - (v/g) * prow, integer and in place.
+
+    When the pivot divides the eliminated entry only the pivot row's nonzero
+    columns are touched, which keeps sparse eliminations near-linear.
+    """
+    g = gcd(pval, v)
+    a = pval // g
+    b = v // g
+    if a == 1:
+        for j in pnz:
+            row[j] -= b * prow[j]
+        if b > _GROWTH_LIMIT or -b > _GROWTH_LIMIT:
+            _row_gcd_reduce(row)
+    elif a == -1:
+        for j in range(start, ncols):
+            row[j] = -row[j]
+        for j in pnz:
+            row[j] -= b * prow[j]
+        if b > _GROWTH_LIMIT or -b > _GROWTH_LIMIT:
+            _row_gcd_reduce(row)
+    else:
+        for j in range(start, ncols):
+            w = row[j]
+            if w:
+                row[j] = a * w
+        for j in pnz:
+            row[j] -= b * prow[j]
+        if abs(a) > 1:
+            for j in range(start, ncols):
+                w = row[j]
+                if w and (w > _GROWTH_LIMIT or -w > _GROWTH_LIMIT):
+                    _row_gcd_reduce(row)
+                    break
+
+
+def _eliminate(rows: list[list[int]], ncols: int) -> list[int]:
+    """In-place integer row elimination; returns the pivot columns.
+
+    Forward pass produces row echelon form; the backward pass clears the
+    entries above each pivot as well, so each column either is a pivot
+    column (single nonzero) or only has entries in pivot rows.
+    """
+    pivots: list[int] = []
+    nrows = len(rows)
+    r = 0
+    for c in range(ncols):
+        piv = None
+        for i in range(r, nrows):
+            if rows[i][c]:
+                piv = i
+                break
+        if piv is None:
+            continue
+        if piv != r:
+            rows[piv], rows[r] = rows[r], rows[piv]
+        prow = rows[r]
+        pval = prow[c]
+        pnz = [j for j in range(c, ncols) if prow[j]]
+        for i in range(r + 1, nrows):
+            row = rows[i]
+            v = row[c]
+            if v:
+                _combine(row, prow, pnz, pval, v, c, ncols)
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    for r in range(len(pivots) - 1, -1, -1):
+        c = pivots[r]
+        prow = rows[r]
+        pval = prow[c]
+        pnz = [j for j in range(c, ncols) if prow[j]]
+        for i in range(r):
+            row = rows[i]
+            v = row[c]
+            if v:
+                _combine(row, prow, pnz, pval, v, 0, ncols)
+    return pivots
+
+
+def dense_rref_rows(m: QMatrix) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon rows (Fractions, pivots normalized to 1, zero rows
+    last) and the pivot columns, by dense fraction-free integer Gauss-Jordan
+    elimination that pivots on the first nonzero entry in scan order."""
+    rows = _int_rows(m)
+    pivots = _eliminate(rows, m.cols)
+    out: list[list[Fraction]] = []
+    for r, c in enumerate(pivots):
+        pv = rows[r][c]
+        out.append([Fraction(v, pv) if v else F0 for v in rows[r]])
+    for r in range(len(pivots), m.rows):
+        out.append([F0] * m.cols)
+    return out, pivots
+
+
+def dense_kernel_basis(m: QMatrix) -> tuple[QMatrix, list[int]]:
+    """The reduced kernel basis of ``m`` (as columns) and its pivot columns,
+    read from ``dense_rref_rows``."""
+    rows, pivots = dense_rref_rows(m)
+    free = [j for j in range(m.cols) if j not in pivots]
+    basis = []
+    for j in free:
+        vec = [F0] * m.cols
+        vec[j] = F1
+        for r, c in enumerate(pivots):
+            vec[c] = -rows[r][j]
+        basis.append(vec)
+    return QMatrix.from_columns(basis, rows=m.cols), pivots
+
+
+def dense_solve_matrix(a: QMatrix, b: QMatrix):
+    """The witness read from the b block of ``dense_rref_rows`` of
+    ``[a | b]`` (zero at the free columns of ``a``), or None when a pivot
+    lands in the b block."""
+    rows, pivots = dense_rref_rows(hstack(a, b))
+    if any(c >= a.cols for c in pivots):
+        return None
+    x = [[F0] * b.cols for _ in range(a.cols)]
+    for r, c in enumerate(pivots):
+        x[c] = rows[r][a.cols:]
+    return QMatrix.from_rows(x, cols=b.cols)
+
+
+def dense_tau_level(n: int) -> tuple[QMatrix, QMatrix, tuple[int, ...]]:
+    """Projection, section and basis monomials of the level-n transfer
+    quotient, from ``dense_rref_rows`` of the transfer ideal: the basis is
+    the non-pivot monomials, and the projection sends X^b to itself on the
+    basis and a pivot monomial to minus its reduced row."""
+    rows, pivots = dense_rref_rows(transfer_ideal(n).transpose())
+    basis = tuple(i for i in range(n) if i not in pivots)
+    proj = [[F0] * n for _ in basis]
+    for j, b in enumerate(basis):
+        proj[j][b] = F1
+        for r, p in enumerate(pivots):
+            proj[j][p] = -rows[r][b]
+    section = QMatrix.from_columns(
+        [[F1 if i == b else F0 for i in range(n)] for b in basis], rows=n)
+    return QMatrix.from_rows(proj, cols=n), section, basis
+
+
 def witnesses_by_solve(diffs: list[QMatrix], dims: list[int]) -> list[list[list[Fraction]]]:
     """Derived-limit witnesses chosen greedily from the reduced kernel basis
     of each differential: a cocycle is kept when solving for it against the
     coboundaries and the cocycles kept so far fails."""
     witnesses = []
     for k, want in enumerate(dims):
-        cocycles = kernel_basis(diffs[k])
+        cocycles = dense_kernel_basis(diffs[k])[0]
         span = None if k == 0 else column_space_basis(diffs[k - 1])[0]
         chosen: list[list[Fraction]] = []
         for j in range(cocycles.cols):
@@ -369,8 +543,7 @@ def dense_resolve_by_representables(x, depth: int) -> list[tuple[list[int], list
             eps = QMatrix.from_columns(
                 [v for gi, n in enumerate(gens) if m % n == 0 for v in images[m][gi]],
                 rows=stage.dim(m))
-            pivots = set(rref(eps)[1])
-            incl[m] = kernel_basis(eps)
+            incl[m], pivots = dense_kernel_basis(eps)
             free_rows[m] = [j for j in range(eps.cols) if j not in pivots]
         if all(incl[m].cols == 0 for m in support):
             steps.extend(([], []) for _ in range(k + 1, depth + 1))

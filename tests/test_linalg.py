@@ -18,13 +18,13 @@ from cycrep.linalg import (
     rank,
     rat,
     rat_to_str,
-    right_inverse,
     rref,
     solve,
+    solve_matrix,
     sparse_kernel,
     vstack,
 )
-from oracles import dense_rank
+from oracles import dense_kernel_basis, dense_rank, dense_rref_rows, dense_solve_matrix
 
 small_entries = st.integers(min_value=-6, max_value=6)
 
@@ -169,11 +169,6 @@ class TestHelpers:
         basis, cols = column_space_basis(m)
         assert cols == [0, 2] and rank(basis) == 2
 
-    def test_right_inverse(self):
-        p = QMatrix.from_rows([[1, 1, 0], [0, 1, 1]])
-        s = right_inverse(p)
-        assert p @ s == QMatrix.identity(2)
-
     def test_stacking(self):
         a = QMatrix.identity(2)
         assert hstack(a, a).shape() == (2, 4)
@@ -278,9 +273,10 @@ def sparse_rows(m: QMatrix) -> list[dict[int, Fraction]]:
 
 
 def assert_sparse_kernel_matches_dense(m: QMatrix, reference=None) -> None:
-    """``reference``: kernel_basis and pivots of ``m`` or of a row permutation."""
+    """``reference``: the oracle's kernel basis and pivots of ``m`` or of a
+    row permutation of it."""
     basis, free = sparse_kernel(sparse_rows(m), m.cols)
-    dense, pivots = reference or (kernel_basis(m), rref(m)[1])
+    dense, pivots = reference or dense_kernel_basis(m)
     assert len(basis) == dense.cols
     assert free == [j for j in range(m.cols) if j not in pivots]
     for k, vec in enumerate(basis):
@@ -289,8 +285,9 @@ def assert_sparse_kernel_matches_dense(m: QMatrix, reference=None) -> None:
 
 
 class TestSparseKernelAgainstDenseKernel:
-    """sparse_kernel picks the sparsest pivot row; kernel_basis the first
-    one in scan order.  The reduced form is unique, so both must agree."""
+    """sparse_kernel picks the sparsest pivot row; the dense oracle the
+    first one in scan order.  The reduced form is unique, so both must
+    agree."""
 
     def test_degenerate_shapes(self):
         for m in [QMatrix.zeros(0, 0), QMatrix.zeros(0, 4), QMatrix.zeros(3, 0),
@@ -328,4 +325,104 @@ class TestSparseKernelAgainstDenseKernel:
 @lru_cache(maxsize=None)
 def dense_kernel_of_hom_cochain_matrix(k: int):
     d, _ = hom_cochain_matrices()[k]
-    return kernel_basis(d), rref(d)[1]
+    return dense_kernel_basis(d)
+
+
+def assert_reduced_forms_match_oracle(m: QMatrix) -> None:
+    """rref, kernel_basis, column_space_basis and cokernel of ``m`` against
+    the dense scan-order Gauss-Jordan oracle."""
+    rows, pivots = dense_rref_rows(m)
+    r, piv = rref(m)
+    assert piv == pivots
+    assert r == QMatrix.from_rows(rows, cols=m.cols)
+    assert kernel_basis(m) == dense_kernel_basis(m)[0]
+    basis, cols = column_space_basis(m)
+    assert cols == pivots
+    assert basis == QMatrix.from_columns([m.col(j) for j in pivots], rows=m.rows)
+    p, d = cokernel(m)
+    assert (p @ m).is_zero() and d == p.rows
+    assert p == dense_kernel_basis(m.transpose())[0].transpose()
+
+
+def assert_solve_matches_oracle(a: QMatrix, b: QMatrix) -> None:
+    x = solve_matrix(a, b)
+    assert x == dense_solve_matrix(a, b)
+    if x is not None:
+        assert a @ x == b
+
+
+class TestReducedFormsAgainstDenseOracle:
+    """Every public reduced-form routine runs the one sparse loop; each must
+    return exactly what the dense Gauss-Jordan oracle gives."""
+
+    def test_degenerate_shapes(self):
+        for m in [QMatrix.zeros(0, 0), QMatrix.zeros(0, 4), QMatrix.zeros(3, 0),
+                  QMatrix.zeros(3, 4), QMatrix.identity(3)]:
+            assert_reduced_forms_match_oracle(m)
+            for k in range(3):
+                assert_solve_matches_oracle(m, QMatrix.zeros(m.rows, k))
+            assert_solve_matches_oracle(m, QMatrix.identity(m.rows))
+
+    @settings(max_examples=100, deadline=None)
+    @given(rational_matrices(sparse_fractions))
+    def test_small_rational_matrices(self, m):
+        assert_reduced_forms_match_oracle(m)
+
+    @settings(max_examples=80, deadline=None)
+    @given(matrices_with_repeated_rows())
+    def test_repeated_rows(self, m):
+        assert_reduced_forms_match_oracle(m)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rational_matrices(huge_fractions, max_rows=5, max_cols=5))
+    def test_large_numerators_and_denominators(self, m):
+        assert_reduced_forms_match_oracle(m)
+
+    def test_hom_cochain_matrices(self):
+        for k in range(2):
+            d, _ = hom_cochain_matrices()[k]
+            basis, pivots = dense_kernel_of_hom_cochain_matrix(k)
+            assert kernel_basis(d) == basis
+            assert rref(d)[1] == column_space_basis(d)[1] == pivots
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_solve_consistent_with_several_columns(self, data):
+        a = data.draw(st.one_of(rational_matrices(sparse_fractions),
+                                matrices_with_repeated_rows(),
+                                rational_matrices(huge_fractions, max_rows=5, max_cols=5)))
+        k = data.draw(st.integers(0, 3))
+        x = data.draw(st.lists(sparse_fractions, min_size=a.cols * k,
+                               max_size=a.cols * k).map(lambda e: QMatrix(a.cols, k, e)))
+        b = a @ x
+        assert solve_matrix(a, b) is not None
+        assert_solve_matches_oracle(a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_solve_arbitrary_right_hand_sides(self, data):
+        # mostly inconsistent when a has dependent rows
+        a = data.draw(st.one_of(matrices_with_repeated_rows(),
+                                rational_matrices(sparse_fractions)))
+        k = data.draw(st.integers(1, 3))
+        b = data.draw(st.lists(sparse_fractions, min_size=a.rows * k,
+                               max_size=a.rows * k).map(lambda e: QMatrix(a.rows, k, e)))
+        assert_solve_matches_oracle(a, b)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(rational_matrices(sparse_fractions), matrices_with_repeated_rows()))
+    def test_solve_against_identity(self, a):
+        # a right inverse exactly when a is surjective
+        s = solve_matrix(a, QMatrix.identity(a.rows))
+        assert (s is not None) == (rank(a) == a.rows)
+        assert_solve_matches_oracle(a, QMatrix.identity(a.rows))
+
+    def test_inconsistent_systems(self):
+        a = QMatrix.from_rows([[1, 2], [2, 4], [0, 1]])
+        assert solve_matrix(a, QMatrix.from_rows([[1, 0], [2, 0], [0, 0]])) is not None
+        for b in [QMatrix.column([1, 1, 0]), QMatrix.from_rows([[1, 0], [2, 1], [0, 0]]),
+                  QMatrix.identity(3)]:
+            assert solve_matrix(a, b) is None
+            assert_solve_matches_oracle(a, b)
+        p = QMatrix.from_rows([[1, 1, 0], [0, 1, 1]])
+        assert p @ solve_matrix(p, QMatrix.identity(2)) == QMatrix.identity(2)

@@ -26,8 +26,8 @@ from cycrep.rep_ring import (
     unit_action_matrix,
 )
 
-from oracles import (char_value, conjugated_tau_matrices, embed_roots, roots_equal,
-                     induced_char_poly_check)
+from oracles import (char_value, conjugated_tau_matrices, dense_tau_level, embed_roots,
+                     roots_equal, induced_char_poly_check)
 
 
 def random_element(n, rng):
@@ -276,6 +276,12 @@ class TestTauQuotient:
                     v = t.inflate(a * b, b, QMatrix.identity(lb.dim).column_vector(j))
                     cols.append(t.mul(a * b, u, v).col(0))
             assert rank(QMatrix.from_columns(cols, rows=lab.dim)) == lab.dim
+
+
+    def test_elimination_matches_dense_oracle(self):
+        for n in range(1, 61):
+            lv = tau_level(n)
+            assert (lv.projection, lv.section, lv.basis_monomials) == dense_tau_level(n), n
 
 
 class TestTauGatherAgainstProducts:
