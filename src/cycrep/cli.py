@@ -17,7 +17,7 @@ import argparse
 import sys
 from typing import Any
 
-from .cyclic_site import SupportSet, divisor_closure, support_of_divisors, totient
+from .cyclic_site import SupportSet, divisor_closure, support_of_divisors, totient, units
 from .hom_ext import (
     dual_system,
     ext_via_resolution,
@@ -121,8 +121,25 @@ def _cmd_validate(args, rep: Report) -> None:
     rep.check(f"module {args.source} valid over {list(support)}", not violations)
 
 
+def _equivariant_dim(x, y, n: int) -> int:
+    """dim Hom_{units(n)}(x(n), y(n)), exactly, from the characters: the
+    mean over the units of trace x(l) * trace y(l) (rational characters
+    are real, so no conjugate is needed)."""
+    un = units(n)
+    total = sum(x.action(n, l).trace() * y.action(n, l).trace() for l in un)
+    return int(total / len(un))
+
+
 def _estimate_hom_entries(x, y) -> int:
-    return sum((x.dim(n) * y.dim(n)) ** 2 for n in x.support)
+    """Entries ``hom_direct`` allocates: one sparse equivariance row per
+    generator of units(n) and entry of a level-n map, and the dense
+    naturality system, with dy(m) * dx(n) rows per covering pair (n, m)
+    and one column per equivariant basis map of every level."""
+    support = x.support
+    eq_rows = sum(len(units(n).generators()) * x.dim(n) * y.dim(n) for n in support)
+    rows = sum(y.dim(m) * x.dim(n) for n, m in support.covering_pairs())
+    cols = sum(_equivariant_dim(x, y, n) for n in support)
+    return eq_rows + rows * cols
 
 
 def _cmd_hom(args, rep: Report) -> None:

@@ -160,13 +160,14 @@ class UnitsGroup:
     reduction maps stay total (residue arithmetic mod 1 would give 0).
     """
 
-    __slots__ = ("modulus", "elements", "_index", "_gens")
+    __slots__ = ("modulus", "elements", "_index", "_gens", "_walk")
 
     def __init__(self, modulus: int, elements: Sequence[int]):
         self.modulus = modulus
         self.elements = tuple(sorted(elements))
         self._index = {u: i for i, u in enumerate(self.elements)}
         self._gens: tuple[int, ...] | None = None
+        self._walk: tuple[tuple[int, int, int], ...] | None = None
 
     def __iter__(self):
         return iter(self.elements)
@@ -215,6 +216,30 @@ class UnitsGroup:
                     power = self.mul(power, u)
             self._gens = tuple(gens)
         return self._gens
+
+    def walk(self) -> tuple[tuple[int, int, int], ...]:
+        """Every unit other than 1 and the generators, as a product, cached.
+
+        Triples (u, g, l) with u = g * l, g a generator and l either 1, a
+        generator or the u of an earlier triple: a breadth-first search
+        from 1 over multiplication by the generators.  A multiplicative
+        table known at 1 and at the generators is completed by one product
+        per triple, in order.
+        """
+        if self._walk is None:
+            gens = self.generators()
+            seen = {1, *gens}
+            steps: list[tuple[int, int, int]] = []
+            queue = [1, *gens]
+            for l in queue:
+                for g in gens:
+                    u = self.mul(g, l)
+                    if u not in seen:
+                        seen.add(u)
+                        steps.append((u, g, l))
+                        queue.append(u)
+            self._walk = tuple(steps)
+        return self._walk
 
     def __repr__(self) -> str:
         return f"UnitsGroup(mod {self.modulus}, {list(self.elements)})"

@@ -203,16 +203,20 @@ def hom_direct(x: OutCycModule, y: OutCycModule) -> HomSpace:
 
     system = QMatrix.from_rows(rows, cols=total)
     coeffs = kernel_basis(system)
+    # the nonzeros of every equivariant basis column, shared by all morphisms
+    eq_cols = {n: [[(i, v) for i, v in enumerate(eq_bases[n].col(j)) if v]
+                   for j in range(eq_bases[n].cols)] for n in levels}
     basis = []
     for k in range(coeffs.cols):
         mats = {}
         for n in levels:
-            bn = eq_bases[n]
             acc = QMatrix.zeros(y.dim(n), x.dim(n))
-            for j in range(bn.cols):
+            entries = acc._e
+            for j, col in enumerate(eq_cols[n]):
                 c = coeffs[offsets[n] + j, k]
                 if c:
-                    acc = acc + _unvec(bn.col(j), y.dim(n), x.dim(n)).scale(c)
+                    for i, v in col:
+                        entries[i] += c * v
             mats[n] = acc
         basis.append(ModuleMorphism(x, y, mats))
     return HomSpace(x, y, basis)

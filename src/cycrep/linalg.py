@@ -228,6 +228,11 @@ class QMatrix:
     def is_zero(self) -> bool:
         return not any(self._e)
 
+    def trace(self) -> Fraction:
+        if self.rows != self.cols:
+            raise ValueError("trace of a non-square matrix")
+        return sum(self._e[::self.cols + 1], _ZERO)
+
     def __repr__(self) -> str:
         if self.rows * self.cols > 64:
             return f"QMatrix({self.rows}x{self.cols})"

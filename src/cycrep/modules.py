@@ -287,12 +287,14 @@ def semifree_module(n: int, support: SupportSet) -> OutCycModule:
     """One copy of Q at every level divisible by n, identity restrictions.
 
     Co-represents the unit-group invariants of the level-n value.  When the
-    support contains no multiple of n this is simply the zero module.
+    support contains no multiple of n this is simply the zero module.  The
+    action is trivial, so every unit of a level shares one identity matrix
+    object; like every ``QMatrix``, it must never be mutated in place.
     """
     if n < 1:
         raise ValueError("level must be positive")
     dims = {m: (1 if m % n == 0 else 0) for m in support}
-    actions = {m: {l: QMatrix.identity(dims[m]) for l in units(m)} for m in support}
+    actions = {m: dict.fromkeys(units(m), QMatrix.identity(dims[m])) for m in support}
     restrictions = {
         (a, b): (QMatrix.identity(1) if a % n == 0 else QMatrix.zeros(dims[b], dims[a]))
         for a, b in support.covering_pairs()
@@ -301,11 +303,15 @@ def semifree_module(n: int, support: SupportSet) -> OutCycModule:
 
 
 def atomic_module(n: int, d: int, support: SupportSet) -> OutCycModule:
-    """A d-dimensional trivial representation at level n only, zero elsewhere."""
+    """A d-dimensional trivial representation at level n only, zero elsewhere.
+
+    Every unit of a level shares one identity matrix object; like every
+    ``QMatrix``, it must never be mutated in place.
+    """
     if n not in support:
         raise ValueError(f"{n} not in support")
     dims = {m: (d if m == n else 0) for m in support}
-    actions = {m: {l: QMatrix.identity(dims[m]) for l in units(m)} for m in support}
+    actions = {m: dict.fromkeys(units(m), QMatrix.identity(dims[m])) for m in support}
     restrictions = {(a, b): QMatrix.zeros(dims[b], dims[a])
                     for a, b in support.covering_pairs()}
     return OutCycModule(support, dims, actions, restrictions, name=f"atomic:{n}:{d}")
@@ -315,14 +321,23 @@ def zero_module(support: SupportSet) -> OutCycModule:
     return OutCycModule(
         support,
         {n: 0 for n in support},
-        {n: {l: QMatrix.zeros(0, 0) for l in units(n)} for n in support},
+        {n: dict.fromkeys(units(n), QMatrix.zeros(0, 0)) for n in support},
         {pair: QMatrix.zeros(0, 0) for pair in support.covering_pairs()},
         name="zero",
     )
 
 
 def direct_sum(mods: Sequence[OutCycModule], name: str = "") -> OutCycModule:
-    """Levelwise block-diagonal sum; summand order fixes the basis order."""
+    """Levelwise block-diagonal sum; summand order fixes the basis order.
+
+    Each block-diagonal matrix is built once per distinct tuple of summand
+    matrix objects, so the units of a level whose summands share their
+    matrices (the trivial actions of semifree and atomic summands) share
+    one result object as well; no ``QMatrix`` may be mutated in place.  The
+    memo keeps every keyed summand matrix alive for the whole sum, because
+    a provider-backed summand returns a fresh matrix on every call, and a
+    freed one's ``id`` could be handed to the next.
+    """
     if not mods:
         raise ValueError("empty direct sum; pass zero_module instead")
     support = mods[0].support
@@ -346,9 +361,17 @@ def direct_sum(mods: Sequence[OutCycModule], name: str = "") -> OutCycModule:
             co += m.cols
         return out
 
-    actions = {n: {l: block_diag([m.action(n, l) for m in mods]) for l in units(n)}
+    memo: dict[tuple[int, ...], tuple[list[QMatrix], QMatrix]] = {}
+
+    def shared_block_diag(mats: list[QMatrix]) -> QMatrix:
+        key = tuple(map(id, mats))
+        if key not in memo:
+            memo[key] = (mats, block_diag(mats))
+        return memo[key][1]
+
+    actions = {n: {l: shared_block_diag([m.action(n, l) for m in mods]) for l in units(n)}
                for n in support}
-    restrictions = {pair: block_diag([m.restriction_step(*pair) for m in mods])
+    restrictions = {pair: shared_block_diag([m.restriction_step(*pair) for m in mods])
                     for pair in support.covering_pairs()}
     return OutCycModule(support, dims, actions, restrictions,
                         name=name or "(+)".join(m.name or "?" for m in mods))
@@ -514,13 +537,38 @@ def _induced_on_subspace(basis_n: QMatrix, basis_m: QMatrix, carrier: QMatrix) -
     return x
 
 
+def _induced_action(n: int, d: int, solve_at: Callable[[int], QMatrix]) -> dict[int, QMatrix]:
+    """An induced action of units(n) on a d-dimensional space: solved at
+    the generators, the identity at 1, and one product per other unit
+    along ``UnitsGroup.walk``."""
+    un = units(n)
+    table = {1: QMatrix.identity(d)}
+    for g in un.generators():
+        table[g] = solve_at(g)
+    for u, g, l in un.walk():
+        table[u] = table[g] @ table[l]
+    return table
+
+
 def morphism_factor(f: ModuleMorphism) -> MorphismFactorization:
     """Levelwise kernel, image and cokernel with their induced structures.
 
-    The induced action and restriction matrices are the unique solutions of
-    the corresponding commuting squares; existence is guaranteed because a
-    valid morphism's kernel and image are preserved by actions and
-    restrictions impose naturality.
+    Precondition: f is a valid morphism between valid modules, as every
+    constructor and ``load_module`` produce.  Then the actions preserve the
+    kernel and the image, naturality makes the restrictions carry them, and
+    both descend to the cokernel; each induced matrix is the unique
+    solution of its commuting square (the bases have independent columns,
+    the projections independent rows).
+
+    Restrictions are solved on every covering pair.  The action of units(n)
+    is solved only at the generators of units(n) and completed by the
+    products A(g*l) = A(g) A(l) along ``UnitsGroup.walk``.  The completion
+    is exact and gives the matrices a solve at every unit would: from
+    B X(g) = A(g) B and B X(l) = A(l) B follows B X(g) X(l) = A(g*l) B,
+    and that solution is unique (dually on the cokernel).  Nothing is left
+    unchecked either: the group is finite, so every unit is a product of
+    generators, and a subspace the generators preserve is preserved by
+    every unit.
     """
     src, tgt = f.source, f.target
     support = src.support
@@ -531,8 +579,8 @@ def morphism_factor(f: ModuleMorphism) -> MorphismFactorization:
 
     def sub_module(bases: dict[int, QMatrix], ambient: OutCycModule, name: str) -> OutCycModule:
         dims = {n: bases[n].cols for n in support}
-        actions = {n: {l: _induced_on_subspace(bases[n], bases[n], ambient.action(n, l))
-                       for l in units(n)} for n in support}
+        actions = {n: _induced_action(n, dims[n], lambda g: _induced_on_subspace(
+                       bases[n], bases[n], ambient.action(n, g))) for n in support}
         restrictions = {(a, b): _induced_on_subspace(bases[a], bases[b],
                                                      ambient.restriction_step(a, b))
                         for a, b in support.covering_pairs()}
@@ -549,9 +597,8 @@ def morphism_factor(f: ModuleMorphism) -> MorphismFactorization:
         return x.transpose()
 
     cok_dims = {n: cok_data[n][1] for n in support}
-    cok_actions = {n: {l: quotient_induced(cok_data[n][0], cok_data[n][0],
-                                           tgt.action(n, l))
-                       for l in units(n)} for n in support}
+    cok_actions = {n: _induced_action(n, cok_dims[n], lambda g: quotient_induced(
+                       cok_data[n][0], cok_data[n][0], tgt.action(n, g))) for n in support}
     cok_restrictions = {(a, b): quotient_induced(cok_data[a][0], cok_data[b][0],
                                                  tgt.restriction_step(a, b))
                         for a, b in support.covering_pairs()}

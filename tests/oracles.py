@@ -16,8 +16,11 @@ from functools import lru_cache
 from math import gcd
 
 from cycrep.cyclic_site import reduce_unit, units
-from cycrep.linalg import QMatrix, column_space_basis, hstack, kronecker, solve, vstack
-from cycrep.modules import conjugate_module, restriction_matrix
+from cycrep.hom_ext import HomSpace, _equivariant_basis
+from cycrep.linalg import (QMatrix, cokernel, column_space_basis, hstack, kernel_basis,
+                           kronecker, solve, solve_matrix, vstack)
+from cycrep.modules import (ModuleMorphism, MorphismFactorization, OutCycModule,
+                            conjugate_module, restriction_matrix)
 from cycrep.rep_ring import (RUElement, restrict_proj_matrix, tau_level, transfer_ideal,
                              unit_action_matrix)
 
@@ -699,3 +702,167 @@ def reference_hom_via_limit_mats(x, families) -> list[dict[int, QMatrix]]:
             mats[n] = mat
         out.append(mats)
     return out
+
+
+# --- structure maps solved or built separately for every unit, and the
+# --- Hom basis reconstruction by one scaled matrix sum per coefficient
+
+def per_unit_direct_sum(mods, name: str = "") -> OutCycModule:
+    """Levelwise block-diagonal sum, one block_diag per unit and pair."""
+    if not mods:
+        raise ValueError("empty direct sum; pass zero_module instead")
+    support = mods[0].support
+    if any(m.support != support for m in mods):
+        raise ValueError("summands live over different supports")
+    dims = {n: sum(m.dim(n) for m in mods) for n in support}
+
+    def block_diag(mats: list[QMatrix]) -> QMatrix:
+        r = sum(m.rows for m in mats)
+        c = sum(m.cols for m in mats)
+        out = QMatrix.zeros(r, c)
+        ro = co = 0
+        for m in mats:
+            for i in range(m.rows):
+                base = (ro + i) * c + co
+                row = m.row(i)
+                for j, v in enumerate(row):
+                    if v:
+                        out._e[base + j] = v
+            ro += m.rows
+            co += m.cols
+        return out
+
+    actions = {n: {l: block_diag([m.action(n, l) for m in mods]) for l in units(n)}
+               for n in support}
+    restrictions = {pair: block_diag([m.restriction_step(*pair) for m in mods])
+                    for pair in support.covering_pairs()}
+    return OutCycModule(support, dims, actions, restrictions,
+                        name=name or "(+)".join(m.name or "?" for m in mods))
+
+
+def _induced_on_subspace(basis_n: QMatrix, basis_m: QMatrix, carrier: QMatrix) -> QMatrix:
+    """The unique matrix X with basis_m @ X == carrier @ basis_n."""
+    x = solve_matrix(basis_m, carrier @ basis_n)
+    if x is None:
+        raise ValueError("carrier does not preserve the subspace")
+    return x
+
+
+def per_unit_morphism_factor(f) -> MorphismFactorization:
+    """Levelwise kernel, image and cokernel, every induced action solved
+    separately at every unit."""
+    src, tgt = f.source, f.target
+    support = src.support
+
+    ker_basis = {n: kernel_basis(f.mats[n]) for n in support}
+    img_data = {n: column_space_basis(f.mats[n]) for n in support}
+    cok_data = {n: cokernel(f.mats[n]) for n in support}
+
+    def sub_module(bases: dict[int, QMatrix], ambient: OutCycModule, name: str) -> OutCycModule:
+        dims = {n: bases[n].cols for n in support}
+        actions = {n: {l: _induced_on_subspace(bases[n], bases[n], ambient.action(n, l))
+                       for l in units(n)} for n in support}
+        restrictions = {(a, b): _induced_on_subspace(bases[a], bases[b],
+                                                     ambient.restriction_step(a, b))
+                        for a, b in support.covering_pairs()}
+        return OutCycModule(support, dims, actions, restrictions, name=name)
+
+    kernel_mod = sub_module(ker_basis, src, f"ker({src.name}->{tgt.name})")
+    image_mod = sub_module({n: img_data[n][0] for n in support}, tgt,
+                           f"im({src.name}->{tgt.name})")
+
+    def quotient_induced(p_n: QMatrix, p_m: QMatrix, carrier: QMatrix) -> QMatrix:
+        x = solve_matrix(p_n.transpose(), (p_m @ carrier).transpose())
+        if x is None:
+            raise ValueError("carrier does not descend to the quotient")
+        return x.transpose()
+
+    cok_dims = {n: cok_data[n][1] for n in support}
+    cok_actions = {n: {l: quotient_induced(cok_data[n][0], cok_data[n][0],
+                                           tgt.action(n, l))
+                       for l in units(n)} for n in support}
+    cok_restrictions = {(a, b): quotient_induced(cok_data[a][0], cok_data[b][0],
+                                                 tgt.restriction_step(a, b))
+                        for a, b in support.covering_pairs()}
+    cokernel_mod = OutCycModule(support, cok_dims, cok_actions, cok_restrictions,
+                                name=f"coker({src.name}->{tgt.name})")
+
+    src_to_img = {}
+    for n in support:
+        x = solve_matrix(img_data[n][0], f.mats[n])
+        assert x is not None
+        src_to_img[n] = x
+
+    return MorphismFactorization(
+        kernel=kernel_mod,
+        kernel_inclusion=ModuleMorphism(kernel_mod, src, ker_basis),
+        image=image_mod,
+        image_inclusion=ModuleMorphism(image_mod, tgt, {n: img_data[n][0] for n in support}),
+        source_to_image=ModuleMorphism(src, image_mod, src_to_img),
+        cokernel=cokernel_mod,
+        cokernel_projection=ModuleMorphism(tgt, cokernel_mod,
+                                           {n: cok_data[n][0] for n in support}),
+    )
+
+
+def _unvec(v, rows: int, cols: int) -> QMatrix:
+    return QMatrix(rows, cols, list(v))
+
+
+def scaled_sum_hom_direct(x, y) -> HomSpace:
+    """The equivariance + naturality solve, each basis morphism rebuilt as
+    a sum of scaled equivariant basis matrices, one per coefficient."""
+    if x.support != y.support:
+        raise ValueError("support mismatch")
+    support = x.support
+    levels = list(support)
+    eq_bases = {n: _equivariant_basis(x, y, n) for n in levels}
+    offsets: dict[int, int] = {}
+    total = 0
+    for n in levels:
+        offsets[n] = total
+        total += eq_bases[n].cols
+
+    rows: list[list[Fraction]] = []
+    for n, m in support.covering_pairs():
+        res_x = x.restriction_step(n, m)
+        res_y = y.restriction_step(n, m)
+        dxn, dyn = x.dim(n), y.dim(n)
+        dxm, dym = x.dim(m), y.dim(m)
+        block_rows = dym * dxn
+        if block_rows == 0:
+            continue
+        block = [[F0] * total for _ in range(block_rows)]
+        bn = eq_bases[n]
+        for k in range(bn.cols):
+            f_n = _unvec(bn.col(k), dyn, dxn)
+            contrib = res_y @ f_n
+            col = offsets[n] + k
+            for r, v in enumerate(contrib._e):
+                if v:
+                    block[r][col] = v
+        bm = eq_bases[m]
+        for k in range(bm.cols):
+            f_m = _unvec(bm.col(k), dym, dxm)
+            contrib = f_m @ res_x
+            col = offsets[m] + k
+            for r, v in enumerate(contrib._e):
+                if v:
+                    block[r][col] -= v
+        rows.extend(block)
+
+    system = QMatrix.from_rows(rows, cols=total)
+    coeffs = kernel_basis(system)
+    basis = []
+    for k in range(coeffs.cols):
+        mats = {}
+        for n in levels:
+            bn = eq_bases[n]
+            acc = QMatrix.zeros(y.dim(n), x.dim(n))
+            for j in range(bn.cols):
+                c = coeffs[offsets[n] + j, k]
+                if c:
+                    acc = acc + _unvec(bn.col(j), y.dim(n), x.dim(n)).scale(c)
+            mats[n] = acc
+        basis.append(ModuleMorphism(x, y, mats))
+    return HomSpace(x, y, basis)

@@ -168,3 +168,16 @@ def test_unit_generators_are_all_needed():
         assert gens, n
         sub = _closure(n, gens[:-1])
         assert len(sub) < len(un) and gens[-1] not in sub, n
+
+
+def test_unit_walk_reaches_every_unit_once_from_earlier_ones():
+    for n in range(1, 400):
+        un = units(n)
+        gens = un.generators()
+        known = {1, *gens}
+        for u, g, l in un.walk():
+            assert g in gens and l in known and u not in known, (n, u)
+            assert u == un.mul(g, l), (n, u)
+            known.add(u)
+        assert known == set(un.elements), n
+        assert un.walk() is un.walk(), n

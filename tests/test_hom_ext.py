@@ -34,7 +34,7 @@ from cycrep.hom_ext import (
 from cycrep.rep_ring import tau_ru_module
 from oracles import (DenseSpanTracker, averaged_equivariant_basis, dense_hom_cochain,
                      dense_resolve_by_representables, reference_hom_via_limit_mats,
-                     scramble, witnesses_by_solve)
+                     scaled_sum_hom_direct, scramble, witnesses_by_solve)
 
 S123 = SupportSet([1, 2, 3])
 S12 = support_of_divisors(12)
@@ -213,6 +213,21 @@ class TestEquivariantBasisAgainstAveraging:
         for n in support:
             assert same_column_space(_equivariant_basis(x, y, n),
                                      averaged_equivariant_basis(x, y, n))
+
+
+class TestHomDirectReconstructionAgainstScaledSums:
+    """The flat per-level accumulation of the basis morphisms against one
+    scaled matrix sum per coefficient (oracles.scaled_sum_hom_direct)."""
+
+    @pytest.mark.parametrize("support", [S12, support_of_divisors(30)])
+    def test_battery(self, support):
+        mods = hom_battery(support)
+        for x in mods:
+            for y in mods[:3]:
+                got = hom_direct(x, y)
+                want = scaled_sum_hom_direct(x, y)
+                assert [f.mats for f in got.basis] == [f.mats for f in want.basis], \
+                    (x.name, y.name)
 
 
 class TestHomViaLimitAgainstReference:

@@ -21,11 +21,15 @@ from cycrep.modules import (
     zero_module,
     zero_morphism,
 )
-from cycrep.hom_ext import hom_direct, hom_via_limit
+from cycrep.hom_ext import ext_via_resolution, hom_direct, hom_via_limit, lim_derived
+from cycrep.normal_basis import lazy_regular_module
 from cycrep.rep_ring import tau_ru_module
+from cycrep.resolution import build_complex
+from cycrep.serialize import module_to_json
 
 from oracles import (all_pairs_validate_actions, all_unit_morphism_violations,
-                     all_unit_validate_squares, fixed_space_dim, scramble)
+                     all_unit_validate_squares, fixed_space_dim, per_unit_direct_sum,
+                     per_unit_morphism_factor, scramble)
 
 S12 = support_of_divisors(12)
 S60 = support_of_divisors(60)
@@ -173,6 +177,16 @@ class TestMorphisms:
         assert ModuleMorphism(reg, reg, mats).validate() != []
 
 
+def _fold(support):
+    # a nontrivial natural map: fold the regular module onto the constants;
+    # summation over fibers forces the 1/totient weights
+    from fractions import Fraction
+    reg = regular_module(support)
+    return ModuleMorphism(reg, semifree_module(1, support),
+                          {n: QMatrix.from_rows([[Fraction(1, reg.dim(n))] * reg.dim(n)])
+                           for n in support})
+
+
 class TestMorphismFactor:
     def test_identity_has_zero_kernel_and_cokernel(self):
         reg = regular_module(S12)
@@ -188,14 +202,8 @@ class TestMorphismFactor:
         assert fact.cokernel.dims == a.dims
 
     def test_all_pieces_validate_and_compose(self):
-        # a nontrivial natural map: fold the regular module onto the constants;
-        # summation over fibers forces the 1/totient weights
-        from fractions import Fraction
-        reg = regular_module(S12)
-        f1 = semifree_module(1, S12)
-        mats = {n: QMatrix.from_rows([[Fraction(1, reg.dim(n))] * reg.dim(n)])
-                for n in S12}
-        fold = ModuleMorphism(reg, f1, mats)
+        fold = _fold(S12)
+        reg = fold.source
         assert fold.validate() == []
         fact = morphism_factor(fold)
         for piece in [fact.kernel, fact.image, fact.cokernel]:
@@ -208,13 +216,8 @@ class TestMorphismFactor:
             assert fact.kernel.dim(n) == reg.dim(n) - 1
 
     def test_kernel_restriction_is_unique_solution(self):
-        from fractions import Fraction
-        reg = regular_module(S12)
-        f1 = semifree_module(1, S12)
-        fold = ModuleMorphism(
-            reg, f1,
-            {n: QMatrix.from_rows([[Fraction(1, reg.dim(n))] * reg.dim(n)])
-             for n in S12})
+        fold = _fold(S12)
+        reg = fold.source
         fact = morphism_factor(fold)
         for (a, b) in S12.covering_pairs():
             k_a = fact.kernel_inclusion.mats[a]
@@ -352,3 +355,100 @@ class TestGeneratorChecksAgainstFullTable:
         assert all_unit_morphism_violations(f) == [
             "equivariance fails at level 12, unit 7",
             "equivariance fails at level 12, unit 11"]
+
+
+def _assert_same_structure(a, b):
+    assert a.support == b.support and a.dims == b.dims, (a.name, b.name)
+    for n in a.support:
+        for l in units(n):
+            assert a.action(n, l) == b.action(n, l), (a.name, n, l)
+    for pair in a.support.covering_pairs():
+        assert a.restriction_step(*pair) == b.restriction_step(*pair), (a.name, pair)
+
+
+def _mixed_parts(support):
+    # a provider-backed summand, whose matrices are fresh on every call,
+    # next to a conjugated one and two with shared trivial actions
+    return [lazy_regular_module(support), scramble(free_module(2, support), 7),
+            semifree_module(2, support), atomic_module(1, 2, support)]
+
+
+class TestFactorOnGeneratorsAgainstPerUnitSolves:
+    """Induced actions solved at the generators and completed by products,
+    and block-diagonal sums built once per tuple of summand matrices,
+    against the per-unit routes of oracles.py."""
+
+    @staticmethod
+    def _check(f):
+        got, want = morphism_factor(f), per_unit_morphism_factor(f)
+        for a, b in [(got.kernel, want.kernel), (got.image, want.image),
+                     (got.cokernel, want.cokernel)]:
+            _assert_same_structure(a, b)
+        for name in ["kernel_inclusion", "image_inclusion", "source_to_image",
+                     "cokernel_projection"]:
+            assert getattr(got, name).mats == getattr(want, name).mats, name
+
+    @pytest.mark.parametrize("primes, degree, top", [([2, 3, 5], 3, 30), ([3, 5, 7], 2, 105)])
+    def test_resolution_differentials(self, primes, degree, top):
+        for d in build_complex(primes, degree, support_of_divisors(top)).diffs:
+            self._check(d)
+
+    def test_identity_zero_and_fold(self):
+        reg = regular_module(S12)
+        self._check(identity_morphism(reg))
+        self._check(zero_morphism(reg, atomic_module(4, 2, S12)))
+        self._check(_fold(S12))
+
+    @pytest.mark.parametrize("top", [12, 36])
+    def test_hom_basis_morphisms(self, top):
+        support = support_of_divisors(top)
+        reg = regular_module(support)
+        for seed in (3, 8):
+            basis = hom_direct(random_module(support, seed), reg).basis
+            assert basis
+            for f in basis:
+                self._check(f)
+
+    def test_sum_with_provider_and_conjugated_summands(self):
+        parts = _mixed_parts(S12)
+        s = direct_sum(parts)
+        _assert_same_structure(s, per_unit_direct_sum(parts))
+        assert validate(s) == []
+        reg = regular_module(S12)
+        for f in hom_direct(s, reg).basis + [identity_morphism(s)]:
+            self._check(f)
+
+    def test_trivial_actions_share_one_matrix_per_level(self):
+        for x in [semifree_module(1, S12), atomic_module(4, 2, S12), zero_module(S12),
+                  direct_sum([semifree_module(2, S12), atomic_module(4, 2, S12)])]:
+            for n in S12:
+                mats = {id(x.action(n, l)) for l in units(n)}
+                assert len(mats) == 1, (x.name, n)
+
+
+class TestSharedMatricesAreNeverMutated:
+    """Units share matrix objects, so an in-place write anywhere would
+    corrupt every unit of a level at once."""
+
+    def test_no_computation_writes_into_its_inputs(self):
+        s = support_of_divisors(12)
+        semi, atom = semifree_module(2, s), atomic_module(4, 2, s)
+        inputs = [semi, atom, direct_sum(_mixed_parts(s))]
+
+        def snapshot():
+            return [([list(x.action(n, l)._e) for n in s for l in units(n)],
+                     [list(x.restriction_step(*p)._e) for p in s.covering_pairs()])
+                    for x in inputs]
+
+        before = snapshot()
+        reg = regular_module(s)
+        for x in inputs:
+            morphism_factor(identity_morphism(x))
+            for f in hom_direct(x, reg).basis:
+                morphism_factor(f)
+            hom_direct(reg, x)
+            hom_via_limit(x)
+            ext_via_resolution(x, x, 2)
+            lim_derived(dual_system(x), 2)
+            module_to_json(x)
+        assert snapshot() == before

@@ -5,7 +5,10 @@ import pytest
 
 from cycrep.cyclic_site import SupportSet, support_of_divisors
 from cycrep.linalg import QMatrix
-from cycrep.modules import atomic_module, random_module, regular_module
+from cycrep.cyclic_site import units
+from cycrep.hom_ext import _equivariant_basis
+from cycrep.modules import (atomic_module, direct_sum, free_module, random_module,
+                            regular_module, semifree_module)
 from cycrep.rep_ring import RUElement
 from cycrep.serialize import (
     InvalidModuleFile,
@@ -19,7 +22,7 @@ from cycrep.serialize import (
     load_module,
     dumps_canonical,
 )
-from cycrep.cli import parse_support, run
+from cycrep.cli import DEFAULT_SIZE_CAP, _estimate_hom_entries, parse_support, run
 
 
 class TestSerialization:
@@ -245,6 +248,29 @@ class TestCliRuns:
         code, text = run(["hom", "--support", "divisors:60", "--source", "regular",
                           "--size-cap", "10"])
         assert code == 1 and "cap" in text
+
+    def test_size_cap_estimate_is_the_hom_direct_shape(self):
+        # sparse equivariance rows, plus the dense naturality system with one
+        # column per equivariant basis map of every level
+        s12, s30 = support_of_divisors(12), support_of_divisors(30)
+        pairs = [(regular_module(s12), regular_module(s12)),
+                 (random_module(s12, 4), regular_module(s12)),
+                 (direct_sum([free_module(3, s12), semifree_module(2, s12)]),
+                  random_module(s12, 7)),
+                 (atomic_module(6, 2, s30), random_module(s30, 2)),
+                 (random_module(s30, 5), regular_module(s30))]
+        for x, y in pairs:
+            s = x.support
+            eq_rows = sum(len(units(n).generators()) * x.dim(n) * y.dim(n) for n in s)
+            rows = sum(y.dim(m) * x.dim(n) for n, m in s.covering_pairs())
+            cols = sum(_equivariant_basis(x, y, n).cols for n in s)
+            assert _estimate_hom_entries(x, y) == eq_rows + rows * cols, (x.name, y.name)
+
+    def test_size_cap_admits_180_and_refuses_360(self):
+        reg180 = regular_module(support_of_divisors(180))
+        assert _estimate_hom_entries(reg180, reg180) <= DEFAULT_SIZE_CAP
+        code, text = run(["hom", "--support", "divisors:360", "--source", "regular"])
+        assert code == 1 and "about 5998444 matrix entries" in text
 
     def test_report_verb_small(self):
         code, text = run(["report", "--support", "divisors:6", "--max-degree", "2",
