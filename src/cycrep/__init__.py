@@ -13,6 +13,7 @@ resolution with its contraction and nonvanishing extension witnesses.
 from .linalg import (
     QMatrix,
     Rat,
+    SparseMatrix,
     cokernel,
     kernel_basis,
     kronecker,

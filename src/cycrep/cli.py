@@ -6,9 +6,9 @@ canonical JSON.  The exit code is the conjunction of every check in the
 invocation: 0 only when everything asked for passed.
 
 A soft size cap guards against accidentally huge computations (derived
-limit complexes grow with the chain count of the poset); it counts matrix
-entries the planned computation will allocate, approximately, and refuses
-loudly rather than thrash.
+limit complexes grow with the chain count of the poset); it counts the
+matrix entries the planned computation will store, approximately or as a
+bound, and refuses loudly rather than thrash.
 """
 
 from __future__ import annotations
@@ -142,6 +142,27 @@ def _estimate_hom_entries(x, y) -> int:
     return eq_rows + rows * cols
 
 
+def _estimate_nerve_entries(x, max_k: int) -> int:
+    """A bound on the nonzeros of the nerve complex ``lim_derived`` builds
+    for the dual of x up to degree max_k.
+
+    The degree-k differential has dim x(s0) rows per (k+2)-element chain
+    s = (s0, s1, ...), each with at most dim x(s1) entries from the face
+    that drops s0 and one from each of the other k+1 faces.  Chains are
+    counted by their first step and the number of chains of each length
+    that start at every level.
+    """
+    support = x.support
+    above = {n: [m for m in support.multiples_of(n) if m != n] for n in support}
+    starting = {m: 1 for m in support}  # chains with k+1 elements from m
+    total = 0
+    for k in range(max_k + 1):
+        total += sum(x.dim(n) * (x.dim(m) + k + 1) * starting[m]
+                     for n in support for m in above[n])
+        starting = {n: sum(starting[m] for m in above[n]) for n in support}
+    return total
+
+
 def _cmd_hom(args, rep: Report) -> None:
     support = parse_support(args.support)
     x = load_module(args.source, support, args.prefer_file, args.seed)
@@ -167,8 +188,10 @@ def _cmd_ext(args, rep: Report) -> None:
     target_name = args.target or "regular"
     y = load_module(target_name, support, args.prefer_file, args.seed)
     k = args.max_degree
-    _check_size_cap(_estimate_hom_entries(x, y) * (k + 1), args.size_cap,
-                    "the resolution computation")
+    # the resolution route stores sparse rows only; the nerve complex of the
+    # derived-limit cross-check is what the cap charges
+    if target_name == "regular":
+        _check_size_cap(_estimate_nerve_entries(x, k), args.size_cap, "the nerve complex")
     dims = ext_via_resolution(x, y, k)
     rep.value("dims", dims)
     rep.value("results", results_to_json(dims, []))
@@ -182,13 +205,9 @@ def _cmd_ext(args, rep: Report) -> None:
 def _cmd_lim(args, rep: Report) -> None:
     support = parse_support(args.support)
     x = load_module(args.source, support, args.prefer_file, args.seed)
-    d = dual_system(x)
-    chains = 1
-    for n in support:
-        chains += len(support.multiples_of(n))
-    _check_size_cap(chains ** (args.max_degree + 1), args.size_cap,
+    _check_size_cap(_estimate_nerve_entries(x, args.max_degree), args.size_cap,
                     "the nerve complex")
-    out = lim_derived(d, args.max_degree)
+    out = lim_derived(dual_system(x), args.max_degree)
     rep.value("dims", out.dims)
     rep.value("results", results_to_json(
         out.dims, [[[str(v) for v in w] for w in ws] for ws in out.witnesses]))

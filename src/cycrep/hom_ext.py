@@ -21,9 +21,11 @@ from heapq import heapify, heappop, heappush
 from math import gcd
 from typing import Sequence
 
-from .cyclic_site import SupportSet, units
+from .cyclic_site import SupportSet, prime_factors, units
 from .linalg import (
+    Entry,
     QMatrix,
+    SparseMatrix,
     _cancel,
     _int_row,
     kernel_basis,
@@ -82,9 +84,10 @@ class LimitElement:
 
 
 class CochainComplex:
-    """A sequence of differentials C^0 -> C^1 -> ... with d after d zero."""
+    """A sequence of differentials C^0 -> C^1 -> ... with d after d zero,
+    each a ``SparseMatrix``."""
 
-    def __init__(self, diffs: list[QMatrix]):
+    def __init__(self, diffs: list[SparseMatrix]):
         for a, b in zip(diffs, diffs[1:]):
             if b.cols != a.rows:
                 raise ValueError("differential shapes do not compose")
@@ -328,7 +331,9 @@ def nerve_complex(d: InverseSystem, max_k: int) -> tuple[CochainComplex, list[li
     Degree k is a product over (k+1)-element chains of the value at the
     chain's bottom element.  The differential is the alternating sum of face
     maps; dropping the bottom element composes with the structure map down
-    to it, every other face is a plain identity inclusion.
+    to it, every other face is a plain identity inclusion.  Each row is
+    emitted sparsely; the composite structure maps are sparse products of
+    the covering steps, built once per (divisor, multiple) pair.
     """
     all_chains = [_chains(d.support, k + 1) for k in range(max_k + 2)]
     layouts = []
@@ -340,30 +345,41 @@ def nerve_complex(d: InverseSystem, max_k: int) -> tuple[CochainComplex, list[li
             total += d.dim(ch[0])
         layouts.append((offs, total))
 
+    composites: dict[tuple[int, int], SparseMatrix] = {}
+
+    def structure(n: int, m: int) -> SparseMatrix:
+        """D(m) -> D(n), composed as ``InverseSystem.structure`` does: the
+        step down from m along the smallest prime of m/n comes first."""
+        key = (n, m)
+        comp = composites.get(key)
+        if comp is None:
+            below = m // prime_factors(m // n)[0]
+            comp = SparseMatrix.from_dense(d.structure_step(below, m))
+            if below != n:
+                comp = structure(n, below) @ comp
+            composites[key] = comp
+        return comp
+
     diffs = []
     for k in range(max_k + 1):
         offs_k, dim_k = layouts[k]
         offs_k1, dim_k1 = layouts[k + 1]
-        mat = QMatrix.zeros(dim_k1, dim_k)
+        rows: list[dict[int, Entry]] = []
         for sigma in all_chains[k + 1]:
-            row0 = offs_k1[sigma]
             d_sigma = d.dim(sigma[0])
-            for i in range(len(sigma)):
-                tau = sigma[:i] + sigma[i + 1:]
-                sign = -1 if i % 2 else 1
-                col0 = offs_k[tau]
-                if i == 0:
-                    step = d.structure(sigma[0], sigma[1])  # D(sigma[1]) -> D(sigma[0])
-                    for a in range(d_sigma):
-                        base = (row0 + a) * dim_k
-                        for b in range(step.cols):
-                            v = step[a, b]
-                            if v:
-                                mat._e[base + col0 + b] += v if sign == 1 else -v
-                else:
-                    for a in range(d_sigma):
-                        mat._e[(row0 + a) * dim_k + col0 + a] += _F1 if sign == 1 else -_F1
-        diffs.append(mat)
+            if not d_sigma:
+                continue
+            comp = structure(sigma[0], sigma[1]).data
+            col0 = offs_k[sigma[1:]]
+            # faces 1..k+1 keep the bottom element: signed identities
+            faces = [(offs_k[sigma[:i] + sigma[i + 1:]], -1 if i % 2 else 1)
+                     for i in range(1, len(sigma))]
+            for a in range(d_sigma):
+                row = {col0 + b: v for b, v in comp[a].items()}
+                for c, sign in faces:
+                    row[c + a] = sign
+                rows.append(row)
+        diffs.append(SparseMatrix(dim_k1, dim_k, rows))
     return CochainComplex(diffs), all_chains
 
 
@@ -389,21 +405,20 @@ def lim_derived(d: InverseSystem, max_k: int) -> DerivedLimit:
         # independent modulo the coboundaries and the cocycles already chosen
         chosen: list[list[Fraction]] = []
         if dims[k]:
-            cocycles = kernel_basis(cx.diffs[k])
+            # row j is the j-th basis cocycle
+            cocycles = kernel_basis(cx.diffs[k]).transpose()
             span = _SpanTracker()
             if k:
-                prev = cx.diffs[k - 1]
                 # the coboundaries span this many dimensions; once the
                 # tracker holds them all, later columns cannot grow it
-                image_rank = cocycles.cols - dims[k]
-                for j in range(prev.cols):
+                image_rank = cocycles.rows - dims[k]
+                for col in cx.diffs[k - 1].transpose().data:
                     if span.rank == image_rank:
                         break
-                    span.add(prev.col(j))
-            for j in range(cocycles.cols):
-                vec = cocycles.col(j)
+                    span.add(col)
+            for j, vec in enumerate(cocycles.data):
                 if span.add(vec):
-                    chosen.append(vec)
+                    chosen.append(cocycles.row(j))
                     if len(chosen) == dims[k]:
                         break
         witnesses.append(chosen)
@@ -804,7 +819,8 @@ def _hom_cochain(steps: list[ResolutionStep], y: OutCycModule,
     block of generator j against generator i is R (sum_t z_t A_t): z the
     classifying column's entries in i's block, A_t y's action of the t-th
     unit and R y's restriction to j's level.  It is summed in integers over
-    one common denominator, and each entry becomes one Fraction.
+    one common denominator and written straight into the sparse rows: an
+    int where that denominator is 1, one Fraction otherwise.
     """
     acts: dict[tuple[int, int], tuple[int, list[list[tuple[int, int]]]]] = {}
     ress: dict[tuple[int, int], tuple[int, list[list[tuple[int, int]]]]] = {}
@@ -829,7 +845,7 @@ def _hom_cochain(steps: list[ResolutionStep], y: OutCycModule,
             tot += y.dim(n)
         return offs, tot
 
-    diffs: list[QMatrix] = []
+    diffs: list[SparseMatrix] = []
     for k in range(len(steps) - 1):
         gens_k = steps[k].gens
         gens_k1 = steps[k + 1].gens
@@ -838,8 +854,7 @@ def _hom_cochain(steps: list[ResolutionStep], y: OutCycModule,
         free_k = _FreeSum(gens_k, support)
         # ambient index -> (generator, unit index), per level of free_k
         owners: dict[int, list[tuple[int, int]]] = {}
-        mat = QMatrix.zeros(dim_k1, dim_k)
-        e = mat._e
+        rows: list[dict[int, Entry]] = [{} for _ in range(dim_k1)]
         for j, (n_j, z) in enumerate(zip(gens_k1, steps[k + 1].classifier_cols)):
             # z lives in the k-th free sum at level n_j
             dy_j = y.dim(n_j)
@@ -881,11 +896,11 @@ def _hom_cochain(steps: list[ResolutionStep], y: OutCycModule,
                     for s, rv in rrow:
                         for b, w in weighted[s].items():
                             out[b] = out.get(b, 0) + rv * w
-                    base = (r0 + a) * dim_k + c0
+                    row = rows[r0 + a]
                     for b, v in out.items():
                         if v:
-                            e[base + b] = Fraction(v) if den == 1 else Fraction(v, den)
-        diffs.append(mat)
+                            row[c0 + b] = v if den == 1 else Fraction(v, den)
+        diffs.append(SparseMatrix(dim_k1, dim_k, rows))
     return CochainComplex(diffs)
 
 

@@ -1,7 +1,13 @@
 """Exact linear algebra over the rationals.
 
-Dense matrices of ``fractions.Fraction`` entries are the carrier for every
-linear map in this package.  All results are exact; there is no floating
+Dense matrices of ``fractions.Fraction`` entries (``QMatrix``) are the
+carrier for the structure maps and small results of this package.  The
+large, mostly zero cochain differentials of the two Ext routes are
+``SparseMatrix``es instead: one ``{col: value}`` dict per row, values exact
+``int``s or ``Fraction``s.  ``rank`` and ``kernel_basis`` accept either
+type and read a ``SparseMatrix`` by its rows, with no dense scan;
+``kernel_basis`` returns its basis in the type it was given.  The other
+routines take ``QMatrix``.  All results are exact; there is no floating
 point anywhere.  Elimination clears denominators and runs fraction-free
 over sparse ``{col: int}`` rows, which is an order of magnitude faster in
 CPython than eliminating with Fraction arithmetic directly.
@@ -34,6 +40,7 @@ from typing import Iterable, Optional, Sequence, Union
 Rat = Fraction
 
 RatLike = Union[int, str, Fraction]
+Entry = Union[int, Fraction]  # a SparseMatrix value
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -240,6 +247,83 @@ class QMatrix:
         return f"QMatrix({self.rows}x{self.cols}: {body})"
 
 
+class SparseMatrix:
+    """Sparse matrix of exact rationals, one ``{col: value}`` dict per row.
+
+    Values are ``int`` or ``Fraction`` and never zero; the row dicts are
+    taken as given, not copied.  ``rows``, ``cols``, ``shape()``, ``row(i)``
+    and ``col(j)`` read as ``QMatrix``'s do (``row`` and ``col`` return
+    dense lists), so code that only reads entries takes either type.
+    """
+
+    __slots__ = ("rows", "cols", "data")
+
+    def __init__(self, rows: int, cols: int,
+                 data: Optional[list[dict[int, Entry]]] = None):
+        if rows < 0 or cols < 0:
+            raise ValueError("negative matrix dimensions")
+        if data is None:
+            data = [{} for _ in range(rows)]
+        elif len(data) != rows:
+            raise ValueError(f"expected {rows} rows, got {len(data)}")
+        self.rows = rows
+        self.cols = cols
+        self.data = data
+
+    @classmethod
+    def from_dense(cls, m: QMatrix) -> "SparseMatrix":
+        return cls(m.rows, m.cols,
+                   [{j: v for j, v in enumerate(m.row(i)) if v} for i in range(m.rows)])
+
+    def shape(self) -> tuple[int, int]:
+        return (self.rows, self.cols)
+
+    def row(self, i: int) -> list[Entry]:
+        out: list[Entry] = [_ZERO] * self.cols
+        for j, v in self.data[i].items():
+            out[j] = v
+        return out
+
+    def col(self, j: int) -> list[Entry]:
+        return [r.get(j, _ZERO) for r in self.data]
+
+    def to_dense(self) -> QMatrix:
+        out = QMatrix.zeros(self.rows, self.cols)
+        e, c = out._e, self.cols
+        for i, r in enumerate(self.data):
+            base = i * c
+            for j, v in r.items():
+                e[base + j] = rat(v)
+        return out
+
+    def transpose(self) -> "SparseMatrix":
+        data: list[dict[int, Entry]] = [{} for _ in range(self.cols)]
+        for i, r in enumerate(self.data):
+            for j, v in r.items():
+                data[j][i] = v
+        return SparseMatrix(self.cols, self.rows, data)
+
+    def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
+        if self.cols != other.rows:
+            raise ValueError(f"shape mismatch: {self.shape()} @ {other.shape()}")
+        b = other.data
+        out = []
+        for r in self.data:
+            acc: dict[int, Entry] = {}
+            get = acc.get
+            for t, v in r.items():
+                for j, w in b[t].items():
+                    acc[j] = get(j, 0) + v * w
+            out.append({j: x for j, x in acc.items() if x})
+        return SparseMatrix(self.rows, other.cols, out)
+
+    def is_zero(self) -> bool:
+        return not any(self.data)
+
+    def __repr__(self) -> str:
+        return f"SparseMatrix({self.rows}x{self.cols}, {sum(map(len, self.data))} nonzeros)"
+
+
 def hstack(*mats: QMatrix) -> QMatrix:
     mats = tuple(m for m in mats)
     if not mats:
@@ -287,8 +371,10 @@ def _int_row(nz: Iterable[tuple[int, Fraction]]) -> dict[int, int]:
     return {j: v.numerator * (den // v.denominator) for j, v in nz}
 
 
-def _sparse_int_rows(m: QMatrix) -> list[dict[int, int]]:
+def _sparse_int_rows(m: Union[QMatrix, SparseMatrix]) -> list[dict[int, int]]:
     """The nonzero rows of ``m`` as ``{col: int}`` dicts, denominators cleared."""
+    if isinstance(m, SparseMatrix):
+        return [_int_row(r.items()) for r in m.data if r]
     out = []
     c = m.cols
     e = m._e
@@ -354,7 +440,7 @@ def _column_index(rows: list[dict[int, int]]) -> dict[int, set[int]]:
     return cols
 
 
-def rank(m: QMatrix) -> int:
+def rank(m: Union[QMatrix, SparseMatrix]) -> int:
     """Rank by fraction-free elimination over sparse integer rows.
 
     Each step pivots on the column with the fewest nonzeros, at its row
@@ -459,13 +545,15 @@ def sparse_kernel(rows: Sequence[dict[int, Fraction]],
         _reduce([_int_row((j, v) for j, v in row.items() if v) for row in rows]), ncols)
 
 
-def kernel_basis(m: QMatrix) -> QMatrix:
-    """Columns form a basis of the null space of ``m``.
+def kernel_basis(m: Union[QMatrix, SparseMatrix]) -> Union[QMatrix, SparseMatrix]:
+    """Columns form a basis of the null space of ``m``, in the type of ``m``.
 
     The basis is in reduced form: the vector for free column ``j`` has a 1
     in coordinate ``j``, its other nonzero coordinates sit at pivot columns.
     """
     vecs, _ = _kernel_vectors(_reduce(_sparse_int_rows(m)), m.cols)
+    if isinstance(m, SparseMatrix):
+        return SparseMatrix(len(vecs), m.cols, vecs).transpose()
     out = QMatrix.zeros(m.cols, len(vecs))
     for k, vec in enumerate(vecs):
         for i, v in vec.items():

@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import gcd
 
 from cycrep.cyclic_site import reduce_unit, units
-from cycrep.hom_ext import HomSpace, _equivariant_basis
+from cycrep.hom_ext import CochainComplex, HomSpace, _chains, _equivariant_basis
 from cycrep.linalg import (QMatrix, cokernel, column_space_basis, hstack, kernel_basis,
                            kronecker, solve, solve_matrix, vstack)
 from cycrep.modules import (ModuleMorphism, MorphismFactorization, OutCycModule,
@@ -584,6 +584,53 @@ def dense_hom_cochain(steps, y, support) -> list[QMatrix]:
                         mat._e[(offs_k1[j] + a) * dim_k + offs_k[i] + b] += block[a, b]
         diffs.append(mat)
     return diffs
+
+
+def dense_nerve_complex(d, max_k: int):
+    """The nerve cochain complex of ``d`` with dense differentials: one
+    ``QMatrix.zeros`` per degree, filled chain by chain, with the composite
+    ``d.structure`` rebuilt for every chain.
+
+    Degree k is a product over (k+1)-element chains of the value at the
+    chain's bottom element.  The differential is the alternating sum of face
+    maps; dropping the bottom element composes with the structure map down
+    to it, every other face is a plain identity inclusion.
+    """
+    all_chains = [_chains(d.support, k + 1) for k in range(max_k + 2)]
+    layouts = []
+    for chains in all_chains:
+        offs = {}
+        total = 0
+        for ch in chains:
+            offs[ch] = total
+            total += d.dim(ch[0])
+        layouts.append((offs, total))
+
+    diffs = []
+    for k in range(max_k + 1):
+        offs_k, dim_k = layouts[k]
+        offs_k1, dim_k1 = layouts[k + 1]
+        mat = QMatrix.zeros(dim_k1, dim_k)
+        for sigma in all_chains[k + 1]:
+            row0 = offs_k1[sigma]
+            d_sigma = d.dim(sigma[0])
+            for i in range(len(sigma)):
+                tau = sigma[:i] + sigma[i + 1:]
+                sign = -1 if i % 2 else 1
+                col0 = offs_k[tau]
+                if i == 0:
+                    step = d.structure(sigma[0], sigma[1])  # D(sigma[1]) -> D(sigma[0])
+                    for a in range(d_sigma):
+                        base = (row0 + a) * dim_k
+                        for b in range(step.cols):
+                            v = step[a, b]
+                            if v:
+                                mat._e[base + col0 + b] += v if sign == 1 else -v
+                else:
+                    for a in range(d_sigma):
+                        mat._e[(row0 + a) * dim_k + col0 + a] += F1 if sign == 1 else -F1
+        diffs.append(mat)
+    return CochainComplex(diffs), all_chains
 
 
 # --- test inputs

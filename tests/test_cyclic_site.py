@@ -1,3 +1,5 @@
+from array import array
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -148,26 +150,37 @@ def test_unit_generators_examples():
     assert len(units(840).generators()) == 5
 
 
-def test_unit_generators_generate_deterministically():
-    # fresh groups (the uncached constructor) keep memory flat over n <= 3000
+@pytest.fixture(scope="module")
+def fresh_unit_generators():
+    """One sweep of fresh groups (the uncached constructor) over n <= 3000,
+    shared by the two tests below.  Per n it keeps the generators, whether
+    a second call returns the cached tuple, whether each generator is a
+    unit, and the units as a compact array; holding the groups themselves
+    would take about 270 MB."""
+    out = []
     for n in range(1, 3001):
         un = units.__wrapped__(n)
         gens = un.generators()
+        out.append((n, gens, un.generators() is gens, all(g in un for g in gens),
+                    array("H", un.elements)))
+    return out
+
+
+def test_unit_generators_generate_deterministically(fresh_unit_generators):
+    for n, gens, cached, are_units, elements in fresh_unit_generators:
         assert gens == tuple(sorted(gens)) and len(set(gens)) == len(gens), n
         assert gens == units.__wrapped__(n).generators(), n
-        assert un.generators() is gens, n
-        assert all(g in un for g in gens), n
-        assert _closure(n, gens) == set(un.elements), n
+        assert cached, n
+        assert are_units, n
+        assert _closure(n, gens) == set(elements), n
 
 
-def test_unit_generators_are_all_needed():
+def test_unit_generators_are_all_needed(fresh_unit_generators):
     # negative control: without the last generator the closure is a proper subgroup
-    for n in range(3, 3001):
-        un = units.__wrapped__(n)
-        gens = un.generators()
+    for n, gens, _, _, elements in fresh_unit_generators[2:]:
         assert gens, n
         sub = _closure(n, gens[:-1])
-        assert len(sub) < len(un) and gens[-1] not in sub, n
+        assert len(sub) < len(elements) and gens[-1] not in sub, n
 
 
 def test_unit_walk_reaches_every_unit_once_from_earlier_ones():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cycrep.cyclic_site import SupportSet, divisor_closure, support_of_divisors, units
-from cycrep.linalg import QMatrix, hstack, rank, solve
+from cycrep.linalg import QMatrix, SparseMatrix, hstack, rank, solve
 from cycrep.modules import (
     atomic_module,
     direct_sum,
@@ -33,8 +33,9 @@ from cycrep.hom_ext import (
 )
 from cycrep.rep_ring import tau_ru_module
 from oracles import (DenseSpanTracker, averaged_equivariant_basis, dense_hom_cochain,
-                     dense_resolve_by_representables, reference_hom_via_limit_mats,
-                     scaled_sum_hom_direct, scramble, witnesses_by_solve)
+                     dense_nerve_complex, dense_resolve_by_representables,
+                     reference_hom_via_limit_mats, scaled_sum_hom_direct, scramble,
+                     witnesses_by_solve)
 
 S123 = SupportSet([1, 2, 3])
 S12 = support_of_divisors(12)
@@ -303,7 +304,7 @@ class TestDerivedLimits:
         dl = lim_derived(d, 2)
         assert len(dl.witnesses[1]) == 1
         w = QMatrix.column(dl.witnesses[1][0])
-        assert (dl.complex.diffs[1] @ w).is_zero()
+        assert (dl.complex.diffs[1].to_dense() @ w).is_zero()
 
     def test_nerve_chain_enumeration(self):
         _, chains = nerve_complex(dual_system(regular_module(S123)), 1)
@@ -321,7 +322,8 @@ class TestWitnessesAgainstSolveOracle:
 
     def assert_same_witnesses(self, x, max_k=2):
         out = lim_derived(dual_system(x), max_k)
-        assert out.witnesses == witnesses_by_solve(out.complex.diffs, out.dims)
+        assert out.witnesses == witnesses_by_solve(
+            [d.to_dense() for d in out.complex.diffs], out.dims)
         assert [len(w) for w in out.witnesses] == out.dims
         return out
 
@@ -352,6 +354,95 @@ class TestWitnessesAgainstSolveOracle:
         reg = regular_module(support)
         self.assert_same_witnesses(reg)
         self.assert_same_witnesses(scramble(reg, 3))
+
+    @pytest.mark.parametrize("support", NON_DIRECTED)
+    def test_atom(self, support):
+        self.assert_same_witnesses(atomic_module(1, 1, support), max_k=3)
+
+
+class TestSparseNerveAgainstDenseOracle:
+    """nerve_complex emits sparse rows from composites cached per (divisor,
+    multiple) pair; the oracle fills dense matrices and recomposes the
+    structure map for every chain."""
+
+    def assert_same_nerve(self, x, max_k=3):
+        d = dual_system(x)
+        cx, chains = nerve_complex(d, max_k)
+        ref, ref_chains = dense_nerve_complex(d, max_k)
+        assert chains == ref_chains
+        assert [m.to_dense() for m in cx.diffs] == ref.diffs
+        assert cx.check_d_squared()
+
+    @pytest.mark.parametrize("support", NON_DIRECTED + [S12, support_of_divisors(36),
+                                                        support_of_divisors(60)])
+    def test_regular_random_atomic_and_conjugated(self, support):
+        reg = regular_module(support)
+        for x in [reg, scramble(reg, 5), random_module(support, 3),
+                  atomic_module(1, 1, support)]:
+            self.assert_same_nerve(x)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from(NON_DIRECTED + [S12, support_of_divisors(18)]),
+           st.integers(0, 10 ** 6))
+    def test_random_sources(self, support, seed):
+        self.assert_same_nerve(random_module(support, seed))
+
+
+def test_no_dense_differential_on_either_route(monkeypatch):
+    """Every QMatrix the two Ext routes create is at most the size of one
+    structure map between two levels; the differentials over divisors(60)
+    are hundreds of rows by hundreds of columns."""
+    support = support_of_divisors(60)
+    reg = regular_module(support)
+    dual = dual_system(reg)
+    largest_map = max(reg.dim(n) * reg.dim(m) for n in support
+                      for m in support.multiples_of(n))
+    sizes = []
+    zeros, init = QMatrix.zeros.__func__, QMatrix.__init__
+
+    def counted_zeros(cls, rows, cols):
+        sizes.append(rows * cols)
+        return zeros(cls, rows, cols)
+
+    def counted_init(self, rows, cols, entries):
+        sizes.append(rows * cols)
+        init(self, rows, cols, entries)
+
+    monkeypatch.setattr(QMatrix, "zeros", classmethod(counted_zeros))
+    monkeypatch.setattr(QMatrix, "__init__", counted_init)
+    assert ext_via_resolution(reg, reg, 2) == [16, 0, 0]
+    dl = lim_derived(dual, 2)
+    assert dl.dims == [16, 0, 0]
+    assert max(d.rows * d.cols for d in dl.complex.diffs) > 10 * largest_map
+    assert sizes and max(sizes) <= largest_map
+
+
+def is_cocycle(d: SparseMatrix, w: list[Fraction]) -> bool:
+    return (d @ SparseMatrix.from_dense(QMatrix.column(w))).is_zero()
+
+
+class TestNonzeroHigherExtOnBothRoutes:
+    """Ext(atom, regular) over products of three-point supports: the Ext^1
+    over {1, 2, 3} convolves to a single Ext^2 over {1,2,3} x {1,5,7} and a
+    single Ext^3 over {1,2,3} x {1,5,7} x {1,11,13}."""
+
+    @pytest.mark.parametrize("seeds,dims", [
+        ([10, 14, 15, 21], [0, 0, 1, 0]),
+        ([p * q * r for p in (2, 3) for q in (5, 7) for r in (11, 13)], [0, 0, 0, 1]),
+    ])
+    def test_resolution_and_derived_limits(self, seeds, dims):
+        support = divisor_closure(seeds)
+        x, y = atomic_module(1, 1, support), regular_module(support)
+        # the complex ext_via_resolution(x, y, 3) takes the cohomology of
+        hom_cx = _hom_cochain(resolve_by_representables(x, 4), y, support)
+        assert hom_cx.check_d_squared()
+        assert hom_cx.cohomology_dims(3) == dims
+        dl = lim_derived(dual_system(x), 3)
+        assert dl.dims == dims
+        assert dl.complex.check_d_squared()
+        assert [len(ws) for ws in dl.witnesses] == dims
+        for k, ws in enumerate(dl.witnesses):
+            assert all(is_cocycle(dl.complex.diffs[k], w) for w in ws)
 
 
 sparse_entries = st.sampled_from([Fraction(0), Fraction(0), Fraction(0), Fraction(1),
@@ -385,7 +476,8 @@ class TestSparseResolutionAgainstDenseOracle:
         for step, (_, cols) in zip(steps, ref):
             assert step.classifier_cols == [{i: v for i, v in enumerate(c) if v}
                                             for c in cols]
-        assert _hom_cochain(steps, y, x.support).diffs == dense_hom_cochain(ref, y, x.support)
+        assert ([d.to_dense() for d in _hom_cochain(steps, y, x.support).diffs]
+                == dense_hom_cochain(ref, y, x.support))
         return steps
 
     @pytest.mark.parametrize("top", [12, 36, 60])
@@ -508,15 +600,15 @@ class TestSequentialTowers:
 
 class TestCochainComplex:
     def test_space_dims_and_composability(self):
-        d0 = QMatrix.zeros(2, 3)
-        d1 = QMatrix.zeros(1, 2)
+        d0 = SparseMatrix(2, 3)
+        d1 = SparseMatrix(1, 2)
         cx = CochainComplex([d0, d1])
         assert [cx.space_dim(k) for k in range(3)] == [3, 2, 1]
         assert cx.check_d_squared()
 
     def test_rejects_non_composable(self):
         with pytest.raises(ValueError):
-            CochainComplex([QMatrix.zeros(2, 3), QMatrix.zeros(1, 5)])
+            CochainComplex([SparseMatrix(2, 3), SparseMatrix(1, 5)])
 
 
 class TestUptoSupports:

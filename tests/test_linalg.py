@@ -10,6 +10,7 @@ from cycrep.hom_ext import _hom_cochain, resolve_by_representables
 from cycrep.modules import regular_module
 from cycrep.linalg import (
     QMatrix,
+    SparseMatrix,
     cokernel,
     column_space_basis,
     hstack,
@@ -219,13 +220,85 @@ def matrices_with_repeated_rows(draw):
 
 
 @lru_cache(maxsize=None)
-def hom_cochain_matrices():
+def sparse_hom_cochain_matrices():
     """The differentials of Hom(resolution, regular) behind
-    ext_via_resolution(regular, regular, 3) over divisors(60), with the
-    ranks the Fraction oracle gives for them."""
+    ext_via_resolution(regular, regular, 3) over divisors(60)."""
     reg = regular_module(support_of_divisors(60))
-    diffs = _hom_cochain(resolve_by_representables(reg, 4), reg, reg.support).diffs
-    return tuple((d, dense_rank(d)) for d in diffs)
+    return tuple(_hom_cochain(resolve_by_representables(reg, 4), reg, reg.support).diffs)
+
+
+@lru_cache(maxsize=None)
+def hom_cochain_matrices():
+    """Those differentials as dense matrices, with the ranks the Fraction
+    oracle gives for them."""
+    return tuple((d.to_dense(), dense_rank(d.to_dense()))
+                 for d in sparse_hom_cochain_matrices())
+
+
+@st.composite
+def sparse_and_dense(draw, entries=sparse_fractions, rows=None):
+    """A matrix both ways; ``rows`` fixes its row count."""
+    m = draw(rational_matrices(entries) if rows is None else
+             st.integers(0, 7).flatmap(lambda c: st.lists(
+                 entries, min_size=rows * c, max_size=rows * c).map(
+                 lambda e: QMatrix(rows, c, e))))
+    # integral entries stored as ints, as the cochain assembly stores them
+    data = [{j: (int(v) if v.denominator == 1 else v) for j, v in enumerate(m.row(i)) if v}
+            for i in range(m.rows)]
+    return SparseMatrix(m.rows, m.cols, data), m
+
+
+class TestSparseMatrixAgainstDense:
+    """Every read of a SparseMatrix, its product and the two eliminations
+    that accept it, against the same matrix held densely."""
+
+    def test_degenerate_shapes(self):
+        for r, c in [(0, 0), (0, 4), (3, 0), (3, 4)]:
+            z = SparseMatrix(r, c)
+            assert z.shape() == (r, c) and z.is_zero()
+            assert z.to_dense() == QMatrix.zeros(r, c)
+            assert rank(z) == 0
+            assert kernel_basis(z).to_dense() == kernel_basis(QMatrix.zeros(r, c))
+        with pytest.raises(ValueError):
+            SparseMatrix(2, 3, [{}])
+        with pytest.raises(ValueError):
+            SparseMatrix(2, 3) @ SparseMatrix(2, 3)
+
+    @settings(max_examples=50, deadline=None)
+    @given(sparse_and_dense())
+    def test_reads_and_transpose(self, pair):
+        sm, m = pair
+        assert sm.to_dense() == m
+        assert SparseMatrix.from_dense(m).to_dense() == m
+        assert [sm.row(i) for i in range(m.rows)] == m.to_rows()
+        assert [sm.col(j) for j in range(m.cols)] == [m.col(j) for j in range(m.cols)]
+        assert sm.transpose().to_dense() == m.transpose()
+        assert sm.is_zero() == m.is_zero()
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.data())
+    def test_product(self, data):
+        sa, a = data.draw(sparse_and_dense())
+        sb, b = data.draw(sparse_and_dense(rows=a.cols))
+        prod = sa @ sb
+        assert prod.to_dense() == a @ b
+        assert all(all(r.values()) for r in prod.data)  # no stored zeros
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(sparse_and_dense(), sparse_and_dense(huge_fractions)))
+    def test_rank_and_kernel(self, pair):
+        sm, m = pair
+        assert rank(sm) == rank(m) == dense_rank(m)
+        kb = kernel_basis(sm)
+        assert isinstance(kb, SparseMatrix)
+        assert kb.to_dense() == kernel_basis(m) == dense_kernel_basis(m)[0]
+
+    def test_hom_cochain_matrices(self):
+        pairs = zip(sparse_hom_cochain_matrices(), hom_cochain_matrices())
+        for k, (d, (_, expected)) in enumerate(pairs):
+            assert rank(d) == expected
+            if k < 2:
+                assert kernel_basis(d).to_dense() == dense_kernel_of_hom_cochain_matrix(k)[0]
 
 
 class TestSparseRankAgainstDenseOracle:

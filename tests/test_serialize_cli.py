@@ -6,7 +6,7 @@ import pytest
 from cycrep.cyclic_site import SupportSet, support_of_divisors
 from cycrep.linalg import QMatrix
 from cycrep.cyclic_site import units
-from cycrep.hom_ext import _equivariant_basis
+from cycrep.hom_ext import _equivariant_basis, dual_system, lim_derived
 from cycrep.modules import (atomic_module, direct_sum, free_module, random_module,
                             regular_module, semifree_module)
 from cycrep.rep_ring import RUElement
@@ -22,7 +22,8 @@ from cycrep.serialize import (
     load_module,
     dumps_canonical,
 )
-from cycrep.cli import DEFAULT_SIZE_CAP, _estimate_hom_entries, parse_support, run
+from cycrep.cli import (DEFAULT_SIZE_CAP, _estimate_hom_entries, _estimate_nerve_entries,
+                        parse_support, run)
 
 
 class TestSerialization:
@@ -271,6 +272,31 @@ class TestCliRuns:
         assert _estimate_hom_entries(reg180, reg180) <= DEFAULT_SIZE_CAP
         code, text = run(["hom", "--support", "divisors:360", "--source", "regular"])
         assert code == 1 and "about 5998444 matrix entries" in text
+
+    def test_ext_and_lim_run_under_the_default_cap(self):
+        # the cap charges the sparse nerve complex, not a dense Hom system
+        s132, s360 = support_of_divisors(132), support_of_divisors(360)
+        assert _estimate_nerve_entries(regular_module(s132), 2) == 9331
+        assert _estimate_nerve_entries(regular_module(s360), 3) == 88132
+        for argv in [["ext", "--support", "divisors:132", "--source", "regular",
+                      "--max-degree", "2"],
+                     ["lim", "--support", "divisors:360", "--source", "regular",
+                      "--max-degree", "3"]]:
+            code, text = run(argv)
+            assert code == 0 and text.endswith("overall: ok"), text
+            code, text = run(argv + ["--size-cap", "9000"])
+            assert code == 1 and "the nerve complex would allocate" in text
+
+    def test_nerve_estimate_bounds_the_stored_nonzeros(self):
+        s12, s30 = support_of_divisors(12), support_of_divisors(30)
+        s_nd = SupportSet([1, 2, 3, 5, 6, 10, 15])
+        cases = [(regular_module(s12), 3), (random_module(s30, 5), 3),
+                 (atomic_module(1, 1, s_nd), 3), (random_module(s_nd, 6), 2),
+                 (direct_sum([free_module(3, s12), semifree_module(2, s12)]), 3)]
+        for x, k in cases:
+            stored = sum(len(row) for d in lim_derived(dual_system(x), k).complex.diffs
+                         for row in d.data)
+            assert 0 < stored <= _estimate_nerve_entries(x, k), x.name
 
     def test_report_verb_small(self):
         code, text = run(["report", "--support", "divisors:6", "--max-degree", "2",
