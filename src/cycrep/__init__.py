@@ -37,13 +37,11 @@ from .rep_ring import (
     MonomialReducer,
     RUElement,
     TauLevel,
-    TauRU,
     crt_iso,
     mul,
     restrict_proj,
     restrict_sub,
     tau_level,
-    tau_ru,
     tau_ru_module,
     transfer,
     transfer_ideal,

@@ -75,9 +75,6 @@ class OutCycModule:
             return self._restriction_fn(n, m)
         raise KeyError(f"no restriction data for {n} -> {m}")
 
-    def is_materialized(self) -> bool:
-        return self._actions is not None and self._restrictions is not None
-
     def is_zero(self) -> bool:
         return all(d == 0 for d in self.dims.values())
 

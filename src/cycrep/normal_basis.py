@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 from .cyclic_site import (
     SupportSet,
@@ -39,7 +38,7 @@ from .cyclic_site import (
 )
 from .linalg import QMatrix, rank
 from .modules import ModuleMorphism, OutCycModule, regular_action, regular_restriction
-from .rep_ring import MonomialReducer
+from .rep_ring import _reducer, tau_action, tau_restriction
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -47,11 +46,6 @@ _F1 = Fraction(1)
 _DENSE_RANK_BOUND = 128
 
 Sparse = dict[int, Fraction]
-
-
-@lru_cache(maxsize=None)
-def _reducer(n: int) -> MonomialReducer:
-    return MonomialReducer(n)
 
 
 def classifying_element(p: int, k: int) -> QMatrix:
@@ -63,12 +57,7 @@ def classifying_element(p: int, k: int) -> QMatrix:
         raise ValueError("k must be nonnegative")
     if k > 0 and not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    sp = _classifier_sparse(p, k, scaled=True)
-    red = _reducer(p ** k if k else 1)
-    col = QMatrix.zeros(red.dim, 1)
-    for e, c in sp.items():
-        col._e[red.basis_index[e]] = c
-    return col
+    return _reducer(p ** k if k else 1).columns([_classifier_sparse(p, k, scaled=True)])
 
 
 def _classifier_sparse(p: int, k: int, scaled: bool) -> Sparse:
@@ -94,11 +83,7 @@ class ClassifierFamily:
     scaled: bool = True
 
     def column(self, n: int) -> QMatrix:
-        red = _reducer(n)
-        col = QMatrix.zeros(red.dim, 1)
-        for e, c in self.elements[n].items():
-            col._e[red.basis_index[e]] = c
-        return col
+        return _reducer(n).columns([self.elements[n]])
 
 
 def assemble(support: SupportSet, scaled: bool = True) -> ClassifierFamily:
@@ -137,33 +122,15 @@ def lazy_regular_module(support: SupportSet) -> OutCycModule:
 
 
 def monomial_tau_module(support: SupportSet) -> OutCycModule:
-    """The transfer quotient in the factorwise monomial presentation, lazy.
+    """The transfer quotient with matrices built on demand.
 
-    Conjugate to the eliminated presentation of ``tau_ru_module`` by the
-    basis change between the two quotient bases; the package uses this one
-    wherever levels are too large to eliminate.
+    The lazy counterpart of ``rep_ring.tau_ru_module``: the same
+    ``tau_action`` and ``tau_restriction`` supply every level matrix, but
+    nothing is stored, so supports like the divisors of 2520 stay cheap.
     """
-    dims = {n: _reducer(n).dim for n in support}
-
-    def action_fn(n: int, l: int) -> QMatrix:
-        red = _reducer(n)
-        d = red.dim
-        a = QMatrix.zeros(d, d)
-        for j, e in enumerate(red.basis):
-            for e2, c in red.act_unit(l, {e: _F1}).items():
-                a._e[red.basis_index[e2] * d + j] = c
-        return a
-
-    def restriction_fn(n: int, m: int) -> QMatrix:
-        red_n, red_m = _reducer(n), _reducer(m)
-        r = QMatrix.zeros(red_m.dim, red_n.dim)
-        for j, e in enumerate(red_n.basis):
-            for e2, c in red_m.inflate_from(red_n, {e: _F1}).items():
-                r._e[red_m.basis_index[e2] * red_n.dim + j] = c
-        return r
-
-    return OutCycModule(support, dims, action_fn=action_fn,
-                        restriction_fn=restriction_fn, name="tauRU[monomial]")
+    return OutCycModule(support, {n: _reducer(n).dim for n in support},
+                        action_fn=tau_action, restriction_fn=tau_restriction,
+                        name="tauRU[monomial]")
 
 
 def _phi_columns(family: ClassifierFamily, n: int) -> dict[int, Sparse]:
@@ -174,15 +141,7 @@ def _phi_columns(family: ClassifierFamily, n: int) -> dict[int, Sparse]:
 
 
 def _columns_to_matrix(n: int, cols: dict[int, Sparse]) -> QMatrix:
-    red = _reducer(n)
-    un = units(n)
-    mat = QMatrix.zeros(red.dim, len(un))
-    w = len(un)
-    for g, col in cols.items():
-        j = un.index(g)
-        for e, c in col.items():
-            mat._e[red.basis_index[e] * w + j] = c
-    return mat
+    return _reducer(n).columns([cols[g] for g in units(n)])
 
 
 @dataclass

@@ -8,19 +8,18 @@ and the quotient by the ideal of proper transfers.  At a prime power that
 ideal is principal on the norm polynomial of the primitive roots, and the
 quotient is the corresponding cyclotomic field with its Galois action.
 
-Two quotient presentations coexist:
+The quotient has one presentation.  ``MonomialReducer`` rewrites each
+monomial factorwise through the residue decomposition of its exponent,
+without eliminating the ideal, so it scales to levels in the thousands;
+the fixed monomials are the quotient basis.  ``tau_action`` and
+``tau_restriction`` read the level matrices from its columns, and both the
+materialized ``tau_ru_module`` and the lazy module of the normal-basis
+check are built from them.
 
-* ``tau_level`` eliminates the transfer ideal directly (``linalg.rref``
-  of the transferred monomials, on the sparse elimination core) and takes
-  the non-pivot monomials as the quotient basis (the presentation every
-  materialized module uses),
-* ``MonomialReducer`` rewrites monomials factorwise through the residue
-  decomposition of the exponent, without eliminating the ideal, so it
-  scales to levels in the thousands; the large-support normal-basis
-  verification runs on it.
-
-At prime powers the two bases coincide (the monomials X^j with
-p^{k-1} <= j < p^k).
+``tau_level`` eliminates the ideal directly (``linalg.rref`` of the
+transferred monomials) and is kept only as an independent count of the
+quotient dimension.  At prime powers its basis coincides with the reduced
+one (the monomials X^j with p^{k-1} <= j < p^k).
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from math import gcd
 from typing import Sequence
 
 from .cyclic_site import SupportSet, divisors, factorization, units
-from .linalg import QMatrix, Rat, RatLike, rat, rref
+from .linalg import QMatrix, RatLike, rat, rref
 from .modules import OutCycModule
 
 _F0 = Fraction(0)
@@ -95,9 +94,6 @@ class RUElement:
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
-
-    def as_column(self) -> QMatrix:
-        return QMatrix.column(self.coeffs)
 
     def _check(self, other: "RUElement") -> None:
         if self.level != other.level:
@@ -270,58 +266,33 @@ def crt_iso(n: int, m: int) -> QMatrix:
 
 
 # ---------------------------------------------------------------------------
-# the quotient by proper transfers
+# the quotient by proper transfers, eliminated
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class TauLevel:
-    """Level-n data of the transfer quotient.
+    """Level-n quotient by the transfer ideal, found by elimination.
 
     ``projection`` maps the ambient n-dimensional ring onto the quotient and
     kills exactly the transfer ideal; ``section`` embeds the quotient back as
     the span of the basis monomials (the non-pivot columns of the ideal
-    elimination, in increasing order).  ``mult_table`` has one column per
-    lexicographic pair of quotient basis vectors, holding their product.
+    elimination, in increasing order).
     """
     level: int
-    ambient_dim: int
     dim: int
     projection: QMatrix
     section: QMatrix
     basis_monomials: tuple[int, ...]
-    mult_table: QMatrix
-
-    def project(self, a: RUElement) -> QMatrix:
-        if a.level != self.level:
-            raise ValueError("level mismatch")
-        return self.projection @ a.as_column()
-
-    def mul(self, u: QMatrix, v: QMatrix) -> QMatrix:
-        t = self.dim
-        out = QMatrix.zeros(t, 1)
-        for j1 in range(t):
-            a = u[j1, 0]
-            if not a:
-                continue
-            for j2 in range(t):
-                b = v[j2, 0]
-                if not b:
-                    continue
-                col = j1 * t + j2
-                for i in range(t):
-                    w = self.mult_table[i, col]
-                    if w:
-                        out._e[i] += a * b * w
-        return out
-
-    @property
-    def one(self) -> QMatrix:
-        return self.projection @ RUElement.one(self.level).as_column()
 
 
 @lru_cache(maxsize=None)
 def tau_level(n: int) -> TauLevel:
-    """Eliminate the transfer ideal at level n and package the quotient."""
+    """Eliminate the transfer ideal at level n and package the quotient.
+
+    Independent of ``MonomialReducer``: the ``tau-ru`` verb and the
+    dimension criterion count the quotient this way, so that they do not
+    restate the presentation the module is built from.
+    """
     reduced, pivots = rref(transfer_ideal(n).transpose())
     pivset = set(pivots)
     basis = tuple(i for i in range(n) if i not in pivset)
@@ -336,68 +307,7 @@ def tau_level(n: int) -> TauLevel:
     section = QMatrix.zeros(n, t)
     for j, bj in enumerate(basis):
         section._e[bj * t + j] = _F1
-    table = QMatrix.zeros(t, t * t)
-    for j1 in range(t):
-        for j2 in range(t):
-            e = (basis[j1] + basis[j2]) % n
-            for i in range(t):
-                v = proj[i, e]
-                if v:
-                    table._e[i * (t * t) + (j1 * t + j2)] = v
-    return TauLevel(n, n, t, proj, section, basis, table)
-
-
-class TauRU:
-    """The transfer quotient of the representation ring over a support.
-
-    Holds the per-level quotient data and materializes the induced module
-    structure: unit actions and inflation maps conjugated through the
-    projections and sections.  The section sends quotient basis vector j
-    to the monomial X^b, b = basis_monomials[j], and both maps send a
-    monomial to a monomial, so column j of the conjugated matrix is the
-    projection's column at the image exponent: b*l mod n for the action
-    of l, b*(m/n) mod m for the inflation from n to m.
-    """
-
-    def __init__(self, support: SupportSet):
-        self.support = support
-        self.levels = {n: tau_level(n) for n in support}
-        dims = {n: self.levels[n].dim for n in support}
-        actions = {n: {l: self._gather(n, n, l) for l in units(n)} for n in support}
-        restrictions = {(n, m): self._gather(n, m, m // n)
-                        for n, m in support.covering_pairs()}
-        self.module = OutCycModule(support, dims, actions, restrictions, name="tauRU")
-
-    def _gather(self, n: int, m: int, step: int) -> QMatrix:
-        """The level-n to level-m matrix whose column j is the level-m
-        projection's column at b*step mod m, b the j-th basis monomial of
-        level n."""
-        proj = self.levels[m].projection
-        basis = self.levels[n].basis_monomials
-        out = QMatrix.zeros(proj.rows, len(basis))
-        for j, b in enumerate(basis):
-            out._e[j::len(basis)] = proj.col(b * step % m)
-        return out
-
-    def project(self, a: RUElement) -> QMatrix:
-        return self.levels[a.level].project(a)
-
-    def mul(self, n: int, u: QMatrix, v: QMatrix) -> QMatrix:
-        return self.levels[n].mul(u, v)
-
-    def inflate(self, m: int, n: int, u: QMatrix) -> QMatrix:
-        """Quotient coordinates of the inflation from level n to level m."""
-        lv_n, lv_m = self.levels[n], self.levels[m]
-        return lv_m.projection @ (restrict_proj_matrix(m, n) @ (lv_n.section @ u))
-
-
-def tau_ru(support: SupportSet) -> TauRU:
-    return TauRU(support)
-
-
-def tau_ru_module(support: SupportSet) -> OutCycModule:
-    """The transfer quotient as a validated-shape module over the support."""
-    return TauRU(support).module
+    return TauLevel(n, t, proj, section, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -412,8 +322,6 @@ class MonomialReducer:
     relation of that prime; the rewriting only moves the exponent's p-part,
     so the factors commute and one pass per prime suffices.  The fixed
     monomials (every residue in the upper range) form the quotient basis.
-    This presentation agrees with the eliminated one at prime powers and is
-    the workhorse for levels too large to eliminate densely.
     """
 
     __slots__ = ("n", "factors", "basis", "basis_index", "_cache")
@@ -490,3 +398,45 @@ class MonomialReducer:
             for j in range(n_over_p):
                 out.append({(j + i * n_over_p) % self.n: _F1 for i in range(p)})
         return out
+
+    def columns(self, vecs: Sequence[dict[int, RatLike]]) -> QMatrix:
+        """The dense matrix whose column j holds the reduced vector vecs[j]
+        in quotient coordinates (row i for the i-th basis monomial)."""
+        w = len(vecs)
+        out = QMatrix.zeros(self.dim, w)
+        for j, vec in enumerate(vecs):
+            for e, c in vec.items():
+                out._e[self.basis_index[e] * w + j] = rat(c)
+        return out
+
+
+# ---------------------------------------------------------------------------
+# the transfer-quotient module
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _reducer(n: int) -> MonomialReducer:
+    return MonomialReducer(n)
+
+
+def tau_action(n: int, l: int) -> QMatrix:
+    """The unit l acting on the level-n quotient: column j is the reduced
+    monomial X^{b*l mod n}, b the j-th basis monomial."""
+    red = _reducer(n)
+    return red.columns([red.reduce_exponent(b * l % n) for b in red.basis])
+
+
+def tau_restriction(n: int, m: int) -> QMatrix:
+    """Inflation from level n up to level m on the quotients (n | m):
+    column j is the reduced level-m monomial X^{b*(m/n) mod m}."""
+    red_n, red_m = _reducer(n), _reducer(m)
+    step = m // n
+    return red_m.columns([red_m.reduce_exponent(b * step % m) for b in red_n.basis])
+
+
+def tau_ru_module(support: SupportSet) -> OutCycModule:
+    """The transfer quotient over the support, every matrix materialized."""
+    dims = {n: _reducer(n).dim for n in support}
+    actions = {n: {l: tau_action(n, l) for l in units(n)} for n in support}
+    restrictions = {(n, m): tau_restriction(n, m) for n, m in support.covering_pairs()}
+    return OutCycModule(support, dims, actions, restrictions, name="tauRU")

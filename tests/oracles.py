@@ -21,8 +21,8 @@ from cycrep.linalg import (QMatrix, cokernel, column_space_basis, hstack, kernel
                            kronecker, solve, solve_matrix, vstack)
 from cycrep.modules import (ModuleMorphism, MorphismFactorization, OutCycModule,
                             conjugate_module, restriction_matrix)
-from cycrep.rep_ring import (RUElement, restrict_proj_matrix, tau_level, transfer_ideal,
-                             unit_action_matrix)
+from cycrep.rep_ring import (MonomialReducer, RUElement, restrict_proj_matrix, tau_level,
+                             transfer_ideal, unit_action_matrix)
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -729,6 +729,15 @@ def conjugated_tau_matrices(support):
     restrictions = {(n, m): tau_level(m).projection @ restrict_proj_matrix(m, n)
                     @ tau_level(n).section for n, m in support.covering_pairs()}
     return actions, restrictions
+
+
+def monomial_to_eliminated(n: int) -> QMatrix:
+    """The basis change from the reduced quotient basis of
+    ``MonomialReducer(n)`` to the eliminated one of ``tau_level(n)``:
+    column j is the projection of the j-th reduced basis monomial."""
+    proj = tau_level(n).projection
+    return QMatrix.from_columns([proj.col(e) for e in MonomialReducer(n).basis],
+                                rows=proj.rows)
 
 
 def reference_hom_via_limit_mats(x, families) -> list[dict[int, QMatrix]]:

@@ -24,7 +24,7 @@ from cycrep.rep_ring import (
     RUElement,
     mul,
     restrict_proj,
-    tau_level,
+    tau_ru_module,
     transfer_ideal,
 )
 
@@ -167,32 +167,18 @@ class TestScalingNecessity:
         assert f.validate() == []
 
 
-class TestPresentationBridge:
-    def test_monomial_and_eliminated_quotients_are_conjugate(self):
-        # base change between the two quotient bases intertwines everything
-        from cycrep.rep_ring import tau_ru_module
-        support = S12
-        tau_elim = tau_ru_module(support)
-        tau_mono = monomial_tau_module(support)
-        bridges = {}
-        for n in support:
-            red = MonomialReducer(n)
-            lv = tau_level(n)
-            cols = []
-            for e in red.basis:
-                amb = [Fraction(0)] * n
-                amb[e] = Fraction(1)
-                cols.append((lv.projection @ QMatrix.column(amb)).col(0))
-            b = QMatrix.from_columns(cols, rows=lv.dim)
-            assert rank(b) == lv.dim
-            bridges[n] = b
+class TestLazyQuotient:
+    @pytest.mark.parametrize("top", [12, 90, 360])
+    def test_materialized_and_lazy_agree_entry_for_entry(self, top):
+        support = support_of_divisors(top)
+        lazy, stored = monomial_tau_module(support), tau_ru_module(support)
+        assert lazy.dims == stored.dims
         for n in support:
             for l in units(n):
-                assert bridges[n] @ tau_mono.action(n, l) == \
-                    tau_elim.action(n, l) @ bridges[n]
-        for (a, b) in support.covering_pairs():
-            assert bridges[b] @ tau_mono.restriction_step(a, b) == \
-                tau_elim.restriction_step(a, b) @ bridges[a]
+                assert lazy.action(n, l) == stored.action(n, l), (n, l)
+        for pair in support.covering_pairs():
+            assert lazy.restriction_step(*pair) == stored.restriction_step(*pair), pair
+            assert all(type(v) is Fraction for v in lazy.restriction_step(*pair)._e)
 
 
 class TestEquivarianceOnGenerators:

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from cycrep.cyclic_site import divisors, support_of_divisors, totient, units
 from cycrep.linalg import QMatrix, kernel_basis, rank, solve
-from cycrep.modules import validate
+from cycrep.modules import restriction_matrix, validate
 from cycrep.rep_ring import (
     MonomialReducer,
     RUElement,
@@ -17,7 +17,6 @@ from cycrep.rep_ring import (
     restrict_sub,
     restrict_sub_matrix,
     tau_level,
-    tau_ru,
     tau_ru_module,
     transfer,
     transfer_ideal,
@@ -27,7 +26,7 @@ from cycrep.rep_ring import (
 )
 
 from oracles import (char_value, conjugated_tau_matrices, dense_tau_level, embed_roots,
-                     roots_equal, induced_char_poly_check)
+                     monomial_to_eliminated, roots_equal, induced_char_poly_check)
 
 
 def random_element(n, rng):
@@ -251,32 +250,39 @@ class TestTauQuotient:
         assert mod.dim(1) == 1 and mod.action(1, 1) == QMatrix.identity(1)
 
     def test_restrictions_are_unital_ring_maps(self):
-        t = tau_ru(support_of_divisors(12))
-        for n, m in t.support.covering_pairs():
-            one_n, one_m = t.levels[n].one, t.levels[m].one
-            res = t.module.restriction_step(n, m)
-            assert res @ one_n == one_m
+        # the module's restrictions are inflation, and inflation is a unital
+        # ring map for the reduced multiplication
+        mod = tau_ru_module(support_of_divisors(12))
+        for n, m in mod.support.covering_pairs():
+            red_n, red_m = MonomialReducer(n), MonomialReducer(m)
+            res = mod.restriction_step(n, m)
+            one = {0: Fraction(1)}
+            assert res @ red_n.columns([red_n.reduce_sparse(one)]) == \
+                red_m.columns([red_m.reduce_sparse(one)])
             rng = random.Random(n * 100 + m)
             for _ in range(4):
-                u = QMatrix.column([rng.randint(-3, 3) for _ in range(t.levels[n].dim)])
-                v = QMatrix.column([rng.randint(-3, 3) for _ in range(t.levels[n].dim)])
-                lhs = res @ t.mul(n, u, v)
-                rhs = t.mul(m, res @ u, res @ v)
+                u, v = (red_n.reduce_sparse({e: Fraction(rng.randint(-3, 3))
+                                             for e in red_n.basis}) for _ in range(2))
+                for w in (u, v):
+                    assert res @ red_n.columns([w]) == \
+                        red_m.columns([red_m.inflate_from(red_n, w)])
+                lhs = red_m.inflate_from(red_n, red_n.mul_sparse(u, v))
+                rhs = red_m.mul_sparse(red_m.inflate_from(red_n, u),
+                                       red_m.inflate_from(red_n, v))
                 assert lhs == rhs
 
     def test_coprime_multiplication_is_isomorphism(self):
         # tensor-and-multiply between coprime levels has full rank on quotients
-        t = tau_ru(support_of_divisors(12))
+        mod = tau_ru_module(support_of_divisors(12))
         for (a, b) in [(3, 4), (2, 3)]:
-            la, lb, lab = t.levels[a], t.levels[b], t.levels[a * b]
-            cols = []
-            for i in range(la.dim):
-                for j in range(lb.dim):
-                    u = t.inflate(a * b, a, QMatrix.identity(la.dim).column_vector(i))
-                    v = t.inflate(a * b, b, QMatrix.identity(lb.dim).column_vector(j))
-                    cols.append(t.mul(a * b, u, v).col(0))
-            assert rank(QMatrix.from_columns(cols, rows=lab.dim)) == lab.dim
-
+            red_a, red_b, red_ab = MonomialReducer(a), MonomialReducer(b), MonomialReducer(a * b)
+            ups = {}
+            for red in (red_a, red_b):
+                up = restriction_matrix(mod, a * b, red.n)
+                ups[red.n] = [red_ab.inflate_from(red, {e: Fraction(1)}) for e in red.basis]
+                assert red_ab.columns(ups[red.n]) == up
+            cols = [red_ab.mul_sparse(u, v) for u in ups[a] for v in ups[b]]
+            assert rank(red_ab.columns(cols)) == red_ab.dim
 
     def test_elimination_matches_dense_oracle(self):
         for n in range(1, 61):
@@ -284,19 +290,26 @@ class TestTauQuotient:
             assert (lv.projection, lv.section, lv.basis_monomials) == dense_tau_level(n), n
 
 
-class TestTauGatherAgainstProducts:
-    @pytest.mark.parametrize("top", [30, 90, 12, 16])
-    def test_matrices_equal_the_conjugated_products(self, top):
+class TestPresentationBridge:
+    """The module, built from reduced monomials, against the eliminated
+    quotient: conjugate through the basis change of every level."""
+
+    @pytest.mark.parametrize("top", [12, 16, 30, 90])
+    def test_conjugate_to_the_eliminated_products(self, top):
         support = support_of_divisors(top)
         mod = tau_ru_module(support)
         actions, restrictions = conjugated_tau_matrices(support)
+        bridges = {n: monomial_to_eliminated(n) for n in support}
         for n in support:
+            assert rank(bridges[n]) == mod.dim(n) == tau_level(n).dim, n
             for l in units(n):
-                assert mod.action(n, l) == actions[n][l], (n, l)
-                assert all(type(v) is Fraction for v in mod.action(n, l)._e)
-        for pair, mat in restrictions.items():
-            assert mod.restriction_step(*pair) == mat, pair
-            assert all(type(v) is Fraction for v in mod.restriction_step(*pair)._e)
+                act = mod.action(n, l)
+                assert bridges[n] @ act == actions[n][l] @ bridges[n], (n, l)
+                assert all(type(v) is Fraction for v in act._e)
+        for (a, b), mat in restrictions.items():
+            res = mod.restriction_step(a, b)
+            assert bridges[b] @ res == mat @ bridges[a], (a, b)
+            assert all(type(v) is Fraction for v in res._e)
 
 
 class TestCrt:
