@@ -33,7 +33,9 @@ class OutCycModule:
 
     Actions and restriction steps are usually stored as explicit matrices;
     for very large levels they may instead be computed on demand through
-    provider callables (same contract, lazy storage).
+    provider callables (same contract, lazy storage).  A stored level table
+    may hold only 1 and the generators of units(n): ``action`` completes
+    it on the first request for another unit (see there).
     """
 
     __slots__ = ("support", "dims", "_actions", "_restrictions",
@@ -61,8 +63,23 @@ class OutCycModule:
         return self.dims[n]
 
     def action(self, n: int, l: int) -> QMatrix:
+        """The matrix of the unit l at level n.
+
+        A stored table that lacks a unit of n is completed once, in place,
+        by the products table[u] = table[g] @ table[h] along
+        ``UnitsGroup.walk``, with the identity at 1 when 1 is not stored.
+        A table whose generators all hold its identity object at 1 is filled
+        with that object instead, so trivial actions keep sharing it.
+        """
         if self._actions is not None and n in self._actions:
-            return self._actions[n][l]
+            table = self._actions[n]
+            if l not in table and l in units(n):
+                un, ident = units(n), QMatrix.identity(self.dims[n])
+                one = table.setdefault(1, ident)
+                shared = one == ident and all(table.get(g) is one for g in un.generators())
+                for u, g, h in un.walk():
+                    table[u] = one if shared else table[g] @ table[h]
+            return table[l]
         if self._action_fn is not None:
             return self._action_fn(n, l)
         raise KeyError(f"no action data at level {n}")
@@ -285,13 +302,15 @@ def semifree_module(n: int, support: SupportSet) -> OutCycModule:
 
     Co-represents the unit-group invariants of the level-n value.  When the
     support contains no multiple of n this is simply the zero module.  The
-    action is trivial, so every unit of a level shares one identity matrix
-    object; like every ``QMatrix``, it must never be mutated in place.
+    action is trivial: 1 and the generators of each level share one
+    identity matrix object, and ``OutCycModule.action`` completes the level
+    with that object; like every ``QMatrix``, it must never be mutated.
     """
     if n < 1:
         raise ValueError("level must be positive")
     dims = {m: (1 if m % n == 0 else 0) for m in support}
-    actions = {m: dict.fromkeys(units(m), QMatrix.identity(dims[m])) for m in support}
+    actions = {m: dict.fromkeys((1, *units(m).generators()), QMatrix.identity(dims[m]))
+               for m in support}
     restrictions = {
         (a, b): (QMatrix.identity(1) if a % n == 0 else QMatrix.zeros(dims[b], dims[a]))
         for a, b in support.covering_pairs()
@@ -302,23 +321,26 @@ def semifree_module(n: int, support: SupportSet) -> OutCycModule:
 def atomic_module(n: int, d: int, support: SupportSet) -> OutCycModule:
     """A d-dimensional trivial representation at level n only, zero elsewhere.
 
-    Every unit of a level shares one identity matrix object; like every
-    ``QMatrix``, it must never be mutated in place.
+    As in ``semifree_module``, 1 and the generators of each level share one
+    identity matrix object, which completes the level; it must never be
+    mutated in place.
     """
     if n not in support:
         raise ValueError(f"{n} not in support")
     dims = {m: (d if m == n else 0) for m in support}
-    actions = {m: dict.fromkeys(units(m), QMatrix.identity(dims[m])) for m in support}
+    actions = {m: dict.fromkeys((1, *units(m).generators()), QMatrix.identity(dims[m]))
+               for m in support}
     restrictions = {(a, b): QMatrix.zeros(dims[b], dims[a])
                     for a, b in support.covering_pairs()}
     return OutCycModule(support, dims, actions, restrictions, name=f"atomic:{n}:{d}")
 
 
 def zero_module(support: SupportSet) -> OutCycModule:
+    """Zero at every level; 1 and the generators share one 0x0 matrix."""
     return OutCycModule(
         support,
         {n: 0 for n in support},
-        {n: dict.fromkeys(units(n), QMatrix.zeros(0, 0)) for n in support},
+        {n: dict.fromkeys((1, *units(n).generators()), QMatrix.zeros(0, 0)) for n in support},
         {pair: QMatrix.zeros(0, 0) for pair in support.covering_pairs()},
         name="zero",
     )
@@ -327,13 +349,16 @@ def zero_module(support: SupportSet) -> OutCycModule:
 def direct_sum(mods: Sequence[OutCycModule], name: str = "") -> OutCycModule:
     """Levelwise block-diagonal sum; summand order fixes the basis order.
 
-    Each block-diagonal matrix is built once per distinct tuple of summand
-    matrix objects, so the units of a level whose summands share their
-    matrices (the trivial actions of semifree and atomic summands) share
-    one result object as well; no ``QMatrix`` may be mutated in place.  The
-    memo keeps every keyed summand matrix alive for the whole sum, because
-    a provider-backed summand returns a fresh matrix on every call, and a
-    freed one's ``id`` could be handed to the next.
+    The sum stores the actions of 1 and the generators of each units(n)
+    only; ``OutCycModule.action`` completes the other units on request, and
+    the block-diagonal of products is the product of block-diagonals.  Each
+    block-diagonal matrix is built once per distinct tuple of summand
+    matrix objects, so the stored units of a level whose summands share
+    their matrices (trivial actions) share one result object as well, and
+    the completion keeps sharing it; no ``QMatrix`` may be mutated in
+    place.  The memo keeps every keyed summand matrix alive for the whole
+    sum, because a provider-backed summand returns a fresh matrix on every
+    call, and a freed one's ``id`` could be handed to the next.
     """
     if not mods:
         raise ValueError("empty direct sum; pass zero_module instead")
@@ -366,8 +391,8 @@ def direct_sum(mods: Sequence[OutCycModule], name: str = "") -> OutCycModule:
             memo[key] = (mats, block_diag(mats))
         return memo[key][1]
 
-    actions = {n: {l: shared_block_diag([m.action(n, l) for m in mods]) for l in units(n)}
-               for n in support}
+    actions = {n: {l: shared_block_diag([m.action(n, l) for m in mods])
+                   for l in (1, *units(n).generators())} for n in support}
     restrictions = {pair: shared_block_diag([m.restriction_step(*pair) for m in mods])
                     for pair in support.covering_pairs()}
     return OutCycModule(support, dims, actions, restrictions,
@@ -380,6 +405,9 @@ def conjugate_module(x: OutCycModule, transforms: dict[int, QMatrix],
 
     Produces an isomorphic module with scrambled coordinates; useful for
     generating seeded valid test modules that are not visibly structured.
+    The actions are conjugated at 1 and the generators of each units(n)
+    only; ``OutCycModule.action`` completes the rest on request, exactly,
+    since conjugation by T is multiplicative.
     """
     inv: dict[int, QMatrix] = {}
     for n in x.support:
@@ -388,8 +416,8 @@ def conjugate_module(x: OutCycModule, transforms: dict[int, QMatrix],
         if ti is None or t.rows != t.cols or t.rows != x.dim(n):
             raise ValueError(f"transform at level {n} is not invertible of the right size")
         inv[n] = ti
-    actions = {n: {l: transforms[n] @ x.action(n, l) @ inv[n] for l in units(n)}
-               for n in x.support}
+    actions = {n: {l: transforms[n] @ x.action(n, l) @ inv[n]
+                   for l in (1, *units(n).generators())} for n in x.support}
     restrictions = {(a, b): transforms[b] @ x.restriction_step(a, b) @ inv[a]
                     for a, b in x.support.covering_pairs()}
     return OutCycModule(x.support, dict(x.dims), actions, restrictions,
@@ -535,16 +563,10 @@ def _induced_on_subspace(basis_n: QMatrix, basis_m: QMatrix, carrier: QMatrix) -
 
 
 def _induced_action(n: int, d: int, solve_at: Callable[[int], QMatrix]) -> dict[int, QMatrix]:
-    """An induced action of units(n) on a d-dimensional space: solved at
-    the generators, the identity at 1, and one product per other unit
-    along ``UnitsGroup.walk``."""
-    un = units(n)
-    table = {1: QMatrix.identity(d)}
-    for g in un.generators():
-        table[g] = solve_at(g)
-    for u, g, l in un.walk():
-        table[u] = table[g] @ table[l]
-    return table
+    """An induced action of units(n) on a d-dimensional space, stored at
+    its generators (solved) and at 1 (the identity); ``OutCycModule.action``
+    completes the other units by products when one is asked for."""
+    return {1: QMatrix.identity(d), **{g: solve_at(g) for g in units(n).generators()}}
 
 
 def morphism_factor(f: ModuleMorphism) -> MorphismFactorization:
@@ -558,14 +580,15 @@ def morphism_factor(f: ModuleMorphism) -> MorphismFactorization:
     the projections independent rows).
 
     Restrictions are solved on every covering pair.  The action of units(n)
-    is solved only at the generators of units(n) and completed by the
-    products A(g*l) = A(g) A(l) along ``UnitsGroup.walk``.  The completion
-    is exact and gives the matrices a solve at every unit would: from
-    B X(g) = A(g) B and B X(l) = A(l) B follows B X(g) X(l) = A(g*l) B,
-    and that solution is unique (dually on the cokernel).  Nothing is left
-    unchecked either: the group is finite, so every unit is a product of
-    generators, and a subspace the generators preserve is preserved by
-    every unit.
+    is solved only at the generators of units(n), and the kernel, image and
+    cokernel store just those and 1; ``OutCycModule.action`` completes any
+    other unit on request by the products A(g*l) = A(g) A(l) along
+    ``UnitsGroup.walk``.  The completion is exact and gives the matrices a
+    solve at every unit would: from B X(g) = A(g) B and B X(l) = A(l) B
+    follows B X(g) X(l) = A(g*l) B, and that solution is unique (dually on
+    the cokernel).  Nothing is left unchecked either: the group is finite,
+    so every unit is a product of generators, and a subspace the
+    generators preserve is preserved by every unit.
     """
     src, tgt = f.source, f.target
     support = src.support

@@ -108,23 +108,20 @@ def module_from_json(obj: Any) -> OutCycModule:
         if d < 0:
             raise ValueError(f"level {n}: 'dim' must not be negative, got {d}")
         dims[n] = d
-        acts = {}
-        for lkey, mat in _field(lv, "action", dict, f"level {n}").items():
-            acts[int(lkey)] = matrix_from_json(mat, d, d)
-        for l in units(n):
-            if l not in acts:
-                raise ValueError(f"missing action for unit {l} at level {n}")
-        actions[n] = acts
+        acts = _field(lv, "action", dict, f"level {n}")
+        if set(acts) != {str(l) for l in units(n)}:
+            raise ValueError(f"level {n}: 'action' must have one entry per unit "
+                             f"{list(units(n))}, in decimal, got {sorted(acts)}")
+        actions[n] = {l: matrix_from_json(acts[str(l)], d, d) for l in units(n)}
     restrictions = {}
-    pairs = set(support.covering_pairs())
+    pairs = {f"{a}->{b}": (a, b) for a, b in support.covering_pairs()}
     given = _field(obj, "restrictions", dict, "module") if "restrictions" in obj else {}
     for key, mat in given.items():
-        a, _, b = key.partition("->")
-        pair = (int(a), int(b))
-        if pair not in pairs:
+        if key not in pairs:
             raise ValueError(f"restriction {key!r} is not a covering pair of the support")
-        restrictions[pair] = matrix_from_json(mat, dims[pair[1]], dims[pair[0]])
-    for pair in pairs:
+        a, b = pairs[key]
+        restrictions[(a, b)] = matrix_from_json(mat, dims[b], dims[a])
+    for pair in pairs.values():
         if pair not in restrictions:
             raise ValueError(f"missing restriction for covering pair {pair}")
     return OutCycModule(support, dims, actions, restrictions, name="from-file")

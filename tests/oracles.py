@@ -638,6 +638,11 @@ def dense_nerve_complex(d, max_k: int):
 def scramble(x, seed):
     """x conjugated at every level by a seeded invertible matrix with
     fractional entries, so every structure map gets denominators."""
+    return conjugate_module(x, scramble_transforms(x, seed), name=f"scrambled({x.name})")
+
+
+def scramble_transforms(x, seed) -> dict[int, QMatrix]:
+    """The seeded invertible lower-triangular base changes of ``scramble``."""
     rng = random.Random(seed)
     transforms = {}
     for n in x.support:
@@ -648,7 +653,7 @@ def scramble(x, seed):
             for j in range(i):
                 t._e[i * d + j] = rng.choice([Fraction(0), Fraction(0), Fraction(1), Fraction(-1, 2)])
         transforms[n] = t
-    return conjugate_module(x, transforms, name=f"scrambled({x.name})")
+    return transforms
 
 
 # --- unit-quantified checks over the full table of units, and the dense
@@ -794,6 +799,24 @@ def per_unit_direct_sum(mods, name: str = "") -> OutCycModule:
                     for pair in support.covering_pairs()}
     return OutCycModule(support, dims, actions, restrictions,
                         name=name or "(+)".join(m.name or "?" for m in mods))
+
+
+def per_unit_conjugate_module(x, transforms: dict[int, QMatrix], name: str = "") -> OutCycModule:
+    """Base change by an invertible matrix at every level, the action of
+    every unit conjugated separately."""
+    inv: dict[int, QMatrix] = {}
+    for n in x.support:
+        t = transforms[n]
+        ti = solve_matrix(t, QMatrix.identity(t.rows))
+        if ti is None or t.rows != t.cols or t.rows != x.dim(n):
+            raise ValueError(f"transform at level {n} is not invertible of the right size")
+        inv[n] = ti
+    actions = {n: {l: transforms[n] @ x.action(n, l) @ inv[n] for l in units(n)}
+               for n in x.support}
+    restrictions = {(a, b): transforms[b] @ x.restriction_step(a, b) @ inv[a]
+                    for a, b in x.support.covering_pairs()}
+    return OutCycModule(x.support, dict(x.dims), actions, restrictions,
+                        name=name or f"conj({x.name})")
 
 
 def _induced_on_subspace(basis_n: QMatrix, basis_m: QMatrix, carrier: QMatrix) -> QMatrix:

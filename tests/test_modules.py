@@ -1,5 +1,7 @@
 import pytest
 
+import cycrep.modules as modules_mod
+
 from cycrep.cyclic_site import SupportSet, support_of_divisors, totient, units
 from cycrep.linalg import QMatrix, rank, solve_matrix
 from cycrep.modules import (
@@ -28,8 +30,9 @@ from cycrep.resolution import build_complex
 from cycrep.serialize import module_to_json
 
 from oracles import (all_pairs_validate_actions, all_unit_morphism_violations,
-                     all_unit_validate_squares, fixed_space_dim, per_unit_direct_sum,
-                     per_unit_morphism_factor, scramble)
+                     all_unit_validate_squares, fixed_space_dim, per_unit_conjugate_module,
+                     per_unit_direct_sum, per_unit_morphism_factor, scramble,
+                     scramble_transforms)
 
 S12 = support_of_divisors(12)
 S60 = support_of_divisors(60)
@@ -452,3 +455,95 @@ class TestSharedMatricesAreNeverMutated:
             lim_derived(dual_system(x), 2)
             module_to_json(x)
         assert snapshot() == before
+
+
+def _stored_units(x, n):
+    return set(x._actions[n])
+
+
+def _generators_and_one(n):
+    return {1, *units(n).generators()}
+
+
+class TestActionsStoredOnGenerators:
+    """Derived modules store the actions of 1 and the generators only;
+    ``OutCycModule.action`` completes a level when another unit is asked
+    for.  Every completed table against the per-unit routes of oracles.py."""
+
+    def test_factor_pieces_store_generators_until_asked(self):
+        f = _fold(S60)
+        fact = morphism_factor(f)
+        pieces = [fact.kernel, fact.image, fact.cokernel]
+        for piece in pieces:
+            for n in S60:
+                assert _stored_units(piece, n) == _generators_and_one(n), (piece.name, n)
+        assert 11 not in units(12).generators()
+        kernel = fact.kernel
+        kernel.action(12, 11)
+        assert _stored_units(kernel, 12) == set(units(12))
+        assert _stored_units(kernel, 60) == _generators_and_one(60)
+        assert _stored_units(fact.image, 12) == _generators_and_one(12)
+        want = per_unit_morphism_factor(f)
+        for a, b in [(fact.kernel, want.kernel), (fact.image, want.image),
+                     (fact.cokernel, want.cokernel)]:
+            _assert_same_structure(a, b)
+
+    def test_criterion_battery_factors(self):
+        from test_acceptance import battery
+        reg = regular_module(S12)
+        for tag, x in battery(S12):
+            for f in hom_direct(x, reg).basis + [identity_morphism(x)]:
+                TestFactorOnGeneratorsAgainstPerUnitSolves._check(f)
+
+    def test_direct_sums(self):
+        fact = morphism_factor(_fold(S12))
+        for parts in [[regular_module(S12), random_module(S12, 4)],
+                      [tau_ru_module(S12), semifree_module(3, S12), zero_module(S12)],
+                      [fact.kernel, scramble(fact.image, 2), atomic_module(6, 1, S12)],
+                      [direct_sum(_mixed_parts(S12)), random_module(S12, 9)]]:
+            s = direct_sum(parts)
+            for n in S12:
+                assert _stored_units(s, n) == _generators_and_one(n), (s.name, n)
+            _assert_same_structure(s, per_unit_direct_sum(parts))
+
+    def test_conjugations(self):
+        fact = morphism_factor(_fold(S60))
+        for i, x in enumerate([regular_module(S60), tau_ru_module(S60), random_module(S60, 5),
+                               fact.kernel, direct_sum([fact.image, free_module(4, S60)])]):
+            t = scramble_transforms(x, i)
+            _assert_same_structure(conjugate_module(x, t), per_unit_conjugate_module(x, t))
+
+    def test_random_modules(self, monkeypatch):
+        s30 = support_of_divisors(30)
+        got = [random_module(s, seed) for s in (S12, s30) for seed in range(8)]
+        monkeypatch.setattr(modules_mod, "conjugate_module", per_unit_conjugate_module)
+        monkeypatch.setattr(modules_mod, "direct_sum", per_unit_direct_sum)
+        want = [random_module(s, seed) for s in (S12, s30) for seed in range(8)]
+        assert _stored_units(want[0], 12) == set(units(12))
+        for a, b in zip(got, want):
+            _assert_same_structure(a, b)
+
+    def test_trivial_actions(self):
+        for x in [semifree_module(1, S60), semifree_module(4, S60), atomic_module(12, 3, S60),
+                  atomic_module(1, 0, S60), zero_module(S60)]:
+            for n in S60:
+                assert _stored_units(x, n) == _generators_and_one(n), (x.name, n)
+                one = QMatrix.identity(x.dim(n))
+                assert all(x.action(n, l) == one for l in units(n)), (x.name, n)
+
+    def test_dependent_generators_need_the_full_table(self):
+        # units(7) is cyclic of order 6, and its greedy generators (2, 3) are
+        # dependent: 3^2 = 2 mod 7.  A(2) has order 3 and A(3) = -I commutes
+        # with it and has order 2, so the generators commute and satisfy
+        # g^ord(g) = I, yet A(3)^2 != A(2): no action of units(7) restricts
+        # to these matrices, and validation must say so.
+        assert units(7).generators() == (2, 3)
+        s7 = SupportSet([1, 7])
+        a2 = QMatrix.from_rows([[0, -1], [1, -1]])
+        a3 = QMatrix.identity(2).scale(-1)
+        assert a2 @ a3 == a3 @ a2 and a2 @ a2 @ a2 == QMatrix.identity(2)
+        assert a3 @ a3 != a2
+        x = OutCycModule(s7, {1: 0, 7: 2}, {1: {1: QMatrix.zeros(0, 0)},
+                                           7: {1: QMatrix.identity(2), 2: a2, 3: a3}},
+                         {(1, 7): QMatrix.zeros(2, 0)})
+        assert "action not multiplicative at level 7: 3 * 3" in validate(x)

@@ -131,6 +131,26 @@ class TestBoundaryChecks:
         assert code == 1 and text.endswith("overall: FAILED")
         assert problem in text
 
+    @pytest.mark.parametrize("edit,problem", [
+        # a non-unit of 9 as an action key
+        (lambda obj: obj["levels"]["9"]["action"].update({"3": [["1"] * 6] * 6}),
+         "one entry per unit"),
+        # a second spelling of the unit 2 next to "2"
+        (lambda obj: obj["levels"]["9"]["action"].update(
+            {"02": obj["levels"]["9"]["action"]["4"]}), "one entry per unit"),
+        # a second spelling of the covering pair 3->9
+        (lambda obj: obj["restrictions"].update({"03->9": obj["restrictions"]["3->9"]}),
+         "'03->9' is not a covering pair"),
+    ], ids=["non-unit", "unit-spelled-twice", "pair-spelled-twice"])
+    def test_non_canonical_keys_are_refused(self, tmp_path, edit, problem):
+        obj = module_to_json(regular_module(support_of_divisors(9)))
+        edit(obj)
+        path = tmp_path / "keys.json"
+        path.write_text(json.dumps(obj))
+        code, text = run(["validate", "--support", "divisors:9", "--source", str(path)])
+        assert code == 1 and text.endswith("overall: FAILED")
+        assert problem in text and "overall: ok" not in text
+
     def test_validate_lists_each_violation(self, tmp_path):
         path = write_module_file(tmp_path, "1/2", "3/2")
         with pytest.raises(InvalidModuleFile) as info:
