@@ -34,7 +34,7 @@ report = normal_basis_report(support_of_divisors(60))
 print("isomorphism:", report.ok)
 for lvl in report.levels:
     print(f"  level {lvl.level:>3}: dimension {lvl.dim:>2},",
-          f"invertible ({lvl.rank_method} rank), equivariant: {lvl.equivariant}")
+          f"invertible: {lvl.invertible}, equivariant: {lvl.equivariant}")
 
 print()
 print("=== the unscaled family breaks, visibly ===")

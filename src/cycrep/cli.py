@@ -232,7 +232,7 @@ def _cmd_normal_basis(args, rep: Report) -> None:
         # the full levelwise morphism; omitted from text output for readability
         rep.value("morphism", morphism_to_json(r.morphism))
     for l in r.levels:
-        rep.check(f"level {l.level} invertible ({l.rank_method} rank)", l.invertible)
+        rep.check(f"level {l.level} invertible", l.invertible)
         rep.check(f"level {l.level} equivariant", l.equivariant)
     for s in r.squares:
         rep.check(f"naturality {s.source}->{s.target}", s.natural)
@@ -245,7 +245,7 @@ def _cmd_normal_basis(args, rep: Report) -> None:
 
 def _cmd_resolution(args, rep: Report) -> None:
     support = parse_support(args.support)
-    primes = [int(p) for p in (args.primes or "2,3").split(",")]
+    primes = [int(p) for p in args.primes.split(",") if p.strip()]
     r = verify_resolution(primes, args.max_degree, support)
     rep.value("sign_convention", r.convention)
     for c in r.checks:

@@ -397,6 +397,8 @@ def lim_derived(d: InverseSystem, max_k: int) -> DerivedLimit:
     that equality and d-squared-is-zero are asserted by the test suite, not
     assumed.
     """
+    if max_k < 0:
+        raise ValueError("the top degree must be nonnegative")
     cx, _ = nerve_complex(d, max_k)
     dims = cx.cohomology_dims(max_k)
     witnesses: list[list[list[Fraction]]] = []
@@ -495,10 +497,10 @@ class _SpanTracker:
     """Incremental span of rational vectors, kept as sparse integer rows.
 
     Each row is a ``{index: int}`` dict stored under its pivot, its lowest
-    nonzero index, so the rows are in echelon form.  A vector (a sparse
-    ``{index: Fraction}`` dict, or a dense list) has its denominators
-    cleared and is reduced with the pivot rows it hits, lowest pivot first;
-    an elimination can bring in a later pivot, which then joins the queue.
+    nonzero index, so the rows are in echelon form.  A vector, a sparse
+    ``{index: Fraction}`` dict, has its denominators cleared and is reduced
+    with the pivot rows it hits, lowest pivot first; an elimination can
+    bring in a later pivot, which then joins the queue.
     """
 
     __slots__ = ("rows",)
@@ -531,10 +533,9 @@ class _SpanTracker:
     def contains_unit(self, t: int) -> bool:
         return not self._reduce({t: 1})
 
-    def add(self, vec: dict[int, Fraction] | Sequence[Fraction]) -> bool:
+    def add(self, vec: dict[int, Fraction]) -> bool:
         """Insert the vector; True when the span grew."""
-        items = vec.items() if isinstance(vec, dict) else enumerate(vec)
-        row = self._reduce(_int_row((j, v) for j, v in items if v))
+        row = self._reduce(_int_row((j, v) for j, v in vec.items() if v))
         if not row:
             return False
         g = gcd(*row.values())
@@ -913,6 +914,8 @@ def ext_via_resolution(x: OutCycModule, y: OutCycModule, max_k: int) -> list[int
     """
     if x.support != y.support:
         raise ValueError("support mismatch")
+    if max_k < 0:
+        raise ValueError("the top degree must be nonnegative")
     steps = resolve_by_representables(x, max_k + 1)
     cx = _hom_cochain(steps, y, x.support)
     return cx.cohomology_dims(max_k)

@@ -95,9 +95,6 @@ class OutCycModule:
     def is_zero(self) -> bool:
         return all(d == 0 for d in self.dims.values())
 
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, OutCycModule):
             return NotImplemented

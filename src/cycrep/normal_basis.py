@@ -16,11 +16,8 @@ than papering over them.
 
 All verification here runs on the factorwise monomial presentation of the
 quotient (sparse, exact), which is what makes supports as large as the
-divisors of 2520 tractable.  Where the quotient dimension is small the
-levelwise rank is checked by direct elimination; at larger composite levels
-invertibility is certified by checking, column by column, that the level
-matrix is the tensor product of its prime-power pieces and that those
-pieces have full rank.
+divisors of 2520 tractable.  Levelwise invertibility is one sparse exact
+rank of the orbit columns.
 """
 
 from __future__ import annotations
@@ -36,14 +33,12 @@ from .cyclic_site import (
     unit_reduction,
     units,
 )
-from .linalg import QMatrix, rank
+from .linalg import QMatrix, SparseMatrix, rank
 from .modules import ModuleMorphism, OutCycModule, regular_action, regular_restriction
 from .rep_ring import _reducer, tau_action, tau_restriction
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
-
-_DENSE_RANK_BOUND = 128
 
 Sparse = dict[int, Fraction]
 
@@ -149,7 +144,6 @@ class LevelCheck:
     level: int
     dim: int
     invertible: bool
-    rank_method: str
     equivariant: bool
 
 
@@ -216,55 +210,16 @@ def _check_naturality(family: ClassifierFamily, n: int, m: int,
     return None
 
 
-def _check_rank(family: ClassifierFamily, n: int,
-                cols: dict[int, Sparse]) -> tuple[bool, str]:
-    """Levelwise invertibility, dense when small, tensor-certified when not.
+def _check_rank(n: int, cols: dict[int, Sparse]) -> bool:
+    """Levelwise invertibility: the orbit columns have rank totient(n).
 
-    The certificate checks that every column literally equals the tensor
-    product of its prime-power columns under the residue splitting of
-    exponents and units, and that each prime-power level matrix has full
-    rank; the composite rank is then the product of full local ranks.
+    The columns are read as the rows of a sparse matrix; the rank of the
+    transpose is the rank, so no dense level matrix is built.
     """
-    d = totient(n)
-    if d <= _DENSE_RANK_BOUND:
-        return rank(_columns_to_matrix(n, cols)) == d, "dense"
-    facs = factorization(n)
-    locals_cols: dict[int, dict[int, Sparse]] = {}
-    for p, k in facs:
-        pk = p ** k
-        if totient(pk) > _DENSE_RANK_BOUND:
-            return rank(_columns_to_matrix(n, cols)) == d, "dense"
-        local = {g: _reducer(pk).act_unit(g, _classifier_sparse(p, k, family.scaled))
-                 for g in units(pk)}
-        if rank(_columns_to_matrix(pk, local)) != totient(pk):
-            return False, "tensor"
-        locals_cols[pk] = local
-    for g, col in cols.items():
-        expected: Sparse = {0: _F1}
-        scale_n = 1
-        for p, k in facs:
-            pk = p ** k
-            u_p = (n // pk) % pk
-            gp = (g * u_p) % pk
-            nxt: Sparse = {}
-            for e0, c0 in expected.items():
-                for e1, c1 in locals_cols[pk][gp].items():
-                    # residue splitting: combine exponents by CRT
-                    e = _crt_merge(e0, scale_n, e1, pk)
-                    nxt[e] = c0 * c1
-            expected = nxt
-            scale_n *= pk
-        if expected != col:
-            return False, "tensor"
-    return True, "tensor"
-
-
-def _crt_merge(e0: int, m0: int, e1: int, m1: int) -> int:
-    """The residue below m0*m1 matching e0 mod m0 and e1 mod m1."""
-    if m0 == 1:
-        return e1 % m1
-    inv = pow(m0, -1, m1)
-    return (e0 + m0 * ((e1 - e0) * inv % m1)) % (m0 * m1)
+    red = _reducer(n)
+    index = red.basis_index
+    rows = [{index[e]: c for e, c in col.items()} for col in cols.values()]
+    return rank(SparseMatrix(len(rows), red.dim, rows)) == totient(n)
 
 
 def classifier_report(family: ClassifierFamily) -> NormalBasisReport:
@@ -282,9 +237,9 @@ def classifier_report(family: ClassifierFamily) -> NormalBasisReport:
 
     levels = []
     for n in support:
-        inv, method = _check_rank(family, n, all_cols[n])
+        inv = _check_rank(n, all_cols[n])
         eq = _check_equivariance(n, all_cols[n])
-        levels.append(LevelCheck(n, totient(n), inv, method, eq))
+        levels.append(LevelCheck(n, totient(n), inv, eq))
     squares = []
     for n, m in support.covering_pairs():
         bad = _check_naturality(family, n, m, all_cols[n], all_cols[m])

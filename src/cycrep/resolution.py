@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .cyclic_site import SupportSet
+from .cyclic_site import SupportSet, is_prime
 from .linalg import QMatrix, rank
 from .modules import (
     ModuleMorphism,
@@ -90,6 +90,11 @@ def build_complex(primes: list[int], max_degree: int, support: SupportSet) -> Pr
     The differential drops the i-th prime of a tuple with sign (-1)^i,
     1-based, acting levelwise.
     """
+    if not primes:
+        raise ValueError("no ambient primes given")
+    bad = [p for p in primes if not is_prime(p)]
+    if bad:
+        raise ValueError(f"ambient primes must be prime, got {bad}")
     primes = sorted(set(primes))
     for t in combinations(primes, min(max_degree, len(primes))):
         if _product(t) not in support:
@@ -196,7 +201,10 @@ class ResolutionReport:
 def verify_resolution(primes: list[int], max_degree: int,
                       support: SupportSet) -> ResolutionReport:
     """d squared, exactness of the augmented complex, and the contraction
-    identity, all levelwise; failures are report entries, not exceptions."""
+    identity, all levelwise; failures are report entries, not exceptions.
+    A degree below 1 has no differential to check and is refused."""
+    if max_degree < 1:
+        raise ValueError("the resolution must be built to degree at least 1")
     cx = build_complex(primes, max_degree, support)
     checks: list[CheckResult] = []
 

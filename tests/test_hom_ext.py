@@ -291,6 +291,13 @@ class TestDerivedLimits:
             assert dl.dims[1:] == [0, 0, 0]
         assert lim_derived(dual_system(regular_module(S12)), 0).dims == [4]
 
+    def test_negative_top_degree_is_refused(self):
+        reg = regular_module(S12)
+        with pytest.raises(ValueError):
+            lim_derived(dual_system(reg), -1)
+        with pytest.raises(ValueError):
+            ext_via_resolution(reg, reg, -1)
+
     def test_d_squared_zero_and_h0_equals_equalizer(self):
         for x in [regular_module(S12), atomic_module(1, 1, S123),
                   random_module(S12, 14), random_module(S123, 15)]:
@@ -456,10 +463,8 @@ class TestSpanTrackerAgainstDenseTracker:
     def test_growth_and_unit_membership(self, vectors):
         dim = len(vectors[0]) if vectors else 1
         sparse, dense = _SpanTracker(), DenseSpanTracker(dim)
-        for i, v in enumerate(vectors):
-            # dense lists and sparse dicts are both accepted
-            vec = v if i % 2 else {j: x for j, x in enumerate(v) if x}
-            assert sparse.add(vec) == dense.add(v)
+        for v in vectors:
+            assert sparse.add({j: x for j, x in enumerate(v) if x}) == dense.add(v)
             assert sparse.rank == dense.rank
             for t in range(dim):
                 assert sparse.contains_unit(t) == dense.contains_unit(t)

@@ -7,6 +7,8 @@ from cycrep.linalg import QMatrix, rank, solve
 from cycrep.modules import validate
 from cycrep.normal_basis import (
     _check_equivariance,
+    _check_rank,
+    _columns_to_matrix,
     _phi_columns,
     _reducer,
     assemble,
@@ -28,7 +30,7 @@ from cycrep.rep_ring import (
     transfer_ideal,
 )
 
-from oracles import all_unit_check_equivariance
+from oracles import all_unit_check_equivariance, dense_rank
 
 S12 = support_of_divisors(12)
 S60 = support_of_divisors(60)
@@ -204,3 +206,25 @@ class TestEquivarianceOnGenerators:
                     bad[u] = bad_col
                     assert not _check_equivariance(n, bad), (n, u)
                     assert not all_unit_check_equivariance(_reducer(n), n, bad), (n, u)
+
+
+class TestRankAgainstDenseOracle:
+    """The sparse rank of the orbit columns against dense Gaussian
+    elimination of the level matrix."""
+
+    @pytest.mark.parametrize("scaled", [True, False])
+    def test_agrees_at_every_level(self, scaled):
+        family = assemble(support_of_divisors(360), scaled=scaled)
+        for n in family.support:
+            cols = _phi_columns(family, n)
+            want = dense_rank(_columns_to_matrix(n, cols)) == totient(n)
+            assert _check_rank(n, cols) == want, n
+            assert want, n
+
+    @pytest.mark.parametrize("n", [12, 840])
+    def test_a_duplicated_column_is_rejected(self, n):
+        cols = _phi_columns(assemble(support_of_divisors(n)), n)
+        assert _check_rank(n, cols)
+        bad = dict(cols)
+        bad[n - 1] = cols[1]
+        assert not _check_rank(n, bad)

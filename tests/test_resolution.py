@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -54,6 +55,13 @@ class TestBuildComplex:
     def test_support_too_small(self):
         with pytest.raises(ValueError):
             build_complex([2, 3], 2, SupportSet([1, 2, 3]))
+
+    @pytest.mark.parametrize("primes, problem", [
+        ([], "no ambient primes"), ([1], "[1]"), ([2, 6, 3, 0], "[6, 0]"), ([-2], "[-2]"),
+    ])
+    def test_ambient_primes_must_be_prime(self, primes, problem):
+        with pytest.raises(ValueError, match=re.escape(problem)):
+            build_complex(primes, 1, S30)
 
     def test_level_restriction_of_differential(self):
         # the differential acts within each level: a basis tuple only appears
@@ -124,6 +132,11 @@ class TestVerifyReport:
     def test_divisors_thirty(self):
         rep = verify_resolution([2, 3, 5], 3, S30)
         assert rep.ok
+
+    @pytest.mark.parametrize("max_degree", [0, -1])
+    def test_degree_guard(self, max_degree):
+        with pytest.raises(ValueError):
+            verify_resolution([2, 3], max_degree, S6)
 
     def test_level_one_exactness_is_the_augmentation(self):
         cx = build_complex([2, 3], 2, S6)

@@ -265,6 +265,28 @@ class TestCliRuns:
                           "--source", "no-such-module"])
         assert code == 1 and "error" in text
 
+    @pytest.mark.parametrize("argv", [
+        ["resolution", "--support", "divisors:6", "--max-degree", "0"],
+        ["ext", "--support", "divisors:6", "--source", "regular", "--max-degree", "-1"],
+        ["lim", "--support", "divisors:6", "--source", "regular", "--max-degree", "-1"],
+        ["report", "--support", "divisors:6", "--max-degree", "-1"],
+    ])
+    def test_degrees_below_the_minimum_are_refused(self, argv):
+        code, text = run(argv)
+        assert code == 1
+        assert "[FAIL] error: " in text
+        assert text.splitlines()[-1] == "overall: FAILED"
+
+    @pytest.mark.parametrize("primes, problem", [
+        ("1", "[1]"), ("2,4", "[4]"), ("", "no ambient primes"), (",", "no ambient primes"),
+    ])
+    def test_ambient_primes_are_checked(self, primes, problem):
+        code, text = run(["resolution", "--support", "divisors:30", "--primes", primes,
+                          "--max-degree", "1"])
+        assert code == 1
+        assert problem in text
+        assert text.splitlines()[-1] == "overall: FAILED"
+
     def test_size_cap(self):
         code, text = run(["hom", "--support", "divisors:60", "--source", "regular",
                           "--size-cap", "10"])
