@@ -250,7 +250,8 @@ def _cmd_resolution(args, rep: Report) -> None:
     rep.value("sign_convention", r.convention)
     for c in r.checks:
         rep.check(c.name, c.passed)
-    for n in range(1, args.max_degree):
+    # the complex over k distinct primes ends in degree k
+    for n in range(1, min(args.max_degree - 1, len(set(primes))) + 1):
         w, _, _ = nontrivial_ext_witness(n, primes, support)
         rep.check(f"degree {n} witness cocycle is nontrivial", w.nontrivial,
                   dims=[w.hom_below_dim])
@@ -295,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="verb", required=True)
 
     def common(p: argparse.ArgumentParser, source: bool = False, target: bool = False,
-               degree: bool = False) -> None:
+               degree: bool = False, seed: bool = False, cap: bool = False) -> None:
         p.add_argument("--support", required=True,
                        help="divisors:N | upto:N | comma list (divisor-closed)")
         if source:
@@ -307,21 +308,24 @@ def build_parser() -> argparse.ArgumentParser:
         if degree:
             p.add_argument("--max-degree", type=int, default=3)
         p.add_argument("--format", choices=["text", "json"], default="text")
-        p.add_argument("--seed", type=int, default=0,
-                       help="seed for randomized property batteries")
-        p.add_argument("--prefer-file", action="store_true",
-                       help="let a file path shadow a built-in module name")
-        p.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP,
-                       help="maximum matrix entries per computation")
+        if source or seed:
+            p.add_argument("--seed", type=int, default=0,
+                           help="seed for randomized property batteries")
+        if source:
+            p.add_argument("--prefer-file", action="store_true",
+                           help="let a file path shadow a built-in module name")
+        if cap:
+            p.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP,
+                           help="maximum matrix entries per computation")
 
     p = sub.add_parser("validate", help="check module invariants")
     common(p, source=True)
     p = sub.add_parser("hom", help="morphism space between two modules")
-    common(p, source=True, target=True)
+    common(p, source=True, target=True, cap=True)
     p = sub.add_parser("ext", help="extension groups via a resolution")
-    common(p, source=True, target=True, degree=True)
+    common(p, source=True, target=True, degree=True, cap=True)
     p = sub.add_parser("lim", help="derived inverse limits of the dual system")
-    common(p, source=True, degree=True)
+    common(p, source=True, degree=True, cap=True)
     p = sub.add_parser("tau-ru", help="transfer-quotient dimensions")
     common(p)
     p = sub.add_parser("normal-basis", help="verify the normal-basis isomorphism")
@@ -332,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, degree=True)
     p.add_argument("--primes", default="2,3", help="comma list of ambient primes")
     p = sub.add_parser("report", help="run the standard battery over a support")
-    common(p, degree=True)
+    common(p, degree=True, seed=True)
     return ap
 
 

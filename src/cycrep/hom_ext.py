@@ -393,6 +393,12 @@ class DerivedLimit:
 def lim_derived(d: InverseSystem, max_k: int) -> DerivedLimit:
     """Dimensions (and witness cocycles) of the derived limits up to max_k.
 
+    The degree-k witnesses are the first cocycles of the reduced kernel
+    basis of d_k that are independent modulo the coboundaries and earlier
+    cocycles.  Each is a unit vector on the free columns, so cocycle j is
+    passed over exactly when its free column is a pivot of the coboundaries
+    restricted to the free columns in reverse order.  Degree 0 keeps all.
+
     Degree zero agrees with the equalizer description of the plain limit;
     that equality and d-squared-is-zero are asserted by the test suite, not
     assumed.
@@ -402,28 +408,16 @@ def lim_derived(d: InverseSystem, max_k: int) -> DerivedLimit:
     cx, _ = nerve_complex(d, max_k)
     dims = cx.cohomology_dims(max_k)
     witnesses: list[list[list[Fraction]]] = []
-    for k in range(max_k + 1):
-        # greedy: the first cocycles of the reduced kernel basis that are
-        # independent modulo the coboundaries and the cocycles already chosen
-        chosen: list[list[Fraction]] = []
-        if dims[k]:
-            # row j is the j-th basis cocycle
-            cocycles = kernel_basis(cx.diffs[k]).transpose()
-            span = _SpanTracker()
-            if k:
-                # the coboundaries span this many dimensions; once the
-                # tracker holds them all, later columns cannot grow it
-                image_rank = cocycles.rows - dims[k]
-                for col in cx.diffs[k - 1].transpose().data:
-                    if span.rank == image_rank:
-                        break
-                    span.add(col)
-            for j, vec in enumerate(cocycles.data):
-                if span.add(vec):
-                    chosen.append(cocycles.row(j))
-                    if len(chosen) == dims[k]:
-                        break
-        witnesses.append(chosen)
+    for k, dk in enumerate(cx.diffs):
+        cocycles, free = sparse_kernel(dk.data, dk.cols) if dims[k] else ([], [])
+        keep: Sequence[int] = range(len(free))
+        if k and free:
+            # the coboundaries as rows, on the free columns in reverse order
+            prev = cx.diffs[k - 1]
+            proj = SparseMatrix(len(free), prev.cols,
+                                [prev.data[c] for c in reversed(free)]).transpose()
+            keep = [len(free) - 1 - t for t in reversed(sparse_kernel(proj.data, proj.cols)[1])]
+        witnesses.append([[cocycles[j].get(i, _F0) for i in range(dk.cols)] for j in keep])
     return DerivedLimit(dims, witnesses, cx)
 
 

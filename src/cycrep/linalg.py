@@ -4,13 +4,13 @@ Dense matrices of ``fractions.Fraction`` entries (``QMatrix``) are the
 carrier for the structure maps and small results of this package.  The
 large, mostly zero cochain differentials of the two Ext routes are
 ``SparseMatrix``es instead: one ``{col: value}`` dict per row, values exact
-``int``s or ``Fraction``s.  ``rank`` and ``kernel_basis`` accept either
-type and read a ``SparseMatrix`` by its rows, with no dense scan;
-``kernel_basis`` returns its basis in the type it was given.  The other
-routines take ``QMatrix``.  All results are exact; there is no floating
-point anywhere.  Elimination clears denominators and runs fraction-free
-over sparse ``{col: int}`` rows, which is an order of magnitude faster in
-CPython than eliminating with Fraction arithmetic directly.
+``int``s or ``Fraction``s.  ``rank`` accepts either type and reads a
+``SparseMatrix`` by its rows, with no dense scan; ``sparse_kernel`` takes
+sparse rows directly.  The other routines take ``QMatrix``.  All results
+are exact; there is no floating point anywhere.  Elimination clears
+denominators and runs fraction-free over sparse ``{col: int}`` rows, which
+is an order of magnitude faster in CPython than eliminating with Fraction
+arithmetic directly.
 
 Conventions, fixed once so matrices are reproducible across runs:
 
@@ -325,7 +325,6 @@ class SparseMatrix:
 
 
 def hstack(*mats: QMatrix) -> QMatrix:
-    mats = tuple(m for m in mats)
     if not mats:
         raise ValueError("nothing to stack")
     rows = mats[0].rows
@@ -341,7 +340,6 @@ def hstack(*mats: QMatrix) -> QMatrix:
 
 
 def vstack(*mats: QMatrix) -> QMatrix:
-    mats = tuple(m for m in mats)
     if not mats:
         raise ValueError("nothing to stack")
     cols = mats[0].cols
@@ -533,27 +531,26 @@ def _kernel_vectors(pivots: dict[int, dict[int, int]],
     return [basis[j] for j in free], free
 
 
-def sparse_kernel(rows: Sequence[dict[int, Fraction]],
+def sparse_kernel(rows: Sequence[dict[int, Entry]],
                   ncols: int) -> tuple[list[dict[int, Fraction]], list[int]]:
     """Reduced basis of the null space of a matrix given by sparse rows.
 
-    ``rows`` are ``{col: Fraction}`` dicts over ``ncols`` columns.  Returns
-    the basis vectors as ``{index: Fraction}`` dicts and the free columns,
-    as ``_kernel_vectors`` describes.
+    ``rows`` are ``{col: value}`` dicts over ``ncols`` columns, as in a
+    ``SparseMatrix``'s ``data``.  Returns the basis vectors as
+    ``{index: Fraction}`` dicts and the free columns, as ``_kernel_vectors``
+    describes.
     """
     return _kernel_vectors(
         _reduce([_int_row((j, v) for j, v in row.items() if v) for row in rows]), ncols)
 
 
-def kernel_basis(m: Union[QMatrix, SparseMatrix]) -> Union[QMatrix, SparseMatrix]:
-    """Columns form a basis of the null space of ``m``, in the type of ``m``.
+def kernel_basis(m: QMatrix) -> QMatrix:
+    """Columns form a basis of the null space of ``m``.
 
     The basis is in reduced form: the vector for free column ``j`` has a 1
     in coordinate ``j``, its other nonzero coordinates sit at pivot columns.
     """
     vecs, _ = _kernel_vectors(_reduce(_sparse_int_rows(m)), m.cols)
-    if isinstance(m, SparseMatrix):
-        return SparseMatrix(len(vecs), m.cols, vecs).transpose()
     out = QMatrix.zeros(m.cols, len(vecs))
     for k, vec in enumerate(vecs):
         for i, v in vec.items():
@@ -567,8 +564,7 @@ def solve(m: QMatrix, b: Union[QMatrix, Sequence[RatLike]]) -> Optional[QMatrix]
         b = QMatrix.column(list(b))
     if b.rows != m.rows or b.cols != 1:
         raise ValueError("right-hand side has wrong shape")
-    x = solve_matrix(m, b)
-    return x
+    return solve_matrix(m, b)
 
 
 def solve_matrix(a: QMatrix, b: QMatrix) -> Optional[QMatrix]:

@@ -324,6 +324,8 @@ def atomic_module(n: int, d: int, support: SupportSet) -> OutCycModule:
     """
     if n not in support:
         raise ValueError(f"{n} not in support")
+    if d < 0:
+        raise ValueError(f"an atom's dimension must be nonnegative, got d = {d}")
     dims = {m: (d if m == n else 0) for m in support}
     actions = {m: dict.fromkeys((1, *units(m).generators()), QMatrix.identity(dims[m]))
                for m in support}

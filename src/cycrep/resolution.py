@@ -276,10 +276,11 @@ def nontrivial_ext_witness(n: int, primes: list[int],
     """The universal cocycle in degree n: the projection onto coker(d_{n+1}).
 
     Returns the report, the cocycle itself, and the factorization carrying
-    the cokernel module.
+    the cokernel module.  The complex over k distinct primes ends in degree k.
     """
-    if n < 1:
-        raise ValueError("the witness degree must be at least 1")
+    if not 1 <= n <= len(set(primes)):
+        raise ValueError(f"the witness degree must be between 1 and the number "
+                         f"of distinct ambient primes, {len(set(primes))}; got {n}")
     cx = build_complex(primes, n + 1, support)
     fact = morphism_factor(cx.diff(n + 1))
     xi = fact.cokernel_projection  # P_n ->> coker(d_{n+1})

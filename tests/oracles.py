@@ -16,9 +16,11 @@ from functools import lru_cache
 from math import gcd
 
 from cycrep.cyclic_site import reduce_unit, units
-from cycrep.hom_ext import CochainComplex, HomSpace, _chains, _equivariant_basis
-from cycrep.linalg import (QMatrix, cokernel, column_space_basis, hstack, kernel_basis,
-                           kronecker, solve, solve_matrix, vstack)
+from cycrep.hom_ext import (CochainComplex, HomSpace, _chains, _equivariant_basis,
+                            _SpanTracker)
+from cycrep.linalg import (QMatrix, SparseMatrix, cokernel, column_space_basis, hstack,
+                           kernel_basis, kronecker, solve, solve_matrix, sparse_kernel,
+                           vstack)
 from cycrep.modules import (ModuleMorphism, MorphismFactorization, OutCycModule,
                             conjugate_module, restriction_matrix)
 from cycrep.rep_ring import (MonomialReducer, RUElement, restrict_proj_matrix, tau_level,
@@ -383,6 +385,36 @@ def witnesses_by_solve(diffs: list[QMatrix], dims: list[int]) -> list[list[list[
             if span is None or solve(span, vec) is None:
                 chosen.append(vec.col(0))
                 span = vec if span is None else hstack(span, vec)
+        witnesses.append(chosen)
+    return witnesses
+
+
+def tracker_witnesses(cx: CochainComplex, dims: list[int]) -> list[list[list[Fraction]]]:
+    """Derived-limit witnesses picked incrementally, as ``lim_derived`` did
+    before it read them off reduced forms: a span tracker is seeded with the
+    coboundaries, then takes each cocycle of the reduced kernel basis that
+    grows it."""
+    witnesses: list[list[list[Fraction]]] = []
+    for k, want in enumerate(dims):
+        chosen: list[list[Fraction]] = []
+        if want:
+            d = cx.diffs[k]
+            vecs, _ = sparse_kernel(d.data, d.cols)
+            cocycles = SparseMatrix(len(vecs), d.cols, vecs)
+            span = _SpanTracker()
+            if k:
+                # the coboundaries span this many dimensions; once the
+                # tracker holds them all, later columns cannot grow it
+                image_rank = cocycles.rows - want
+                for col in cx.diffs[k - 1].transpose().data:
+                    if span.rank == image_rank:
+                        break
+                    span.add(col)
+            for j, vec in enumerate(cocycles.data):
+                if span.add(vec):
+                    chosen.append(cocycles.row(j))
+                    if len(chosen) == want:
+                        break
         witnesses.append(chosen)
     return witnesses
 

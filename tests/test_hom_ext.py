@@ -35,7 +35,7 @@ from cycrep.rep_ring import tau_ru_module
 from oracles import (DenseSpanTracker, averaged_equivariant_basis, dense_hom_cochain,
                      dense_nerve_complex, dense_resolve_by_representables,
                      reference_hom_via_limit_mats, scaled_sum_hom_direct, scramble,
-                     witnesses_by_solve)
+                     tracker_witnesses, witnesses_by_solve)
 
 S123 = SupportSet([1, 2, 3])
 S12 = support_of_divisors(12)
@@ -324,11 +324,13 @@ NON_DIRECTED = [SupportSet([1, 2, 3]), SupportSet([1, 2, 3, 5]),
 
 
 class TestWitnessesAgainstSolveOracle:
-    """lim_derived picks its witnesses with a span tracker seeded by the
-    coboundaries; the oracle re-solves against the growing span instead."""
+    """lim_derived reads its witnesses off the reduced coboundaries on the
+    free columns; one oracle tracks the growing span incrementally, the
+    other re-solves against it."""
 
     def assert_same_witnesses(self, x, max_k=2):
         out = lim_derived(dual_system(x), max_k)
+        assert out.witnesses == tracker_witnesses(out.complex, out.dims)
         assert out.witnesses == witnesses_by_solve(
             [d.to_dense() for d in out.complex.diffs], out.dims)
         assert [len(w) for w in out.witnesses] == out.dims
@@ -347,7 +349,7 @@ class TestWitnessesAgainstSolveOracle:
         out = self.assert_same_witnesses(random_module(support, seed))
         assert out.dims == dims
         # a higher degree with witnesses and a nonzero coboundary space, so
-        # the tracker is seeded before it picks
+        # the coboundaries decide which cocycles are kept
         assert any(out.dims[k] and rank(out.complex.diffs[k - 1])
                    for k in range(1, len(out.dims)))
 

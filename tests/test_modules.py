@@ -139,6 +139,10 @@ class TestAtomicModule:
     def test_zero_dimension_allowed(self):
         assert atomic_module(3, 0, S12).is_zero()
 
+    def test_negative_dimension_refused(self):
+        with pytest.raises(ValueError, match="d = -1"):
+            atomic_module(2, -1, S12)
+
     def test_always_valid(self):
         for n in [1, 2, 6, 12]:
             for d in [0, 1, 3]:

@@ -176,3 +176,10 @@ class TestExtWitness:
     def test_degree_guard(self):
         with pytest.raises(ValueError):
             nontrivial_ext_witness(0, [2, 3], S6)
+
+    def test_top_degree_is_the_prime_count(self):
+        # two distinct primes: the complex ends in degree 2, which still
+        # carries a witness, and nothing lies beyond it
+        assert nontrivial_ext_witness(2, [2, 3, 3], S6)[0].nontrivial
+        with pytest.raises(ValueError, match="distinct ambient primes, 2; got 3"):
+            nontrivial_ext_witness(3, [2, 3], S6)

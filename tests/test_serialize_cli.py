@@ -1,5 +1,7 @@
+import ast
 import json
 import os
+import re
 
 import pytest
 
@@ -23,7 +25,7 @@ from cycrep.serialize import (
     dumps_canonical,
 )
 from cycrep.cli import (DEFAULT_SIZE_CAP, _estimate_hom_entries, _estimate_nerve_entries,
-                        parse_support, run)
+                        build_parser, parse_support, run)
 
 
 class TestSerialization:
@@ -254,6 +256,19 @@ class TestCliRuns:
         out = json.loads(text)
         assert out["values"]["sign_convention"] == "1-based insertion position"
 
+    def test_resolution_witnesses_stop_at_the_prime_count(self):
+        # two primes: the complex ends in degree 2, so degree 3 has no witness
+        code, text = run(["resolution", "--support", "divisors:6", "--primes", "2,3",
+                          "--max-degree", "4"])
+        assert code == 0, text
+        assert re.findall(r"degree (\d+) witness", text) == ["1", "2"]
+
+    def test_negative_atom_dimension_is_refused(self):
+        code, text = run(["hom", "--support", "divisors:6", "--source", "atomic:2:-1"])
+        assert code == 1
+        assert "got d = -1" in text
+        assert text.splitlines()[-1] == "overall: FAILED"
+
     def test_deterministic_output(self):
         argv = ["hom", "--support", "divisors:12", "--source", "regular",
                 "--format", "json"]
@@ -346,3 +361,49 @@ class TestCliRuns:
         assert code == 0, text
         out = json.loads(text)
         assert out["ok"] is True
+
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def documented_invocations() -> list[list[str]]:
+    """The CLI argument lists in the README, demo 07 and the CI smoke step."""
+    with open(os.path.join(REPO, "README.md")) as fh:
+        out = [line.split()[1:] for line in fh if line.startswith("cycrep ")]
+    with open(os.path.join(REPO, "demos", "07_command_line_reports.py")) as fh:
+        tree = ast.parse(fh.read())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and node.targets[0].id == "INVOCATIONS":
+            out.extend(ast.literal_eval(node.value))
+    with open(os.path.join(REPO, ".github", "workflows", "tests.yml")) as fh:
+        out.extend(m.split() for m in re.findall(r'"([a-z-]+ --support [^"]*)"', fh.read()))
+    return out
+
+
+class TestVerbOptions:
+    """Each verb accepts only the options it reads."""
+
+    @pytest.mark.parametrize("verb, option", [
+        ("validate", "--size-cap"), ("tau-ru", "--size-cap"), ("normal-basis", "--size-cap"),
+        ("resolution", "--size-cap"), ("report", "--size-cap"),
+        ("tau-ru", "--prefer-file"), ("normal-basis", "--prefer-file"),
+        ("resolution", "--prefer-file"), ("report", "--prefer-file"),
+        ("tau-ru", "--seed"), ("normal-basis", "--seed"), ("resolution", "--seed"),
+    ])
+    def test_unread_options_are_refused(self, verb, option):
+        argv = [verb, "--support", "divisors:6", option]
+        if option != "--prefer-file":
+            argv.append("5")
+        if verb == "validate":
+            argv += ["--source", "regular"]
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+
+    def test_documented_invocations_parse(self):
+        argvs = documented_invocations()
+        verbs = {argv[0] for argv in argvs}
+        assert {"validate", "hom", "ext", "lim", "tau-ru", "normal-basis", "resolution",
+                "report"} <= verbs
+        for argv in argvs:
+            build_parser().parse_args(argv)
