@@ -5,6 +5,10 @@ integers, the unit groups (Z/nZ)^x acting as outer automorphisms of the
 cyclic group of order n, and the reduction maps between unit groups induced
 by the preferred projections, together with their fibers.
 
+The rational character blocks of units(n) live here too: the primitive
+idempotents of the group algebra Q[units(n)], one per Galois orbit of
+Dirichlet characters mod n.
+
 Everything here is small enough for trial division; n stays in the low
 thousands throughout the package.
 """
@@ -12,8 +16,9 @@ thousands throughout the package.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
-from typing import Iterable, Sequence
+from itertools import product
+from math import gcd, lcm
+from typing import Iterable, NamedTuple, Sequence
 
 
 def divisors(n: int) -> list[int]:
@@ -278,3 +283,140 @@ def unit_reduction(m: int, n: int) -> tuple[dict[int, int], dict[int, list[int]]
         mapping[u] = j
         fibers[j].append(u)
     return mapping, fibers
+
+
+# ---------------------------------------------------------------------------
+# rational character blocks
+# ---------------------------------------------------------------------------
+
+def ramanujan_sum(d: int, s: int) -> int:
+    """c_d(s), the sum of the s-th powers of the primitive d-th roots of
+    unity: mu(q) phi(d) / phi(q) with q = d / gcd(d, s)."""
+    q = d // gcd(d, s)
+    fac = factorization(q)
+    if any(k > 1 for _, k in fac):
+        return 0
+    return (-1) ** len(fac) * (totient(d) // totient(q))
+
+
+class CharacterBlock(NamedTuple):
+    """One primitive idempotent e of Q[units(n)].
+
+    Its characters are one Galois orbit of Dirichlet characters mod n, all
+    with the same kernel K and the same order d, so units(n)/K is cyclic of
+    order d.  ``exponents`` lists, in the order of ``units(n).elements``,
+    the s(g) mod d with g in c^s(g) K, where c = ``generator``.  Then
+
+        e = (1/|units(n)|) sum_g c_d(s(g)) g
+
+    with c_d the Ramanujan sum, and e Q[units(n)] is the field Q(zeta_d), of
+    degree phi(d), on which c acts as zeta_d.  ``key`` is (conductor, index
+    among the primitive blocks there): a block at n and its inflation to a
+    multiple of n share their key.
+    """
+
+    level: int
+    key: tuple[int, int]
+    order: int
+    exponents: tuple[int, ...]
+    generator: int
+
+    @property
+    def conductor(self) -> int:
+        return self.key[0]
+
+    @property
+    def degree(self) -> int:
+        """[Q(psi) : Q] = phi(d), the Q-dimension of e Q[units(n)]."""
+        return totient(self.order)
+
+    def weights(self) -> list[int]:
+        """|units(n)| e as integer coefficients, in the order of units(n)."""
+        c = [ramanujan_sum(self.order, s) for s in range(self.order)]
+        return [c[s] for s in self.exponents]
+
+
+def _cyclic_factors(n: int) -> list[tuple[int, int]]:
+    """(unit, order) pairs whose cyclic groups have units(n) as their direct
+    product: a primitive root for each odd prime power, -1 and 5 for 2^k,
+    each lifted by the Chinese remainder theorem to be 1 at the other
+    prime powers."""
+    out = []
+    for p, k in factorization(n):
+        q = p ** k
+        rest = n // q
+
+        def lift(a: int) -> int:
+            return (1 + rest * ((a - 1) * pow(rest, -1, q) % q)) % n
+
+        if p == 2:
+            if k >= 2:
+                out.append((lift(q - 1), 2))
+            if k >= 3:
+                out.append((lift(5), q // 4))
+        else:
+            order = q // p * (p - 1)
+            root = next(g for g in range(2, q) if g % p and all(
+                pow(g, order // r, q) != 1 for r in prime_factors(order)))
+            out.append((lift(root), order))
+    return out
+
+
+@lru_cache(maxsize=None)
+def _primitive_blocks(f: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(d, exponents over units(f)) of every block of conductor exactly f.
+
+    The characters of units(f) = prod_i <h_i> are the vectors x with
+    chi_x(prod h_i^y_i) = exp(2 pi i sum_i x_i y_i / a_i); each Galois orbit
+    {k x : k prime to d} is visited once, from its first member in
+    lexicographic order.  A block has conductor f when its characters are
+    nontrivial on the kernel of units(f) -> units(f/p) for every prime p.
+    """
+    uf = units(f)
+    factors = _cyclic_factors(f)
+    orders = [a for _, a in factors]
+    exp = lcm(*orders)
+    logs: list[tuple[int, ...]] = [()] * len(uf)
+    for ys in product(*(range(a) for a in orders)):
+        g = 1
+        for (h, _), y in zip(factors, ys):
+            g = g * pow(h, y, f) % f
+        logs[uf.index(g)] = ys
+    kernels = [[uf.index(u) for u in uf if u % (f // p) == 1 % (f // p)]
+               for p in prime_factors(f)]
+    seen: set[tuple[int, ...]] = set()
+    out = []
+    for x in product(*(range(a) for a in orders)):
+        if x in seen:
+            continue
+        d = lcm(*(a // gcd(a, xi) for a, xi in zip(orders, x)))
+        for k in range(1, d + 1):
+            if gcd(k, d) == 1:
+                seen.add(tuple(k * xi % a for a, xi in zip(orders, x)))
+        scale = [xi * (exp // a) for a, xi in zip(orders, x)]
+
+        def s(i: int) -> int:
+            return sum(c * y for c, y in zip(scale, logs[i])) % exp // (exp // d)
+
+        if all(any(s(i) for i in ker) for ker in kernels):
+            out.append((d, tuple(s(i) for i in range(len(uf)))))
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def character_blocks(n: int) -> tuple[CharacterBlock, ...]:
+    """The primitive idempotents of Q[units(n)], cached.
+
+    Each is inflated from a block of exact conductor f | n, f increasing:
+    s(g) = s_f(g mod f).  There is one per cyclic subgroup of units(n).
+    """
+    un = units(n)
+    out = []
+    for f in divisors(n):
+        uf = units(f)
+        red = [uf.index(reduce_unit(n, f, g)) for g in un]
+        for j, (d, exps_f) in enumerate(_primitive_blocks(f)):
+            exps = tuple(exps_f[i] for i in red)
+            gen = un.elements[exps.index(1 % d)]
+            out.append(CharacterBlock(n, (f, j), d, exps, gen))
+    return tuple(out)

@@ -7,8 +7,12 @@ from compatible families of linear forms.  The two must agree, and that
 agreement is one of the package's central cross-checks.
 
 Derived functors of the inverse limit are computed from the nerve cochain
-complex of the support poset; Ext groups are computed from resolutions by
-sums of representable modules.  On a support with a maximum element every
+complex of the support poset; Ext groups are computed from minimal
+resolutions by the indecomposable projectives e P_n, one for each
+primitive idempotent e of Q[units(n)] (``cyclic_site.character_blocks``).
+The regular module is their sum over the blocks of each conductor, so it
+resolves in degree 0, and every resolution ends by the largest number of
+prime factors of a level.  On a support with a maximum element every
 higher derived limit vanishes; on non-directed supports they do not, and
 the first interesting example lives over the three-element support {1,2,3}.
 """
@@ -17,15 +21,26 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd
-from typing import Sequence
+from typing import Optional, Sequence
 
-from .cyclic_site import SupportSet, prime_factors, units
+from .cyclic_site import (
+    CharacterBlock,
+    SupportSet,
+    character_blocks,
+    divisors,
+    prime_factors,
+    ramanujan_sum,
+    reduce_unit,
+    units,
+)
 from .linalg import (
     Entry,
     QMatrix,
     SparseMatrix,
+    _ZERO,
     _cancel,
     _int_row,
     kernel_basis,
@@ -85,15 +100,23 @@ class LimitElement:
 
 class CochainComplex:
     """A sequence of differentials C^0 -> C^1 -> ... with d after d zero,
-    each a ``SparseMatrix``."""
+    each a ``SparseMatrix``.
 
-    def __init__(self, diffs: list[SparseMatrix]):
+    ``dims``, when given, are the dimensions of the spaces C^k, for
+    differentials written on larger ambient spaces that they factor
+    through (see ``_hom_cochain``); otherwise the shapes give them.
+    """
+
+    def __init__(self, diffs: list[SparseMatrix], dims: Optional[list[int]] = None):
         for a, b in zip(diffs, diffs[1:]):
             if b.cols != a.rows:
                 raise ValueError("differential shapes do not compose")
         self.diffs = diffs
+        self.dims = dims
 
     def space_dim(self, k: int) -> int:
+        if self.dims is not None:
+            return self.dims[k] if k < len(self.dims) else 0
         if k < len(self.diffs):
             return self.diffs[k].cols
         if k == len(self.diffs) and self.diffs:
@@ -484,8 +507,11 @@ def tower_along_chain(d: InverseSystem, chain: Sequence[int]) -> tuple[list[int]
 
 
 # ---------------------------------------------------------------------------
-# Ext via resolutions by sums of representable modules
+# Ext via minimal resolutions by the block projectives e P_n
 # ---------------------------------------------------------------------------
+
+Vec = dict[int, Entry]  # a sparse vector
+
 
 class _SpanTracker:
     """Incremental span of rational vectors, kept as sparse integer rows.
@@ -524,10 +550,10 @@ class _SpanTracker:
                     heappush(queue, j)
         return row
 
-    def contains_unit(self, t: int) -> bool:
-        return not self._reduce({t: 1})
+    def contains(self, vec: Vec) -> bool:
+        return not self._reduce(_int_row((j, v) for j, v in vec.items() if v))
 
-    def add(self, vec: dict[int, Fraction]) -> bool:
+    def add(self, vec: Vec) -> bool:
         """Insert the vector; True when the span grew."""
         row = self._reduce(_int_row((j, v) for j, v in vec.items() if v))
         if not row:
@@ -539,162 +565,238 @@ class _SpanTracker:
         return True
 
 
-class _FreeSum:
-    """A finite sum of representable modules, given by generator levels.
+@lru_cache(maxsize=None)
+def _cyclotomic(d: int) -> tuple[int, ...]:
+    """The coefficients of Phi_d, low degree first: x^d - 1 divided by
+    Phi_k for every proper divisor k of d."""
+    num = [-1] + [0] * (d - 1) + [1]
+    for k in divisors(d)[:-1]:
+        div = _cyclotomic(k)
+        quot = [0] * (len(num) - len(div) + 1)
+        for i in reversed(range(len(quot))):
+            quot[i] = num[i + len(div) - 1]  # div is monic
+            for j, c in enumerate(div):
+                num[i + j] -= quot[i] * c
+        num = quot
+    return tuple(num)
 
-    The value at level m has one block per generator whose level divides m,
-    with the block basis indexed by the units of the generator level.
-    Vectors are sparse ``{index: value}`` dicts.  All structure maps are
-    index bookkeeping: a unit permutes each block, and a restriction keeps
-    every block but moves it to its offset at the larger level.  Both are
-    cached as index maps, per (level, unit) and per pair of levels, and
-    applied to the nonzeros only.
+
+@lru_cache(maxsize=None)
+def _x_powers(d: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """x^j mod Phi_d for j < d + phi(d), each as its nonzero (t, int) pairs
+    in the basis 1, x, ..., x^(phi(d) - 1); x^d is 1 there."""
+    phi_d = _cyclotomic(d)
+    cur = [1] + [0] * (len(phi_d) - 2)
+    out = []
+    for _ in range(d + len(cur)):
+        out.append(tuple((t, c) for t, c in enumerate(cur) if c))
+        top = cur[-1]
+        cur = [0] + cur[:-1]
+        if top:
+            cur = [a - top * b for a, b in zip(cur, phi_d)]
+    return tuple(out)
+
+
+class _BlockSum:
+    """A finite sum of block projectives e_i P_{n_i}, given by their blocks.
+
+    e P_n vanishes below n, and at every multiple of n it is
+    e Q[units(n)] = Q[x]/Phi_d, in the coordinates x^t (t < phi(d)), where
+    x^t stands for e c^t with c the block's generator.  A unit u acts by
+    multiplication by x^s(u mod n), an integer matrix; a restriction keeps
+    every block and moves it to its offset at the larger level.  Vectors
+    are sparse ``{index: value}`` dicts.
     """
 
-    __slots__ = ("gens", "support", "_layout", "_perms", "_shifts", "_block_perms")
+    __slots__ = ("blocks", "support", "_layout", "_owner")
 
-    def __init__(self, gens: list[int], support: SupportSet):
-        self.gens = list(gens)
+    def __init__(self, blocks: list[CharacterBlock], support: SupportSet):
+        self.blocks = blocks
         self.support = support
         self._layout: dict[int, list[tuple[int, int]]] = {}
-        self._perms: dict[tuple[int, int], list[int]] = {}
-        self._shifts: dict[tuple[int, int], list[int]] = {}
-        self._block_perms: dict[tuple[int, int], list[int]] = {}
+        self._owner: dict[int, list[tuple[int, int]]] = {}
         for m in support:
-            lay = []
-            off = 0
-            for i, n in enumerate(self.gens):
-                if m % n == 0:
-                    lay.append((i, off))
-                    off += len(units(n))
+            lay, owner = [], []
+            for i, blk in enumerate(blocks):
+                if m % blk.level == 0:
+                    lay.append((i, len(owner)))
+                    owner.extend((i, t) for t in range(blk.degree))
             self._layout[m] = lay
+            self._owner[m] = owner
 
-    def dim(self, m: int) -> int:
-        lay = self._layout[m]
-        if not lay:
-            return 0
-        i, off = lay[-1]
-        return off + len(units(self.gens[i]))
+    def key_of(self, m: int, r: int) -> tuple[int, int]:
+        """The block key of coordinate r at level m."""
+        return self.blocks[self._owner[m][r][0]].key
 
-    def layout(self, m: int) -> list[tuple[int, int]]:
-        return self._layout[m]
+    def act(self, m: int, u: int, vec: Vec) -> Vec:
+        owner = self._owner[m]
+        out: Vec = {}
+        for k, v in vec.items():
+            i, t = owner[k]
+            blk = self.blocks[i]
+            s = blk.exponents[units(blk.level).index(reduce_unit(m, blk.level, u))]
+            powers = _x_powers(blk.order)[t + s]
+            base = k - t
+            for r, c in powers:
+                out[base + r] = out.get(base + r, 0) + c * v
+        return {k: v for k, v in out.items() if v}
 
-    def act(self, m: int, l: int, vec: dict[int, Fraction]) -> dict[int, Fraction]:
-        perm = self._perms.get((m, l))
-        if perm is None:
-            perm = []
-            for i, off in self._layout[m]:
-                n = self.gens[i]
-                lbar = 1 if n == 1 else l % n
-                block = self._block_perms.get((n, lbar))
-                if block is None:
-                    un = units(n)
-                    block = [un.index(un.mul(u, lbar)) for u in un]
-                    self._block_perms[(n, lbar)] = block
-                perm.extend([off + k for k in block])
-            self._perms[(m, l)] = perm
-        return {perm[k]: v for k, v in vec.items()}
+    def res(self, n: int, m: int, vec: Vec) -> Vec:
+        """Composite restriction from level n to level m (n | m)."""
+        dst = dict(self._layout[m])
+        owner = self._owner[n]
+        return {dst[owner[k][0]] + owner[k][1]: v for k, v in vec.items()}
 
-    def res(self, n: int, m: int, vec: dict[int, Fraction]) -> dict[int, Fraction]:
-        """Composite restriction from level n to level m (n | m): blocks keep
-        their labels, the target simply has room for more of them."""
-        shift = self._shifts.get((n, m))
-        if shift is None:
-            dst = dict(self._layout[m])
-            shift = []
-            for i, off in self._layout[n]:
-                doff = dst[i]
-                shift.extend(range(doff, doff + len(units(self.gens[i]))))
-            self._shifts[(n, m)] = shift
-        return {shift[k]: v for k, v in vec.items()}
-
-
-class _Stage:
-    """A module a resolution step must cover: either the original module or
-    the kernel of the previous covering map, presented inside a free sum."""
-
-    def __init__(self, support: SupportSet):
-        self.support = support
-
-    def dim(self, n: int) -> int:
-        raise NotImplementedError
-
-    def generator_images(self, n_gen: int, idx: int) -> dict[int, list[dict[int, Fraction]]]:
-        """For the standard basis vector ``idx`` at level ``n_gen``, the value
-        of every induced basis map at every level: images[m][k] is the image
-        at level m of the k-th unit of units(n_gen), as a sparse vector."""
-        raise NotImplementedError
+    def in_units_basis(self, m: int, vec: Vec) -> dict[int, Fraction]:
+        """A vector at level m in the units basis of the whole representables
+        P_{n_i}, block after block: x^t of block i becomes e_i c_i^t, whose
+        coefficient at g is c_d(s(g) - t) / |units(n_i)|."""
+        coords: dict[int, list[tuple[int, Entry]]] = {}
+        for k, v in vec.items():
+            i, t = self._owner[m][k]
+            coords.setdefault(i, []).append((t, v))
+        out: dict[int, Fraction] = {}
+        base = 0
+        for i, _ in self._layout[m]:
+            blk = self.blocks[i]
+            size = len(units(blk.level))
+            if i in coords:
+                d = blk.order
+                ram = [ramanujan_sum(d, s) for s in range(d)]
+                vals = [sum(v * ram[(s - t) % d] for t, v in coords[i]) for s in range(d)]
+                for g, s in enumerate(blk.exponents):
+                    if vals[s]:
+                        out[base + g] = Fraction(vals[s]) / size
+            base += size
+        return out
 
 
-def _sparse(vec: Sequence[Fraction]) -> dict[int, Fraction]:
-    return {i: v for i, v in enumerate(vec) if v}
+def _block_dims(m: OutCycModule, n: int) -> dict[tuple[int, int], int]:
+    """dim e m(n) for every block e of units(n), from the characters:
+    (1/|units(n)|) sum_g c_d(s(g)) tr m(g).  The character of a rational
+    representation takes integer values."""
+    un = units(n)
+    traces = [m.action(n, g).trace() for g in un]
+    if any(tr.denominator != 1 for tr in traces):
+        raise ValueError(f"the action at level {n} has a trace that is not an integer")
+    ints = [tr.numerator for tr in traces]
+    out = {}
+    for blk in character_blocks(n):
+        total, rem = divmod(sum(w * tr for w, tr in zip(blk.weights(), ints)), len(un))
+        if rem or total < 0:
+            raise ValueError(f"block {blk.key} at level {n} has dimension "
+                             f"{Fraction(total * len(un) + rem, len(un))}")
+        out[blk.key] = total
+    return out
 
 
-class _ModuleStage(_Stage):
+def _apply_cols(cols: list[list[tuple[int, Fraction]]], vec: Vec) -> Vec:
+    out: Vec = {}
+    for j, c in vec.items():
+        for i, a in cols[j]:
+            out[i] = out.get(i, 0) + a * c
+    return {i: v for i, v in out.items() if v}
+
+
+def _cols(a: QMatrix) -> list[list[tuple[int, Fraction]]]:
+    return [[(i, v) for i, v in enumerate(a.col(j)) if v] for j in range(a.cols)]
+
+
+class _ModuleStage:
+    """The module being resolved, as the first stage to cover."""
+
     def __init__(self, x: OutCycModule):
-        super().__init__(x.support)
+        self.support = x.support
         self.x = x
-        self._res_cache: dict[tuple[int, int], list[dict[int, Fraction]]] = {}
+        self._steps: dict[tuple[int, int], list[list[tuple[int, Fraction]]]] = {}
 
     def dim(self, n: int) -> int:
         return self.x.dim(n)
 
-    def _res_cols(self, n: int, m: int) -> list[dict[int, Fraction]]:
-        """The columns of the composite restriction n -> m, sparse."""
-        key = (n, m)
-        if key not in self._res_cache:
-            res = restriction_matrix(self.x, m, n)
-            self._res_cache[key] = [_sparse(res.col(j)) for j in range(res.cols)]
-        return self._res_cache[key]
+    def block_dims(self, n: int) -> dict[tuple[int, int], int]:
+        return _block_dims(self.x, n)
 
-    def generator_images(self, n_gen: int, idx: int) -> dict[int, list[dict[int, Fraction]]]:
-        out: dict[int, list[dict[int, Fraction]]] = {}
-        un = units(n_gen)
-        acted = [_sparse(self.x.action(n_gen, u).col(idx)) for u in un]
-        for m in self.support.multiples_of(n_gen):
-            cols = self._res_cols(n_gen, m)
-            vals = []
-            for v in acted:
-                w: dict[int, Fraction] = {}
-                for j, c in v.items():
-                    for i, r in cols[j].items():
-                        w[i] = w.get(i, _F0) + c * r
-                vals.append({i: s for i, s in w.items() if s})
-            out[m] = vals
+    def candidates(self, n: int, blk: CharacterBlock):
+        """|units(n)| e u_j for the unit vectors u_j, zeros skipped."""
+        d = self.x.dim(n)
+        terms = [(w, self.x.action(n, g)._e)
+                 for w, g in zip(blk.weights(), units(n)) if w]
+        for j in range(d):
+            acc: dict[int, Fraction] = {}
+            for w, e in terms:
+                for i, v in enumerate(e[j::d]):
+                    if v:
+                        acc[i] = acc.get(i, _F0) + w * v
+            vec = {i: v for i, v in acc.items() if v}
+            if vec:
+                yield vec
+
+    def images(self, n: int, blk: CharacterBlock, w: Vec) -> dict[int, list[Vec]]:
+        """c^t w for t < phi(d), pushed up to every multiple of n one
+        covering step at a time."""
+        act = _cols(self.x.action(n, blk.generator))
+        vals = [w]
+        for _ in range(blk.degree - 1):
+            vals.append(_apply_cols(act, vals[-1]))
+        out = {n: vals}
+        for m in self.support.multiples_of(n):
+            if m == n:
+                continue
+            below = m // prime_factors(m // n)[0]
+            step = self._steps.get((below, m))
+            if step is None:
+                step = self._steps[(below, m)] = _cols(self.x.restriction_step(below, m))
+            out[m] = [_apply_cols(step, v) for v in out[below]]
         return out
 
 
-class _KernelStage(_Stage):
-    """The kernel of a covering map out of a free sum.
+class _KernelStage:
+    """The kernel of a covering map out of a block sum.
 
-    The inclusions are reduced kernel bases, stored as sparse columns, so
-    the coordinates of an ambient kernel vector are just its entries at the
-    free rows; action and restriction are computed ambiently through the
-    free sum's index bookkeeping and then read off.
+    The inclusions are reduced kernel bases, stored as sparse vectors, so
+    the coordinates of an ambient kernel vector are its entries at the free
+    rows.  The blocks of the ambient sum are independent summands, so each
+    reduced basis vector lies in the blocks of one key, the key of its free
+    row: the e-part of the kernel is a coordinate subspace.
     """
 
-    def __init__(self, free: _FreeSum, incl: dict[int, list[dict[int, Fraction]]],
+    def __init__(self, free: _BlockSum, incl: dict[int, list[dict[int, Fraction]]],
                  free_rows: dict[int, list[int]]):
-        super().__init__(free.support)
+        self.support = free.support
         self.free = free
         self.incl = incl
-        self.free_pos = {m: {r: k for k, r in enumerate(rows)}
-                         for m, rows in free_rows.items()}
+        self.free_pos = {m: {r: k for k, r in enumerate(rows)} for m, rows in free_rows.items()}
+        self.keys = {m: [free.key_of(m, r) for r in rows] for m, rows in free_rows.items()}
 
     def dim(self, n: int) -> int:
         return len(self.incl[n])
 
-    def generator_images(self, n_gen: int, idx: int) -> dict[int, list[dict[int, Fraction]]]:
-        out: dict[int, list[dict[int, Fraction]]] = {}
-        ambient = self.incl[n_gen][idx]
-        acted = [self.free.act(n_gen, u, ambient) for u in units(n_gen)]
-        for m in self.support.multiples_of(n_gen):
+    def block_dims(self, n: int) -> dict[tuple[int, int], int]:
+        out: dict[tuple[int, int], int] = {}
+        for key in self.keys[n]:
+            out[key] = out.get(key, 0) + 1
+        return out
+
+    def candidates(self, n: int, blk: CharacterBlock):
+        for k, key in enumerate(self.keys[n]):
+            if key == blk.key:
+                yield {k: _F1}
+
+    def classifier(self, n: int, w: Vec) -> dict[int, Fraction]:
+        """The ambient vector of a candidate, in the units basis."""
+        (k,) = w
+        return self.free.in_units_basis(n, self.incl[n][k])
+
+    def images(self, n: int, blk: CharacterBlock, w: Vec) -> dict[int, list[Vec]]:
+        (k,) = w
+        acted = [self.incl[n][k]]
+        for _ in range(blk.degree - 1):
+            acted.append(self.free.act(n, blk.generator, acted[-1]))
+        out = {}
+        for m in self.support.multiples_of(n):
             pos = self.free_pos[m]
-            vals = []
-            for v in acted:
-                w = self.free.res(n_gen, m, v)
-                vals.append({pos[r]: x for r, x in w.items() if r in pos})
-            out[m] = vals
+            out[m] = [{pos[r]: v for r, v in self.free.res(n, m, a).items() if r in pos}
+                      for a in acted]
         return out
 
 
@@ -702,109 +804,114 @@ class _KernelStage(_Stage):
 class ResolutionStep:
     gens: list[int]                          # generator levels, with multiplicity
     classifier_cols: list[dict[int, Fraction]]  # image of each generator in the
-                                             # previous step's ambient
-                                             # coordinates, as a sparse vector
+                                             # previous step, in the units basis
+                                             # of its representables, sparse
+    blocks: Optional[list[CharacterBlock]] = None  # generator i is blocks[i] P_n;
+                                             # None: whole representables P_n
 
 
-def _cover_stage(stage: _Stage) -> tuple[list[int], list[int],
-                                          dict[int, list[list[dict[int, Fraction]]]]]:
-    """Greedy cover of a stage by representable generators.
+def _minimal_cover(stage: _ModuleStage | _KernelStage
+                   ) -> tuple[list[tuple[int, CharacterBlock, Vec]], dict[int, list[list[Vec]]]]:
+    """A minimal cover of a stage by block projectives.
 
-    Walks the support upward; at each level it adds generators on standard
-    basis vectors not yet hit until the level is full.  Returns the chosen
-    generator levels, their basis indices, and all generator images (the
-    columns of the covering map, grouped by generator then level).
+    Walks the support upward.  At level n, for each block e, the images of
+    the generators chosen so far span the part e L of the e-part e M(n)
+    that lies below n; one generator e P_n is added on each candidate of
+    e M(n) outside the span until it is full, and its images c^t w,
+    t < phi(d), are independent modulo the span, because e M(n) is a
+    vector space over e Q[units(n)] = Q(zeta_d).  Returns the generators as
+    (level, block, vector) and, per level m, the images at m of each
+    generator dividing m, in order: the columns of the covering map.
     """
     support = stage.support
-    trackers = {n: _SpanTracker() for n in support}
-    gens: list[int] = []
-    gen_idx: list[int] = []
-    images: dict[int, list[list[dict[int, Fraction]]]] = {n: [] for n in support}
+    spans: dict[int, dict[tuple[int, int], _SpanTracker]] = {n: {} for n in support}
+    gens: list[tuple[int, CharacterBlock, Vec]] = []
+    images: dict[int, list[list[Vec]]] = {n: [] for n in support}
     for n in support:
-        d = stage.dim(n)
-        guard = 0
-        scan = 0  # unit vectors stay covered once covered, so never rescan
-        while trackers[n].rank < d:
-            guard += 1
-            if guard > d + 1:
-                raise RuntimeError(f"covering failed to progress at level {n}")
-            while scan < d and trackers[n].contains_unit(scan):
-                scan += 1
-            assert scan < d
-            pick = scan
-            gens.append(n)
-            gen_idx.append(pick)
-            imgs = stage.generator_images(n, pick)
-            for m, vals in imgs.items():
-                tr = trackers[m]
-                if tr.rank < stage.dim(m):
+        if sum(t.rank for t in spans[n].values()) == stage.dim(n):
+            continue  # everything at n comes from below
+        dims = stage.block_dims(n)
+        for blk in character_blocks(n):
+            want = dims.get(blk.key, 0)
+            span = spans[n].setdefault(blk.key, _SpanTracker())
+            if span.rank == want:
+                continue
+            for w in stage.candidates(n, blk):
+                if span.contains(w):
+                    continue
+                gens.append((n, blk, w))
+                for m, vals in stage.images(n, blk, w).items():
+                    images[m].append(vals)
+                    tracker = spans[m].setdefault(blk.key, _SpanTracker())
                     for v in vals:
-                        tr.add(v)
-            for m in support:
-                images[m].append(imgs.get(m, []))
-    return gens, gen_idx, images
+                        tracker.add(v)
+                if span.rank >= want:
+                    break
+            if span.rank != want:
+                raise RuntimeError(f"covering failed for block {blk.key} at level {n}")
+    return gens, images
 
 
 def resolve_by_representables(x: OutCycModule, depth: int) -> list[ResolutionStep]:
-    """A resolution of x by sums of representable modules, to the given depth.
+    """The minimal resolution of x by block projectives e P_n, to the given depth.
 
-    Step k records the generator levels of the k-th term and, for k >= 1,
-    the classifying columns of the differential into the previous term.
+    Step k records the generators of the k-th term, their levels in
+    ``gens`` and their blocks in ``blocks``, and, for k >= 1, the
+    classifying columns of the differential into the previous term.  Each
+    stage is covered by ``_minimal_cover``, so the number of generators of
+    each type in each degree is an invariant of x; steps past the end of
+    the resolution are empty.
     """
+    if depth < 0:
+        raise ValueError("the resolution depth must be nonnegative")
     support = x.support
-    stage: _Stage = _ModuleStage(x)
+    stage: _ModuleStage | _KernelStage = _ModuleStage(x)
     steps: list[ResolutionStep] = []
     for k in range(depth + 1):
-        gens, gen_idx, images = _cover_stage(stage)
-        free = _FreeSum(gens, support)
-        if k == 0:
-            classifier_cols = []
-        else:
-            prev_stage = stage
-            assert isinstance(prev_stage, _KernelStage)
-            classifier_cols = [prev_stage.incl[n][i] for n, i in zip(gens, gen_idx)]
-        steps.append(ResolutionStep(gens, classifier_cols))
+        gens, images = _minimal_cover(stage)
+        blocks = [blk for _, blk, _ in gens]
+        classifier_cols = ([stage.classifier(n, w) for n, _, w in gens]
+                           if isinstance(stage, _KernelStage) else [])
+        steps.append(ResolutionStep([n for n, _, _ in gens], classifier_cols, blocks))
         if k == depth:
             break
         # the covering map's matrix at each level, by sparse rows in stage
-        # coordinates; its columns are the free sum's basis at that level
+        # coordinates; its columns are the block sum's basis at that level
+        free = _BlockSum(blocks, support)
         incl: dict[int, list[dict[int, Fraction]]] = {}
         free_rows: dict[int, list[int]] = {}
-        all_zero = True
         for m in support:
-            rows: list[dict[int, Fraction]] = [{} for _ in range(stage.dim(m))]
+            rows: list[Vec] = [{} for _ in range(stage.dim(m))]
             col = 0
-            for gi, n_gen in enumerate(gens):
-                if m % n_gen == 0:
-                    for v in images[m][gi]:
-                        for r, val in v.items():
-                            rows[r][col] = val
-                        col += 1
+            for vals in images[m]:
+                for v in vals:
+                    for r, val in v.items():
+                        rows[r][col] = val
+                    col += 1
             incl[m], free_rows[m] = sparse_kernel(rows, col)
-            if incl[m]:
-                all_zero = False
         stage = _KernelStage(free, incl, free_rows)
-        if all_zero:
+        if not any(incl.values()):
             # kernel vanished: the resolution ends; remaining terms are zero
-            for _ in range(k + 1, depth + 1):
-                steps.append(ResolutionStep([], []))
+            steps.extend(ResolutionStep([], [], []) for _ in range(k + 1, depth + 1))
             break
     return steps
 
 
 def _int_matrix(a: QMatrix) -> tuple[int, list[list[tuple[int, int]]]]:
     """A matrix as (den, rows of (col, numerator)) with den times it integral."""
+    c = a.cols
+    rows = [[(b, v) for b, v in enumerate(a._e[i * c:(i + 1) * c]) if v is not _ZERO and v]
+            for i in range(a.rows)]
     den = 1
-    for v in a._e:
-        d = v.denominator
-        if d != 1:
-            den = den * d // gcd(den, d)
-    return den, [[(b, v.numerator * (den // v.denominator))
-                  for b, v in enumerate(a.row(i)) if v] for i in range(a.rows)]
+    for row in rows:
+        for _, v in row:
+            d = v.denominator
+            if d != 1:
+                den = den * d // gcd(den, d)
+    return den, [[(b, v.numerator * (den // v.denominator)) for b, v in row] for row in rows]
 
 
-def _hom_cochain(steps: list[ResolutionStep], y: OutCycModule,
-                 support: SupportSet) -> CochainComplex:
+def _hom_cochain(steps: list[ResolutionStep], y: OutCycModule) -> CochainComplex:
     """Apply morphisms-into-y to the resolution, in representable coordinates.
 
     The degree-k space is the sum of y's values at the k-th generator levels;
@@ -816,6 +923,11 @@ def _hom_cochain(steps: list[ResolutionStep], y: OutCycModule,
     unit and R y's restriction to j's level.  It is summed in integers over
     one common denominator and written straight into the sparse rows: an
     int where that denominator is 1, one Fraction otherwise.
+
+    For a generator e P_n the space is Hom(e P_n, y) = e y(n), inside y(n).
+    Its classifying columns satisfy z = e z, so each differential factors
+    through the sum of the e y(n) and has the same rank there; the complex
+    carries the dimensions of those sums, from ``_block_dims``.
     """
     acts: dict[tuple[int, int], tuple[int, list[list[tuple[int, int]]]]] = {}
     ress: dict[tuple[int, int], tuple[int, list[list[tuple[int, int]]]]] = {}
@@ -846,8 +958,7 @@ def _hom_cochain(steps: list[ResolutionStep], y: OutCycModule,
         gens_k1 = steps[k + 1].gens
         offs_k, dim_k = layout(gens_k)
         offs_k1, dim_k1 = layout(gens_k1)
-        free_k = _FreeSum(gens_k, support)
-        # ambient index -> (generator, unit index), per level of free_k
+        # ambient index -> (generator, unit index), per generator level
         owners: dict[int, list[tuple[int, int]]] = {}
         rows: list[dict[int, Entry]] = [{} for _ in range(dim_k1)]
         for j, (n_j, z) in enumerate(zip(gens_k1, steps[k + 1].classifier_cols)):
@@ -857,8 +968,8 @@ def _hom_cochain(steps: list[ResolutionStep], y: OutCycModule,
                 continue
             owner = owners.get(n_j)
             if owner is None:
-                owner = owners[n_j] = [(i, t) for i, _ in free_k.layout(n_j)
-                                       for t in range(len(units(gens_k[i])))]
+                owner = owners[n_j] = [(i, t) for i, n_i in enumerate(gens_k) if n_j % n_i == 0
+                                       for t in range(len(units(n_i)))]
             blocks: dict[int, list[tuple[int, Fraction]]] = {}
             for pos, c in z.items():
                 i, t = owner[pos]
@@ -896,7 +1007,16 @@ def _hom_cochain(steps: list[ResolutionStep], y: OutCycModule,
                         if v:
                             row[c0 + b] = v if den == 1 else Fraction(v, den)
         diffs.append(SparseMatrix(dim_k1, dim_k, rows))
-    return CochainComplex(diffs)
+    if any(step.blocks is None for step in steps):
+        return CochainComplex(diffs)
+    block_dims: dict[int, dict[tuple[int, int], int]] = {}
+    dims = []
+    for step in steps:
+        for n in step.gens:
+            if n not in block_dims:
+                block_dims[n] = _block_dims(y, n)
+        dims.append(sum(block_dims[n][blk.key] for n, blk in zip(step.gens, step.blocks)))
+    return CochainComplex(diffs, dims)
 
 
 def ext_via_resolution(x: OutCycModule, y: OutCycModule, max_k: int) -> list[int]:
@@ -911,5 +1031,5 @@ def ext_via_resolution(x: OutCycModule, y: OutCycModule, max_k: int) -> list[int
     if max_k < 0:
         raise ValueError("the top degree must be nonnegative")
     steps = resolve_by_representables(x, max_k + 1)
-    cx = _hom_cochain(steps, y, x.support)
+    cx = _hom_cochain(steps, y)
     return cx.cohomology_dims(max_k)

@@ -238,7 +238,7 @@ class QMatrix:
     def trace(self) -> Fraction:
         if self.rows != self.cols:
             raise ValueError("trace of a non-square matrix")
-        return sum(self._e[::self.cols + 1], _ZERO)
+        return sum((v for v in self._e[::self.cols + 1] if v is not _ZERO), _ZERO)
 
     def __repr__(self) -> str:
         if self.rows * self.cols > 64:

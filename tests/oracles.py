@@ -14,10 +14,11 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from typing import Sequence
 
 from cycrep.cyclic_site import reduce_unit, units
-from cycrep.hom_ext import (CochainComplex, HomSpace, _chains, _equivariant_basis,
-                            _SpanTracker)
+from cycrep.hom_ext import (CochainComplex, HomSpace, ResolutionStep, _chains,
+                            _equivariant_basis, _SpanTracker)
 from cycrep.linalg import (QMatrix, SparseMatrix, cokernel, column_space_basis, hstack,
                            kernel_basis, kronecker, solve, solve_matrix, sparse_kernel,
                            vstack)
@@ -124,6 +125,74 @@ def brute_units(n: int) -> list[int]:
     if n == 1:
         return [1]
     return [u for u in range(1, n) if gcd(u, n) == 1]
+
+
+def brute_cyclic_subgroup_count(n: int) -> int:
+    """The cyclic subgroups of units(n), counted as the sum over units g of
+    1/phi(ord g): a cyclic group of order k has phi(k) generators."""
+    total = F0
+    for g in brute_units(n):
+        order, x = 1, g % n if n > 1 else 1
+        while x != 1 % n and n > 1:
+            x = x * g % n
+            order += 1
+        total += Fraction(1, brute_totient(order))
+    assert total.denominator == 1
+    return int(total)
+
+
+def group_ring_mul(a: dict[int, Fraction], b: dict[int, Fraction], n: int) -> dict[int, Fraction]:
+    """Convolution in Q[units(n)] of elements given as {unit: coefficient}."""
+    out: dict[int, Fraction] = {}
+    for g, x in a.items():
+        for h, y in b.items():
+            gh = g * h % n if n > 1 else 1
+            out[gh] = out.get(gh, F0) + x * y
+    return {g: v for g, v in out.items() if v}
+
+
+def idempotent_family_problems(elements: list[dict[int, Fraction]], n: int) -> list[str]:
+    """What keeps elements of Q[units(n)] from being a complete family of
+    orthogonal idempotents: e e = e, e e' = 0 for e != e', sum e = 1."""
+    problems = []
+    for i, e in enumerate(elements):
+        if group_ring_mul(e, e, n) != e:
+            problems.append(f"element {i} is not idempotent")
+        for j in range(i):
+            if group_ring_mul(e, elements[j], n):
+                problems.append(f"elements {j} and {i} are not orthogonal")
+    total: dict[int, Fraction] = {}
+    for e in elements:
+        for g, v in e.items():
+            total[g] = total.get(g, F0) + v
+    if {g: v for g, v in total.items() if v} != {1: F1}:
+        problems.append("the elements do not sum to 1")
+    return problems
+
+
+def simple_module(n: int, blk, support) -> OutCycModule:
+    """S_{n, psi}: e Q[units(n)] at level n, zero elsewhere.
+
+    In the basis 1, x, ..., x^(phi(d)-1) of Q[x]/Phi_d, a unit u acts by
+    multiplication by x^s(u), reduced with the polynomial division above.
+    """
+    d = blk.order
+    phi_d = list(cyclotomic(d))
+    deg = len(phi_d) - 1
+    un = units(n)
+
+    def times_power(s: int) -> QMatrix:
+        cols = []
+        for t in range(deg):
+            _, r = poly_divmod([F0] * (t + s) + [F1], phi_d)
+            cols.append(r + [F0] * (deg - len(r)))
+        return QMatrix.from_columns(cols, rows=deg)
+
+    dims = {m: (deg if m == n else 0) for m in support}
+    actions = {m: {u: QMatrix.zeros(0, 0) for u in units(m)} for m in support}
+    actions[n] = {u: times_power(s) for u, s in zip(un, blk.exponents)}
+    restrictions = {(a, b): QMatrix.zeros(dims[b], dims[a]) for a, b in support.covering_pairs()}
+    return OutCycModule(support, dims, actions, restrictions, name=f"simple:{n}:{blk.key}")
 
 
 # --- fixed spaces of unit actions
@@ -419,11 +488,268 @@ def tracker_witnesses(cx: CochainComplex, dims: list[int]) -> list[list[list[Fra
     return witnesses
 
 
+# --- the greedy resolution by whole representables
+#
+# The cover that resolve_by_representables used before it covered each
+# stage minimally by block projectives e P_n: walk the support upward and
+# add a whole representable P_n on every standard basis vector not yet in
+# the span, with a free sum whose blocks are indexed by units(n).
+
+class GreedyFreeSum:
+    """A finite sum of representable modules, given by generator levels.
+
+    The value at level m has one block per generator whose level divides m,
+    with the block basis indexed by the units of the generator level.
+    Vectors are sparse ``{index: value}`` dicts.  All structure maps are
+    index bookkeeping: a unit permutes each block, and a restriction keeps
+    every block but moves it to its offset at the larger level.  Both are
+    cached as index maps, per (level, unit) and per pair of levels, and
+    applied to the nonzeros only.
+    """
+
+    __slots__ = ("gens", "support", "_layout", "_perms", "_shifts", "_block_perms")
+
+    def __init__(self, gens: list[int], support: SupportSet):
+        self.gens = list(gens)
+        self.support = support
+        self._layout: dict[int, list[tuple[int, int]]] = {}
+        self._perms: dict[tuple[int, int], list[int]] = {}
+        self._shifts: dict[tuple[int, int], list[int]] = {}
+        self._block_perms: dict[tuple[int, int], list[int]] = {}
+        for m in support:
+            lay = []
+            off = 0
+            for i, n in enumerate(self.gens):
+                if m % n == 0:
+                    lay.append((i, off))
+                    off += len(units(n))
+            self._layout[m] = lay
+
+    def dim(self, m: int) -> int:
+        lay = self._layout[m]
+        if not lay:
+            return 0
+        i, off = lay[-1]
+        return off + len(units(self.gens[i]))
+
+    def layout(self, m: int) -> list[tuple[int, int]]:
+        return self._layout[m]
+
+    def act(self, m: int, l: int, vec: dict[int, Fraction]) -> dict[int, Fraction]:
+        perm = self._perms.get((m, l))
+        if perm is None:
+            perm = []
+            for i, off in self._layout[m]:
+                n = self.gens[i]
+                lbar = 1 if n == 1 else l % n
+                block = self._block_perms.get((n, lbar))
+                if block is None:
+                    un = units(n)
+                    block = [un.index(un.mul(u, lbar)) for u in un]
+                    self._block_perms[(n, lbar)] = block
+                perm.extend([off + k for k in block])
+            self._perms[(m, l)] = perm
+        return {perm[k]: v for k, v in vec.items()}
+
+    def res(self, n: int, m: int, vec: dict[int, Fraction]) -> dict[int, Fraction]:
+        """Composite restriction from level n to level m (n | m): blocks keep
+        their labels, the target simply has room for more of them."""
+        shift = self._shifts.get((n, m))
+        if shift is None:
+            dst = dict(self._layout[m])
+            shift = []
+            for i, off in self._layout[n]:
+                doff = dst[i]
+                shift.extend(range(doff, doff + len(units(self.gens[i]))))
+            self._shifts[(n, m)] = shift
+        return {shift[k]: v for k, v in vec.items()}
+
+
+class GreedyStage:
+    """A module a resolution step must cover: either the original module or
+    the kernel of the previous covering map, presented inside a free sum."""
+
+    def __init__(self, support: SupportSet):
+        self.support = support
+
+    def dim(self, n: int) -> int:
+        raise NotImplementedError
+
+    def generator_images(self, n_gen: int, idx: int) -> dict[int, list[dict[int, Fraction]]]:
+        """For the standard basis vector ``idx`` at level ``n_gen``, the value
+        of every induced basis map at every level: images[m][k] is the image
+        at level m of the k-th unit of units(n_gen), as a sparse vector."""
+        raise NotImplementedError
+
+
+def _sparse(vec: Sequence[Fraction]) -> dict[int, Fraction]:
+    return {i: v for i, v in enumerate(vec) if v}
+
+
+class GreedyModuleStage(GreedyStage):
+    def __init__(self, x: OutCycModule):
+        super().__init__(x.support)
+        self.x = x
+        self._res_cache: dict[tuple[int, int], list[dict[int, Fraction]]] = {}
+
+    def dim(self, n: int) -> int:
+        return self.x.dim(n)
+
+    def _res_cols(self, n: int, m: int) -> list[dict[int, Fraction]]:
+        """The columns of the composite restriction n -> m, sparse."""
+        key = (n, m)
+        if key not in self._res_cache:
+            res = restriction_matrix(self.x, m, n)
+            self._res_cache[key] = [_sparse(res.col(j)) for j in range(res.cols)]
+        return self._res_cache[key]
+
+    def generator_images(self, n_gen: int, idx: int) -> dict[int, list[dict[int, Fraction]]]:
+        out: dict[int, list[dict[int, Fraction]]] = {}
+        un = units(n_gen)
+        acted = [_sparse(self.x.action(n_gen, u).col(idx)) for u in un]
+        for m in self.support.multiples_of(n_gen):
+            cols = self._res_cols(n_gen, m)
+            vals = []
+            for v in acted:
+                w: dict[int, Fraction] = {}
+                for j, c in v.items():
+                    for i, r in cols[j].items():
+                        w[i] = w.get(i, F0) + c * r
+                vals.append({i: s for i, s in w.items() if s})
+            out[m] = vals
+        return out
+
+
+class GreedyKernelStage(GreedyStage):
+    """The kernel of a covering map out of a free sum.
+
+    The inclusions are reduced kernel bases, stored as sparse columns, so
+    the coordinates of an ambient kernel vector are just its entries at the
+    free rows; action and restriction are computed ambiently through the
+    free sum's index bookkeeping and then read off.
+    """
+
+    def __init__(self, free: GreedyFreeSum, incl: dict[int, list[dict[int, Fraction]]],
+                 free_rows: dict[int, list[int]]):
+        super().__init__(free.support)
+        self.free = free
+        self.incl = incl
+        self.free_pos = {m: {r: k for k, r in enumerate(rows)}
+                         for m, rows in free_rows.items()}
+
+    def dim(self, n: int) -> int:
+        return len(self.incl[n])
+
+    def generator_images(self, n_gen: int, idx: int) -> dict[int, list[dict[int, Fraction]]]:
+        out: dict[int, list[dict[int, Fraction]]] = {}
+        ambient = self.incl[n_gen][idx]
+        acted = [self.free.act(n_gen, u, ambient) for u in units(n_gen)]
+        for m in self.support.multiples_of(n_gen):
+            pos = self.free_pos[m]
+            vals = []
+            for v in acted:
+                w = self.free.res(n_gen, m, v)
+                vals.append({pos[r]: x for r, x in w.items() if r in pos})
+            out[m] = vals
+        return out
+
+
+def greedy_cover_stage(stage: GreedyStage) -> tuple[list[int], list[int],
+                                          dict[int, list[list[dict[int, Fraction]]]]]:
+    """Greedy cover of a stage by representable generators.
+
+    Walks the support upward; at each level it adds generators on standard
+    basis vectors not yet hit until the level is full.  Returns the chosen
+    generator levels, their basis indices, and all generator images (the
+    columns of the covering map, grouped by generator then level).
+    """
+    support = stage.support
+    trackers = {n: _SpanTracker() for n in support}
+    gens: list[int] = []
+    gen_idx: list[int] = []
+    images: dict[int, list[list[dict[int, Fraction]]]] = {n: [] for n in support}
+    for n in support:
+        d = stage.dim(n)
+        guard = 0
+        scan = 0  # unit vectors stay covered once covered, so never rescan
+        while trackers[n].rank < d:
+            guard += 1
+            if guard > d + 1:
+                raise RuntimeError(f"covering failed to progress at level {n}")
+            while scan < d and trackers[n].contains({scan: F1}):
+                scan += 1
+            assert scan < d
+            pick = scan
+            gens.append(n)
+            gen_idx.append(pick)
+            imgs = stage.generator_images(n, pick)
+            for m, vals in imgs.items():
+                tr = trackers[m]
+                if tr.rank < stage.dim(m):
+                    for v in vals:
+                        tr.add(v)
+            for m in support:
+                images[m].append(imgs.get(m, []))
+    return gens, gen_idx, images
+
+
+def greedy_resolve(x: OutCycModule, depth: int) -> list[ResolutionStep]:
+    """A resolution of x by sums of whole representables P_n, to the given
+    depth, as ``resolve_by_representables`` built it before it covered by
+    block projectives.
+
+    Step k records the generator levels of the k-th term and, for k >= 1,
+    the classifying columns of the differential into the previous term; its
+    ``blocks`` are None, so ``_hom_cochain`` reads the cochain spaces off
+    the differentials' shapes.  It is not minimal: the regular module, a
+    projective, gets generators in every degree.
+    """
+    support = x.support
+    stage: GreedyStage = GreedyModuleStage(x)
+    steps: list[ResolutionStep] = []
+    for k in range(depth + 1):
+        gens, gen_idx, images = greedy_cover_stage(stage)
+        free = GreedyFreeSum(gens, support)
+        if k == 0:
+            classifier_cols = []
+        else:
+            prev_stage = stage
+            assert isinstance(prev_stage, GreedyKernelStage)
+            classifier_cols = [prev_stage.incl[n][i] for n, i in zip(gens, gen_idx)]
+        steps.append(ResolutionStep(gens, classifier_cols))
+        if k == depth:
+            break
+        # the covering map's matrix at each level, by sparse rows in stage
+        # coordinates; its columns are the free sum's basis at that level
+        incl: dict[int, list[dict[int, Fraction]]] = {}
+        free_rows: dict[int, list[int]] = {}
+        all_zero = True
+        for m in support:
+            rows: list[dict[int, Fraction]] = [{} for _ in range(stage.dim(m))]
+            col = 0
+            for gi, n_gen in enumerate(gens):
+                if m % n_gen == 0:
+                    for v in images[m][gi]:
+                        for r, val in v.items():
+                            rows[r][col] = val
+                        col += 1
+            incl[m], free_rows[m] = sparse_kernel(rows, col)
+            if incl[m]:
+                all_zero = False
+        stage = GreedyKernelStage(free, incl, free_rows)
+        if all_zero:
+            # kernel vanished: the resolution ends; remaining terms are zero
+            for _ in range(k + 1, depth + 1):
+                steps.append(ResolutionStep([], []))
+            break
+    return steps
+
+
 # --- the resolution by representables and its Hom cochains, densely
 #
-# The dense path that the sparse resolution layer of cycrep.hom_ext
-# replaced: full-length Fraction vectors, a row-echelon span tracker that
-# scans whole rows, the kernel from the dense reduced row echelon form, and
+# The dense path that the sparse greedy resolution above replaced:
+# full-length Fraction vectors, a row-echelon span tracker that scans whole
+# rows, the kernel from the dense reduced row echelon form, and
 # one matrix product per cochain block.
 
 class DenseSpanTracker:

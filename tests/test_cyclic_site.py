@@ -1,14 +1,19 @@
 from array import array
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fractions import Fraction
+
 from cycrep.cyclic_site import (
     SupportSet,
+    character_blocks,
     divisor_closure,
     divisors,
     is_prime,
     prime_factors,
+    ramanujan_sum,
     reduce_unit,
     support_of_divisors,
     totient,
@@ -16,7 +21,8 @@ from cycrep.cyclic_site import (
     units,
 )
 
-from oracles import brute_totient, brute_units
+from oracles import (brute_cyclic_subgroup_count, brute_totient, brute_units,
+                     idempotent_family_problems, reduce_root_combination)
 
 
 def test_divisor_closure_examples():
@@ -194,3 +200,68 @@ def test_unit_walk_reaches_every_unit_once_from_earlier_ones():
             known.add(u)
         assert known == set(un.elements), n
         assert un.walk() is un.walk(), n
+
+
+# --- rational character blocks
+
+def test_block_count_is_the_number_of_cyclic_subgroups():
+    for n in sorted(set(range(1, 401)) | set(divisors(2520))):
+        assert len(character_blocks(n)) == brute_cyclic_subgroup_count(n), n
+
+
+def test_ramanujan_sums_against_roots_of_unity():
+    for d in range(1, 31):
+        for s in range(d):
+            roots: dict[int, Fraction] = {}
+            for k in range(1, d + 1):
+                if gcd(k, d) == 1:
+                    roots[k * s % d] = roots.get(k * s % d, Fraction(0)) + 1
+            reduced = reduce_root_combination(roots, d)
+            assert reduced[0] == ramanujan_sum(d, s) and not any(reduced[1:]), (d, s)
+
+
+def test_blocks_split_the_group_algebra_into_fields():
+    for n in list(range(1, 61)) + [63, 80, 120, 240]:
+        blocks = character_blocks(n)
+        assert sum(b.degree for b in blocks) == totient(n)
+        assert len({b.key for b in blocks}) == len(blocks)
+        for b in blocks:
+            assert b.level == n and len(b.exponents) == totient(n)
+            assert b.exponents[units(n).index(b.generator)] == 1 % b.order
+            assert n % b.conductor == 0
+
+
+def test_blocks_inflate_along_reductions():
+    for n in [12, 60, 72, 360]:
+        by_key = {b.key: b for b in character_blocks(n)}
+        for f in divisors(n):
+            uf = units(f)
+            for b in character_blocks(f):
+                big = by_key[b.key]
+                assert big.order == b.order
+                assert big.exponents == tuple(b.exponents[uf.index(reduce_unit(n, f, g))]
+                                              for g in units(n))
+
+
+def block_elements(n, blocks):
+    size = totient(n)
+    return [{g: Fraction(w, size) for g, w in zip(units(n), b.weights()) if w} for b in blocks]
+
+
+def kernel_averages(n, blocks):
+    """e with its (1 - eps_L) factors dropped: the average over the kernel K."""
+    out = []
+    for b in blocks:
+        kernel = [g for g, s in zip(units(n), b.exponents) if s == 0]
+        out.append({g: Fraction(1, len(kernel)) for g in kernel})
+    return out
+
+
+@pytest.mark.parametrize("n", list(range(1, 41)) + [48, 80, 120])
+def test_block_idempotents_are_complete_and_orthogonal(n):
+    blocks = character_blocks(n)
+    assert idempotent_family_problems(block_elements(n, blocks), n) == []
+    if totient(n) > 1:
+        # negative controls: drop one block, or each block's (1 - eps_L) factors
+        assert idempotent_family_problems(block_elements(n, blocks[:-1]), n)
+        assert idempotent_family_problems(kernel_averages(n, blocks), n)

@@ -1,9 +1,11 @@
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cycrep.cyclic_site import SupportSet, divisor_closure, support_of_divisors, units
+from cycrep.cyclic_site import (SupportSet, character_blocks, divisor_closure, divisors,
+                               support_of_divisors, units)
 from cycrep.linalg import QMatrix, SparseMatrix, hstack, rank, solve
 from cycrep.modules import (
     atomic_module,
@@ -32,10 +34,11 @@ from cycrep.hom_ext import (
     tower_along_chain,
 )
 from cycrep.rep_ring import tau_ru_module
+from cycrep.resolution import build_complex
 from oracles import (DenseSpanTracker, averaged_equivariant_basis, dense_hom_cochain,
-                     dense_nerve_complex, dense_resolve_by_representables,
+                     dense_nerve_complex, dense_resolve_by_representables, greedy_resolve,
                      reference_hom_via_limit_mats, scaled_sum_hom_direct, scramble,
-                     tracker_witnesses, witnesses_by_solve)
+                     simple_module, tracker_witnesses, witnesses_by_solve)
 
 S123 = SupportSet([1, 2, 3])
 S12 = support_of_divisors(12)
@@ -400,10 +403,11 @@ class TestSparseNerveAgainstDenseOracle:
 def test_no_dense_differential_on_either_route(monkeypatch):
     """Every QMatrix the two Ext routes create is at most the size of one
     structure map between two levels; the differentials over divisors(60)
-    are hundreds of rows by hundreds of columns."""
+    are hundreds of rows by hundreds of columns.  The regular module
+    resolves in degree 0, so the atom, whose resolution has differentials,
+    runs the resolution route's cochain assembly too."""
     support = support_of_divisors(60)
     reg = regular_module(support)
-    dual = dual_system(reg)
     largest_map = max(reg.dim(n) * reg.dim(m) for n in support
                       for m in support.multiples_of(n))
     sizes = []
@@ -420,7 +424,8 @@ def test_no_dense_differential_on_either_route(monkeypatch):
     monkeypatch.setattr(QMatrix, "zeros", classmethod(counted_zeros))
     monkeypatch.setattr(QMatrix, "__init__", counted_init)
     assert ext_via_resolution(reg, reg, 2) == [16, 0, 0]
-    dl = lim_derived(dual, 2)
+    assert ext_via_resolution(atomic_module(1, 1, support), reg, 2) == [0, 0, 0]
+    dl = lim_derived(dual_system(reg), 2)
     assert dl.dims == [16, 0, 0]
     assert max(d.rows * d.cols for d in dl.complex.diffs) > 10 * largest_map
     assert sizes and max(sizes) <= largest_map
@@ -442,10 +447,11 @@ class TestNonzeroHigherExtOnBothRoutes:
     def test_resolution_and_derived_limits(self, seeds, dims):
         support = divisor_closure(seeds)
         x, y = atomic_module(1, 1, support), regular_module(support)
-        # the complex ext_via_resolution(x, y, 3) takes the cohomology of
-        hom_cx = _hom_cochain(resolve_by_representables(x, 4), y, support)
-        assert hom_cx.check_d_squared()
-        assert hom_cx.cohomology_dims(3) == dims
+        # the complexes of the greedy and of the minimal resolution
+        for steps in [greedy_resolve(x, 4), resolve_by_representables(x, 4)]:
+            hom_cx = _hom_cochain(steps, y)
+            assert hom_cx.check_d_squared()
+            assert hom_cx.cohomology_dims(3) == dims
         dl = lim_derived(dual_system(x), 3)
         assert dl.dims == dims
         assert dl.complex.check_d_squared()
@@ -469,21 +475,21 @@ class TestSpanTrackerAgainstDenseTracker:
             assert sparse.add({j: x for j, x in enumerate(v) if x}) == dense.add(v)
             assert sparse.rank == dense.rank
             for t in range(dim):
-                assert sparse.contains_unit(t) == dense.contains_unit(t)
+                assert sparse.contains({t: Fraction(1)}) == dense.contains_unit(t)
 
 
 class TestSparseResolutionAgainstDenseOracle:
-    """The resolution and its Hom cochains run on sparse vectors with
-    integer accumulation; the oracle is the dense Fraction path."""
+    """The greedy resolution and its Hom cochains run on sparse vectors
+    with integer accumulation; the oracle is the dense Fraction path."""
 
     def assert_same_resolution(self, x, y, depth=3):
-        steps = resolve_by_representables(x, depth)
+        steps = greedy_resolve(x, depth)
         ref = dense_resolve_by_representables(x, depth)
         assert [s.gens for s in steps] == [gens for gens, _ in ref]
         for step, (_, cols) in zip(steps, ref):
             assert step.classifier_cols == [{i: v for i, v in enumerate(c) if v}
                                             for c in cols]
-        assert ([d.to_dense() for d in _hom_cochain(steps, y, x.support).diffs]
+        assert ([d.to_dense() for d in _hom_cochain(steps, y).diffs]
                 == dense_hom_cochain(ref, y, x.support))
         return steps
 
@@ -514,6 +520,126 @@ class TestSparseResolutionAgainstDenseOracle:
         x = random_module(support, seed)
         self.assert_same_resolution(x, random_module(support, seed + 1))
         self.assert_same_resolution(regular_module(support), x)
+
+
+FOUR_CYCLE = divisor_closure([10, 14, 15, 21])  # P_1 above 1 is a 4-cycle
+CLOSURE_27 = divisor_closure([p * q * r for p in (2, 3) for q in (5, 7) for r in (11, 13)])
+
+
+def generator_types(step):
+    return sorted((n, blk.key) for n, blk in zip(step.gens, step.blocks))
+
+
+def battery_12():
+    support = S12
+    mods = [regular_module(support), tau_ru_module(support), atomic_module(1, 1, support),
+            atomic_module(4, 2, support)]
+    mods += [semifree_module(n, support) for n in divisors(12)]
+    return mods + [random_module(support, seed) for seed in range(20)]
+
+
+class TestMinimalResolution:
+    """resolve_by_representables covers each stage minimally by the block
+    projectives e P_n, so its generator counts are invariants of the
+    module: the regular module is the projective sum of the e_psi P_f,
+    and the resolution of a simple is a Koszul complex."""
+
+    @pytest.mark.parametrize("support", [S12, support_of_divisors(36), support_of_divisors(60),
+                                         support_of_divisors(360)] + NON_DIRECTED)
+    def test_regular_and_tau_ru_resolve_in_degree_zero(self, support):
+        # one generator e_psi P_f per block psi of conductor f in the support
+        expected = sorted((f, blk.key) for f in support for blk in character_blocks(f)
+                          if blk.conductor == f)
+        for x in [regular_module(support), tau_ru_module(support)]:
+            steps = resolve_by_representables(x, 2)
+            assert generator_types(steps[0]) == expected
+            assert steps[1].gens == steps[2].gens == []
+
+    @pytest.mark.parametrize("support,sources", [
+        (S12, battery_12),
+        (FOUR_CYCLE, lambda: [atomic_module(1, 1, FOUR_CYCLE), regular_module(FOUR_CYCLE),
+                              tau_ru_module(FOUR_CYCLE)]
+         + [random_module(FOUR_CYCLE, seed) for seed in range(4)]
+         + [simple_module(n, blk, FOUR_CYCLE) for n in (1, 3, 5, 7)
+            for blk in character_blocks(n)]),
+    ])
+    def test_generators_count_ext_into_simples(self, support, sources):
+        # Hom(e P_m, S_{n,psi}) is Q(psi) when (m, e) = (n, psi) and 0
+        # otherwise, so for a minimal resolution every differential of
+        # Hom(-, S) vanishes and Ext^k(x, S) is phi(d) times the number of
+        # degree-k generators of type (n, psi); the greedy resolution gives
+        # the same Ext by a route that knows nothing of blocks
+        top = 3
+        simples = [(n, blk, simple_module(n, blk, support))
+                   for n in support for blk in character_blocks(n)]
+        for x in sources():
+            steps = resolve_by_representables(x, top + 1)
+            greedy = greedy_resolve(x, top + 1)
+            for n, blk, s in simples:
+                counts = [generator_types(step).count((n, blk.key)) for step in steps]
+                expected = [blk.degree * c for c in counts[:top + 1]]
+                minimal = _hom_cochain(steps, s)
+                assert all(d.is_zero() for d in minimal.diffs), (x.name, n, blk.key)
+                assert minimal.cohomology_dims(top) == expected, (x.name, n, blk.key)
+                assert _hom_cochain(greedy, s).cohomology_dims(top) == expected
+
+    def test_atom_matches_the_prime_set_complex(self):
+        support = support_of_divisors(30)
+        steps = resolve_by_representables(atomic_module(1, 1, support), 4)
+        cx = build_complex([2, 3, 5], 3, support)
+        assert [len(step.gens) for step in steps] == [1, 3, 3, 1, 0]
+        for k in range(4):
+            # resolution.py's degree-k term: semifree modules, that is
+            # trivial-block projectives, at the products of k primes
+            assert sorted(steps[k].gens) == sorted(prod(t) for t in cx.tuples[k])
+            assert all(blk.key == (1, 0) for blk in steps[k].blocks)
+
+    def test_resolution_stops_by_the_largest_prime_count(self):
+        # max omega(n) over the 27-level closure is 3
+        x = atomic_module(1, 1, CLOSURE_27)
+        steps = resolve_by_representables(x, 5)
+        assert [len(step.gens) for step in steps] == [1, 6, 12, 8, 0, 0]
+        assert ext_via_resolution(x, regular_module(CLOSURE_27), 5) == [0, 0, 0, 1, 0, 0]
+
+    def test_negative_depth_is_refused(self):
+        with pytest.raises(ValueError):
+            resolve_by_representables(regular_module(S123), -1)
+        assert len(resolve_by_representables(regular_module(S123), 0)) == 1
+
+
+class TestMinimalAgainstGreedyResolution:
+    """Ext dimensions, not generators, against the greedy resolution by
+    whole representables and, into the regular module, the derived limits."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(NON_DIRECTED + [S12, support_of_divisors(36)]),
+           st.integers(0, 10 ** 6),
+           st.sampled_from(["random->regular", "regular->random", "random->random"]))
+    def test_ext_dims(self, support, seed, kind):
+        reg, x, y = (regular_module(support), random_module(support, seed),
+                     random_module(support, seed + 1))
+        src, tgt = {"random->regular": (x, reg), "regular->random": (reg, x),
+                    "random->random": (x, y)}[kind]
+        self.assert_same_ext(src, tgt, reg)
+
+    @pytest.mark.parametrize("support", NON_DIRECTED + [S12, support_of_divisors(36)])
+    def test_simple_sources(self, support):
+        # the syzygies of random modules lie in the trivial block, those of
+        # S_{n,psi} in psi's block; the sum of all simples is a target that
+        # every generator sees
+        simples = [simple_module(n, blk, support)
+                   for n in support for blk in character_blocks(n)]
+        reg, all_simples = regular_module(support), direct_sum(simples)
+        for x in simples:
+            for y in [reg, random_module(support, 7), all_simples]:
+                self.assert_same_ext(x, y, reg)
+
+    @staticmethod
+    def assert_same_ext(x, y, reg, top=3):
+        dims = ext_via_resolution(x, y, top)
+        assert dims == _hom_cochain(greedy_resolve(x, top + 1), y).cohomology_dims(top)
+        if y is reg:
+            assert dims == lim_derived(dual_system(x), top).dims
 
 
 class TestExtMetamorphic:
