@@ -121,25 +121,30 @@ def _cmd_validate(args, rep: Report) -> None:
     rep.check(f"module {args.source} valid over {list(support)}", not violations)
 
 
-def _equivariant_dim(x, y, n: int) -> int:
-    """dim Hom_{units(n)}(x(n), y(n)), exactly, from the characters: the
-    mean over the units of trace x(l) * trace y(l) (rational characters
-    are real, so no conjugate is needed)."""
-    un = units(n)
-    total = sum(x.action(n, l).trace() * y.action(n, l).trace() for l in un)
-    return int(total / len(un))
+def _nonzeros(a) -> int:
+    return sum(1 for v in a._e if v)
 
 
 def _estimate_hom_entries(x, y) -> int:
-    """Entries ``hom_direct`` allocates: one sparse equivariance row per
-    generator of units(n) and entry of a level-n map, and the dense
-    naturality system, with dy(m) * dx(n) rows per covering pair (n, m)
-    and one column per equivariant basis map of every level."""
+    """A bound on the nonzeros of the one sparse system ``hom_direct``
+    solves, fill-in not charged.
+
+    Each generator g of units(n) gives a row per entry (i, j) of the level
+    map, with at most the nonzeros of row i of y(g) and of column j of
+    x(g); each covering pair (n, m) gives a row per entry (i, j) of a
+    level-m-by-level-n map, with at most the nonzeros of row i of y's
+    restriction and of column j of x's.
+    """
     support = x.support
-    eq_rows = sum(len(units(n).generators()) * x.dim(n) * y.dim(n) for n in support)
-    rows = sum(y.dim(m) * x.dim(n) for n, m in support.covering_pairs())
-    cols = sum(_equivariant_dim(x, y, n) for n in support)
-    return eq_rows + rows * cols
+    total = 0
+    for n in support:
+        for g in units(n).generators():
+            total += (x.dim(n) * _nonzeros(y.action(n, g))
+                      + y.dim(n) * _nonzeros(x.action(n, g)))
+    for n, m in support.covering_pairs():
+        total += (x.dim(n) * _nonzeros(y.restriction_step(n, m))
+                  + y.dim(m) * _nonzeros(x.restriction_step(n, m)))
+    return total
 
 
 def _estimate_nerve_entries(x, max_k: int) -> int:
@@ -302,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
         if source:
             p.add_argument("--source", required=True,
                            help="built-in name (regular, tauRU, free:n, semifree:n, "
-                                "atomic:n:d) or a module JSON file")
+                                "atomic:n:d, random:n) or a module JSON file")
         if target:
             p.add_argument("--target", default=None, help="like --source; default regular")
         if degree:

@@ -19,6 +19,7 @@ the first interesting example lives over the three-element support {1,2,3}.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -43,7 +44,6 @@ from .linalg import (
     _ZERO,
     _cancel,
     _int_row,
-    kernel_basis,
     rank,
     sparse_kernel,
 )
@@ -141,109 +141,72 @@ class CochainComplex:
 # Hom by direct linear algebra
 # ---------------------------------------------------------------------------
 
-def _equivariant_basis(x: OutCycModule, y: OutCycModule, n: int) -> QMatrix:
-    """Columns spanning the equivariant maps x(n) -> y(n), as row-major
-    flattened matrices.
-
-    The null space of the stacked sparse rows of Y(g) f - f X(g) over the
-    generators g of units(n), in the reduced basis of ``sparse_kernel``.
-    Commuting with the generators is the same as commuting with every
-    unit: for valid modules both actions are multiplicative, so a map that
-    commutes with two units commutes with their product.
-    """
-    dx, dy = x.dim(n), y.dim(n)
-    size = dx * dy
-    if size == 0:
-        return QMatrix.zeros(size, 0)
-    rows: list[dict[int, Fraction]] = []
-    for g in units(n).generators():
-        ax, ay = x.action(n, g), y.action(n, g)
-        ay_rows = [[(s, v) for s, v in enumerate(ay.row(i)) if v] for i in range(dy)]
-        ax_cols = [[(t, v) for t, v in enumerate(ax.col(j)) if v] for j in range(dx)]
-        for i in range(dy):
-            for j in range(dx):
-                # entry (i, j): sum_s Y[i,s] f[s,j] - sum_t f[i,t] X[t,j]
-                row = {s * dx + j: v for s, v in ay_rows[i]}
-                for t, v in ax_cols[j]:
-                    k = i * dx + t
-                    row[k] = row.get(k, _F0) - v
-                rows.append(row)
-    vecs, _ = sparse_kernel(rows, size)
-    basis = QMatrix.zeros(size, len(vecs))
-    for k, vec in enumerate(vecs):
-        for i, v in vec.items():
-            basis._e[i * len(vecs) + k] = v
-    return basis
+def _rows(a: QMatrix) -> list[list[tuple[int, Fraction]]]:
+    return [[(j, v) for j, v in enumerate(a.row(i)) if v] for i in range(a.rows)]
 
 
-def _unvec(v: Sequence[Fraction], rows: int, cols: int) -> QMatrix:
-    return QMatrix(rows, cols, list(v))
+def _cols(a: QMatrix) -> list[list[tuple[int, Fraction]]]:
+    return [[(i, v) for i, v in enumerate(a.col(j)) if v] for j in range(a.cols)]
 
 
 def hom_direct(x: OutCycModule, y: OutCycModule) -> HomSpace:
-    """Basis of the morphism space, from the equivariance + naturality system.
+    """Basis of the morphism space: the kernel of one sparse system.
 
-    Solved in two exact stages with the same solution set as the monolithic
-    system: first a basis of the levelwise equivariant maps, then the
-    naturality constraints over all covering pairs expressed in those
-    coordinates.
+    The unknowns are the entries of every level matrix f_n, row-major,
+    levels in support order: the coordinates of
+    ``ModuleMorphism.stacked_vector``.  Equivariance contributes the rows
+    of Y(g) f_n - f_n X(g) for each generator g of units(n); commuting with
+    the generators is the same as commuting with every unit, because both
+    actions are multiplicative.  Naturality contributes the rows of
+    R_y f_n - f_m R_x for each covering pair (n, m).  The basis is the
+    reduced kernel basis of ``sparse_kernel``, written into level matrices.
     """
     if x.support != y.support:
         raise ValueError("support mismatch")
     support = x.support
-    levels = list(support)
-    eq_bases = {n: _equivariant_basis(x, y, n) for n in levels}
     offsets: dict[int, int] = {}
     total = 0
-    for n in levels:
+    for n in support:
         offsets[n] = total
-        total += eq_bases[n].cols
+        total += x.dim(n) * y.dim(n)
 
-    rows: list[list[Fraction]] = []
-    for n, m in support.covering_pairs():
-        res_x = x.restriction_step(n, m)
-        res_y = y.restriction_step(n, m)
-        dxn, dyn = x.dim(n), y.dim(n)
-        dxm, dym = x.dim(m), y.dim(m)
-        block_rows = dym * dxn
-        if block_rows == 0:
+    rows: list[dict[int, Fraction]] = []
+    for n in support:
+        dx, dy, o = x.dim(n), y.dim(n), offsets[n]
+        if not dx * dy:
             continue
-        block = [[_F0] * total for _ in range(block_rows)]
-        bn = eq_bases[n]
-        for k in range(bn.cols):
-            f_n = _unvec(bn.col(k), dyn, dxn)
-            contrib = res_y @ f_n
-            col = offsets[n] + k
-            for r, v in enumerate(contrib._e):
-                if v:
-                    block[r][col] = v
-        bm = eq_bases[m]
-        for k in range(bm.cols):
-            f_m = _unvec(bm.col(k), dym, dxm)
-            contrib = f_m @ res_x
-            col = offsets[m] + k
-            for r, v in enumerate(contrib._e):
-                if v:
-                    block[r][col] -= v
-        rows.extend(block)
+        for g in units(n).generators():
+            ay_rows = _rows(y.action(n, g))
+            ax_cols = _cols(x.action(n, g))
+            for i in range(dy):
+                for j in range(dx):
+                    # entry (i, j): sum_s Y[i,s] f[s,j] - sum_t f[i,t] X[t,j]
+                    row = {o + s * dx + j: v for s, v in ay_rows[i]}
+                    for t, v in ax_cols[j]:
+                        k = o + i * dx + t
+                        row[k] = row.get(k, _F0) - v
+                    rows.append(row)
+    for n, m in support.covering_pairs():
+        dxn, dxm = x.dim(n), x.dim(m)
+        ry_rows = _rows(y.restriction_step(n, m))
+        rx_cols = _cols(x.restriction_step(n, m))
+        for i, ry_row in enumerate(ry_rows):
+            for j in range(dxn):
+                # entry (i, j): sum_s Ry[i,s] f_n[s,j] - sum_t f_m[i,t] Rx[t,j]
+                row = {offsets[n] + s * dxn + j: v for s, v in ry_row}
+                for t, v in rx_cols[j]:
+                    row[offsets[m] + i * dxm + t] = -v
+                rows.append(row)
 
-    system = QMatrix.from_rows(rows, cols=total)
-    coeffs = kernel_basis(system)
-    # the nonzeros of every equivariant basis column, shared by all morphisms
-    eq_cols = {n: [[(i, v) for i, v in enumerate(eq_bases[n].col(j)) if v]
-                   for j in range(eq_bases[n].cols)] for n in levels}
+    vecs, _ = sparse_kernel(rows, total)
+    levels = [n for n in support if x.dim(n) * y.dim(n)]
+    starts = [offsets[n] for n in levels]
     basis = []
-    for k in range(coeffs.cols):
-        mats = {}
-        for n in levels:
-            acc = QMatrix.zeros(y.dim(n), x.dim(n))
-            entries = acc._e
-            for j, col in enumerate(eq_cols[n]):
-                c = coeffs[offsets[n] + j, k]
-                if c:
-                    for i, v in col:
-                        entries[i] += c * v
-            mats[n] = acc
+    for vec in vecs:
+        mats = {n: QMatrix.zeros(y.dim(n), x.dim(n)) for n in support}
+        for k, v in vec.items():
+            n = levels[bisect_right(starts, k) - 1]
+            mats[n]._e[k - offsets[n]] = v
         basis.append(ModuleMorphism(x, y, mats))
     return HomSpace(x, y, basis)
 
@@ -253,31 +216,27 @@ def hom_direct(x: OutCycModule, y: OutCycModule) -> HomSpace:
 # ---------------------------------------------------------------------------
 
 def limit_basis(d: InverseSystem) -> list[dict[int, list[Fraction]]]:
-    """Basis of the inverse limit: compatible families, one form per level."""
-    levels = list(d.support)
+    """Basis of the inverse limit: compatible families, one form per level.
+
+    The reduced kernel basis of the sparse rows of lam_n - S lam_m, one
+    per coordinate of D(n) and covering pair (n, m) with S: D(m) -> D(n),
+    the unknowns being every level's form, levels in support order.
+    """
     offsets: dict[int, int] = {}
     total = 0
-    for n in levels:
+    for n in d.support:
         offsets[n] = total
         total += d.dim(n)
-    rows: list[list[Fraction]] = []
+    rows: list[dict[int, Fraction]] = []
     for n, m in d.support.covering_pairs():
-        step = d.structure_step(n, m)  # D(m) -> D(n)
-        for i in range(d.dim(n)):
-            row = [_F0] * total
+        om = offsets[m]
+        for i, step_row in enumerate(_rows(d.structure_step(n, m))):  # D(m) -> D(n)
+            row = {om + j: -v for j, v in step_row}
             row[offsets[n] + i] = _F1
-            for j in range(d.dim(m)):
-                v = step[i, j]
-                if v:
-                    row[offsets[m] + j] -= v
             rows.append(row)
-    system = QMatrix.from_rows(rows, cols=total)
-    kb = kernel_basis(system)
-    out = []
-    for k in range(kb.cols):
-        fam = {n: [kb[offsets[n] + i, k] for i in range(d.dim(n))] for n in levels}
-        out.append(fam)
-    return out
+    vecs, _ = sparse_kernel(rows, total)
+    return [{n: [vec.get(offsets[n] + i, _F0) for i in range(d.dim(n))] for n in d.support}
+            for vec in vecs]
 
 
 def hom_via_limit(x: OutCycModule) -> HomSpace:
@@ -696,10 +655,6 @@ def _apply_cols(cols: list[list[tuple[int, Fraction]]], vec: Vec) -> Vec:
         for i, a in cols[j]:
             out[i] = out.get(i, 0) + a * c
     return {i: v for i, v in out.items() if v}
-
-
-def _cols(a: QMatrix) -> list[list[tuple[int, Fraction]]]:
-    return [[(i, v) for i, v in enumerate(a.col(j)) if v] for j in range(a.cols)]
 
 
 class _ModuleStage:

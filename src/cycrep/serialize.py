@@ -143,14 +143,15 @@ def dumps_canonical(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
-BUILTIN_NAMES = ("regular", "tauRU", "free:<n>", "semifree:<n>", "atomic:<n>:<d>")
+BUILTIN_NAMES = ("regular", "tauRU", "free:<n>", "semifree:<n>", "atomic:<n>:<d>",
+                 "random:<n>")
 
 
 def is_builtin_name(name: str) -> bool:
     if name in ("regular", "tauRU"):
         return True
     head = name.split(":", 1)[0]
-    return head in ("free", "semifree", "atomic")
+    return head in ("free", "semifree", "atomic", "random")
 
 
 def module_from_name(name: str, support: SupportSet, seed: int = 0) -> OutCycModule:

@@ -17,13 +17,12 @@ from math import gcd
 from typing import Sequence
 
 from cycrep.cyclic_site import reduce_unit, units
-from cycrep.hom_ext import (CochainComplex, HomSpace, ResolutionStep, _chains,
-                            _equivariant_basis, _SpanTracker)
+from cycrep.hom_ext import CochainComplex, HomSpace, ResolutionStep, _chains, _SpanTracker
 from cycrep.linalg import (QMatrix, SparseMatrix, cokernel, column_space_basis, hstack,
                            kernel_basis, kronecker, solve, solve_matrix, sparse_kernel,
                            vstack)
-from cycrep.modules import (ModuleMorphism, MorphismFactorization, OutCycModule,
-                            conjugate_module, restriction_matrix)
+from cycrep.modules import (InverseSystem, ModuleMorphism, MorphismFactorization,
+                            OutCycModule, conjugate_module, restriction_matrix)
 from cycrep.rep_ring import (MonomialReducer, RUElement, restrict_proj_matrix, tau_level,
                              transfer_ideal, unit_action_matrix)
 
@@ -1242,18 +1241,57 @@ def per_unit_morphism_factor(f) -> MorphismFactorization:
     )
 
 
+# --- the Hom routes as two-stage and dense solves
+
+def equivariant_basis(x: OutCycModule, y: OutCycModule, n: int) -> QMatrix:
+    """Columns spanning the equivariant maps x(n) -> y(n), as row-major
+    flattened matrices.
+
+    The null space of the stacked sparse rows of Y(g) f - f X(g) over the
+    generators g of units(n), in the reduced basis of ``sparse_kernel``.
+    Commuting with the generators is the same as commuting with every
+    unit: for valid modules both actions are multiplicative, so a map that
+    commutes with two units commutes with their product.
+    """
+    dx, dy = x.dim(n), y.dim(n)
+    size = dx * dy
+    if size == 0:
+        return QMatrix.zeros(size, 0)
+    rows: list[dict[int, Fraction]] = []
+    for g in units(n).generators():
+        ax, ay = x.action(n, g), y.action(n, g)
+        ay_rows = [[(s, v) for s, v in enumerate(ay.row(i)) if v] for i in range(dy)]
+        ax_cols = [[(t, v) for t, v in enumerate(ax.col(j)) if v] for j in range(dx)]
+        for i in range(dy):
+            for j in range(dx):
+                # entry (i, j): sum_s Y[i,s] f[s,j] - sum_t f[i,t] X[t,j]
+                row = {s * dx + j: v for s, v in ay_rows[i]}
+                for t, v in ax_cols[j]:
+                    k = i * dx + t
+                    row[k] = row.get(k, F0) - v
+                rows.append(row)
+    vecs, _ = sparse_kernel(rows, size)
+    basis = QMatrix.zeros(size, len(vecs))
+    for k, vec in enumerate(vecs):
+        for i, v in vec.items():
+            basis._e[i * len(vecs) + k] = v
+    return basis
+
+
 def _unvec(v, rows: int, cols: int) -> QMatrix:
     return QMatrix(rows, cols, list(v))
 
 
 def scaled_sum_hom_direct(x, y) -> HomSpace:
-    """The equivariance + naturality solve, each basis morphism rebuilt as
-    a sum of scaled equivariant basis matrices, one per coefficient."""
+    """The equivariance + naturality solve in two stages: an equivariant
+    basis per level, then the dense naturality system in its coordinates,
+    each basis morphism rebuilt as a sum of scaled equivariant basis
+    matrices, one per coefficient."""
     if x.support != y.support:
         raise ValueError("support mismatch")
     support = x.support
     levels = list(support)
-    eq_bases = {n: _equivariant_basis(x, y, n) for n in levels}
+    eq_bases = {n: equivariant_basis(x, y, n) for n in levels}
     offsets: dict[int, int] = {}
     total = 0
     for n in levels:
@@ -1303,3 +1341,32 @@ def scaled_sum_hom_direct(x, y) -> HomSpace:
             mats[n] = acc
         basis.append(ModuleMorphism(x, y, mats))
     return HomSpace(x, y, basis)
+
+
+def dense_limit_basis(d: InverseSystem) -> list[dict[int, list[Fraction]]]:
+    """The inverse limit as the dense kernel of the compatibility system:
+    one row per coordinate of D(n) and covering pair (n, m)."""
+    levels = list(d.support)
+    offsets: dict[int, int] = {}
+    total = 0
+    for n in levels:
+        offsets[n] = total
+        total += d.dim(n)
+    rows: list[list[Fraction]] = []
+    for n, m in d.support.covering_pairs():
+        step = d.structure_step(n, m)  # D(m) -> D(n)
+        for i in range(d.dim(n)):
+            row = [F0] * total
+            row[offsets[n] + i] = F1
+            for j in range(d.dim(m)):
+                v = step[i, j]
+                if v:
+                    row[offsets[m] + j] -= v
+            rows.append(row)
+    system = QMatrix.from_rows(rows, cols=total)
+    kb = kernel_basis(system)
+    out = []
+    for k in range(kb.cols):
+        fam = {n: [kb[offsets[n] + i, k] for i in range(d.dim(n))] for n in levels}
+        out.append(fam)
+    return out

@@ -20,7 +20,6 @@ from cycrep.modules import (
 from cycrep.hom_ext import (
     CochainComplex,
     _SpanTracker,
-    _equivariant_basis,
     _hom_cochain,
     ext_via_resolution,
     hom_direct,
@@ -36,9 +35,10 @@ from cycrep.hom_ext import (
 from cycrep.rep_ring import tau_ru_module
 from cycrep.resolution import build_complex
 from oracles import (DenseSpanTracker, averaged_equivariant_basis, dense_hom_cochain,
-                     dense_nerve_complex, dense_resolve_by_representables, greedy_resolve,
-                     reference_hom_via_limit_mats, scaled_sum_hom_direct, scramble,
-                     simple_module, tracker_witnesses, witnesses_by_solve)
+                     dense_limit_basis, dense_nerve_complex, dense_resolve_by_representables,
+                     equivariant_basis, greedy_resolve, reference_hom_via_limit_mats,
+                     scaled_sum_hom_direct, scramble, simple_module, tracker_witnesses,
+                     witnesses_by_solve)
 
 S123 = SupportSet([1, 2, 3])
 S12 = support_of_divisors(12)
@@ -102,13 +102,14 @@ class TestHomDirect:
 class TestMonolithicSystemAgreement:
     @settings(max_examples=50, deadline=None)
     @given(small_supports, st.integers(0, 10 ** 6), st.booleans())
-    def test_two_stage_solver_matches_single_system(self, support, seed, to_regular):
-        # assemble the full equivariance + naturality system in one matrix and
-        # compare its kernel with the staged solver; the system quantifies
-        # every unit, so it does not share the solver's generating sets
+    def test_basis_matches_every_unit_system(self, support, seed, to_regular):
+        # assemble the full equivariance + naturality system as one dense
+        # matrix that quantifies every unit, so it does not share the
+        # solver's generating sets; the reduced kernel basis of a subspace in
+        # fixed coordinates is unique, so the bases agree vector for vector
         from cycrep.linalg import QMatrix as QM, kernel_basis as kb
 
-        def monolithic_dim(x, y):
+        def every_unit_basis(x, y):
             support = x.support
             offsets, total = {}, 0
             for n in support:
@@ -138,11 +139,12 @@ class TestMonolithicSystemAgreement:
                         for t in range(dxm):
                             row[offsets[m] + i * dxm + t] -= rx[t, j]
                         rows.append(row)
-            return kb(QM.from_rows(rows, cols=total)).cols
+            basis = kb(QM.from_rows(rows, cols=total))
+            return [basis.col(k) for k in range(basis.cols)]
 
         x = random_module(support, seed)
         y = regular_module(support) if to_regular else random_module(support, seed + 1)
-        assert hom_direct(x, y).dimension == monolithic_dim(x, y)
+        assert [f.stacked_vector() for f in hom_direct(x, y).basis] == every_unit_basis(x, y)
 
 
 class TestHomViaLimit:
@@ -198,8 +200,9 @@ def hom_battery(support):
 
 
 class TestEquivariantBasisAgainstAveraging:
-    """The generator kernel against the Kronecker-averaged projector over
-    every unit (oracles.averaged_equivariant_basis)."""
+    """The generator kernel of the two-stage reference
+    (oracles.equivariant_basis) against the Kronecker-averaged projector
+    over every unit (oracles.averaged_equivariant_basis)."""
 
     @pytest.mark.parametrize("support", [S12, support_of_divisors(30)])
     def test_battery(self, support):
@@ -207,7 +210,7 @@ class TestEquivariantBasisAgainstAveraging:
         for x in mods:
             for y in mods:
                 for n in support:
-                    assert same_column_space(_equivariant_basis(x, y, n),
+                    assert same_column_space(equivariant_basis(x, y, n),
                                              averaged_equivariant_basis(x, y, n)), (x.name, y.name, n)
 
     @settings(max_examples=30, deadline=None)
@@ -215,23 +218,46 @@ class TestEquivariantBasisAgainstAveraging:
     def test_random_modules(self, support, seed):
         x, y = random_module(support, seed), scramble(random_module(support, seed + 1), seed)
         for n in support:
-            assert same_column_space(_equivariant_basis(x, y, n),
+            assert same_column_space(equivariant_basis(x, y, n),
                                      averaged_equivariant_basis(x, y, n))
 
 
-class TestHomDirectReconstructionAgainstScaledSums:
-    """The flat per-level accumulation of the basis morphisms against one
-    scaled matrix sum per coefficient (oracles.scaled_sum_hom_direct)."""
+class TestHomDirectAgainstTwoStageSolve:
+    """The one sparse system against the two-stage solve: an equivariant
+    basis per level, then the dense naturality system in its coordinates
+    (oracles.scaled_sum_hom_direct).  Both give the reduced kernel basis
+    in the stacked coordinates, so the basis morphisms are equal."""
 
     @pytest.mark.parametrize("support", [S12, support_of_divisors(30)])
     def test_battery(self, support):
         mods = hom_battery(support)
+        # into an atom at 2, the naturality rows of (1, 2) are not implied
+        # by the other squares, as they are into modules whose restrictions
+        # are injective
         for x in mods:
-            for y in mods[:3]:
+            for y in mods[:3] + [atomic_module(2, 1, support)]:
                 got = hom_direct(x, y)
                 want = scaled_sum_hom_direct(x, y)
                 assert [f.mats for f in got.basis] == [f.mats for f in want.basis], \
                     (x.name, y.name)
+
+
+class TestLimitBasisAgainstDenseSystem:
+    """The sparse compatibility system against its dense kernel
+    (oracles.dense_limit_basis): the same reduced basis, family for family."""
+
+    def test_battery(self):
+        for support in [S12, support_of_divisors(30), divisor_closure([8, 9]), S123,
+                        SupportSet([1, 2, 3, 5, 6, 10, 15])]:
+            for x in hom_battery(support) + [atomic_module(1, 1, support)]:
+                d = dual_system(x)
+                assert limit_basis(d) == dense_limit_basis(d), x.name
+
+    @settings(max_examples=30, deadline=None)
+    @given(small_supports, st.integers(0, 10 ** 6))
+    def test_random_modules(self, support, seed):
+        d = dual_system(scramble(random_module(support, seed), seed + 1))
+        assert limit_basis(d) == dense_limit_basis(d)
 
 
 class TestHomViaLimitAgainstReference:
@@ -400,16 +426,8 @@ class TestSparseNerveAgainstDenseOracle:
         self.assert_same_nerve(random_module(support, seed))
 
 
-def test_no_dense_differential_on_either_route(monkeypatch):
-    """Every QMatrix the two Ext routes create is at most the size of one
-    structure map between two levels; the differentials over divisors(60)
-    are hundreds of rows by hundreds of columns.  The regular module
-    resolves in degree 0, so the atom, whose resolution has differentials,
-    runs the resolution route's cochain assembly too."""
-    support = support_of_divisors(60)
-    reg = regular_module(support)
-    largest_map = max(reg.dim(n) * reg.dim(m) for n in support
-                      for m in support.multiples_of(n))
+def qmatrix_sizes(monkeypatch) -> list[int]:
+    """The entry count of every QMatrix created from here on."""
     sizes = []
     zeros, init = QMatrix.zeros.__func__, QMatrix.__init__
 
@@ -423,11 +441,42 @@ def test_no_dense_differential_on_either_route(monkeypatch):
 
     monkeypatch.setattr(QMatrix, "zeros", classmethod(counted_zeros))
     monkeypatch.setattr(QMatrix, "__init__", counted_init)
+    return sizes
+
+
+def largest_structure_map(x) -> int:
+    return max(x.dim(n) * x.dim(m) for n in x.support for m in x.support.multiples_of(n))
+
+
+def test_no_dense_differential_on_either_route(monkeypatch):
+    """Every QMatrix the two Ext routes create is at most the size of one
+    structure map between two levels; the differentials over divisors(60)
+    are hundreds of rows by hundreds of columns.  The regular module
+    resolves in degree 0, so the atom, whose resolution has differentials,
+    runs the resolution route's cochain assembly too."""
+    support = support_of_divisors(60)
+    reg = regular_module(support)
+    largest_map = largest_structure_map(reg)
+    sizes = qmatrix_sizes(monkeypatch)
     assert ext_via_resolution(reg, reg, 2) == [16, 0, 0]
     assert ext_via_resolution(atomic_module(1, 1, support), reg, 2) == [0, 0, 0]
     dl = lim_derived(dual_system(reg), 2)
     assert dl.dims == [16, 0, 0]
     assert max(d.rows * d.cols for d in dl.complex.diffs) > 10 * largest_map
+    assert sizes and max(sizes) <= largest_map
+
+
+def test_no_dense_system_on_either_hom_route(monkeypatch):
+    """Every QMatrix the two Hom routes create is at most the size of one
+    structure map between two levels; each route solves one sparse system,
+    where a dense naturality system over divisors(60) has tens of
+    thousands of entries."""
+    support = support_of_divisors(60)
+    reg, tau = regular_module(support), tau_ru_module(support)
+    largest_map = largest_structure_map(reg)
+    sizes = qmatrix_sizes(monkeypatch)
+    assert hom_direct(tau, reg).dimension == 16
+    assert hom_via_limit(tau).dimension == 16
     assert sizes and max(sizes) <= largest_map
 
 

@@ -8,7 +8,7 @@ import pytest
 from cycrep.cyclic_site import SupportSet, support_of_divisors
 from cycrep.linalg import QMatrix
 from cycrep.cyclic_site import units
-from cycrep.hom_ext import _equivariant_basis, dual_system, lim_derived
+from cycrep.hom_ext import dual_system, hom_direct, lim_derived
 from cycrep.modules import (atomic_module, direct_sum, free_module, random_module,
                             regular_module, semifree_module)
 from cycrep.rep_ring import RUElement
@@ -191,6 +191,15 @@ class TestBuiltinNames:
         finally:
             os.chdir(cwd)
 
+    @pytest.mark.parametrize("name", ["random:1", "atomic:1:1"])
+    def test_files_named_like_builtins_do_not_shadow(self, name, tmp_path, monkeypatch):
+        s = support_of_divisors(4)
+        (tmp_path / name).write_text(dumps_canonical(module_to_json(
+            direct_sum([atomic_module(2, 1, s)], name="from-file"))))
+        monkeypatch.chdir(tmp_path)
+        assert load_module(name, s).name != "from-file"
+        assert load_module(name, s, prefer_file=True).name == "from-file"
+
 
 class TestParseSupport:
     def test_divisors_form(self):
@@ -307,9 +316,20 @@ class TestCliRuns:
                           "--size-cap", "10"])
         assert code == 1 and "cap" in text
 
-    def test_size_cap_estimate_is_the_hom_direct_shape(self):
-        # sparse equivariance rows, plus the dense naturality system with one
-        # column per equivariant basis map of every level
+    def test_size_cap_estimate_is_the_hom_direct_shape(self, monkeypatch):
+        # the terms of the one sparse system, counted entry by entry: a row
+        # per generator and level-map entry, and per covering pair and entry
+        # of a level-m-by-level-n map; the system hom_direct hands to
+        # sparse_kernel stores no more nonzeros than that
+        import cycrep.hom_ext as hom_ext
+        stored = []
+        kernel = hom_ext.sparse_kernel
+
+        def counted_kernel(rows, ncols):
+            stored.append(sum(1 for row in rows for v in row.values() if v))
+            return kernel(rows, ncols)
+
+        monkeypatch.setattr(hom_ext, "sparse_kernel", counted_kernel)
         s12, s30 = support_of_divisors(12), support_of_divisors(30)
         pairs = [(regular_module(s12), regular_module(s12)),
                  (random_module(s12, 4), regular_module(s12)),
@@ -318,17 +338,35 @@ class TestCliRuns:
                  (atomic_module(6, 2, s30), random_module(s30, 2)),
                  (random_module(s30, 5), regular_module(s30))]
         for x, y in pairs:
-            s = x.support
-            eq_rows = sum(len(units(n).generators()) * x.dim(n) * y.dim(n) for n in s)
-            rows = sum(y.dim(m) * x.dim(n) for n, m in s.covering_pairs())
-            cols = sum(_equivariant_basis(x, y, n).cols for n in s)
-            assert _estimate_hom_entries(x, y) == eq_rows + rows * cols, (x.name, y.name)
+            terms = 0
+            for n in x.support:
+                dx, dy = x.dim(n), y.dim(n)
+                for g in units(n).generators():
+                    ax, ay = x.action(n, g), y.action(n, g)
+                    for i in range(dy):
+                        for j in range(dx):
+                            terms += sum(1 for s in range(dy) if ay[i, s])
+                            terms += sum(1 for t in range(dx) if ax[t, j])
+            for n, m in x.support.covering_pairs():
+                rx, ry = x.restriction_step(n, m), y.restriction_step(n, m)
+                for i in range(y.dim(m)):
+                    for j in range(x.dim(n)):
+                        terms += sum(1 for s in range(y.dim(n)) if ry[i, s])
+                        terms += sum(1 for t in range(x.dim(m)) if rx[t, j])
+            assert _estimate_hom_entries(x, y) == terms, (x.name, y.name)
+            stored.clear()
+            hom_direct(x, y)
+            assert stored and stored[0] <= terms, (x.name, y.name)
 
-    def test_size_cap_admits_180_and_refuses_360(self):
-        reg180 = regular_module(support_of_divisors(180))
-        assert _estimate_hom_entries(reg180, reg180) <= DEFAULT_SIZE_CAP
-        code, text = run(["hom", "--support", "divisors:360", "--source", "regular"])
-        assert code == 1 and "about 5998444 matrix entries" in text
+    def test_size_cap_admits_360_and_refuses_1260(self):
+        # the one sparse system: 37612 and 169508 nonzeros over divisors of
+        # 180 and 360; the dense naturality system it replaced was about
+        # 6.0 million entries over divisors(360)
+        for n, entries in [(180, 37612), (360, 169508)]:
+            reg = regular_module(support_of_divisors(n))
+            assert _estimate_hom_entries(reg, reg) == entries
+        code, text = run(["hom", "--support", "divisors:1260", "--source", "regular"])
+        assert code == 1 and "about 1871056 matrix entries" in text
 
     def test_ext_and_lim_run_under_the_default_cap(self):
         # the cap charges the sparse nerve complex, not a dense Hom system
