@@ -175,8 +175,8 @@ def _cmd_hom(args, rep: Report) -> None:
     _check_size_cap(_estimate_hom_entries(x, y), args.size_cap, "the morphism system")
     hs = hom_direct(x, y)
     rep.value("dim", hs.dimension)
-    rep.value("results", results_to_json(
-        [hs.dimension], [morphism_to_json(f) for f in hs.basis]))
+    basis = [morphism_to_json(f.source.name, f.target.name, f.mats) for f in hs.basis]
+    rep.value("results", results_to_json([hs.dimension], basis))
     rep.check("morphism space computed", True, dims=[hs.dimension])
     rep.check("every basis morphism is equivariant and natural",
               not any(f.validate() for f in hs.basis))
@@ -235,7 +235,7 @@ def _cmd_normal_basis(args, rep: Report) -> None:
     rep.value("isomorphism", r.ok)
     if args.format == "json":
         # the full levelwise morphism; omitted from text output for readability
-        rep.value("morphism", morphism_to_json(r.morphism))
+        rep.value("morphism", morphism_to_json("regular", "tauRU", r.mats))
     for l in r.levels:
         rep.check(f"level {l.level} invertible", l.invertible)
         rep.check(f"level {l.level} equivariant", l.equivariant)

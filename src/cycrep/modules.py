@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 from .cyclic_site import (
     SupportSet,
@@ -31,32 +31,26 @@ from .linalg import QMatrix, column_space_basis, kernel_basis, cokernel, solve_m
 class OutCycModule:
     """Per-level unit-group representations linked by restriction matrices.
 
-    Actions and restriction steps are usually stored as explicit matrices;
-    for very large levels they may instead be computed on demand through
-    provider callables (same contract, lazy storage).  A stored level table
-    may hold only 1 and the generators of units(n): ``action`` completes
-    it on the first request for another unit (see there).
+    Every module stores its matrices: one action table per level and one
+    restriction matrix per covering pair.  A level table may hold only 1
+    and the generators of units(n): ``action`` completes it on the first
+    request for another unit (see there).
     """
 
-    __slots__ = ("support", "dims", "_actions", "_restrictions",
-                 "_action_fn", "_restriction_fn", "name")
+    __slots__ = ("support", "dims", "_actions", "_restrictions", "name")
 
     def __init__(
         self,
         support: SupportSet,
         dims: dict[int, int],
-        actions: Optional[dict[int, dict[int, QMatrix]]] = None,
-        restrictions: Optional[dict[tuple[int, int], QMatrix]] = None,
-        action_fn: Optional[Callable[[int, int], QMatrix]] = None,
-        restriction_fn: Optional[Callable[[int, int], QMatrix]] = None,
+        actions: dict[int, dict[int, QMatrix]],
+        restrictions: dict[tuple[int, int], QMatrix],
         name: str = "",
     ):
         self.support = support
         self.dims = {n: int(dims.get(n, 0)) for n in support}
         self._actions = actions
         self._restrictions = restrictions
-        self._action_fn = action_fn
-        self._restriction_fn = restriction_fn
         self.name = name
 
     def dim(self, n: int) -> int:
@@ -71,26 +65,18 @@ class OutCycModule:
         A table whose generators all hold its identity object at 1 is filled
         with that object instead, so trivial actions keep sharing it.
         """
-        if self._actions is not None and n in self._actions:
-            table = self._actions[n]
-            if l not in table and l in units(n):
-                un, ident = units(n), QMatrix.identity(self.dims[n])
-                one = table.setdefault(1, ident)
-                shared = one == ident and all(table.get(g) is one for g in un.generators())
-                for u, g, h in un.walk():
-                    table[u] = one if shared else table[g] @ table[h]
-            return table[l]
-        if self._action_fn is not None:
-            return self._action_fn(n, l)
-        raise KeyError(f"no action data at level {n}")
+        table = self._actions[n]
+        if l not in table and l in units(n):
+            un, ident = units(n), QMatrix.identity(self.dims[n])
+            one = table.setdefault(1, ident)
+            shared = one == ident and all(table.get(g) is one for g in un.generators())
+            for u, g, h in un.walk():
+                table[u] = one if shared else table[g] @ table[h]
+        return table[l]
 
     def restriction_step(self, n: int, m: int) -> QMatrix:
         """Restriction matrix for a covering pair (n, m) with m = n * prime."""
-        if self._restrictions is not None and (n, m) in self._restrictions:
-            return self._restrictions[(n, m)]
-        if self._restriction_fn is not None:
-            return self._restriction_fn(n, m)
-        raise KeyError(f"no restriction data for {n} -> {m}")
+        return self._restrictions[(n, m)]
 
     def is_zero(self) -> bool:
         return all(d == 0 for d in self.dims.values())
@@ -354,10 +340,8 @@ def direct_sum(mods: Sequence[OutCycModule], name: str = "") -> OutCycModule:
     block-diagonal matrix is built once per distinct tuple of summand
     matrix objects, so the stored units of a level whose summands share
     their matrices (trivial actions) share one result object as well, and
-    the completion keeps sharing it; no ``QMatrix`` may be mutated in
-    place.  The memo keeps every keyed summand matrix alive for the whole
-    sum, because a provider-backed summand returns a fresh matrix on every
-    call, and a freed one's ``id`` could be handed to the next.
+    the completion keeps sharing it; no ``QMatrix`` may be mutated in place.
+    The memo keys on ``id``s, which stay unique: the summands store them.
     """
     if not mods:
         raise ValueError("empty direct sum; pass zero_module instead")
@@ -382,13 +366,13 @@ def direct_sum(mods: Sequence[OutCycModule], name: str = "") -> OutCycModule:
             co += m.cols
         return out
 
-    memo: dict[tuple[int, ...], tuple[list[QMatrix], QMatrix]] = {}
+    memo: dict[tuple[int, ...], QMatrix] = {}
 
     def shared_block_diag(mats: list[QMatrix]) -> QMatrix:
         key = tuple(map(id, mats))
         if key not in memo:
-            memo[key] = (mats, block_diag(mats))
-        return memo[key][1]
+            memo[key] = block_diag(mats)
+        return memo[key]
 
     actions = {n: {l: shared_block_diag([m.action(n, l) for m in mods])
                    for l in (1, *units(n).generators())} for n in support}

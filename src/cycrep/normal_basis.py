@@ -17,7 +17,8 @@ than papering over them.
 All verification here runs on the factorwise monomial presentation of the
 quotient (sparse, exact), which is what makes supports as large as the
 divisors of 2520 tractable.  Levelwise invertibility is one sparse exact
-rank of the orbit columns.
+rank of the orbit columns.  The report carries the level matrices and
+builds no module; only the functions returning a ``ModuleMorphism`` do.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from .cyclic_site import (
     units,
 )
 from .linalg import QMatrix, SparseMatrix, rank
-from .modules import ModuleMorphism, OutCycModule, regular_action, regular_restriction
-from .rep_ring import _reducer, tau_action, tau_restriction
+from .modules import ModuleMorphism, regular_module
+from .rep_ring import _reducer, tau_ru_module
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -108,26 +109,6 @@ def assemble(support: SupportSet, scaled: bool = True) -> ClassifierFamily:
 # the induced morphism and its verification
 # ---------------------------------------------------------------------------
 
-def lazy_regular_module(support: SupportSet) -> OutCycModule:
-    """The regular module with matrices built on demand; levels in the
-    thousands would not fit materialized."""
-    return OutCycModule(support, {n: totient(n) for n in support},
-                        action_fn=regular_action, restriction_fn=regular_restriction,
-                        name="regular")
-
-
-def monomial_tau_module(support: SupportSet) -> OutCycModule:
-    """The transfer quotient with matrices built on demand.
-
-    The lazy counterpart of ``rep_ring.tau_ru_module``: the same
-    ``tau_action`` and ``tau_restriction`` supply every level matrix, but
-    nothing is stored, so supports like the divisors of 2520 stay cheap.
-    """
-    return OutCycModule(support, {n: _reducer(n).dim for n in support},
-                        action_fn=tau_action, restriction_fn=tau_restriction,
-                        name="tauRU[monomial]")
-
-
 def _phi_columns(family: ClassifierFamily, n: int) -> dict[int, Sparse]:
     """Columns of the level-n matrix: the unit orbit of the classifier."""
     red = _reducer(n)
@@ -157,8 +138,9 @@ class SquareCheck:
 
 @dataclass
 class NormalBasisReport:
+    """The checks of a classifier family and the level matrices it classifies."""
     support: SupportSet
-    morphism: ModuleMorphism
+    mats: dict[int, QMatrix]
     levels: list[LevelCheck]
     squares: list[SquareCheck]
     scaled: bool
@@ -223,17 +205,14 @@ def _check_rank(n: int, cols: dict[int, Sparse]) -> bool:
 
 
 def classifier_report(family: ClassifierFamily) -> NormalBasisReport:
-    """Build the morphism classified by the family and check everything.
+    """The level matrices classified by the family, and every check on them.
 
     Nothing raises here; scaling bugs (or deliberately unscaled families)
-    show up as failing squares in the report.
+    show up as failing squares in the report.  No module is built.
     """
     support = family.support
-    source = lazy_regular_module(support)
-    target = monomial_tau_module(support)
     all_cols = {n: _phi_columns(family, n) for n in support}
     mats = {n: _columns_to_matrix(n, all_cols[n]) for n in support}
-    morphism = ModuleMorphism(source, target, mats)
 
     levels = []
     for n in support:
@@ -244,7 +223,12 @@ def classifier_report(family: ClassifierFamily) -> NormalBasisReport:
     for n, m in support.covering_pairs():
         bad = _check_naturality(family, n, m, all_cols[n], all_cols[m])
         squares.append(SquareCheck(n, m, bad is None, bad))
-    return NormalBasisReport(support, morphism, levels, squares, family.scaled)
+    return NormalBasisReport(support, mats, levels, squares, family.scaled)
+
+
+def _morphism(report: NormalBasisReport) -> ModuleMorphism:
+    support = report.support
+    return ModuleMorphism(regular_module(support), tau_ru_module(support), report.mats)
 
 
 def map_from_classifier(family: ClassifierFamily) -> ModuleMorphism:
@@ -252,7 +236,8 @@ def map_from_classifier(family: ClassifierFamily) -> ModuleMorphism:
 
     Level n sends the basis unit g to the g-action on the classifier.
     Raises when the result is not a valid morphism, which is the signature
-    of an incorrect family (the unscaled one, for instance).
+    of an incorrect family (the unscaled one, for instance).  Its modules
+    store every unit; for large supports use ``classifier_report``.
     """
     report = classifier_report(family)
     if not (all(l.equivariant for l in report.levels)
@@ -261,21 +246,22 @@ def map_from_classifier(family: ClassifierFamily) -> ModuleMorphism:
         bad += [f"level {l.level}" for l in report.levels if not l.equivariant]
         raise ValueError(f"classifier family does not define a morphism; failures at: "
                          f"{', '.join(bad)}")
-    return report.morphism
+    return _morphism(report)
 
 
 def normal_basis_iso(support: SupportSet) -> ModuleMorphism:
     """The isomorphism from the regular module onto the transfer quotient.
 
     Raises if any level matrix fails to be invertible, which would falsify
-    the construction rather than the underlying mathematics.
+    the construction rather than the underlying mathematics.  Its modules
+    store every unit; for large supports use ``normal_basis_report``.
     """
     report = normal_basis_report(support)
     if not report.ok:
         bad = [l.level for l in report.levels if not (l.invertible and l.equivariant)]
         bad += [f"{s.source}->{s.target}" for s in report.squares if not s.natural]
         raise ValueError(f"normal basis map failed verification at: {bad}")
-    return report.morphism
+    return _morphism(report)
 
 
 def normal_basis_report(support: SupportSet) -> NormalBasisReport:

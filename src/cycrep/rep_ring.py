@@ -12,9 +12,8 @@ The quotient has one presentation.  ``MonomialReducer`` rewrites each
 monomial factorwise through the residue decomposition of its exponent,
 without eliminating the ideal, so it scales to levels in the thousands;
 the fixed monomials are the quotient basis.  ``tau_action`` and
-``tau_restriction`` read the level matrices from its columns, and both the
-materialized ``tau_ru_module`` and the lazy module of the normal-basis
-check are built from them.
+``tau_restriction`` read the level matrices from its columns, and
+``tau_ru_module`` stores them for every unit and covering pair.
 
 ``tau_level`` eliminates the ideal directly (``linalg.rref`` of the
 transferred monomials) and is kept only as an independent count of the

@@ -66,11 +66,6 @@ class PrimeComplex:
     target: OutCycModule
     tuples: list[list[PrimeTuple]]
 
-    def module(self, k: int) -> OutCycModule:
-        if 0 <= k < len(self.modules):
-            return self.modules[k]
-        return zero_module(self.support)
-
     def diff(self, k: int) -> ModuleMorphism:
         """d_k : P_k -> P_{k-1} for 1 <= k <= max_degree."""
         return self.diffs[k - 1]
@@ -202,7 +197,9 @@ def verify_resolution(primes: list[int], max_degree: int,
                       support: SupportSet) -> ResolutionReport:
     """d squared, exactness of the augmented complex, and the contraction
     identity, all levelwise; failures are report entries, not exceptions.
-    A degree below 1 has no differential to check and is refused."""
+    A level above 1 with no ambient prime factor has no contraction, and
+    fails as the check "contraction at level m".  A degree below 1 has no
+    differential to check and is refused."""
     if max_degree < 1:
         raise ValueError("the resolution must be built to degree at least 1")
     cx = build_complex(primes, max_degree, support)
@@ -237,6 +234,9 @@ def verify_resolution(primes: list[int], max_degree: int,
 
     for m in support:
         if m == 1:
+            continue
+        if all(m % p for p in cx.primes):
+            checks.append(CheckResult(f"contraction at level {m}", False, "no ambient prime"))
             continue
         hs = contraction(cx, m)
         for n in range(len(hs)):

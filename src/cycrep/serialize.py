@@ -16,7 +16,6 @@ from typing import Any
 from .cyclic_site import SupportSet, units
 from .linalg import QMatrix, rat, rat_to_str
 from .modules import (
-    ModuleMorphism,
     OutCycModule,
     atomic_module,
     free_module,
@@ -127,11 +126,12 @@ def module_from_json(obj: Any) -> OutCycModule:
     return OutCycModule(support, dims, actions, restrictions, name="from-file")
 
 
-def morphism_to_json(f: ModuleMorphism) -> dict:
+def morphism_to_json(source: str, target: str, mats: dict[int, QMatrix]) -> dict:
+    """A morphism's level matrices under its source and target names."""
     return {
-        "source": f.source.name or "?",
-        "target": f.target.name or "?",
-        "levels": {str(n): matrix_to_json(f.mats[n]) for n in f.source.support},
+        "source": source or "?",
+        "target": target or "?",
+        "levels": {str(n): matrix_to_json(m) for n, m in mats.items()},
     }
 
 

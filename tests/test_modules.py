@@ -24,7 +24,6 @@ from cycrep.modules import (
     zero_morphism,
 )
 from cycrep.hom_ext import ext_via_resolution, hom_direct, hom_via_limit, lim_derived
-from cycrep.normal_basis import lazy_regular_module
 from cycrep.rep_ring import tau_ru_module
 from cycrep.resolution import build_complex
 from cycrep.serialize import module_to_json
@@ -61,6 +60,10 @@ class TestValidation:
         broken = OutCycModule(S12, dict(reg.dims), actions, res)
         violations = validate(broken)
         assert violations and any("2->4" in v for v in violations)
+
+    def test_a_module_without_tables_is_refused(self):
+        with pytest.raises(TypeError):
+            OutCycModule(S12, {n: 1 for n in S12})
 
 
 class TestRegularModule:
@@ -374,9 +377,9 @@ def _assert_same_structure(a, b):
 
 
 def _mixed_parts(support):
-    # a provider-backed summand, whose matrices are fresh on every call,
-    # next to a conjugated one and two with shared trivial actions
-    return [lazy_regular_module(support), scramble(free_module(2, support), 7),
+    # a summand storing every unit, next to a conjugated one and two with
+    # shared trivial actions
+    return [regular_module(support), scramble(free_module(2, support), 7),
             semifree_module(2, support), atomic_module(1, 2, support)]
 
 
@@ -416,7 +419,7 @@ class TestFactorOnGeneratorsAgainstPerUnitSolves:
             for f in basis:
                 self._check(f)
 
-    def test_sum_with_provider_and_conjugated_summands(self):
+    def test_sum_with_regular_and_conjugated_summands(self):
         parts = _mixed_parts(S12)
         s = direct_sum(parts)
         _assert_same_structure(s, per_unit_direct_sum(parts))

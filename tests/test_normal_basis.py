@@ -4,7 +4,7 @@ import pytest
 
 from cycrep.cyclic_site import support_of_divisors, totient, units
 from cycrep.linalg import QMatrix, rank, solve
-from cycrep.modules import validate
+from cycrep.modules import OutCycModule, regular_module, validate
 from cycrep.normal_basis import (
     _check_equivariance,
     _check_rank,
@@ -14,9 +14,7 @@ from cycrep.normal_basis import (
     assemble,
     classifier_report,
     classifying_element,
-    lazy_regular_module,
     map_from_classifier,
-    monomial_tau_module,
     normal_basis_iso,
     normal_basis_report,
     unscaled_family,
@@ -140,8 +138,8 @@ class TestMorphism:
     def test_naturality_against_materialized_modules(self):
         support = S12
         iso = normal_basis_iso(support)
-        reg = lazy_regular_module(support)
-        tau = monomial_tau_module(support)
+        reg = regular_module(support)
+        tau = tau_ru_module(support)
         for (a, b) in support.covering_pairs():
             assert tau.restriction_step(a, b) @ iso.mats[a] == \
                 iso.mats[b] @ reg.restriction_step(a, b)
@@ -169,18 +167,29 @@ class TestScalingNecessity:
         assert f.validate() == []
 
 
-class TestLazyQuotient:
+class TestReportBuildsNoModule:
+    def test_report_over_divisors_of_360(self, monkeypatch):
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("the normal-basis report built a module")
+
+        monkeypatch.setattr(OutCycModule, "__init__", refuse)
+        rep = normal_basis_report(support_of_divisors(360))
+        assert rep.ok
+        assert all(rep.mats[n].shape() == (totient(n), totient(n)) for n in rep.support)
+
+    def test_iso_wraps_the_report_matrices(self):
+        rep, iso = normal_basis_report(S12), normal_basis_iso(S12)
+        assert iso.mats == rep.mats
+        assert (iso.source.name, iso.target.name) == ("regular", "tauRU")
+
+
+class TestStoredQuotient:
     @pytest.mark.parametrize("top", [12, 90, 360])
-    def test_materialized_and_lazy_agree_entry_for_entry(self, top):
+    def test_restriction_entries_are_fractions(self, top):
         support = support_of_divisors(top)
-        lazy, stored = monomial_tau_module(support), tau_ru_module(support)
-        assert lazy.dims == stored.dims
-        for n in support:
-            for l in units(n):
-                assert lazy.action(n, l) == stored.action(n, l), (n, l)
+        tau = tau_ru_module(support)
         for pair in support.covering_pairs():
-            assert lazy.restriction_step(*pair) == stored.restriction_step(*pair), pair
-            assert all(type(v) is Fraction for v in lazy.restriction_step(*pair)._e)
+            assert all(type(v) is Fraction for v in tau.restriction_step(*pair)._e), pair
 
 
 class TestEquivarianceOnGenerators:

@@ -133,6 +133,16 @@ class TestVerifyReport:
         rep = verify_resolution([2, 3, 5], 3, S30)
         assert rep.ok
 
+    def test_level_without_an_ambient_prime_is_a_failed_check(self):
+        # level 5 has no prime factor among 2, 3: no contraction exists
+        # there, and the augmented complex is not exact at degree 0
+        rep = verify_resolution([2, 3], 2, S30)
+        assert not rep.ok
+        failed = [c.name for c in rep.failed()]
+        assert "contraction at level 5" in failed
+        assert "exact at degree 0 (image of d1 = kernel of augmentation)" in failed
+        assert not any("level 6" in name for name in failed)
+
     @pytest.mark.parametrize("max_degree", [0, -1])
     def test_degree_guard(self, max_degree):
         with pytest.raises(ValueError):

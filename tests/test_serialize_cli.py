@@ -68,8 +68,10 @@ class TestSerialization:
     def test_morphism_serialization_shape(self):
         from cycrep.modules import identity_morphism
         f = identity_morphism(regular_module(support_of_divisors(4)))
-        data = morphism_to_json(f)
+        data = morphism_to_json(f.source.name, f.target.name, f.mats)
         assert set(data["levels"]) == {"1", "2", "4"}
+        assert (data["source"], data["target"]) == ("regular", "regular")
+        assert morphism_to_json("", "", f.mats)["source"] == "?"
 
 
 def write_module_file(tmp_path, level2_unit1, level3_unit2_corner):
@@ -271,6 +273,15 @@ class TestCliRuns:
                           "--max-degree", "4"])
         assert code == 0, text
         assert re.findall(r"degree (\d+) witness", text) == ["1", "2"]
+
+    def test_resolution_failures_are_reported_not_raised(self):
+        # the default primes 2,3 do not divide level 5 of divisors(30)
+        code, text = run(["resolution", "--support", "divisors:30"])
+        assert code == 1
+        assert "[FAIL] contraction at level 5" in text
+        assert "[FAIL] exact at degree 0" in text
+        assert "error:" not in text
+        assert text.splitlines()[-1] == "overall: FAILED"
 
     def test_negative_atom_dimension_is_refused(self):
         code, text = run(["hom", "--support", "divisors:6", "--source", "atomic:2:-1"])
