@@ -16,9 +16,13 @@ than papering over them.
 
 All verification here runs on the factorwise monomial presentation of the
 quotient (sparse, exact), which is what makes supports as large as the
-divisors of 2520 tractable.  Levelwise invertibility is one sparse exact
-rank of the orbit columns.  The report carries the level matrices and
-builds no module; only the functions returning a ``ModuleMorphism`` do.
+divisors of 2520 tractable.  The orbit sums are integral and the monomial
+rewriting has integer coefficients, so each level's classifier is one
+rational scale times an integer vector, and the orbit columns and every
+check stay in the integers; only the dense level matrices are rational.
+Levelwise invertibility is one sparse exact rank of the orbit columns.  The
+report carries the level matrices and builds no module; only the functions
+returning a ``ModuleMorphism`` do.
 """
 
 from __future__ import annotations
@@ -38,9 +42,9 @@ from .linalg import QMatrix, SparseMatrix, rank
 from .modules import ModuleMorphism, regular_module
 from .rep_ring import _reducer, tau_ru_module
 
-_F0 = Fraction(0)
 _F1 = Fraction(1)
 
+IntSparse = dict[int, int]
 Sparse = dict[int, Fraction]
 
 
@@ -53,33 +57,38 @@ def classifying_element(p: int, k: int) -> QMatrix:
         raise ValueError("k must be nonnegative")
     if k > 0 and not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    return _reducer(p ** k if k else 1).columns([_classifier_sparse(p, k, scaled=True)])
+    scale, vec = _classifier(p, k, scaled=True)
+    return _reducer(p ** k).columns([vec], scale)
 
 
-def _classifier_sparse(p: int, k: int, scaled: bool) -> Sparse:
+def _classifier(p: int, k: int, scaled: bool) -> tuple[Fraction, IntSparse]:
+    """The scale and the reduced integer orbit sum X + X^p + ... + X^{p^{k-1}}
+    of the generator at p^k; for k = 0, the unit of level 1."""
     if k == 0:
-        return dict(_reducer(1).reduce_sparse({0: _F1}))
+        return _F1, _reducer(1).reduce_sparse({0: 1})
     n = p ** k
-    coeff = Fraction(-1, p ** (k - 1)) if scaled else _F1
-    vec = {pow(p, i, n): coeff for i in range(k)}
-    # the exponents p^0 .. p^{k-1} are distinct below p^k, so no merging
-    assert len(vec) == k
-    return _reducer(n).reduce_sparse(vec)
+    scale = Fraction(-1, p ** (k - 1)) if scaled else _F1
+    return scale, _reducer(n).reduce_sparse({pow(p, i, n): 1 for i in range(k)})
 
 
 @dataclass
 class ClassifierFamily:
     """One quotient element per level, multiplicative over coprime factors.
 
-    Elements are sparse vectors keyed by basis exponent in the factorwise
+    The element at level n is ``scales[n]`` (nonzero) times the integer
+    vector ``vectors[n]``, keyed by basis exponent in the factorwise
     monomial presentation of the quotient.
     """
     support: SupportSet
-    elements: dict[int, Sparse]
+    scales: dict[int, Fraction]
+    vectors: dict[int, IntSparse]
     scaled: bool = True
 
-    def column(self, n: int) -> QMatrix:
-        return _reducer(n).columns([self.elements[n]])
+    @property
+    def elements(self) -> dict[int, Sparse]:
+        """The elements as ``Fraction`` vectors, computed afresh on each read."""
+        return {n: {e: s * c for e, c in self.vectors[n].items()}
+                for n, s in self.scales.items()}
 
 
 def assemble(support: SupportSet, scaled: bool = True) -> ClassifierFamily:
@@ -87,37 +96,39 @@ def assemble(support: SupportSet, scaled: bool = True) -> ClassifierFamily:
 
     Prime powers get the (optionally scaled) normal-basis generator; a
     composite level is the product of its prime-power generators inflated up,
-    taken in increasing prime order.  The product does not depend on that
-    order, which the tests assert separately.
+    taken in increasing prime order, and its scale is the product of their
+    scales.  The product does not depend on that order, which the tests
+    assert separately.
     """
-    elements: dict[int, Sparse] = {}
+    scales: dict[int, Fraction] = {}
+    vectors: dict[int, IntSparse] = {}
     for n in support:
         red = _reducer(n)
-        if n == 1:
-            elements[1] = red.reduce_sparse({0: _F1})
-            continue
-        cur: Sparse | None = None
+        scale, cur = _F1, None
         for p, k in factorization(n):
-            local = _classifier_sparse(p, k, scaled)
+            s, local = _classifier(p, k, scaled)
             lifted = red.inflate_from(_reducer(p ** k), local)
             cur = lifted if cur is None else red.mul_sparse(cur, lifted)
-        elements[n] = cur if cur is not None else red.reduce_sparse({0: _F1})
-    return ClassifierFamily(support, elements, scaled)
+            scale *= s
+        scales[n] = scale
+        vectors[n] = cur if cur is not None else red.reduce_sparse({0: 1})
+    return ClassifierFamily(support, scales, vectors, scaled)
 
 
 # ---------------------------------------------------------------------------
 # the induced morphism and its verification
 # ---------------------------------------------------------------------------
 
-def _phi_columns(family: ClassifierFamily, n: int) -> dict[int, Sparse]:
-    """Columns of the level-n matrix: the unit orbit of the classifier."""
+def _phi_columns(family: ClassifierFamily, n: int) -> dict[int, IntSparse]:
+    """Columns of the level-n matrix over its scale: the unit orbit of the
+    classifier's integer vector."""
     red = _reducer(n)
-    x = family.elements[n]
-    return {g: red.act_unit(g, x) for g in units(n)}
+    v = family.vectors[n]
+    return {g: red.act_unit(g, v) for g in units(n)}
 
 
-def _columns_to_matrix(n: int, cols: dict[int, Sparse]) -> QMatrix:
-    return _reducer(n).columns([cols[g] for g in units(n)])
+def _columns_to_matrix(n: int, cols: dict[int, IntSparse], scale: Fraction) -> QMatrix:
+    return _reducer(n).columns([cols[g] for g in units(n)], scale)
 
 
 @dataclass
@@ -151,7 +162,7 @@ class NormalBasisReport:
                 and all(s.natural for s in self.squares))
 
 
-def _check_equivariance(n: int, cols: dict[int, Sparse]) -> bool:
+def _check_equivariance(n: int, cols: dict[int, IntSparse]) -> bool:
     """Whether the action of every unit l sends the column of g to the
     column of l*g, for every g.
 
@@ -171,28 +182,34 @@ def _check_equivariance(n: int, cols: dict[int, Sparse]) -> bool:
     return True
 
 
-def _check_naturality(family: ClassifierFamily, n: int, m: int,
-                      cols_n: dict[int, Sparse],
-                      cols_m: dict[int, Sparse]) -> int | None:
-    """Summation over fibers against inflation; returns a failing unit."""
+def _check_naturality(n: int, m: int, ratio: Fraction,
+                      cols_n: dict[int, IntSparse],
+                      cols_m: dict[int, IntSparse]) -> int | None:
+    """Summation over fibers against inflation; returns a failing unit.
+
+    ``ratio`` is the level-n scale over the level-m scale, a/b in lowest
+    terms, so the square commutes when a times the inflated column of g
+    equals b times the sum of the level-m columns over the fiber of g.
+    """
+    a, b = ratio.numerator, ratio.denominator
     red_n, red_m = _reducer(n), _reducer(m)
     _, fibers = unit_reduction(m, n)
     for g in units(n):
         lhs = red_m.inflate_from(red_n, cols_n[g])
-        rhs: Sparse = {}
+        rhs: IntSparse = {}
         for gt in fibers[g]:
             for e, c in cols_m[gt].items():
-                v = rhs.get(e, _F0) + c
+                v = rhs.get(e, 0) + c
                 if v:
                     rhs[e] = v
                 elif e in rhs:
                     del rhs[e]
-        if lhs != rhs:
+        if len(lhs) != len(rhs) or any(a * c != b * rhs.get(e, 0) for e, c in lhs.items()):
             return g
     return None
 
 
-def _check_rank(n: int, cols: dict[int, Sparse]) -> bool:
+def _check_rank(n: int, cols: dict[int, IntSparse]) -> bool:
     """Levelwise invertibility: the orbit columns have rank totient(n).
 
     The columns are read as the rows of a sparse matrix; the rank of the
@@ -210,9 +227,9 @@ def classifier_report(family: ClassifierFamily) -> NormalBasisReport:
     Nothing raises here; scaling bugs (or deliberately unscaled families)
     show up as failing squares in the report.  No module is built.
     """
-    support = family.support
+    support, scales = family.support, family.scales
     all_cols = {n: _phi_columns(family, n) for n in support}
-    mats = {n: _columns_to_matrix(n, all_cols[n]) for n in support}
+    mats = {n: _columns_to_matrix(n, all_cols[n], scales[n]) for n in support}
 
     levels = []
     for n in support:
@@ -221,7 +238,7 @@ def classifier_report(family: ClassifierFamily) -> NormalBasisReport:
         levels.append(LevelCheck(n, totient(n), inv, eq))
     squares = []
     for n, m in support.covering_pairs():
-        bad = _check_naturality(family, n, m, all_cols[n], all_cols[m])
+        bad = _check_naturality(n, m, scales[n] / scales[m], all_cols[n], all_cols[m])
         squares.append(SquareCheck(n, m, bad is None, bad))
     return NormalBasisReport(support, mats, levels, squares, family.scaled)
 

@@ -30,10 +30,9 @@ from math import gcd
 from typing import Sequence
 
 from .cyclic_site import SupportSet, divisors, factorization, units
-from .linalg import QMatrix, RatLike, rat, rref
+from .linalg import Entry, QMatrix, RatLike, rat, rref
 from .modules import OutCycModule
 
-_F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
@@ -359,35 +358,40 @@ class MonomialReducer:
         self._cache[e] = terms
         return terms
 
-    def reduce_sparse(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
-        """Reduce a sparse ambient vector; keys are basis exponents."""
-        out: dict[int, Fraction] = {}
+    def reduce_sparse(self, vec: dict[int, Entry]) -> dict[int, Entry]:
+        """Reduce a sparse ambient vector; keys are basis exponents.
+
+        The rewriting has integer coefficients, so an integer vector reduces
+        to an integer vector, and so do its unit actions, inflations and
+        products below.
+        """
+        out: dict[int, Entry] = {}
         for e, c in vec.items():
             if not c:
                 continue
             for b, s in self.reduce_exponent(e % self.n).items():
-                v = out.get(b, _F0) + (c if s == 1 else -c if s == -1 else c * s)
+                v = out.get(b, 0) + (c if s == 1 else -c if s == -1 else c * s)
                 if v:
                     out[b] = v
                 elif b in out:
                     del out[b]
         return out
 
-    def act_unit(self, l: int, vec: dict[int, Fraction]) -> dict[int, Fraction]:
+    def act_unit(self, l: int, vec: dict[int, Entry]) -> dict[int, Entry]:
         """Unit action on a reduced vector: scale exponents, reduce again."""
         return self.reduce_sparse({(e * l) % self.n: c for e, c in vec.items()})
 
-    def inflate_from(self, sub: "MonomialReducer", vec: dict[int, Fraction]) -> dict[int, Fraction]:
+    def inflate_from(self, sub: "MonomialReducer", vec: dict[int, Entry]) -> dict[int, Entry]:
         """Inflation of a reduced level-d vector up to this level (d | n)."""
         step = self.n // sub.n
         return self.reduce_sparse({(e * step) % self.n: c for e, c in vec.items()})
 
-    def mul_sparse(self, a: dict[int, Fraction], b: dict[int, Fraction]) -> dict[int, Fraction]:
-        prod: dict[int, Fraction] = {}
+    def mul_sparse(self, a: dict[int, Entry], b: dict[int, Entry]) -> dict[int, Entry]:
+        prod: dict[int, Entry] = {}
         for e1, c1 in a.items():
             for e2, c2 in b.items():
                 e = (e1 + e2) % self.n
-                prod[e] = prod.get(e, _F0) + c1 * c2
+                prod[e] = prod.get(e, 0) + c1 * c2
         return self.reduce_sparse(prod)
 
     def ideal_generators_sparse(self) -> list[dict[int, Fraction]]:
@@ -398,14 +402,22 @@ class MonomialReducer:
                 out.append({(j + i * n_over_p) % self.n: _F1 for i in range(p)})
         return out
 
-    def columns(self, vecs: Sequence[dict[int, RatLike]]) -> QMatrix:
-        """The dense matrix whose column j holds the reduced vector vecs[j]
-        in quotient coordinates (row i for the i-th basis monomial)."""
+    def columns(self, vecs: Sequence[dict[int, Entry]], scale: Entry = 1) -> QMatrix:
+        """The dense matrix whose column j holds scale times the reduced
+        vector vecs[j] in quotient coordinates (row i for the i-th basis
+        monomial).  Equal coefficients share one ``Fraction``."""
         w = len(vecs)
         out = QMatrix.zeros(self.dim, w)
+        entries = out._e
+        index = self.basis_index
+        scale = rat(scale)
+        values: dict[Entry, Fraction] = {}
         for j, vec in enumerate(vecs):
             for e, c in vec.items():
-                out._e[self.basis_index[e] * w + j] = rat(c)
+                q = values.get(c)
+                if q is None:
+                    q = values[c] = scale * c
+                entries[index[e] * w + j] = q
         return out
 
 

@@ -147,29 +147,44 @@ BUILTIN_NAMES = ("regular", "tauRU", "free:<n>", "semifree:<n>", "atomic:<n>:<d>
                  "random:<n>")
 
 
+_BUILTIN_ARITY = {"regular": 0, "tauRU": 0, "free": 1, "semifree": 1, "atomic": 2,
+                  "random": 1}
+
+
+def _parse_builtin(name: str) -> tuple[str, list[int]] | None:
+    """The constructor and integer arguments a built-in name spells, or None."""
+    head, *rest = name.split(":")
+    if _BUILTIN_ARITY.get(head) != len(rest):
+        return None
+    try:
+        return head, [int(a) for a in rest]
+    except ValueError:
+        return None
+
+
 def is_builtin_name(name: str) -> bool:
-    if name in ("regular", "tauRU"):
-        return True
-    head = name.split(":", 1)[0]
-    return head in ("free", "semifree", "atomic", "random")
+    """Whether ``module_from_name`` reads the name as a built-in, so that a
+    file of that name is loaded only when files are preferred."""
+    return _parse_builtin(name) is not None
 
 
 def module_from_name(name: str, support: SupportSet, seed: int = 0) -> OutCycModule:
     """Resolve a built-in constructor name over the given support."""
-    if name == "regular":
+    parsed = _parse_builtin(name)
+    if parsed is None:
+        raise ValueError(f"unknown module name {name!r}; built-ins: {', '.join(BUILTIN_NAMES)}")
+    head, args = parsed
+    if head == "regular":
         return regular_module(support)
-    if name == "tauRU":
+    if head == "tauRU":
         return tau_ru_module(support)
-    parts = name.split(":")
-    if parts[0] == "free" and len(parts) == 2:
-        return free_module(int(parts[1]), support)
-    if parts[0] == "semifree" and len(parts) == 2:
-        return semifree_module(int(parts[1]), support)
-    if parts[0] == "atomic" and len(parts) == 3:
-        return atomic_module(int(parts[1]), int(parts[2]), support)
-    if parts[0] == "random" and len(parts) == 2:
-        return random_module(support, seed + int(parts[1]))
-    raise ValueError(f"unknown module name {name!r}; built-ins: {', '.join(BUILTIN_NAMES)}")
+    if head == "free":
+        return free_module(args[0], support)
+    if head == "semifree":
+        return semifree_module(args[0], support)
+    if head == "atomic":
+        return atomic_module(args[0], args[1], support)
+    return random_module(support, seed + args[0])
 
 
 class InvalidModuleFile(ValueError):

@@ -16,13 +16,14 @@ from functools import lru_cache
 from math import gcd
 from typing import Sequence
 
-from cycrep.cyclic_site import reduce_unit, units
+from cycrep.cyclic_site import factorization, reduce_unit, totient, unit_reduction, units
 from cycrep.hom_ext import CochainComplex, HomSpace, ResolutionStep, _chains, _SpanTracker
 from cycrep.linalg import (QMatrix, SparseMatrix, cokernel, column_space_basis, hstack,
-                           kernel_basis, kronecker, solve, solve_matrix, sparse_kernel,
-                           vstack)
+                           kernel_basis, kronecker, rank, solve, solve_matrix,
+                           sparse_kernel, vstack)
 from cycrep.modules import (InverseSystem, ModuleMorphism, MorphismFactorization,
                             OutCycModule, conjugate_module, restriction_matrix)
+from cycrep.normal_basis import LevelCheck, SquareCheck
 from cycrep.rep_ring import (MonomialReducer, RUElement, restrict_proj_matrix, tau_level,
                              transfer_ideal, unit_action_matrix)
 
@@ -1370,3 +1371,95 @@ def dense_limit_basis(d: InverseSystem) -> list[dict[int, list[Fraction]]]:
         fam = {n: [kb[offsets[n] + i, k] for i in range(d.dim(n))] for n in levels}
         out.append(fam)
     return out
+
+
+# --- the normal-basis pipeline in Fraction arithmetic: every classifier
+# --- element, orbit column and naturality sum carries its rational scale
+
+@lru_cache(maxsize=None)
+def _monomial_reducer(n: int) -> MonomialReducer:
+    return MonomialReducer(n)
+
+
+def fraction_classifier(p: int, k: int, scaled: bool) -> dict[int, Fraction]:
+    """The reduced (optionally scaled) orbit sum at p^k, Fraction valued."""
+    if k == 0:
+        return _monomial_reducer(1).reduce_sparse({0: F1})
+    n = p ** k
+    coeff = Fraction(-1, p ** (k - 1)) if scaled else F1
+    return _monomial_reducer(n).reduce_sparse({pow(p, i, n): coeff for i in range(k)})
+
+
+def fraction_assemble(support, scaled: bool = True) -> dict[int, dict[int, Fraction]]:
+    """Classifier elements of every level: the inflated prime-power
+    generators multiplied in increasing prime order."""
+    elements = {}
+    for n in support:
+        red = _monomial_reducer(n)
+        cur = None
+        for p, k in factorization(n):
+            lifted = red.inflate_from(_monomial_reducer(p ** k), fraction_classifier(p, k, scaled))
+            cur = lifted if cur is None else red.mul_sparse(cur, lifted)
+        elements[n] = cur if cur is not None else red.reduce_sparse({0: F1})
+    return elements
+
+
+def fraction_phi_columns(x: dict[int, Fraction], n: int) -> dict[int, dict[int, Fraction]]:
+    red = _monomial_reducer(n)
+    return {g: red.act_unit(g, x) for g in units(n)}
+
+
+def fraction_columns_to_matrix(n: int, cols) -> QMatrix:
+    basis = _monomial_reducer(n).basis
+    return QMatrix.from_columns([[cols[g].get(e, F0) for e in basis] for g in units(n)],
+                                rows=len(basis))
+
+
+def fraction_check_rank(n: int, cols) -> bool:
+    red = _monomial_reducer(n)
+    rows = [{red.basis_index[e]: c for e, c in col.items()} for col in cols.values()]
+    return rank(SparseMatrix(len(rows), red.dim, rows)) == totient(n)
+
+
+def fraction_check_equivariance(n: int, cols) -> bool:
+    """The generators of units(n) move every orbit column to its place."""
+    red = _monomial_reducer(n)
+    un = units(n)
+    return all(red.act_unit(l, cols[g]) == cols[un.mul(l, g)]
+               for l in un.generators() for g in un)
+
+
+def fraction_check_naturality(n: int, m: int, cols_n, cols_m) -> int | None:
+    """The first unit of level n whose inflated column differs from the sum
+    of the level-m columns over its fiber."""
+    red_n, red_m = _monomial_reducer(n), _monomial_reducer(m)
+    _, fibers = unit_reduction(m, n)
+    for g in units(n):
+        lhs = red_m.inflate_from(red_n, cols_n[g])
+        rhs: dict[int, Fraction] = {}
+        for gt in fibers[g]:
+            for e, c in cols_m[gt].items():
+                v = rhs.get(e, F0) + c
+                if v:
+                    rhs[e] = v
+                elif e in rhs:
+                    del rhs[e]
+        if lhs != rhs:
+            return g
+    return None
+
+
+def fraction_classifier_report(support, scaled: bool = True):
+    """(level matrices, level checks, square checks) of the family, every
+    value a Fraction."""
+    elements = fraction_assemble(support, scaled)
+    cols = {n: fraction_phi_columns(elements[n], n) for n in support}
+    mats = {n: fraction_columns_to_matrix(n, cols[n]) for n in support}
+    levels = [LevelCheck(n, totient(n), fraction_check_rank(n, cols[n]),
+                         fraction_check_equivariance(n, cols[n]))
+              for n in support]
+    squares = []
+    for n, m in support.covering_pairs():
+        bad = fraction_check_naturality(n, m, cols[n], cols[m])
+        squares.append(SquareCheck(n, m, bad is None, bad))
+    return mats, levels, squares

@@ -1,12 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cycrep.cyclic_site import support_of_divisors, totient, units
+from cycrep.cyclic_site import divisor_closure, support_of_divisors, totient, units
 from cycrep.linalg import QMatrix, rank, solve
 from cycrep.modules import OutCycModule, regular_module, validate
 from cycrep.normal_basis import (
+    ClassifierFamily,
     _check_equivariance,
+    _check_naturality,
     _check_rank,
     _columns_to_matrix,
     _phi_columns,
@@ -28,7 +31,12 @@ from cycrep.rep_ring import (
     transfer_ideal,
 )
 
-from oracles import all_unit_check_equivariance, dense_rank
+from oracles import (
+    all_unit_check_equivariance,
+    dense_rank,
+    fraction_assemble,
+    fraction_classifier_report,
+)
 
 S12 = support_of_divisors(12)
 S60 = support_of_divisors(60)
@@ -83,25 +91,25 @@ class TestAssemble:
         assert fam.elements[1] == MonomialReducer(1).reduce_sparse({0: Fraction(1)})
 
     def test_coprime_products(self):
-        fam = assemble(S60)
+        elements = assemble(S60).elements
         for n in S60:
             for m in S60:
                 from math import gcd
                 if n > 1 and m > 1 and gcd(n, m) == 1 and n * m in S60:
                     red = MonomialReducer(n * m)
-                    lhs = fam.elements[n * m]
+                    lhs = elements[n * m]
                     rhs = red.mul_sparse(
-                        red.inflate_from(MonomialReducer(n), fam.elements[n]),
-                        red.inflate_from(MonomialReducer(m), fam.elements[m]))
+                        red.inflate_from(MonomialReducer(n), elements[n]),
+                        red.inflate_from(MonomialReducer(m), elements[m]))
                     assert lhs == rhs, (n, m)
 
     def test_assembly_order_independent(self):
         # 12 = 4 * 3 assembled either way
         red = MonomialReducer(12)
-        fam = assemble(S12)
-        a = red.inflate_from(MonomialReducer(4), fam.elements[4])
-        b = red.inflate_from(MonomialReducer(3), fam.elements[3])
-        assert red.mul_sparse(a, b) == red.mul_sparse(b, a) == fam.elements[12]
+        elements = assemble(S12).elements
+        a = red.inflate_from(MonomialReducer(4), elements[4])
+        b = red.inflate_from(MonomialReducer(3), elements[3])
+        assert red.mul_sparse(a, b) == red.mul_sparse(b, a) == elements[12]
 
     def test_matches_explicit_product_at_six(self):
         # x_6 = inflation of x_2 times inflation of x_3, in the ambient ring
@@ -226,7 +234,7 @@ class TestRankAgainstDenseOracle:
         family = assemble(support_of_divisors(360), scaled=scaled)
         for n in family.support:
             cols = _phi_columns(family, n)
-            want = dense_rank(_columns_to_matrix(n, cols)) == totient(n)
+            want = dense_rank(_columns_to_matrix(n, cols, family.scales[n])) == totient(n)
             assert _check_rank(n, cols) == want, n
             assert want, n
 
@@ -237,3 +245,83 @@ class TestRankAgainstDenseOracle:
         bad = dict(cols)
         bad[n - 1] = cols[1]
         assert not _check_rank(n, bad)
+
+
+SUPPORTS = {"12": S12, "60": S60, "360": support_of_divisors(360),
+            "840": support_of_divisors(840),
+            "closure(10,14,15,21)": divisor_closure([10, 14, 15, 21])}
+
+
+def assert_matches_fraction_path(support, scaled):
+    family = assemble(support, scaled=scaled)
+    want = fraction_assemble(support, scaled)
+    # same values and the same key order, which the demo prints
+    assert {n: list(x.items()) for n, x in family.elements.items()} == \
+        {n: list(x.items()) for n, x in want.items()}
+    report = classifier_report(family)
+    mats, levels, squares = fraction_classifier_report(support, scaled)
+    assert report.mats == mats
+    assert report.levels == levels
+    assert report.squares == squares
+
+
+class TestAgainstFractionPath:
+    """The integer orbit arithmetic against the Fraction path of oracles.py."""
+
+    @pytest.mark.parametrize("scaled", [True, False])
+    @pytest.mark.parametrize("name", list(SUPPORTS))
+    def test_named_supports(self, name, scaled):
+        assert_matches_fraction_path(SUPPORTS[name], scaled)
+
+    @settings(max_examples=25, deadline=None)
+    @given(seeds=st.lists(st.integers(1, 180), min_size=1, max_size=4),
+           scaled=st.booleans())
+    def test_divisor_closed_supports(self, seeds, scaled):
+        assert_matches_fraction_path(divisor_closure(seeds), scaled)
+
+
+class TestIntegerArithmetic:
+    def test_vectors_and_orbit_columns_are_ints(self):
+        family = assemble(support_of_divisors(2520))
+        for n in family.support:
+            assert all(type(c) is int for c in family.vectors[n].values()), n
+            for col in _phi_columns(family, n).values():
+                assert all(type(c) is int for c in col.values()), n
+            assert type(family.scales[n]) is Fraction, n
+
+    def test_scaled_and_unscaled_share_the_vectors(self):
+        scaled, unscaled = assemble(S60), unscaled_family(S60)
+        assert scaled.vectors == unscaled.vectors
+        assert set(unscaled.scales.values()) == {1}
+        assert scaled.scales[4] == Fraction(-1, 2)
+        # the product of the scales at 4, 3 and 5
+        assert scaled.scales[60] == Fraction(-1, 2) * -1 * -1
+
+    def test_level_matrix_entries_are_fractions(self):
+        report = normal_basis_report(S60)
+        for n, mat in report.mats.items():
+            assert all(type(v) is Fraction for v in mat._e), n
+
+
+class TestScaleNegativeControls:
+    @pytest.mark.parametrize("top, level", [(12, 4), (360, 4), (360, 45)])
+    def test_a_doubled_scale_fails_exactly_its_squares(self, top, level):
+        family = assemble(support_of_divisors(top))
+        family.scales[level] *= 2
+        report = classifier_report(family)
+        failing = {(s.source, s.target) for s in report.squares if not s.natural}
+        touching = {(n, m) for n, m in family.support.covering_pairs() if level in (n, m)}
+        assert failing == touching
+        assert all(l.invertible and l.equivariant for l in report.levels)
+
+    def test_comparing_without_the_scale_ratio_fails(self):
+        family = assemble(S12)
+        cols_2, cols_4 = _phi_columns(family, 2), _phi_columns(family, 4)
+        ratio = family.scales[2] / family.scales[4]
+        assert ratio == 2
+        assert _check_naturality(2, 4, ratio, cols_2, cols_4) is None
+        assert _check_naturality(2, 4, Fraction(1), cols_2, cols_4) is not None
+        unit_scales = ClassifierFamily(S12, dict.fromkeys(S12, Fraction(1)), family.vectors)
+        failing = [(s.source, s.target) for s in classifier_report(unit_scales).squares
+                   if not s.natural]
+        assert (2, 4) in failing

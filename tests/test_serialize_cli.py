@@ -14,6 +14,7 @@ from cycrep.modules import (atomic_module, direct_sum, free_module, random_modul
 from cycrep.rep_ring import RUElement
 from cycrep.serialize import (
     InvalidModuleFile,
+    is_builtin_name,
     matrix_from_json,
     matrix_to_json,
     module_from_json,
@@ -193,14 +194,25 @@ class TestBuiltinNames:
         finally:
             os.chdir(cwd)
 
-    @pytest.mark.parametrize("name", ["random:1", "atomic:1:1"])
+    @pytest.mark.parametrize("name", ["random:1", "atomic:1:1", "free", "atomic:1", "free:x"])
     def test_files_named_like_builtins_do_not_shadow(self, name, tmp_path, monkeypatch):
+        # only names a built-in constructor reads take precedence over a file
+        builtin = name in ("random:1", "atomic:1:1")
         s = support_of_divisors(4)
         (tmp_path / name).write_text(dumps_canonical(module_to_json(
             direct_sum([atomic_module(2, 1, s)], name="from-file"))))
         monkeypatch.chdir(tmp_path)
-        assert load_module(name, s).name != "from-file"
+        assert (load_module(name, s).name != "from-file") == builtin
         assert load_module(name, s, prefer_file=True).name == "from-file"
+        code, text = run(["validate", "--support", "divisors:4", "--source", name])
+        assert code == 0 and text.splitlines()[-1] == "overall: ok"
+
+    def test_builtin_names_are_the_constructible_ones(self):
+        for name in ["regular", "tauRU", "free:3", "semifree:2", "atomic:4:2", "random:0"]:
+            assert is_builtin_name(name), name
+        for name in ["free", "free:x", "free:1:2", "atomic:1", "atomic:1:x", "random",
+                     "regular:1", "tauRU:2", "bogus", ""]:
+            assert not is_builtin_name(name), name
 
 
 class TestParseSupport:
