@@ -13,7 +13,6 @@ resolution with its contraction and nonvanishing extension witnesses.
 from .linalg import (
     QMatrix,
     Rat,
-    SparseMatrix,
     cokernel,
     kernel_basis,
     kronecker,
@@ -67,12 +66,10 @@ from .modules import (
 from .hom_ext import (
     CochainComplex,
     HomSpace,
-    LimitElement,
     ext_via_resolution,
     hom_direct,
     hom_via_limit,
     lim_derived,
-    limit_elements,
     sequential_lim1,
     tower_along_chain,
 )

@@ -122,7 +122,7 @@ def _cmd_validate(args, rep: Report) -> None:
 
 
 def _nonzeros(a) -> int:
-    return sum(1 for v in a._e if v)
+    return sum(map(len, a.data))
 
 
 def _estimate_hom_entries(x, y) -> int:

@@ -40,8 +40,6 @@ from .cyclic_site import (
 from .linalg import (
     Entry,
     QMatrix,
-    SparseMatrix,
-    _ZERO,
     _cancel,
     _int_row,
     rank,
@@ -71,43 +69,19 @@ class HomSpace:
     def dimension(self) -> int:
         return len(self.basis)
 
-    def stacked_matrix(self) -> QMatrix:
-        """Basis morphisms flattened to columns of one matrix."""
-        cols = [f.stacked_vector() for f in self.basis]
-        nrows = sum(self.source.dim(n) * self.target.dim(n) for n in self.source.support)
-        return QMatrix.from_columns(cols, rows=nrows)
-
-
-@dataclass
-class LimitElement:
-    """A compatible family of linear forms, one per level.
-
-    Compatibility: the form at a multiple, composed with the restriction
-    from the divisor, recovers the form at the divisor.
-    """
-    forms: dict[int, list[Fraction]]
-
-    def check_compatible(self, x: OutCycModule) -> bool:
-        for n, m in x.support.covering_pairs():
-            res = x.restriction_step(n, m)
-            lam_m = self.forms[m]
-            composed = [sum((lam_m[i] * res[i, j] for i in range(res.rows)), _F0)
-                        for j in range(res.cols)]
-            if composed != self.forms[n]:
-                return False
-        return True
-
 
 class CochainComplex:
-    """A sequence of differentials C^0 -> C^1 -> ... with d after d zero,
-    each a ``SparseMatrix``.
+    """A sequence of differentials C^0 -> C^1 -> ... with d after d zero.
 
-    ``dims``, when given, are the dimensions of the spaces C^k, for
-    differentials written on larger ambient spaces that they factor
-    through (see ``_hom_cochain``); otherwise the shapes give them.
+    The differentials are ``QMatrix``es assembled from sparse row dicts
+    (``QMatrix.from_row_dicts``); they are large and a few percent
+    nonzero, and ``rank`` reads only their stored entries.  ``dims``, when
+    given, are the dimensions of the spaces C^k, for differentials written
+    on larger ambient spaces that they factor through (see
+    ``_hom_cochain``); otherwise the shapes give them.
     """
 
-    def __init__(self, diffs: list[SparseMatrix], dims: Optional[list[int]] = None):
+    def __init__(self, diffs: list[QMatrix], dims: Optional[list[int]] = None):
         for a, b in zip(diffs, diffs[1:]):
             if b.cols != a.rows:
                 raise ValueError("differential shapes do not compose")
@@ -141,14 +115,6 @@ class CochainComplex:
 # Hom by direct linear algebra
 # ---------------------------------------------------------------------------
 
-def _rows(a: QMatrix) -> list[list[tuple[int, Fraction]]]:
-    return [[(j, v) for j, v in enumerate(a.row(i)) if v] for i in range(a.rows)]
-
-
-def _cols(a: QMatrix) -> list[list[tuple[int, Fraction]]]:
-    return [[(i, v) for i, v in enumerate(a.col(j)) if v] for j in range(a.cols)]
-
-
 def hom_direct(x: OutCycModule, y: OutCycModule) -> HomSpace:
     """Basis of the morphism space: the kernel of one sparse system.
 
@@ -176,25 +142,25 @@ def hom_direct(x: OutCycModule, y: OutCycModule) -> HomSpace:
         if not dx * dy:
             continue
         for g in units(n).generators():
-            ay_rows = _rows(y.action(n, g))
-            ax_cols = _cols(x.action(n, g))
+            ay_rows = y.action(n, g).data
+            ax_cols = x.action(n, g).transpose().data
             for i in range(dy):
                 for j in range(dx):
                     # entry (i, j): sum_s Y[i,s] f[s,j] - sum_t f[i,t] X[t,j]
-                    row = {o + s * dx + j: v for s, v in ay_rows[i]}
-                    for t, v in ax_cols[j]:
+                    row = {o + s * dx + j: v for s, v in ay_rows[i].items()}
+                    for t, v in ax_cols[j].items():
                         k = o + i * dx + t
                         row[k] = row.get(k, _F0) - v
                     rows.append(row)
     for n, m in support.covering_pairs():
         dxn, dxm = x.dim(n), x.dim(m)
-        ry_rows = _rows(y.restriction_step(n, m))
-        rx_cols = _cols(x.restriction_step(n, m))
+        ry_rows = y.restriction_step(n, m).data
+        rx_cols = x.restriction_step(n, m).transpose().data
         for i, ry_row in enumerate(ry_rows):
             for j in range(dxn):
                 # entry (i, j): sum_s Ry[i,s] f_n[s,j] - sum_t f_m[i,t] Rx[t,j]
-                row = {offsets[n] + s * dxn + j: v for s, v in ry_row}
-                for t, v in rx_cols[j]:
+                row = {offsets[n] + s * dxn + j: v for s, v in ry_row.items()}
+                for t, v in rx_cols[j].items():
                     row[offsets[m] + i * dxm + t] = -v
                 rows.append(row)
 
@@ -206,7 +172,7 @@ def hom_direct(x: OutCycModule, y: OutCycModule) -> HomSpace:
         mats = {n: QMatrix.zeros(y.dim(n), x.dim(n)) for n in support}
         for k, v in vec.items():
             n = levels[bisect_right(starts, k) - 1]
-            mats[n]._e[k - offsets[n]] = v
+            mats[n][divmod(k - offsets[n], x.dim(n))] = v
         basis.append(ModuleMorphism(x, y, mats))
     return HomSpace(x, y, basis)
 
@@ -230,8 +196,8 @@ def limit_basis(d: InverseSystem) -> list[dict[int, list[Fraction]]]:
     rows: list[dict[int, Fraction]] = []
     for n, m in d.support.covering_pairs():
         om = offsets[m]
-        for i, step_row in enumerate(_rows(d.structure_step(n, m))):  # D(m) -> D(n)
-            row = {om + j: -v for j, v in step_row}
+        for i, step_row in enumerate(d.structure_step(n, m).data):  # D(m) -> D(n)
+            row = {om + j: -v for j, v in step_row.items()}
             row[offsets[n] + i] = _F1
             rows.append(row)
     vecs, _ = sparse_kernel(rows, total)
@@ -248,40 +214,40 @@ def hom_via_limit(x: OutCycModule) -> HomSpace:
     """
     reg = regular_module(x.support)
     families = limit_basis(dual_system(x))
-    # per level, in the order of units(n): the nonzero (i, v) of every
-    # column of action(n, g^-1), shared by all families
-    inv_cols: dict[int, list[list[list[tuple[int, Fraction]]]]] = {}
+    # per level, in the order of units(n): the columns of action(n, g^-1),
+    # read off its transpose and shared by all families, split into the
+    # permutation columns (j, i), a single 1 in row i, and the others
+    inv_cols: dict[int, list[tuple[list, list]]] = {}
     for n in x.support:
         un = units(n)
         inv_cols[n] = []
         for g in un:
-            act = x.action(n, un.inv(g))
-            inv_cols[n].append([[(i, v) for i, v in enumerate(act.col(j)) if v]
-                                for j in range(act.cols)])
+            perm, other = [], []
+            for j, col in enumerate(x.action(n, un.inv(g)).transpose().data):
+                items = list(col.items())
+                if len(items) == 1 and items[0][1] == 1:
+                    perm.append((j, items[0][0]))
+                else:
+                    other.append((j, items))
+            inv_cols[n].append((perm, other))
     basis = []
     for fam in families:
         mats = {}
         for n in x.support:
-            d = x.dim(n)
-            mat = QMatrix.zeros(len(inv_cols[n]), d)
             lam = fam[n]
-            for r, cols in enumerate(inv_cols[n]):
-                for j, col in enumerate(cols):
-                    if len(col) == 1 and col[0][1] == 1:
-                        s = lam[col[0][0]]  # a permutation column: no arithmetic
-                    else:
-                        s = _F0
-                        for i, v in col:
-                            s += lam[i] * v
+            rows = []
+            for perm, other in inv_cols[n]:
+                row: dict[int, Entry] = {j: lam[i] for j, i in perm if lam[i]}
+                for j, col in other:
+                    s = _F0
+                    for i, v in col:
+                        s += lam[i] * v
                     if s:
-                        mat._e[r * d + j] = s
-            mats[n] = mat
+                        row[j] = s
+                rows.append(row)
+            mats[n] = QMatrix.from_row_dicts(rows, x.dim(n))
         basis.append(ModuleMorphism(x, reg, mats))
     return HomSpace(x, reg, basis)
-
-
-def limit_elements(x: OutCycModule) -> list[LimitElement]:
-    return [LimitElement(f) for f in limit_basis(dual_system(x))]
 
 
 # ---------------------------------------------------------------------------
@@ -327,16 +293,16 @@ def nerve_complex(d: InverseSystem, max_k: int) -> tuple[CochainComplex, list[li
             total += d.dim(ch[0])
         layouts.append((offs, total))
 
-    composites: dict[tuple[int, int], SparseMatrix] = {}
+    composites: dict[tuple[int, int], QMatrix] = {}
 
-    def structure(n: int, m: int) -> SparseMatrix:
+    def structure(n: int, m: int) -> QMatrix:
         """D(m) -> D(n), composed as ``InverseSystem.structure`` does: the
         step down from m along the smallest prime of m/n comes first."""
         key = (n, m)
         comp = composites.get(key)
         if comp is None:
             below = m // prime_factors(m // n)[0]
-            comp = SparseMatrix.from_dense(d.structure_step(below, m))
+            comp = d.structure_step(below, m)
             if below != n:
                 comp = structure(n, below) @ comp
             composites[key] = comp
@@ -361,7 +327,7 @@ def nerve_complex(d: InverseSystem, max_k: int) -> tuple[CochainComplex, list[li
                 for c, sign in faces:
                     row[c + a] = sign
                 rows.append(row)
-        diffs.append(SparseMatrix(dim_k1, dim_k, rows))
+        diffs.append(QMatrix.from_row_dicts(rows, dim_k))
     return CochainComplex(diffs), all_chains
 
 
@@ -396,8 +362,8 @@ def lim_derived(d: InverseSystem, max_k: int) -> DerivedLimit:
         if k and free:
             # the coboundaries as rows, on the free columns in reverse order
             prev = cx.diffs[k - 1]
-            proj = SparseMatrix(len(free), prev.cols,
-                                [prev.data[c] for c in reversed(free)]).transpose()
+            proj = QMatrix.from_row_dicts([prev.data[c] for c in reversed(free)],
+                                          prev.cols).transpose()
             keep = [len(free) - 1 - t for t in reversed(sparse_kernel(proj.data, proj.cols)[1])]
         witnesses.append([[cocycles[j].get(i, _F0) for i in range(dk.cols)] for j in keep])
     return DerivedLimit(dims, witnesses, cx)
@@ -432,24 +398,19 @@ def sequential_lim1(dims: Sequence[int], maps: Sequence[QMatrix]) -> TowerReport
     top = len(dims) - 1
     total_src = sum(dims)
     total_tgt = sum(dims[:top])
-    phi = QMatrix.zeros(total_tgt, total_src)
-    roff = 0
     offsets = []
     acc = 0
     for d in dims:
         offsets.append(acc)
         acc += d
+    rows = []
     for k in range(top):
-        for i in range(dims[k]):
-            phi._e[(roff + i) * total_src + offsets[k] + i] = _F1
-        m = maps[k]
-        for i in range(m.rows):
-            base = (roff + i) * total_src + offsets[k + 1]
-            for j in range(m.cols):
-                v = m[i, j]
-                if v:
-                    phi._e[base + j] = -v
-        roff += dims[k]
+        o, o1 = offsets[k], offsets[k + 1]
+        for i, r in enumerate(maps[k].data):
+            row: dict[int, Entry] = {o1 + j: -v for j, v in r.items()}
+            row[o + i] = _F1
+            rows.append(row)
+    phi = QMatrix.from_row_dicts(rows, total_src)
     r = rank(phi)
     ml = all(rank(m) == dims[k] for k, m in enumerate(maps))
     return TowerReport(lim_dim=total_src - r, lim1_dim=total_tgt - r, mittag_leffler=ml)
@@ -649,10 +610,11 @@ def _block_dims(m: OutCycModule, n: int) -> dict[tuple[int, int], int]:
     return out
 
 
-def _apply_cols(cols: list[list[tuple[int, Fraction]]], vec: Vec) -> Vec:
+def _apply_cols(cols: list[dict[int, Entry]], vec: Vec) -> Vec:
+    """A matrix, given by the rows of its transpose, times a sparse vector."""
     out: Vec = {}
     for j, c in vec.items():
-        for i, a in cols[j]:
+        for i, a in cols[j].items():
             out[i] = out.get(i, 0) + a * c
     return {i: v for i, v in out.items() if v}
 
@@ -663,7 +625,7 @@ class _ModuleStage:
     def __init__(self, x: OutCycModule):
         self.support = x.support
         self.x = x
-        self._steps: dict[tuple[int, int], list[list[tuple[int, Fraction]]]] = {}
+        self._steps: dict[tuple[int, int], list[dict[int, Entry]]] = {}
 
     def dim(self, n: int) -> int:
         return self.x.dim(n)
@@ -672,16 +634,16 @@ class _ModuleStage:
         return _block_dims(self.x, n)
 
     def candidates(self, n: int, blk: CharacterBlock):
-        """|units(n)| e u_j for the unit vectors u_j, zeros skipped."""
-        d = self.x.dim(n)
-        terms = [(w, self.x.action(n, g)._e)
-                 for w, g in zip(blk.weights(), units(n)) if w]
-        for j in range(d):
-            acc: dict[int, Fraction] = {}
-            for w, e in terms:
-                for i, v in enumerate(e[j::d]):
-                    if v:
-                        acc[i] = acc.get(i, _F0) + w * v
+        """|units(n)| e u_j for the unit vectors u_j, zeros skipped: column
+        j of sum_g w_g A(g), summed over the stored entries of each A(g)."""
+        cols: list[Vec] = [{} for _ in range(self.x.dim(n))]
+        for w, g in zip(blk.weights(), units(n)):
+            if w:
+                for i, r in enumerate(self.x.action(n, g).data):
+                    for j, v in r.items():
+                        acc = cols[j]
+                        acc[i] = acc.get(i, 0) + w * v
+        for acc in cols:
             vec = {i: v for i, v in acc.items() if v}
             if vec:
                 yield vec
@@ -689,7 +651,7 @@ class _ModuleStage:
     def images(self, n: int, blk: CharacterBlock, w: Vec) -> dict[int, list[Vec]]:
         """c^t w for t < phi(d), pushed up to every multiple of n one
         covering step at a time."""
-        act = _cols(self.x.action(n, blk.generator))
+        act = self.x.action(n, blk.generator).transpose().data
         vals = [w]
         for _ in range(blk.degree - 1):
             vals.append(_apply_cols(act, vals[-1]))
@@ -700,7 +662,7 @@ class _ModuleStage:
             below = m // prime_factors(m // n)[0]
             step = self._steps.get((below, m))
             if step is None:
-                step = self._steps[(below, m)] = _cols(self.x.restriction_step(below, m))
+                step = self._steps[(below, m)] = self.x.restriction_step(below, m).transpose().data
             out[m] = [_apply_cols(step, v) for v in out[below]]
         return out
 
@@ -854,16 +816,14 @@ def resolve_by_representables(x: OutCycModule, depth: int) -> list[ResolutionSte
 
 def _int_matrix(a: QMatrix) -> tuple[int, list[list[tuple[int, int]]]]:
     """A matrix as (den, rows of (col, numerator)) with den times it integral."""
-    c = a.cols
-    rows = [[(b, v) for b, v in enumerate(a._e[i * c:(i + 1) * c]) if v is not _ZERO and v]
-            for i in range(a.rows)]
     den = 1
-    for row in rows:
-        for _, v in row:
+    for row in a.data:
+        for v in row.values():
             d = v.denominator
             if d != 1:
                 den = den * d // gcd(den, d)
-    return den, [[(b, v.numerator * (den // v.denominator)) for b, v in row] for row in rows]
+    return den, [[(b, v.numerator * (den // v.denominator)) for b, v in row.items()]
+                 for row in a.data]
 
 
 def _hom_cochain(steps: list[ResolutionStep], y: OutCycModule) -> CochainComplex:
@@ -907,7 +867,7 @@ def _hom_cochain(steps: list[ResolutionStep], y: OutCycModule) -> CochainComplex
             tot += y.dim(n)
         return offs, tot
 
-    diffs: list[SparseMatrix] = []
+    diffs: list[QMatrix] = []
     for k in range(len(steps) - 1):
         gens_k = steps[k].gens
         gens_k1 = steps[k + 1].gens
@@ -961,7 +921,7 @@ def _hom_cochain(steps: list[ResolutionStep], y: OutCycModule) -> CochainComplex
                     for b, v in out.items():
                         if v:
                             row[c0 + b] = v if den == 1 else Fraction(v, den)
-        diffs.append(SparseMatrix(dim_k1, dim_k, rows))
+        diffs.append(QMatrix.from_row_dicts(rows, dim_k))
     if any(step.blocks is None for step in steps):
         return CochainComplex(diffs)
     block_dims: dict[int, dict[tuple[int, int], int]] = {}

@@ -1,16 +1,16 @@
 """Exact linear algebra over the rationals.
 
-Dense matrices of ``fractions.Fraction`` entries (``QMatrix``) are the
-carrier for the structure maps and small results of this package.  The
-large, mostly zero cochain differentials of the two Ext routes are
-``SparseMatrix``es instead: one ``{col: value}`` dict per row, values exact
-``int``s or ``Fraction``s.  ``rank`` accepts either type and reads a
-``SparseMatrix`` by its rows, with no dense scan; ``sparse_kernel`` takes
-sparse rows directly.  The other routines take ``QMatrix``.  All results
-are exact; there is no floating point anywhere.  Elimination clears
-denominators and runs fraction-free over sparse ``{col: int}`` rows, which
-is an order of magnitude faster in CPython than eliminating with Fraction
-arithmetic directly.
+``QMatrix`` is the package's one matrix type.  It stores one
+``{col: value}`` dict per row, its ``data``, with exact ``int`` or
+``Fraction`` values and no zero ever stored: the structure maps of the
+cyclic-group site are monomial (permutations, fiber sums), and the cochain
+differentials are a few percent nonzero, so almost every matrix here is
+mostly zeros.  Reads (``m[i, j]``, ``row``, ``col``, ``to_rows``) return
+``Fraction`` zeros for absent entries, so a caller never sees the storage.
+All results are exact; there is no floating point anywhere.  Elimination
+clears denominators and runs fraction-free over sparse ``{col: int}`` rows,
+which is an order of magnitude faster in CPython than eliminating with
+Fraction arithmetic directly.
 
 Conventions, fixed once so matrices are reproducible across runs:
 
@@ -40,7 +40,7 @@ from typing import Iterable, Optional, Sequence, Union
 Rat = Fraction
 
 RatLike = Union[int, str, Fraction]
-Entry = Union[int, Fraction]  # a SparseMatrix value
+Entry = Union[int, Fraction]  # a stored QMatrix value
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -57,7 +57,7 @@ def rat(x: RatLike) -> Fraction:
     raise TypeError(f"cannot interpret {x!r} as a rational")
 
 
-def rat_to_str(q: Fraction) -> str:
+def rat_to_str(q: Entry) -> str:
     """Canonical string form: "a/b" with b > 0, or "a" when b == 1."""
     if q.denominator == 1:
         return str(q.numerator)
@@ -65,21 +65,41 @@ def rat_to_str(q: Fraction) -> str:
 
 
 class QMatrix:
-    """Dense matrix of exact rationals, immutable after construction."""
+    """Matrix of exact rationals, stored by sparse rows.
 
-    __slots__ = ("rows", "cols", "_e")
+    ``data[i]`` is row i as a ``{col: value}`` dict; values are ``int`` or
+    ``Fraction`` and never zero.  ``from_row_dicts`` takes such dicts as
+    given; every other constructor coerces its entries through ``rat``.
+    ``m[i, j] = v`` fills a matrix in place (a zero ``v`` removes the
+    entry); once a matrix has been handed on it must not be written, since
+    modules share matrix objects between units.
+    """
+
+    __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[RatLike]):
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix dimensions")
-        self.rows = rows
-        self.cols = cols
         e = [rat(x) for x in entries]
         if len(e) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(e)}")
-        self._e = e
+        self.rows = rows
+        self.cols = cols
+        self.data = [{j: v for j, v in enumerate(e[i * cols:(i + 1) * cols]) if v}
+                     for i in range(rows)]
 
     # construction helpers
+
+    @classmethod
+    def from_row_dicts(cls, data: list[dict[int, Entry]], cols: int) -> "QMatrix":
+        """The matrix whose row i is ``data[i]``, a ``{col: value}`` dict of
+        nonzero ``int`` or ``Fraction`` values.  The dicts are taken as
+        given, not copied or checked."""
+        m = cls.__new__(cls)
+        m.rows = len(data)
+        m.cols = cols
+        m.data = data
+        return m
 
     @classmethod
     def from_rows(cls, data: Sequence[Sequence[RatLike]], cols: Optional[int] = None) -> "QMatrix":
@@ -98,17 +118,15 @@ class QMatrix:
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
         m = cls.zeros(n, n)
-        for i in range(n):
-            m._e[i * n + i] = _ONE
+        for i, r in enumerate(m.data):
+            r[i] = _ONE
         return m
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "QMatrix":
-        m = cls.__new__(cls)
-        m.rows = rows
-        m.cols = cols
-        m._e = [_ZERO] * (rows * cols)
-        return m
+        if rows < 0 or cols < 0:
+            raise ValueError("negative matrix dimensions")
+        return cls.from_row_dicts([{} for _ in range(rows)], cols)
 
     @classmethod
     def column(cls, values: Sequence[RatLike]) -> "QMatrix":
@@ -120,163 +138,24 @@ class QMatrix:
             return cls(0 if rows is None else rows, 0, [])
         if rows is None:
             rows = len(columns[0])
-        m = cls.zeros(rows, len(columns))
-        for j, col in enumerate(columns):
-            if len(col) != rows:
-                raise ValueError("ragged columns")
-            for i, v in enumerate(col):
-                m._e[i * m.cols + j] = rat(v)
-        return m
+        if any(len(col) != rows for col in columns):
+            raise ValueError("ragged columns")
+        return cls.from_rows(columns, cols=rows).transpose()
 
     # accessors
 
-    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
+    def __getitem__(self, ij: tuple[int, int]) -> Entry:
         i, j = ij
-        return self._e[i * self.cols + j]
+        return self.data[i].get(j, _ZERO)
 
-    def row(self, i: int) -> list[Fraction]:
-        c = self.cols
-        return self._e[i * c:(i + 1) * c]
-
-    def col(self, j: int) -> list[Fraction]:
-        c = self.cols
-        return self._e[j::c] if c else []
-
-    def column_vector(self, j: int) -> "QMatrix":
-        return QMatrix.column(self.col(j))
-
-    def to_rows(self) -> list[list[Fraction]]:
-        return [self.row(i) for i in range(self.rows)]
-
-    def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
-
-    # algebra
-
-    def transpose(self) -> "QMatrix":
-        t = QMatrix.zeros(self.cols, self.rows)
-        e, c = self._e, self.cols
-        for i in range(self.rows):
-            base = i * c
-            for j in range(c):
-                t._e[j * self.rows + i] = e[base + j]
-        return t
-
-    def __matmul__(self, other: "QMatrix") -> "QMatrix":
-        if self.cols != other.rows:
-            raise ValueError(f"shape mismatch: {self.shape()} @ {other.shape()}")
-        out = QMatrix.zeros(self.rows, other.cols)
-        a, b, o = self._e, other._e, out._e
-        n, m, k = self.rows, other.cols, self.cols
-        for i in range(n):
-            abase = i * k
-            obase = i * m
-            for t in range(k):
-                v = a[abase + t]
-                if not v:
-                    continue
-                bbase = t * m
-                for j in range(m):
-                    w = b[bbase + j]
-                    if w:
-                        o[obase + j] += v * w
-        return out
-
-    def apply(self, vec: Sequence[Fraction]) -> list[Fraction]:
-        """Matrix times column vector, returned as a plain list."""
-        if len(vec) != self.cols:
-            raise ValueError("vector length mismatch")
-        out = [_ZERO] * self.rows
-        e, c = self._e, self.cols
-        for i in range(self.rows):
-            base = i * c
-            s = _ZERO
-            for j, v in enumerate(vec):
-                if v:
-                    w = e[base + j]
-                    if w:
-                        s += w * v
-            out[i] = s
-        return out
-
-    def __add__(self, other: "QMatrix") -> "QMatrix":
-        if self.shape() != other.shape():
-            raise ValueError("shape mismatch in addition")
-        out = QMatrix.zeros(self.rows, self.cols)
-        out._e = [x + y for x, y in zip(self._e, other._e)]
-        return out
-
-    def __sub__(self, other: "QMatrix") -> "QMatrix":
-        if self.shape() != other.shape():
-            raise ValueError("shape mismatch in subtraction")
-        out = QMatrix.zeros(self.rows, self.cols)
-        out._e = [x - y for x, y in zip(self._e, other._e)]
-        return out
-
-    def __neg__(self) -> "QMatrix":
-        out = QMatrix.zeros(self.rows, self.cols)
-        out._e = [-x for x in self._e]
-        return out
-
-    def scale(self, c: RatLike) -> "QMatrix":
-        c = rat(c)
-        out = QMatrix.zeros(self.rows, self.cols)
-        out._e = [c * x for x in self._e]
-        return out
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, QMatrix):
-            return NotImplemented
-        return self.rows == other.rows and self.cols == other.cols and self._e == other._e
-
-    def __hash__(self):
-        return hash((self.rows, self.cols, tuple(self._e)))
-
-    def is_zero(self) -> bool:
-        return not any(self._e)
-
-    def trace(self) -> Fraction:
-        if self.rows != self.cols:
-            raise ValueError("trace of a non-square matrix")
-        return sum((v for v in self._e[::self.cols + 1] if v is not _ZERO), _ZERO)
-
-    def __repr__(self) -> str:
-        if self.rows * self.cols > 64:
-            return f"QMatrix({self.rows}x{self.cols})"
-        body = "; ".join(" ".join(rat_to_str(v) for v in self.row(i)) for i in range(self.rows))
-        return f"QMatrix({self.rows}x{self.cols}: {body})"
-
-
-class SparseMatrix:
-    """Sparse matrix of exact rationals, one ``{col: value}`` dict per row.
-
-    Values are ``int`` or ``Fraction`` and never zero; the row dicts are
-    taken as given, not copied.  ``rows``, ``cols``, ``shape()``, ``row(i)``
-    and ``col(j)`` read as ``QMatrix``'s do (``row`` and ``col`` return
-    dense lists), so code that only reads entries takes either type.
-    """
-
-    __slots__ = ("rows", "cols", "data")
-
-    def __init__(self, rows: int, cols: int,
-                 data: Optional[list[dict[int, Entry]]] = None):
-        if rows < 0 or cols < 0:
-            raise ValueError("negative matrix dimensions")
-        if data is None:
-            data = [{} for _ in range(rows)]
-        elif len(data) != rows:
-            raise ValueError(f"expected {rows} rows, got {len(data)}")
-        self.rows = rows
-        self.cols = cols
-        self.data = data
-
-    @classmethod
-    def from_dense(cls, m: QMatrix) -> "SparseMatrix":
-        return cls(m.rows, m.cols,
-                   [{j: v for j, v in enumerate(m.row(i)) if v} for i in range(m.rows)])
-
-    def shape(self) -> tuple[int, int]:
-        return (self.rows, self.cols)
+    def __setitem__(self, ij: tuple[int, int], v: Entry) -> None:
+        i, j = ij
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(f"entry {ij} outside a {self.rows}x{self.cols} matrix")
+        if v:
+            self.data[i][j] = v
+        else:
+            self.data[i].pop(j, None)
 
     def row(self, i: int) -> list[Entry]:
         out: list[Entry] = [_ZERO] * self.cols
@@ -287,23 +166,25 @@ class SparseMatrix:
     def col(self, j: int) -> list[Entry]:
         return [r.get(j, _ZERO) for r in self.data]
 
-    def to_dense(self) -> QMatrix:
-        out = QMatrix.zeros(self.rows, self.cols)
-        e, c = out._e, self.cols
-        for i, r in enumerate(self.data):
-            base = i * c
-            for j, v in r.items():
-                e[base + j] = rat(v)
-        return out
+    def column_vector(self, j: int) -> "QMatrix":
+        return QMatrix.from_row_dicts([{0: r[j]} if j in r else {} for r in self.data], 1)
 
-    def transpose(self) -> "SparseMatrix":
+    def to_rows(self) -> list[list[Entry]]:
+        return [self.row(i) for i in range(self.rows)]
+
+    def shape(self) -> tuple[int, int]:
+        return (self.rows, self.cols)
+
+    # algebra
+
+    def transpose(self) -> "QMatrix":
         data: list[dict[int, Entry]] = [{} for _ in range(self.cols)]
         for i, r in enumerate(self.data):
             for j, v in r.items():
                 data[j][i] = v
-        return SparseMatrix(self.cols, self.rows, data)
+        return QMatrix.from_row_dicts(data, self.rows)
 
-    def __matmul__(self, other: "SparseMatrix") -> "SparseMatrix":
+    def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.shape()} @ {other.shape()}")
         b = other.data
@@ -313,15 +194,78 @@ class SparseMatrix:
             get = acc.get
             for t, v in r.items():
                 for j, w in b[t].items():
-                    acc[j] = get(j, 0) + v * w
+                    x = get(j)
+                    acc[j] = v * w if x is None else x + v * w
             out.append({j: x for j, x in acc.items() if x})
-        return SparseMatrix(self.rows, other.cols, out)
+        return QMatrix.from_row_dicts(out, other.cols)
+
+    def apply(self, vec: Sequence[Fraction]) -> list[Fraction]:
+        """Matrix times column vector, returned as a plain list."""
+        if len(vec) != self.cols:
+            raise ValueError("vector length mismatch")
+        out = []
+        for r in self.data:
+            s = _ZERO
+            for j, w in r.items():
+                v = vec[j]
+                if v:
+                    s += w * v
+            out.append(s)
+        return out
+
+    def _plus(self, other: "QMatrix", sign: int, what: str) -> "QMatrix":
+        if self.shape() != other.shape():
+            raise ValueError(f"shape mismatch in {what}")
+        out = []
+        for r, o in zip(self.data, other.data):
+            s = dict(r)
+            for j, v in o.items():
+                x = s.get(j, 0) + sign * v
+                if x:
+                    s[j] = x
+                else:
+                    del s[j]
+            out.append(s)
+        return QMatrix.from_row_dicts(out, self.cols)
+
+    def __add__(self, other: "QMatrix") -> "QMatrix":
+        return self._plus(other, 1, "addition")
+
+    def __sub__(self, other: "QMatrix") -> "QMatrix":
+        return self._plus(other, -1, "subtraction")
+
+    def __neg__(self) -> "QMatrix":
+        return QMatrix.from_row_dicts([{j: -v for j, v in r.items()} for r in self.data],
+                                      self.cols)
+
+    def scale(self, c: RatLike) -> "QMatrix":
+        c = rat(c)
+        if not c:
+            return QMatrix.zeros(self.rows, self.cols)
+        return QMatrix.from_row_dicts([{j: c * v for j, v in r.items()} for r in self.data],
+                                      self.cols)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, QMatrix):
+            return NotImplemented
+        return self.rows == other.rows and self.cols == other.cols and self.data == other.data
+
+    def __hash__(self):
+        return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self.data)))
 
     def is_zero(self) -> bool:
         return not any(self.data)
 
+    def trace(self) -> Fraction:
+        if self.rows != self.cols:
+            raise ValueError("trace of a non-square matrix")
+        return sum(filter(None, map(dict.get, self.data, range(self.rows))), _ZERO)
+
     def __repr__(self) -> str:
-        return f"SparseMatrix({self.rows}x{self.cols}, {sum(map(len, self.data))} nonzeros)"
+        if self.rows * self.cols > 64:
+            return f"QMatrix({self.rows}x{self.cols}, {sum(map(len, self.data))} nonzeros)"
+        body = "; ".join(" ".join(rat_to_str(v) for v in self.row(i)) for i in range(self.rows))
+        return f"QMatrix({self.rows}x{self.cols}: {body})"
 
 
 def hstack(*mats: QMatrix) -> QMatrix:
@@ -330,13 +274,14 @@ def hstack(*mats: QMatrix) -> QMatrix:
     rows = mats[0].rows
     if any(m.rows != rows for m in mats):
         raise ValueError("row count mismatch in hstack")
-    out_rows = []
-    for i in range(rows):
-        r: list[Fraction] = []
-        for m in mats:
-            r.extend(m.row(i))
-        out_rows.append(r)
-    return QMatrix.from_rows(out_rows, cols=sum(m.cols for m in mats))
+    out: list[dict[int, Entry]] = [{} for _ in range(rows)]
+    off = 0
+    for m in mats:
+        for row, r in zip(out, m.data):
+            for j, v in r.items():
+                row[off + j] = v
+        off += m.cols
+    return QMatrix.from_row_dicts(out, off)
 
 
 def vstack(*mats: QMatrix) -> QMatrix:
@@ -345,10 +290,7 @@ def vstack(*mats: QMatrix) -> QMatrix:
     cols = mats[0].cols
     if any(m.cols != cols for m in mats):
         raise ValueError("column count mismatch in vstack")
-    rows: list[list[Fraction]] = []
-    for m in mats:
-        rows.extend(m.to_rows())
-    return QMatrix.from_rows(rows, cols=cols)
+    return QMatrix.from_row_dicts([dict(r) for m in mats for r in m.data], cols)
 
 
 # ---------------------------------------------------------------------------
@@ -369,18 +311,9 @@ def _int_row(nz: Iterable[tuple[int, Fraction]]) -> dict[int, int]:
     return {j: v.numerator * (den // v.denominator) for j, v in nz}
 
 
-def _sparse_int_rows(m: Union[QMatrix, SparseMatrix]) -> list[dict[int, int]]:
+def _sparse_int_rows(m: QMatrix) -> list[dict[int, int]]:
     """The nonzero rows of ``m`` as ``{col: int}`` dicts, denominators cleared."""
-    if isinstance(m, SparseMatrix):
-        return [_int_row(r.items()) for r in m.data if r]
-    out = []
-    c = m.cols
-    e = m._e
-    for base in range(0, m.rows * c, c or 1):
-        nz = [(j, v) for j, v in enumerate(e[base:base + c]) if v is not _ZERO and v]
-        if nz:
-            out.append(_int_row(nz))
-    return out
+    return [_int_row(r.items()) for r in m.data if r]
 
 
 def _cancel(row: dict[int, int], prow: dict[int, int], c: int,
@@ -438,7 +371,7 @@ def _column_index(rows: list[dict[int, int]]) -> dict[int, set[int]]:
     return cols
 
 
-def rank(m: Union[QMatrix, SparseMatrix]) -> int:
+def rank(m: QMatrix) -> int:
     """Rank by fraction-free elimination over sparse integer rows.
 
     Each step pivots on the column with the fewest nonzeros, at its row
@@ -507,13 +440,10 @@ def _reduce(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
 def rref(m: QMatrix) -> tuple[QMatrix, list[int]]:
     """Reduced row echelon form and the pivot columns in increasing order."""
     pivots = _reduce(_sparse_int_rows(m))
-    out = QMatrix.zeros(m.rows, m.cols)
-    for r, (c, prow) in enumerate(pivots.items()):
-        pv = prow[c]
-        base = r * m.cols
-        for j, v in prow.items():
-            out._e[base + j] = Fraction(v, pv)
-    return out, list(pivots)
+    data: list[dict[int, Entry]] = [{j: Fraction(v, prow[c]) for j, v in prow.items()}
+                                    for c, prow in pivots.items()]
+    data.extend({} for _ in range(m.rows - len(data)))
+    return QMatrix.from_row_dicts(data, m.cols), list(pivots)
 
 
 def _kernel_vectors(pivots: dict[int, dict[int, int]],
@@ -536,7 +466,7 @@ def sparse_kernel(rows: Sequence[dict[int, Entry]],
     """Reduced basis of the null space of a matrix given by sparse rows.
 
     ``rows`` are ``{col: value}`` dicts over ``ncols`` columns, as in a
-    ``SparseMatrix``'s ``data``.  Returns the basis vectors as
+    ``QMatrix``'s ``data``; zero values are skipped.  Returns the basis vectors as
     ``{index: Fraction}`` dicts and the free columns, as ``_kernel_vectors``
     describes.
     """
@@ -551,11 +481,7 @@ def kernel_basis(m: QMatrix) -> QMatrix:
     in coordinate ``j``, its other nonzero coordinates sit at pivot columns.
     """
     vecs, _ = _kernel_vectors(_reduce(_sparse_int_rows(m)), m.cols)
-    out = QMatrix.zeros(m.cols, len(vecs))
-    for k, vec in enumerate(vecs):
-        for i, v in vec.items():
-            out._e[i * len(vecs) + k] = v
-    return out
+    return QMatrix.from_row_dicts(vecs, m.cols).transpose()
 
 
 def solve(m: QMatrix, b: Union[QMatrix, Sequence[RatLike]]) -> Optional[QMatrix]:
@@ -583,10 +509,7 @@ def solve_matrix(a: QMatrix, b: QMatrix) -> Optional[QMatrix]:
     shift = a.cols
     for c, prow in pivots.items():
         pv = prow[c]
-        base = c * b.cols - shift
-        for j, v in prow.items():
-            if j >= shift:
-                out._e[base + j] = Fraction(v, pv)
+        out.data[c] = {j - shift: Fraction(v, pv) for j, v in prow.items() if j >= shift}
     return out
 
 
@@ -603,26 +526,15 @@ def cokernel(m: QMatrix) -> tuple[QMatrix, int]:
 def column_space_basis(m: QMatrix) -> tuple[QMatrix, list[int]]:
     """The pivot columns of ``m``: a basis of its column space."""
     pivots = list(_reduce(_sparse_int_rows(m)))
-    return QMatrix.from_columns([m.col(j) for j in pivots], rows=m.rows), pivots
+    data = [{k: r[j] for k, j in enumerate(pivots) if j in r} for r in m.data]
+    return QMatrix.from_row_dicts(data, len(pivots)), pivots
 
 
 def kronecker(a: QMatrix, b: QMatrix) -> QMatrix:
     """Tensor product under the lexicographic basis pairing."""
-    out = QMatrix.zeros(a.rows * b.rows, a.cols * b.cols)
-    oc = out.cols
-    for i in range(a.rows):
-        for j in range(a.cols):
-            v = a[i, j]
-            if not v:
-                continue
-            rbase = i * b.rows
-            cbase = j * b.cols
-            for k in range(b.rows):
-                obase = (rbase + k) * oc + cbase
-                bbase = k * b.cols
-                for l in range(b.cols):
-                    w = b._e[bbase + l]
-                    if w:
-                        out._e[obase + l] = v * w
-    return out
-
+    bc = b.cols
+    out = []
+    for ra in a.data:
+        for rb in b.data:
+            out.append({j * bc + l: v * w for j, v in ra.items() for l, w in rb.items()})
+    return QMatrix.from_row_dicts(out, a.cols * bc)

@@ -216,10 +216,9 @@ def validate(x: OutCycModule) -> list[str]:
 def regular_action(n: int, l: int) -> QMatrix:
     """Translation by the unit l on the basis indexed by units(n)."""
     un = units(n)
-    d = len(un)
-    a = QMatrix.zeros(d, d)
+    a = QMatrix.zeros(len(un), len(un))
     for j in un:
-        a._e[un.index(un.mul(l, j)) * d + un.index(j)] = 1
+        a[un.index(un.mul(l, j)), un.index(j)] = 1
     return a
 
 
@@ -229,7 +228,7 @@ def regular_restriction(n: int, m: int) -> QMatrix:
     un, um = units(n), units(m)
     r = QMatrix.zeros(len(um), len(un))
     for jt in um:
-        r._e[um.index(jt) * len(un) + un.index(reduce_unit(m, n, jt))] = 1
+        r[um.index(jt), un.index(reduce_unit(m, n, jt))] = 1
     return r
 
 
@@ -271,7 +270,7 @@ def free_module(n: int, support: SupportSet) -> OutCycModule:
             lbar = reduce_unit(m, n, l)
             a = QMatrix.zeros(d, d)
             for u in un:
-                a._e[un.index(un.mul(u, lbar)) * d + un.index(u)] = 1
+                a[un.index(un.mul(u, lbar)), un.index(u)] = 1
             acts[l] = a
         actions[m] = acts
     for a, b in support.covering_pairs():
@@ -351,20 +350,12 @@ def direct_sum(mods: Sequence[OutCycModule], name: str = "") -> OutCycModule:
     dims = {n: sum(m.dim(n) for m in mods) for n in support}
 
     def block_diag(mats: list[QMatrix]) -> QMatrix:
-        r = sum(m.rows for m in mats)
-        c = sum(m.cols for m in mats)
-        out = QMatrix.zeros(r, c)
-        ro = co = 0
+        data = []
+        co = 0
         for m in mats:
-            for i in range(m.rows):
-                base = (ro + i) * c + co
-                row = m.row(i)
-                for j, v in enumerate(row):
-                    if v:
-                        out._e[base + j] = v
-            ro += m.rows
+            data.extend({co + j: v for j, v in r.items()} for r in m.data)
             co += m.cols
-        return out
+        return QMatrix.from_row_dicts(data, co)
 
     memo: dict[tuple[int, ...], QMatrix] = {}
 
@@ -432,8 +423,8 @@ def random_module(support: SupportSet, seed: int) -> OutCycModule:
         upper = QMatrix.identity(d)
         for i in range(d):
             for j in range(i):
-                lower._e[i * d + j] = rng.choice([-1, 0, 0, 1])
-                upper._e[j * d + i] = rng.choice([-1, 0, 0, 1])
+                lower[i, j] = rng.choice([-1, 0, 0, 1])
+                upper[j, i] = rng.choice([-1, 0, 0, 1])
         transforms[n] = lower @ upper
     return conjugate_module(x, transforms, name=f"random:{seed}")
 
@@ -506,7 +497,8 @@ class ModuleMorphism:
         """
         out = []
         for n in self.source.support:
-            out.extend(self.mats[n]._e)
+            for row in self.mats[n].to_rows():
+                out.extend(row)
         return out
 
     def __eq__(self, other: object) -> bool:

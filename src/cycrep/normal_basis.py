@@ -38,7 +38,7 @@ from .cyclic_site import (
     unit_reduction,
     units,
 )
-from .linalg import QMatrix, SparseMatrix, rank
+from .linalg import QMatrix, rank
 from .modules import ModuleMorphism, regular_module
 from .rep_ring import _reducer, tau_ru_module
 
@@ -212,13 +212,13 @@ def _check_naturality(n: int, m: int, ratio: Fraction,
 def _check_rank(n: int, cols: dict[int, IntSparse]) -> bool:
     """Levelwise invertibility: the orbit columns have rank totient(n).
 
-    The columns are read as the rows of a sparse matrix; the rank of the
-    transpose is the rank, so no dense level matrix is built.
+    The columns are read as the rows of a matrix; the rank of the
+    transpose is the rank, so no level matrix is built.
     """
     red = _reducer(n)
     index = red.basis_index
     rows = [{index[e]: c for e, c in col.items()} for col in cols.values()]
-    return rank(SparseMatrix(len(rows), red.dim, rows)) == totient(n)
+    return rank(QMatrix.from_row_dicts(rows, red.dim)) == totient(n)
 
 
 def classifier_report(family: ClassifierFamily) -> NormalBasisReport:

@@ -134,7 +134,7 @@ def restrict_proj_matrix(m: int, n: int) -> QMatrix:
     out = QMatrix.zeros(m, n)
     step = m // n
     for i in range(n):
-        out._e[((i * step) % m) * n + i] = 1
+        out[(i * step) % m, i] = 1
     return out
 
 
@@ -145,7 +145,7 @@ def restrict_sub_matrix(n: int, d: int) -> QMatrix:
         raise ValueError(f"{d} does not divide {n}")
     out = QMatrix.zeros(d, n)
     for i in range(n):
-        out._e[(i % d) * n + i] = 1
+        out[i % d, i] = 1
     return out
 
 
@@ -159,7 +159,7 @@ def transfer_matrix(d: int, n: int) -> QMatrix:
         raise ValueError(f"{d} does not divide {n}")
     out = QMatrix.zeros(n, d)
     for i in range(n):
-        out._e[i * d + (i % d)] = 1
+        out[i, i % d] = 1
     return out
 
 
@@ -171,7 +171,7 @@ def unit_action_matrix(n: int, l: int) -> QMatrix:
         raise ValueError(f"{l} is not a unit mod {n}")
     out = QMatrix.zeros(n, n)
     for i in range(n):
-        out._e[((i * l) % n) * n + i] = 1
+        out[(i * l) % n, i] = 1
     return out
 
 
@@ -259,7 +259,7 @@ def crt_iso(n: int, m: int) -> QMatrix:
     out = QMatrix.zeros(nm, nm)
     for i in range(n):
         for j in range(m):
-            out._e[((i * m + j * n) % nm) * nm + (i * m + j)] = 1
+            out[(i * m + j * n) % nm, i * m + j] = 1
     return out
 
 
@@ -297,14 +297,12 @@ def tau_level(n: int) -> TauLevel:
     t = len(basis)
     proj = QMatrix.zeros(t, n)
     for j, bj in enumerate(basis):
-        proj._e[j * n + bj] = _F1
+        proj[j, bj] = _F1
         for r, p in enumerate(pivots):
-            v = reduced[r, bj]
-            if v:
-                proj._e[j * n + p] = -v
+            proj[j, p] = -reduced[r, bj]
     section = QMatrix.zeros(n, t)
     for j, bj in enumerate(basis):
-        section._e[bj * t + j] = _F1
+        section[bj, j] = _F1
     return TauLevel(n, t, proj, section, basis)
 
 
@@ -403,12 +401,10 @@ class MonomialReducer:
         return out
 
     def columns(self, vecs: Sequence[dict[int, Entry]], scale: Entry = 1) -> QMatrix:
-        """The dense matrix whose column j holds scale times the reduced
-        vector vecs[j] in quotient coordinates (row i for the i-th basis
+        """The matrix whose column j holds scale times the reduced vector
+        vecs[j] in quotient coordinates (row i for the i-th basis
         monomial).  Equal coefficients share one ``Fraction``."""
-        w = len(vecs)
-        out = QMatrix.zeros(self.dim, w)
-        entries = out._e
+        rows: list[dict[int, Entry]] = [{} for _ in range(self.dim)]
         index = self.basis_index
         scale = rat(scale)
         values: dict[Entry, Fraction] = {}
@@ -417,8 +413,8 @@ class MonomialReducer:
                 q = values.get(c)
                 if q is None:
                     q = values[c] = scale * c
-                entries[index[e] * w + j] = q
-        return out
+                rows[index[e]][j] = q
+        return QMatrix.from_row_dicts(rows, len(vecs))
 
 
 # ---------------------------------------------------------------------------

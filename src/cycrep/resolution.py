@@ -117,7 +117,7 @@ def build_complex(primes: list[int], max_degree: int, support: SupportSet) -> Pr
                 for i in range(len(t)):
                     face = t[:i] + t[i + 1:]
                     sign = -1 if (i + 1) % 2 else 1
-                    mat._e[tgt_index[face] * len(src) + j] += sign
+                    mat[tgt_index[face], j] += sign
             mats[m] = mat
         diffs.append(ModuleMorphism(modules[k], modules[k - 1], mats))
 
@@ -168,7 +168,7 @@ def contraction(cx: PrimeComplex, m: int) -> list[QMatrix]:
                 pos = sum(1 for q in alpha if q < p) + 1  # 1-based insertion slot
                 bigger = tuple(sorted(alpha + (p,)))
                 sign = -1 if pos % 2 else 1
-                mat._e[tgt_index[bigger] * len(src) + j] += weight * sign
+                mat[tgt_index[bigger], j] += weight * sign
         out.append(mat)
     return out
 

@@ -28,7 +28,15 @@ from .rep_ring import RUElement, tau_ru_module
 
 
 def matrix_to_json(m: QMatrix) -> list[list[str]]:
-    return [[rat_to_str(v) for v in m.row(i)] for i in range(m.rows)]
+    """Nested rows of canonical strings: "0" where no entry is stored, and
+    each stored entry formatted once."""
+    out = []
+    for r in m.data:
+        row = ["0"] * m.cols
+        for j, v in r.items():
+            row[j] = rat_to_str(v)
+        out.append(row)
+    return out
 
 
 def rat_from_json(x: Any) -> Fraction:

@@ -18,8 +18,8 @@ from typing import Sequence
 
 from cycrep.cyclic_site import factorization, reduce_unit, totient, unit_reduction, units
 from cycrep.hom_ext import CochainComplex, HomSpace, ResolutionStep, _chains, _SpanTracker
-from cycrep.linalg import (QMatrix, SparseMatrix, cokernel, column_space_basis, hstack,
-                           kernel_basis, kronecker, rank, solve, solve_matrix,
+from cycrep.linalg import (QMatrix, RatLike, cokernel, column_space_basis, hstack,
+                           kernel_basis, kronecker, rat, rat_to_str, rank, solve, solve_matrix,
                            sparse_kernel, vstack)
 from cycrep.modules import (InverseSystem, ModuleMorphism, MorphismFactorization,
                             OutCycModule, conjugate_module, restriction_matrix)
@@ -240,12 +240,165 @@ def induced_char_poly_check(d: int, n: int, j: int) -> bool:
     return all(roots_equal(a, b, n) for a, b in zip(poly, rhs))
 
 
+# --- the dense matrix that QMatrix's sparse rows replaced
+
+class DenseQMatrix:
+    """Dense matrix of exact rationals: one flat row-major list holding every
+    entry, zeros included.  The reference for differential tests of
+    ``QMatrix``; it offers the same constructors, reads and operations."""
+
+    __slots__ = ("rows", "cols", "flat")
+
+    def __init__(self, rows: int, cols: int, entries):
+        if rows < 0 or cols < 0:
+            raise ValueError("negative matrix dimensions")
+        self.rows = rows
+        self.cols = cols
+        e = [rat(x) for x in entries]
+        if len(e) != rows * cols:
+            raise ValueError(f"expected {rows * cols} entries, got {len(e)}")
+        self.flat = e
+
+    @classmethod
+    def from_rows(cls, data, cols=None) -> "DenseQMatrix":
+        rows = len(data)
+        if rows == 0:
+            return cls(0, 0 if cols is None else cols, [])
+        if cols is None:
+            cols = len(data[0])
+        flat: list[RatLike] = []
+        for r in data:
+            if len(r) != cols:
+                raise ValueError("ragged rows")
+            flat.extend(r)
+        return cls(rows, cols, flat)
+
+    @classmethod
+    def identity(cls, n: int) -> "DenseQMatrix":
+        m = cls.zeros(n, n)
+        for i in range(n):
+            m.flat[i * n + i] = F1
+        return m
+
+    @classmethod
+    def zeros(cls, rows: int, cols: int) -> "DenseQMatrix":
+        return cls(rows, cols, [F0] * (rows * cols))
+
+    @classmethod
+    def column(cls, values) -> "DenseQMatrix":
+        return cls(len(values), 1, values)
+
+    @classmethod
+    def from_columns(cls, columns, rows=None) -> "DenseQMatrix":
+        if not columns:
+            return cls(0 if rows is None else rows, 0, [])
+        if rows is None:
+            rows = len(columns[0])
+        m = cls.zeros(rows, len(columns))
+        for j, col in enumerate(columns):
+            if len(col) != rows:
+                raise ValueError("ragged columns")
+            for i, v in enumerate(col):
+                m.flat[i * m.cols + j] = rat(v)
+        return m
+
+    def __getitem__(self, ij: tuple[int, int]) -> Fraction:
+        i, j = ij
+        return self.flat[i * self.cols + j]
+
+    def __setitem__(self, ij: tuple[int, int], v) -> None:
+        i, j = ij
+        if not (0 <= i < self.rows and 0 <= j < self.cols):
+            raise IndexError(ij)
+        self.flat[i * self.cols + j] = v
+
+    def row(self, i: int) -> list[Fraction]:
+        c = self.cols
+        return self.flat[i * c:(i + 1) * c]
+
+    def col(self, j: int) -> list[Fraction]:
+        c = self.cols
+        return self.flat[j::c] if c else []
+
+    def to_rows(self) -> list[list[Fraction]]:
+        return [self.row(i) for i in range(self.rows)]
+
+    def shape(self) -> tuple[int, int]:
+        return (self.rows, self.cols)
+
+    def transpose(self) -> "DenseQMatrix":
+        t = DenseQMatrix.zeros(self.cols, self.rows)
+        for i in range(self.rows):
+            for j in range(self.cols):
+                t.flat[j * self.rows + i] = self.flat[i * self.cols + j]
+        return t
+
+    def __matmul__(self, other: "DenseQMatrix") -> "DenseQMatrix":
+        if self.cols != other.rows:
+            raise ValueError(f"shape mismatch: {self.shape()} @ {other.shape()}")
+        out = DenseQMatrix.zeros(self.rows, other.cols)
+        for i in range(self.rows):
+            for j in range(other.cols):
+                out.flat[i * other.cols + j] = sum(
+                    (self[i, t] * other[t, j] for t in range(self.cols)), F0)
+        return out
+
+    def apply(self, vec) -> list[Fraction]:
+        if len(vec) != self.cols:
+            raise ValueError("vector length mismatch")
+        return [sum((w * v for w, v in zip(self.row(i), vec)), F0) for i in range(self.rows)]
+
+    def __add__(self, other: "DenseQMatrix") -> "DenseQMatrix":
+        if self.shape() != other.shape():
+            raise ValueError("shape mismatch in addition")
+        return DenseQMatrix(self.rows, self.cols, [x + y for x, y in zip(self.flat, other.flat)])
+
+    def __sub__(self, other: "DenseQMatrix") -> "DenseQMatrix":
+        if self.shape() != other.shape():
+            raise ValueError("shape mismatch in subtraction")
+        return DenseQMatrix(self.rows, self.cols, [x - y for x, y in zip(self.flat, other.flat)])
+
+    def __neg__(self) -> "DenseQMatrix":
+        return DenseQMatrix(self.rows, self.cols, [-x for x in self.flat])
+
+    def scale(self, c) -> "DenseQMatrix":
+        c = rat(c)
+        return DenseQMatrix(self.rows, self.cols, [c * x for x in self.flat])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DenseQMatrix):
+            return NotImplemented
+        return self.rows == other.rows and self.cols == other.cols and self.flat == other.flat
+
+    def is_zero(self) -> bool:
+        return not any(self.flat)
+
+    def trace(self) -> Fraction:
+        if self.rows != self.cols:
+            raise ValueError("trace of a non-square matrix")
+        return sum(self.flat[::self.cols + 1], F0)
+
+    def __repr__(self) -> str:
+        body = "; ".join(" ".join(rat_to_str(v) for v in self.row(i)) for i in range(self.rows))
+        return f"DenseQMatrix({self.rows}x{self.cols}: {body})"
+
+
+def flat_entries(m: QMatrix) -> list[Fraction]:
+    """Every entry of ``m``, zeros included, row-major."""
+    return [v for row in m.to_rows() for v in row]
+
+
+def stored_values(m: QMatrix) -> list[Fraction]:
+    """The values ``m`` stores, row by row."""
+    return [v for row in m.data for v in row.values()]
+
+
 # --- exact elimination and witness selection, the simple way
 
 def dense_rank(m: QMatrix) -> int:
     """Rank by plain Gaussian elimination in Fraction arithmetic, pivoting on
     the first nonzero entry of each column."""
-    rows = m.to_rows()
+    rows = [[Fraction(v) for v in row] for row in m.to_rows()]
     r = 0
     for c in range(m.cols):
         piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
@@ -469,7 +622,7 @@ def tracker_witnesses(cx: CochainComplex, dims: list[int]) -> list[list[list[Fra
         if want:
             d = cx.diffs[k]
             vecs, _ = sparse_kernel(d.data, d.cols)
-            cocycles = SparseMatrix(len(vecs), d.cols, vecs)
+            cocycles = QMatrix.from_row_dicts(vecs, d.cols)
             span = _SpanTracker()
             if k:
                 # the coboundaries span this many dimensions; once the
@@ -939,7 +1092,7 @@ def dense_hom_cochain(steps, y, support) -> list[QMatrix]:
                 block = restriction_matrix(y, n_j, n_i) @ weighted
                 for a in range(block.rows):
                     for b in range(block.cols):
-                        mat._e[(offs_k1[j] + a) * dim_k + offs_k[i] + b] += block[a, b]
+                        mat[offs_k1[j] + a, offs_k[i] + b] += block[a, b]
         diffs.append(mat)
     return diffs
 
@@ -979,14 +1132,13 @@ def dense_nerve_complex(d, max_k: int):
                 if i == 0:
                     step = d.structure(sigma[0], sigma[1])  # D(sigma[1]) -> D(sigma[0])
                     for a in range(d_sigma):
-                        base = (row0 + a) * dim_k
                         for b in range(step.cols):
                             v = step[a, b]
                             if v:
-                                mat._e[base + col0 + b] += v if sign == 1 else -v
+                                mat[row0 + a, col0 + b] += v if sign == 1 else -v
                 else:
                     for a in range(d_sigma):
-                        mat._e[(row0 + a) * dim_k + col0 + a] += F1 if sign == 1 else -F1
+                        mat[row0 + a, col0 + a] += F1 if sign == 1 else -F1
         diffs.append(mat)
     return CochainComplex(diffs), all_chains
 
@@ -1007,9 +1159,9 @@ def scramble_transforms(x, seed) -> dict[int, QMatrix]:
         d = x.dim(n)
         t = QMatrix.identity(d)
         for i in range(d):
-            t._e[i * d + i] = rng.choice([Fraction(1), Fraction(2), Fraction(-1, 3)])
+            t[i, i] = rng.choice([Fraction(1), Fraction(2), Fraction(-1, 3)])
             for j in range(i):
-                t._e[i * d + j] = rng.choice([Fraction(0), Fraction(0), Fraction(1), Fraction(-1, 2)])
+                t[i, j] = rng.choice([Fraction(0), Fraction(0), Fraction(1), Fraction(-1, 2)])
         transforms[n] = t
     return transforms
 
@@ -1116,11 +1268,30 @@ def reference_hom_via_limit_mats(x, families) -> list[dict[int, QMatrix]]:
             for g in un:
                 act = x.action(n, un.inv(g))
                 for j in range(d):
-                    mat._e[un.index(g) * d + j] = sum(
+                    mat[un.index(g), j] = sum(
                         (fam[n][i] * act[i, j] for i in range(act.rows)), F0)
             mats[n] = mat
         out.append(mats)
     return out
+
+
+def stacked_matrix(h: HomSpace) -> QMatrix:
+    """The basis morphisms of ``h`` flattened to the columns of one matrix."""
+    nrows = sum(h.source.dim(n) * h.target.dim(n) for n in h.source.support)
+    return QMatrix.from_columns([f.stacked_vector() for f in h.basis], rows=nrows)
+
+
+def limit_family_compatible(x: OutCycModule, forms: dict[int, list[Fraction]]) -> bool:
+    """Whether one form per level is a compatible family for the dual
+    system of x: the form at a multiple, composed with the restriction from
+    the divisor, recovers the form at the divisor."""
+    for n, m in x.support.covering_pairs():
+        res = x.restriction_step(n, m)
+        composed = [sum((forms[m][i] * res[i, j] for i in range(res.rows)), F0)
+                    for j in range(res.cols)]
+        if composed != forms[n]:
+            return False
+    return True
 
 
 # --- structure maps solved or built separately for every unit, and the
@@ -1142,11 +1313,10 @@ def per_unit_direct_sum(mods, name: str = "") -> OutCycModule:
         ro = co = 0
         for m in mats:
             for i in range(m.rows):
-                base = (ro + i) * c + co
                 row = m.row(i)
                 for j, v in enumerate(row):
                     if v:
-                        out._e[base + j] = v
+                        out[ro + i, co + j] = v
             ro += m.rows
             co += m.cols
         return out
@@ -1275,7 +1445,7 @@ def equivariant_basis(x: OutCycModule, y: OutCycModule, n: int) -> QMatrix:
     basis = QMatrix.zeros(size, len(vecs))
     for k, vec in enumerate(vecs):
         for i, v in vec.items():
-            basis._e[i * len(vecs) + k] = v
+            basis[i, k] = v
     return basis
 
 
@@ -1314,7 +1484,7 @@ def scaled_sum_hom_direct(x, y) -> HomSpace:
             f_n = _unvec(bn.col(k), dyn, dxn)
             contrib = res_y @ f_n
             col = offsets[n] + k
-            for r, v in enumerate(contrib._e):
+            for r, v in enumerate(flat_entries(contrib)):
                 if v:
                     block[r][col] = v
         bm = eq_bases[m]
@@ -1322,7 +1492,7 @@ def scaled_sum_hom_direct(x, y) -> HomSpace:
             f_m = _unvec(bm.col(k), dym, dxm)
             contrib = f_m @ res_x
             col = offsets[m] + k
-            for r, v in enumerate(contrib._e):
+            for r, v in enumerate(flat_entries(contrib)):
                 if v:
                     block[r][col] -= v
         rows.extend(block)
@@ -1418,7 +1588,7 @@ def fraction_columns_to_matrix(n: int, cols) -> QMatrix:
 def fraction_check_rank(n: int, cols) -> bool:
     red = _monomial_reducer(n)
     rows = [{red.basis_index[e]: c for e, c in col.items()} for col in cols.values()]
-    return rank(SparseMatrix(len(rows), red.dim, rows)) == totient(n)
+    return rank(QMatrix.from_row_dicts(rows, red.dim)) == totient(n)
 
 
 def fraction_check_equivariance(n: int, cols) -> bool:

@@ -52,6 +52,8 @@ from cycrep.rep_ring import (
 )
 from cycrep.resolution import nontrivial_ext_witness, verify_resolution
 
+from oracles import stacked_matrix
+
 
 def _passed(n: int, text: str) -> None:
     print(f"[criterion {n:2d}] PASS: {text}")
@@ -97,7 +99,7 @@ def spans_equal(h1, h2) -> bool:
         return False
     if h1.dimension == 0:
         return True
-    m1, m2 = h1.stacked_matrix(), h2.stacked_matrix()
+    m1, m2 = stacked_matrix(h1), stacked_matrix(h2)
     return (all(solve(m1, m2.column_vector(j)) is not None for j in range(m2.cols))
             and all(solve(m2, m1.column_vector(j)) is not None for j in range(m1.cols)))
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from cycrep.cyclic_site import (SupportSet, character_blocks, divisor_closure, divisors,
                                support_of_divisors, units)
-from cycrep.linalg import QMatrix, SparseMatrix, hstack, rank, solve
+from cycrep.linalg import QMatrix, hstack, rank, solve
 from cycrep.modules import (
     atomic_module,
     direct_sum,
@@ -26,7 +26,6 @@ from cycrep.hom_ext import (
     hom_via_limit,
     lim_derived,
     limit_basis,
-    limit_elements,
     nerve_complex,
     resolve_by_representables,
     sequential_lim1,
@@ -36,9 +35,10 @@ from cycrep.rep_ring import tau_ru_module
 from cycrep.resolution import build_complex
 from oracles import (DenseSpanTracker, averaged_equivariant_basis, dense_hom_cochain,
                      dense_limit_basis, dense_nerve_complex, dense_resolve_by_representables,
-                     equivariant_basis, greedy_resolve, reference_hom_via_limit_mats,
-                     scaled_sum_hom_direct, scramble, simple_module, tracker_witnesses,
-                     witnesses_by_solve)
+                     equivariant_basis, flat_entries, greedy_resolve,
+                     limit_family_compatible, reference_hom_via_limit_mats,
+                     scaled_sum_hom_direct, scramble, simple_module, stacked_matrix,
+                     tracker_witnesses, witnesses_by_solve)
 
 S123 = SupportSet([1, 2, 3])
 S12 = support_of_divisors(12)
@@ -52,7 +52,7 @@ def spans_equal(h1, h2):
         return False
     if h1.dimension == 0:
         return True
-    m1, m2 = h1.stacked_matrix(), h2.stacked_matrix()
+    m1, m2 = stacked_matrix(h1), stacked_matrix(h2)
     for j in range(m2.cols):
         if solve(m1, m2.column_vector(j)) is None:
             return False
@@ -72,10 +72,10 @@ class TestHomDirect:
         for x in [regular_module(S12), semifree_module(2, S12), random_module(S12, 9)]:
             h = hom_direct(x, x)
             assert h.dimension >= 1
-            stacked = h.stacked_matrix()
+            stacked = stacked_matrix(h)
             ident = []
             for n in S12:
-                ident.extend(QMatrix.identity(x.dim(n))._e)
+                ident.extend(flat_entries(QMatrix.identity(x.dim(n))))
             assert solve(stacked, QMatrix.column(ident)) is not None
 
     def test_semifree_to_regular_is_one_dimensional(self):
@@ -95,7 +95,7 @@ class TestHomDirect:
 
     def test_basis_linearly_independent(self):
         h = hom_direct(regular_module(S12), regular_module(S12))
-        stacked = h.stacked_matrix()
+        stacked = stacked_matrix(h)
         assert rank(stacked) == h.dimension
 
 
@@ -156,15 +156,15 @@ class TestHomViaLimit:
 
     def test_reconstruction_projects_back_to_forms(self):
         x = regular_module(S12)
-        forms = limit_elements(x)
+        forms = limit_basis(dual_system(x))
         homs = hom_via_limit(x)
         assert len(forms) == homs.dimension
         for lam, f in zip(forms, homs.basis):
-            assert lam.check_compatible(x)
+            assert limit_family_compatible(x, lam)
             for n in S12:
                 un = units(n)
                 row = f.mats[n].row(un.index(1))
-                assert row == lam.forms[n]
+                assert row == lam[n]
 
     def test_outputs_are_valid_morphisms(self):
         for x in [regular_module(S12), tau_ru_module(S12), random_module(S12, 21),
@@ -340,7 +340,7 @@ class TestDerivedLimits:
         dl = lim_derived(d, 2)
         assert len(dl.witnesses[1]) == 1
         w = QMatrix.column(dl.witnesses[1][0])
-        assert (dl.complex.diffs[1].to_dense() @ w).is_zero()
+        assert (dl.complex.diffs[1] @ w).is_zero()
 
     def test_nerve_chain_enumeration(self):
         _, chains = nerve_complex(dual_system(regular_module(S123)), 1)
@@ -360,8 +360,7 @@ class TestWitnessesAgainstSolveOracle:
     def assert_same_witnesses(self, x, max_k=2):
         out = lim_derived(dual_system(x), max_k)
         assert out.witnesses == tracker_witnesses(out.complex, out.dims)
-        assert out.witnesses == witnesses_by_solve(
-            [d.to_dense() for d in out.complex.diffs], out.dims)
+        assert out.witnesses == witnesses_by_solve(out.complex.diffs, out.dims)
         assert [len(w) for w in out.witnesses] == out.dims
         return out
 
@@ -408,7 +407,7 @@ class TestSparseNerveAgainstDenseOracle:
         cx, chains = nerve_complex(d, max_k)
         ref, ref_chains = dense_nerve_complex(d, max_k)
         assert chains == ref_chains
-        assert [m.to_dense() for m in cx.diffs] == ref.diffs
+        assert cx.diffs == ref.diffs
         assert cx.check_d_squared()
 
     @pytest.mark.parametrize("support", NON_DIRECTED + [S12, support_of_divisors(36),
@@ -427,7 +426,9 @@ class TestSparseNerveAgainstDenseOracle:
 
 
 def qmatrix_sizes(monkeypatch) -> list[int]:
-    """The entry count of every QMatrix created from here on."""
+    """rows x cols of every QMatrix created from here on from an entry
+    list or by ``zeros``; ``from_row_dicts``, which takes only the stored
+    entries, is not counted."""
     sizes = []
     zeros, init = QMatrix.zeros.__func__, QMatrix.__init__
 
@@ -449,9 +450,10 @@ def largest_structure_map(x) -> int:
 
 
 def test_no_dense_differential_on_either_route(monkeypatch):
-    """Every QMatrix the two Ext routes create is at most the size of one
-    structure map between two levels; the differentials over divisors(60)
-    are hundreds of rows by hundreds of columns.  The regular module
+    """Every QMatrix the two Ext routes create from an entry list or by
+    ``zeros`` is at most the size of one structure map between two levels;
+    the differentials over divisors(60), hundreds of rows by hundreds of
+    columns, are assembled from their sparse rows.  The regular module
     resolves in degree 0, so the atom, whose resolution has differentials,
     runs the resolution route's cochain assembly too."""
     support = support_of_divisors(60)
@@ -467,8 +469,9 @@ def test_no_dense_differential_on_either_route(monkeypatch):
 
 
 def test_no_dense_system_on_either_hom_route(monkeypatch):
-    """Every QMatrix the two Hom routes create is at most the size of one
-    structure map between two levels; each route solves one sparse system,
+    """Every QMatrix the two Hom routes create from an entry list or by
+    ``zeros`` is at most the size of one structure map between two levels;
+    each route solves one sparse system,
     where a dense naturality system over divisors(60) has tens of
     thousands of entries."""
     support = support_of_divisors(60)
@@ -480,8 +483,8 @@ def test_no_dense_system_on_either_hom_route(monkeypatch):
     assert sizes and max(sizes) <= largest_map
 
 
-def is_cocycle(d: SparseMatrix, w: list[Fraction]) -> bool:
-    return (d @ SparseMatrix.from_dense(QMatrix.column(w))).is_zero()
+def is_cocycle(d: QMatrix, w: list[Fraction]) -> bool:
+    return (d @ QMatrix.column(w)).is_zero()
 
 
 class TestNonzeroHigherExtOnBothRoutes:
@@ -538,8 +541,7 @@ class TestSparseResolutionAgainstDenseOracle:
         for step, (_, cols) in zip(steps, ref):
             assert step.classifier_cols == [{i: v for i, v in enumerate(c) if v}
                                             for c in cols]
-        assert ([d.to_dense() for d in _hom_cochain(steps, y).diffs]
-                == dense_hom_cochain(ref, y, x.support))
+        assert _hom_cochain(steps, y).diffs == dense_hom_cochain(ref, y, x.support)
         return steps
 
     @pytest.mark.parametrize("top", [12, 36, 60])
@@ -782,15 +784,15 @@ class TestSequentialTowers:
 
 class TestCochainComplex:
     def test_space_dims_and_composability(self):
-        d0 = SparseMatrix(2, 3)
-        d1 = SparseMatrix(1, 2)
+        d0 = QMatrix.zeros(2, 3)
+        d1 = QMatrix.zeros(1, 2)
         cx = CochainComplex([d0, d1])
         assert [cx.space_dim(k) for k in range(3)] == [3, 2, 1]
         assert cx.check_d_squared()
 
     def test_rejects_non_composable(self):
         with pytest.raises(ValueError):
-            CochainComplex([SparseMatrix(2, 3), SparseMatrix(1, 5)])
+            CochainComplex([QMatrix.zeros(2, 3), QMatrix.zeros(1, 5)])
 
 
 class TestUptoSupports:

@@ -10,7 +10,6 @@ from cycrep.hom_ext import _hom_cochain
 from cycrep.modules import regular_module
 from cycrep.linalg import (
     QMatrix,
-    SparseMatrix,
     cokernel,
     column_space_basis,
     hstack,
@@ -25,8 +24,8 @@ from cycrep.linalg import (
     sparse_kernel,
     vstack,
 )
-from oracles import (dense_kernel_basis, dense_rank, dense_rref_rows, dense_solve_matrix,
-                     greedy_resolve)
+from oracles import (DenseQMatrix, dense_kernel_basis, dense_rank, dense_rref_rows,
+                     dense_solve_matrix, flat_entries, greedy_resolve, stored_values)
 
 small_entries = st.integers(min_value=-6, max_value=6)
 
@@ -221,89 +220,201 @@ def matrices_with_repeated_rows(draw):
 
 
 @lru_cache(maxsize=None)
-def sparse_hom_cochain_matrices():
+def hom_cochain_matrices():
     """The differentials of Hom(greedy resolution, regular) over
     divisors(60), to degree 4: hundreds of rows and columns, with a rank
     profile the regular module's minimal resolution, which has no
-    differential, cannot give."""
+    differential, cannot give.  Each comes with the rank the Fraction
+    oracle gives for it."""
     reg = regular_module(support_of_divisors(60))
-    return tuple(_hom_cochain(greedy_resolve(reg, 4), reg).diffs)
+    return tuple((d, dense_rank(d)) for d in _hom_cochain(greedy_resolve(reg, 4), reg).diffs)
 
 
-@lru_cache(maxsize=None)
-def hom_cochain_matrices():
-    """Those differentials as dense matrices, with the ranks the Fraction
-    oracle gives for them."""
-    return tuple((d.to_dense(), dense_rank(d.to_dense()))
-                 for d in sparse_hom_cochain_matrices())
+mixed_entries = st.one_of(
+    st.just(0), st.integers(-4, 4),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6))
 
 
 @st.composite
-def sparse_and_dense(draw, entries=sparse_fractions, rows=None):
-    """A matrix both ways; ``rows`` fixes its row count."""
-    m = draw(rational_matrices(entries) if rows is None else
-             st.integers(0, 7).flatmap(lambda c: st.lists(
-                 entries, min_size=rows * c, max_size=rows * c).map(
-                 lambda e: QMatrix(rows, c, e))))
-    # integral entries stored as ints, as the cochain assembly stores them
-    data = [{j: (int(v) if v.denominator == 1 else v) for j, v in enumerate(m.row(i)) if v}
-            for i in range(m.rows)]
-    return SparseMatrix(m.rows, m.cols, data), m
+def mixed_storage(draw, entries=sparse_fractions, rows=None, cols=None):
+    """A matrix that stores its integral entries as ints, as the cochain
+    assembly does, and the same matrix built from its entry list, every
+    entry a Fraction; ``rows`` and ``cols`` fix the shape."""
+    r = draw(st.integers(0, 6)) if rows is None else rows
+    c = draw(st.integers(0, 7)) if cols is None else cols
+    m = QMatrix(r, c, draw(st.lists(entries, min_size=r * c, max_size=r * c)))
+    data = [{j: (int(v) if v.denominator == 1 else v) for j, v in r.items()} for r in m.data]
+    return QMatrix.from_row_dicts(data, m.cols), m
 
 
-def sparse_kernel_matrix(sm: SparseMatrix) -> QMatrix:
-    """``sparse_kernel`` of a SparseMatrix's rows, its basis as columns."""
-    basis, _ = sparse_kernel(sm.data, sm.cols)
-    return QMatrix.from_columns([[v.get(i, 0) for i in range(sm.cols)] for v in basis],
-                                rows=sm.cols)
+def sparse_kernel_matrix(m: QMatrix) -> QMatrix:
+    """``sparse_kernel`` of a matrix's rows, its basis as columns."""
+    basis, _ = sparse_kernel(m.data, m.cols)
+    return QMatrix.from_columns([[v.get(i, 0) for i in range(m.cols)] for v in basis],
+                                rows=m.cols)
 
 
-class TestSparseMatrixAgainstDense:
-    """Every read of a SparseMatrix, its product and the two eliminations
-    that read its rows, against the same matrix held densely."""
+def dense(m: QMatrix) -> DenseQMatrix:
+    return DenseQMatrix(m.rows, m.cols, flat_entries(m))
+
+
+def as_qmatrix(d: DenseQMatrix) -> QMatrix:
+    return QMatrix(d.rows, d.cols, d.flat)
+
+
+def assert_well_formed(m: QMatrix) -> None:
+    """One row dict per row, no dict shared by two rows, every stored
+    column in range, and no stored zero."""
+    assert len(m.data) == m.rows
+    assert len({id(r) for r in m.data}) == m.rows
+    assert all(0 <= j < m.cols for r in m.data for j in r)
+    assert all(stored_values(m))
+
+
+def assert_matches(m: QMatrix, d: DenseQMatrix) -> None:
+    """Every read of ``m`` against the dense reference ``d``."""
+    assert_well_formed(m)
+    assert m.shape() == d.shape()
+    assert m.to_rows() == d.to_rows()
+    assert [m.row(i) for i in range(m.rows)] == [d.row(i) for i in range(d.rows)]
+    assert [m.col(j) for j in range(m.cols)] == [d.col(j) for j in range(d.cols)]
+    assert all(m[i, j] == d[i, j] for i in range(m.rows) for j in range(m.cols))
+    assert m == as_qmatrix(d)
+    assert m.is_zero() == d.is_zero()
+
+
+def matmul_keeping_zeros(a: QMatrix, b: QMatrix) -> QMatrix:
+    """``QMatrix.__matmul__`` without the step that drops cancelled sums:
+    the fault the no-stored-zero invariant exists to catch."""
+    out = []
+    for r in a.data:
+        acc: dict = {}
+        for t, v in r.items():
+            for j, w in b.data[t].items():
+                acc[j] = acc.get(j, 0) + v * w
+        out.append(acc)
+    return QMatrix.from_row_dicts(out, b.cols)
+
+
+class TestQMatrixAgainstDenseReference:
+    """Every constructor, read and operation of the sparse-row QMatrix
+    against the dense reference it replaced, including the empty shapes,
+    mixed int and Fraction storage and sums that cancel to zero."""
 
     def test_degenerate_shapes(self):
         for r, c in [(0, 0), (0, 4), (3, 0), (3, 4)]:
-            z = SparseMatrix(r, c)
+            z = QMatrix.zeros(r, c)
             assert z.shape() == (r, c) and z.is_zero()
-            assert z.to_dense() == QMatrix.zeros(r, c)
+            assert_matches(z, DenseQMatrix.zeros(r, c))
             assert rank(z) == 0
-            assert sparse_kernel_matrix(z) == kernel_basis(QMatrix.zeros(r, c))
+            assert sparse_kernel_matrix(z) == kernel_basis(z)
+            assert_matches(z.transpose(), DenseQMatrix.zeros(c, r))
         with pytest.raises(ValueError):
-            SparseMatrix(2, 3, [{}])
+            QMatrix.zeros(2, 3) @ QMatrix.zeros(2, 3)
         with pytest.raises(ValueError):
-            SparseMatrix(2, 3) @ SparseMatrix(2, 3)
+            QMatrix.zeros(2, 3) + QMatrix.zeros(3, 2)
+        with pytest.raises(ValueError):
+            QMatrix.zeros(2, 3).trace()
 
-    @settings(max_examples=50, deadline=None)
-    @given(sparse_and_dense())
-    def test_reads_and_transpose(self, pair):
-        sm, m = pair
-        assert sm.to_dense() == m
-        assert SparseMatrix.from_dense(m).to_dense() == m
-        assert [sm.row(i) for i in range(m.rows)] == m.to_rows()
-        assert [sm.col(j) for j in range(m.cols)] == [m.col(j) for j in range(m.cols)]
-        assert sm.transpose().to_dense() == m.transpose()
-        assert sm.is_zero() == m.is_zero()
-
-    @settings(max_examples=50, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(st.data())
-    def test_product(self, data):
-        sa, a = data.draw(sparse_and_dense())
-        sb, b = data.draw(sparse_and_dense(rows=a.cols))
-        prod = sa @ sb
-        assert prod.to_dense() == a @ b
-        assert all(all(r.values()) for r in prod.data)  # no stored zeros
+    def test_constructors(self, data):
+        r, c = data.draw(st.integers(0, 5)), data.draw(st.integers(0, 5))
+        e = data.draw(st.lists(mixed_entries, min_size=r * c, max_size=r * c))
+        rows = [e[i * c:(i + 1) * c] for i in range(r)]
+        cols = [e[j::c] for j in range(c)]
+        assert_matches(QMatrix(r, c, e), DenseQMatrix(r, c, e))
+        assert_matches(QMatrix.from_rows(rows, cols=c), DenseQMatrix.from_rows(rows, cols=c))
+        assert_matches(QMatrix.from_columns(cols, rows=r), DenseQMatrix.from_columns(cols, rows=r))
+        assert_matches(QMatrix.column(e), DenseQMatrix.column(e))
+        assert_matches(QMatrix.identity(r), DenseQMatrix.identity(r))
+        assert_matches(QMatrix.zeros(r, c), DenseQMatrix.zeros(r, c))
+        assert all(type(v) is Fraction for v in stored_values(QMatrix(r, c, e)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(mixed_storage(mixed_entries))
+    def test_reads_transpose_trace_and_hash(self, pair):
+        m, fractions = pair
+        d = dense(m)
+        assert_matches(m, d)
+        assert_matches(m.transpose(), d.transpose())
+        assert m == fractions and hash(m) == hash(fractions)
+        if m.rows == m.cols:
+            assert m.trace() == d.trace()
+            assert type(m.trace()) is Fraction
+        for j in range(m.cols):
+            assert_matches(m.column_vector(j), DenseQMatrix.column(d.col(j)))
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_product_and_apply(self, data):
+        a, _ = data.draw(mixed_storage(mixed_entries))
+        b, _ = data.draw(mixed_storage(mixed_entries, rows=a.cols))
+        assert_matches(a @ b, dense(a) @ dense(b))
+        vec = data.draw(st.lists(mixed_entries, min_size=a.cols, max_size=a.cols).map(
+            lambda v: [Fraction(x) for x in v]))
+        assert a.apply(vec) == dense(a).apply(vec)
+        assert a.apply(vec) == (a @ QMatrix.column(vec)).col(0)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_sums_negation_and_scaling(self, data):
+        a, _ = data.draw(mixed_storage(mixed_entries))
+        b, _ = data.draw(mixed_storage(mixed_entries, rows=a.rows, cols=a.cols))
+        da, db = dense(a), dense(b)
+        assert_matches(a + b, da + db)
+        assert_matches(a - b, da - db)
+        assert_matches(-a, -da)
+        c = data.draw(mixed_entries)
+        assert_matches(a.scale(c), da.scale(c))
+        # sums and scalings that cancel store nothing
+        for zero in [a - a, a + (-a), a.scale(0), (a - b) + (b - a)]:
+            assert_matches(zero, DenseQMatrix.zeros(a.rows, a.cols))
+            assert zero.data == [{} for _ in range(a.rows)]
+
+    def test_products_that_cancel_store_nothing(self):
+        a = QMatrix.from_rows([[1, 1], [Fraction(1, 2), 2]])
+        b = QMatrix.from_rows([[4, 1], [-4, -1]])
+        expected = DenseQMatrix.from_rows([[0, 0], [-6, Fraction(-3, 2)]])
+        assert_matches(a @ b, expected)
+        assert (a @ b).data[0] == {}
+        # negative control: the same product keeping its cancelled zeros
+        # fails == against the reference, and the well-formedness check
+        kept = matmul_keeping_zeros(a, b)
+        assert kept.to_rows() == expected.to_rows()
+        assert kept != as_qmatrix(expected)
+        with pytest.raises(AssertionError):
+            assert_well_formed(kept)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_writes_after_zeros(self, data):
+        r, c = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+        m, d = QMatrix.zeros(r, c), DenseQMatrix.zeros(r, c)
+        writes = data.draw(st.lists(st.tuples(st.integers(0, r - 1), st.integers(0, c - 1),
+                                              mixed_entries), max_size=12))
+        for i, j, v in writes:
+            m[i, j] = v
+            d[i, j] = v
+            m[i, j] += 1
+            d[i, j] += 1
+        # one write per row would show in every row if the rows shared a dict
+        assert_matches(m, d)
+        with pytest.raises(IndexError):
+            m[r, 0] = 1
+        with pytest.raises(IndexError):
+            m[0, c] = 1
 
     @settings(max_examples=100, deadline=None)
-    @given(st.one_of(sparse_and_dense(), sparse_and_dense(huge_fractions)))
+    @given(st.one_of(mixed_storage(), mixed_storage(huge_fractions)))
     def test_rank_and_kernel(self, pair):
-        sm, m = pair
-        assert rank(sm) == rank(m) == dense_rank(m)
-        assert sparse_kernel_matrix(sm) == kernel_basis(m) == dense_kernel_basis(m)[0]
+        m, fractions = pair
+        assert rank(m) == rank(fractions) == dense_rank(m)
+        assert sparse_kernel_matrix(m) == kernel_basis(m) == dense_kernel_basis(m)[0]
 
     def test_hom_cochain_matrices(self):
-        pairs = zip(sparse_hom_cochain_matrices(), hom_cochain_matrices())
-        for k, (d, (_, expected)) in enumerate(pairs):
+        for k, (d, expected) in enumerate(hom_cochain_matrices()):
+            assert_well_formed(d)
             assert rank(d) == expected
             if k < 2:
                 assert sparse_kernel_matrix(d) == dense_kernel_of_hom_cochain_matrix(k)[0]

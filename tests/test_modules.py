@@ -29,7 +29,8 @@ from cycrep.resolution import build_complex
 from cycrep.serialize import module_to_json
 
 from oracles import (all_pairs_validate_actions, all_unit_morphism_violations,
-                     all_unit_validate_squares, fixed_space_dim, per_unit_conjugate_module,
+                     all_unit_validate_squares, fixed_space_dim, flat_entries,
+                     per_unit_conjugate_module,
                      per_unit_direct_sum, per_unit_morphism_factor, scramble,
                      scramble_transforms)
 
@@ -53,8 +54,8 @@ class TestValidation:
         reg = regular_module(S12)
         res = {pair: reg.restriction_step(*pair) for pair in S12.covering_pairs()}
         bad = res[(2, 4)]
-        tweaked = QMatrix(bad.rows, bad.cols, list(bad._e))
-        tweaked._e[0] = tweaked._e[0] + 1
+        tweaked = QMatrix(bad.rows, bad.cols, flat_entries(bad))
+        tweaked[0, 0] = tweaked[0, 0] + 1
         res[(2, 4)] = tweaked
         actions = {n: {l: reg.action(n, l) for l in units(n)} for n in S12}
         broken = OutCycModule(S12, dict(reg.dims), actions, res)
@@ -248,7 +249,7 @@ class TestDirectSumAndConjugation:
         # a shear at level 12 only, inverse exists over the integers
         if x.dim(12) >= 2:
             m = QMatrix.identity(x.dim(12))
-            m._e[1] = 1
+            m[0, 1] = 1
             t[12] = m
         y = conjugate_module(x, t)
         assert validate(y) == []
@@ -446,8 +447,8 @@ class TestSharedMatricesAreNeverMutated:
         inputs = [semi, atom, direct_sum(_mixed_parts(s))]
 
         def snapshot():
-            return [([list(x.action(n, l)._e) for n in s for l in units(n)],
-                     [list(x.restriction_step(*p)._e) for p in s.covering_pairs()])
+            return [([flat_entries(x.action(n, l)) for n in s for l in units(n)],
+                     [flat_entries(x.restriction_step(*p)) for p in s.covering_pairs()])
                     for x in inputs]
 
         before = snapshot()

@@ -36,6 +36,7 @@ from oracles import (
     dense_rank,
     fraction_assemble,
     fraction_classifier_report,
+    stored_values,
 )
 
 S12 = support_of_divisors(12)
@@ -197,7 +198,7 @@ class TestStoredQuotient:
         support = support_of_divisors(top)
         tau = tau_ru_module(support)
         for pair in support.covering_pairs():
-            assert all(type(v) is Fraction for v in tau.restriction_step(*pair)._e), pair
+            assert all(type(v) is Fraction for v in stored_values(tau.restriction_step(*pair))), pair
 
 
 class TestEquivarianceOnGenerators:
@@ -300,7 +301,7 @@ class TestIntegerArithmetic:
     def test_level_matrix_entries_are_fractions(self):
         report = normal_basis_report(S60)
         for n, mat in report.mats.items():
-            assert all(type(v) is Fraction for v in mat._e), n
+            assert all(type(v) is Fraction for v in stored_values(mat)), n
 
 
 class TestScaleNegativeControls:

@@ -26,7 +26,8 @@ from cycrep.rep_ring import (
 )
 
 from oracles import (char_value, conjugated_tau_matrices, dense_tau_level, embed_roots,
-                     monomial_to_eliminated, roots_equal, induced_char_poly_check)
+                     monomial_to_eliminated, roots_equal, induced_char_poly_check,
+                     stored_values)
 
 
 def random_element(n, rng):
@@ -305,11 +306,11 @@ class TestPresentationBridge:
             for l in units(n):
                 act = mod.action(n, l)
                 assert bridges[n] @ act == actions[n][l] @ bridges[n], (n, l)
-                assert all(type(v) is Fraction for v in act._e)
+                assert all(type(v) is Fraction for v in stored_values(act))
         for (a, b), mat in restrictions.items():
             res = mod.restriction_step(a, b)
             assert bridges[b] @ res == mat @ bridges[a], (a, b)
-            assert all(type(v) is Fraction for v in res._e)
+            assert all(type(v) is Fraction for v in stored_values(res))
 
 
 class TestCrt:

@@ -1,4 +1,5 @@
 import ast
+import hashlib
 import json
 import os
 import re
@@ -305,6 +306,30 @@ class TestCliRuns:
         argv = ["hom", "--support", "divisors:12", "--source", "regular",
                 "--format", "json"]
         assert run(argv) == run(argv)
+
+    @pytest.mark.parametrize("command, digest", [
+        ("hom --support divisors:12 --source regular",
+         "fc83905b42da91c585966a44829344dd52a2a71a5cfde5d0e6c4ab5c2beaaf29"),
+        ("hom --support divisors:30 --source tauRU",
+         "64002e916340f36b087da5d7c7b0fcf92e80e4364f7d856666ef00247c37ee3c"),
+        ("lim --support divisors:30 --source regular --max-degree 2",
+         "188767b2c7cdb0e70784eeeb530c4a941f1d12c4d0aa06f654b4ce06ef85f6a3"),
+        ("lim --support 1,2,3 --source atomic:1:1 --max-degree 2",
+         "34f8eec970b0e7e57c453619cc565c836fea42251842ed12d170d2f0f1b38581"),
+        ("ext --support divisors:36 --source random:3 --max-degree 2",
+         "0b7929ccf5126db3568d02ee511455c0dcfa3185e0db645b0c0367087b64f689"),
+        ("resolution --support divisors:30 --primes 2,3,5 --max-degree 3",
+         "895ab44dd4eb050f01784a022b0c1567602393d3741be280e160ffc713507345"),
+        ("normal-basis --support divisors:840",
+         "74d48834c4beb1222962554358877be2ee25b206e8ee46eb9dd1e02982f56d70"),
+    ])
+    def test_golden_json_output(self, command, digest):
+        # sha256 of the canonical JSON report, pinned from the output of the
+        # dense-matrix implementation; any change to a value, a key or the
+        # formatting of a rational changes it
+        code, text = run(command.split() + ["--format", "json"])
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_exit_code_on_failure(self):
         # a module file whose support mismatches the request fails loudly
