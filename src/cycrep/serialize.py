@@ -4,7 +4,10 @@ Rationals serialize as "a/b" with positive denominator and the fraction in
 lowest terms; plain integers omit the denominator.  Matrices are nested
 arrays of such strings; zero-dimensional matrices rely on the surrounding
 object's dimension fields to pin their shapes.  Serialization is canonical,
-so byte-identical output for identical inputs is part of the contract.
+so byte-identical output for identical inputs is part of the contract:
+``dumps_canonical`` sorts keys, indents by two spaces and escapes every
+non-ASCII or control character, writing the same bytes as
+``json.dumps(obj, sort_keys=True, indent=2)``.
 """
 
 from __future__ import annotations
@@ -148,7 +151,59 @@ def results_to_json(dims: list[int], witnesses: list[Any]) -> dict:
 
 
 def dumps_canonical(obj: Any) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
+    """``obj`` as ``json.dumps(obj, sort_keys=True, indent=2)`` writes it,
+    byte for byte, without that encoder's generator step per token."""
+    out: list[str] = []
+    _write(obj, "\n", out)
+    return "".join(out)
+
+
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _write(obj: Any, nl: str, out: list[str]) -> None:
+    """Append ``obj`` written at the depth where a line break is ``nl`` (a
+    newline and the enclosing indent).  Non-empty lists, non-empty dicts with
+    ``str`` keys, and leaves of type exactly ``str`` or ``int`` are written
+    here; anything else (empty containers, bools, None, floats, tuples,
+    subclasses, other keys) by the reference encoder, re-indented, so that
+    its output and its errors are the reference's."""
+    kind = type(obj)
+    if kind is str:
+        out.append(_encode_str(obj))
+        return
+    if kind is int:
+        out.append(int.__repr__(obj))
+        return
+    inner = nl + "  "
+    if kind is list and obj:
+        if type(obj[0]) is str:
+            # a matrix row of rationals: one join, if no entry needs an escape
+            # (a str subclass joins as its text, which is what the reference
+            # writes for it too)
+            try:
+                text = "".join(obj)
+            except TypeError:
+                text = None
+            if text is not None and len(_encode_str(text)) == len(text) + 2:
+                out.append('[' + inner + '"' + ('",' + inner + '"').join(obj) + '"' + nl + ']')
+                return
+        head = "[" + inner
+        for x in obj:
+            out.append(head)
+            _write(x, inner, out)
+            head = "," + inner
+        out.append(nl + "]")
+        return
+    if kind is dict and obj and all(type(k) is str for k in obj):
+        head = "{" + inner
+        for k in sorted(obj):
+            out.append(head + _encode_str(k) + ": ")
+            _write(obj[k], inner, out)
+            head = "," + inner
+        out.append(nl + "}")
+        return
+    out.append(json.dumps(obj, sort_keys=True, indent=2).replace("\n", nl))
 
 
 BUILTIN_NAMES = ("regular", "tauRU", "free:<n>", "semifree:<n>", "atomic:<n>:<d>",

@@ -10,6 +10,7 @@ references for differential tests.
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -1633,3 +1634,10 @@ def fraction_classifier_report(support, scaled: bool = True):
         bad = fraction_check_naturality(n, m, cols[n], cols[m])
         squares.append(SquareCheck(n, m, bad is None, bad))
     return mats, levels, squares
+
+
+# --- the canonical JSON writer that serialize.dumps_canonical replaced
+
+def reference_dumps_canonical(obj) -> str:
+    """The standard library's indenting encoder, with sorted keys."""
+    return json.dumps(obj, sort_keys=True, indent=2)

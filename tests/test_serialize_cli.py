@@ -1,10 +1,12 @@
 import ast
+import enum
 import hashlib
 import json
 import os
 import re
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cycrep.cyclic_site import SupportSet, support_of_divisors
 from cycrep.linalg import QMatrix
@@ -28,6 +30,7 @@ from cycrep.serialize import (
 )
 from cycrep.cli import (DEFAULT_SIZE_CAP, _estimate_hom_entries, _estimate_nerve_entries,
                         build_parser, parse_support, run)
+from oracles import reference_dumps_canonical
 
 
 class TestSerialization:
@@ -75,6 +78,92 @@ class TestSerialization:
         assert (data["source"], data["target"]) == ("regular", "regular")
         assert morphism_to_json("", "", f.mats)["source"] == "?"
 
+
+class Level(enum.IntEnum):
+    ONE = 1
+
+
+class Tag(str):
+    def __str__(self):
+        return "tag"
+
+
+# strings that need no escape (the shape of canonical rationals) and ones
+# that do: quote, backslash, control characters, DEL, non-ASCII, astral;
+# and a str subclass, which json writes as its text
+rational_strings = st.from_regex(r"-?[0-9]{1,4}(/[1-9][0-9]{0,3})?", fullmatch=True)
+escaped_strings = st.sampled_from(['"', "\\", "a\"b", "\x00", "\n", "\x1f", "\x7f", "é",
+                                   "\U0001d11e", "1/2\u2028"])
+json_strings = st.one_of(rational_strings, escaped_strings, st.text(max_size=5),
+                         st.builds(Tag, rational_strings))
+json_leaves = st.one_of(
+    json_strings,
+    st.integers(-10 ** 6, 10 ** 6),
+    st.integers(2 ** 64, 2 ** 200),
+    st.integers(-2 ** 200, -2 ** 64),
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.just(Level.ONE),
+)
+json_trees = st.recursive(
+    json_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.lists(rational_strings, min_size=1, max_size=4),
+        st.lists(json_strings, min_size=1, max_size=4),
+        st.dictionaries(json_strings, children, max_size=4),
+        st.dictionaries(st.integers(-50, 50), children, max_size=4),
+    ),
+    max_leaves=40,
+)
+
+
+def canonical_outcome(writer, obj):
+    """The writer's text, or TypeError if it raised one."""
+    try:
+        return writer(obj)
+    except TypeError:
+        return TypeError
+
+
+class TestCanonicalJson:
+    """``dumps_canonical`` against the reference indenting encoder."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(json_trees)
+    @example({"b": [[{"c": [["1", "-2/3"], []]}, ()], {}], "a": {"x": [{}]}})
+    @example([[[[["1/2", "0"], [0, True, None, 1.5]]]], {3: {-1: [[]]}}])
+    def test_matches_reference(self, obj):
+        assert (canonical_outcome(dumps_canonical, obj)
+                == canonical_outcome(reference_dumps_canonical, obj))
+
+    @pytest.mark.parametrize("obj", [
+        {1: "a", "b": "c"},
+        {"x": [{"b": 1, 2: 3}]},
+    ])
+    def test_mixed_keys_raise_type_error(self, obj):
+        for writer in (dumps_canonical, reference_dumps_canonical):
+            with pytest.raises(TypeError):
+                writer(obj)
+
+    def test_bools_are_not_ints(self):
+        assert dumps_canonical([True, 1, False]) == "[\n  true,\n  1,\n  false\n]"
+
+    @pytest.mark.parametrize("odd, escaped", [("é", '"\\u00e9"'), ('a"b', '"a\\"b"')])
+    def test_string_row_with_an_escape(self, odd, escaped):
+        row = ["1/2", "-3", odd, "0"]
+        text = dumps_canonical({"row": row})
+        assert text == reference_dumps_canonical({"row": row})
+        assert escaped in text
+
+    def test_empty_containers_and_sorted_keys(self):
+        assert dumps_canonical({"b": [], "a": {}}) == '{\n  "a": {},\n  "b": []\n}'
+
+    def test_top_level_leaves(self):
+        assert dumps_canonical("x") == '"x"'
+        assert dumps_canonical(-7) == "-7"
 
 def write_module_file(tmp_path, level2_unit1, level3_unit2_corner):
     """The regular module over 1,2,3 with two action entries overwritten."""
