@@ -279,14 +279,7 @@ def _cmd_report(args, rep: Report) -> None:
         dims = ext_via_resolution(x, reg, k)
         lims = lim_derived(dual_system(x), k).dims
         rep.check(f"ext/derived-limit agreement for {name}", dims == lims, dims=dims)
-    top = max(support)
-    chain = [1]
-    from .cyclic_site import prime_factors
-    rest = top
-    for p in prime_factors(top):
-        while rest % p == 0:
-            chain.append(chain[-1] * p)
-            rest //= p
+    chain = support.chain(1, max(support))
     tower = tower_along_chain(dual_system(reg), chain)
     t = sequential_lim1(*tower)
     rep.check("dual regular tower has vanishing lim1",

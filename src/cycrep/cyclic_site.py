@@ -36,21 +36,6 @@ def divisors(n: int) -> list[int]:
     return small + large[::-1]
 
 
-def prime_factors(n: int) -> list[int]:
-    """Distinct prime factors of n, increasing."""
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
 def factorization(n: int) -> list[tuple[int, int]]:
     """Prime factorization as (p, multiplicity) pairs, p increasing."""
     out = []
@@ -68,15 +53,13 @@ def factorization(n: int) -> list[tuple[int, int]]:
     return out
 
 
+def prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n, increasing."""
+    return [p for p, _ in factorization(n)]
+
+
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return factorization(n) == [(n, 1)]
 
 
 def totient(n: int) -> int:
@@ -84,7 +67,7 @@ def totient(n: int) -> int:
     if n < 1:
         raise ValueError("n must be positive")
     out = n
-    for p in prime_factors(n):
+    for p, _ in factorization(n):
         out = out // p * (p - 1)
     return out
 
@@ -137,6 +120,33 @@ class SupportSet:
                 if m // q in mset:
                     out.append((m // q, m))
         return sorted(out)
+
+    def chain(self, n: int, m: int) -> list[int]:
+        """The covering path n = c_0 | c_1 | ... | c_k = m, each level a
+        prime times the one before, the primes of m/n in increasing order.
+
+        Every composite along the poset (restrictions up, structure maps
+        down) is taken along this path; path independence makes any other
+        agree.
+        """
+        if n not in self._set or m not in self._set:
+            raise ValueError(f"levels {n}, {m} must lie in the support")
+        if m % n:
+            raise ValueError(f"{n} does not divide {m}")
+        out = [n]
+        for p, k in factorization(m // n):
+            for _ in range(k):
+                out.append(out[-1] * p)
+        return out
+
+    def squares(self) -> list[tuple[int, int, int]]:
+        """The triples (n, q, r), q < r primes, with n*q*r in the support,
+        sorted: the commuting squares n -> n*q, n*r -> n*q*r."""
+        steps: dict[int, list[int]] = {}
+        for n, m in self.covering_pairs():
+            steps.setdefault(n, []).append(m // n)
+        return sorted((n, q, r) for n, qs in steps.items() for q in qs for r in qs
+                      if q < r and n * q * r in self._set)
 
     def multiples_of(self, n: int) -> list[int]:
         return [m for m in self.members if m % n == 0]

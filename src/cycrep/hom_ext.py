@@ -32,7 +32,6 @@ from .cyclic_site import (
     SupportSet,
     character_blocks,
     divisors,
-    prime_factors,
     ramanujan_sum,
     reduce_unit,
     units,
@@ -281,7 +280,9 @@ def nerve_complex(d: InverseSystem, max_k: int) -> tuple[CochainComplex, list[li
     maps; dropping the bottom element composes with the structure map down
     to it, every other face is a plain identity inclusion.  Each row is
     emitted sparsely; the composite structure maps are sparse products of
-    the covering steps, built once per (divisor, multiple) pair.
+    the covering steps along ``SupportSet.chain``, as
+    ``InverseSystem.structure`` composes them, built once per (divisor,
+    multiple) pair.
     """
     all_chains = [_chains(d.support, k + 1) for k in range(max_k + 2)]
     layouts = []
@@ -296,15 +297,15 @@ def nerve_complex(d: InverseSystem, max_k: int) -> tuple[CochainComplex, list[li
     composites: dict[tuple[int, int], QMatrix] = {}
 
     def structure(n: int, m: int) -> QMatrix:
-        """D(m) -> D(n), composed as ``InverseSystem.structure`` does: the
-        step down from m along the smallest prime of m/n comes first."""
+        """D(m) -> D(n): the first step of ``d.support.chain(n, m)``, after
+        the memoised composite along the rest of that chain."""
         key = (n, m)
         comp = composites.get(key)
         if comp is None:
-            below = m // prime_factors(m // n)[0]
-            comp = d.structure_step(below, m)
-            if below != n:
-                comp = structure(n, below) @ comp
+            above = d.support.chain(n, m)[1]
+            comp = d.structure_step(n, above)
+            if above != m:
+                comp = comp @ structure(above, m)
             composites[key] = comp
         return comp
 
@@ -417,13 +418,16 @@ def sequential_lim1(dims: Sequence[int], maps: Sequence[QMatrix]) -> TowerReport
 
 
 def tower_along_chain(d: InverseSystem, chain: Sequence[int]) -> tuple[list[int], list[QMatrix]]:
-    """Extract the tower of a divisibility chain n_0 | n_1 | ... from a system."""
-    for a, b in zip(chain, chain[1:]):
-        if b % a:
-            raise ValueError("not a divisibility chain")
-    dims = [d.dim(n) for n in chain]
-    maps = [d.structure(chain[k], chain[k + 1]) for k in range(len(chain) - 1)]
-    return dims, maps
+    """Extract the tower of a divisibility chain n_0 | n_1 | ... from a system.
+
+    Each consecutive pair, or a lone level, is checked by
+    ``SupportSet.chain`` before any dimension is read: a level outside the
+    support, or one that does not divide the next, raises ValueError.
+    """
+    maps = [d.structure(a, b) for a, b in zip(chain, chain[1:])]
+    if len(chain) == 1:
+        d.support.chain(chain[0], chain[0])
+    return [d.dim(n) for n in chain], maps
 
 
 # ---------------------------------------------------------------------------
@@ -649,8 +653,8 @@ class _ModuleStage:
                 yield vec
 
     def images(self, n: int, blk: CharacterBlock, w: Vec) -> dict[int, list[Vec]]:
-        """c^t w for t < phi(d), pushed up to every multiple of n one
-        covering step at a time."""
+        """c^t w for t < phi(d), pushed up to every multiple m of n one
+        covering step at a time: the last step of ``SupportSet.chain(n, m)``."""
         act = self.x.action(n, blk.generator).transpose().data
         vals = [w]
         for _ in range(blk.degree - 1):
@@ -659,7 +663,7 @@ class _ModuleStage:
         for m in self.support.multiples_of(n):
             if m == n:
                 continue
-            below = m // prime_factors(m // n)[0]
+            below = self.support.chain(n, m)[-2]
             step = self._steps.get((below, m))
             if step is None:
                 step = self._steps[(below, m)] = self.x.restriction_step(below, m).transpose().data

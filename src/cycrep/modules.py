@@ -20,7 +20,6 @@ from typing import Callable, Sequence
 
 from .cyclic_site import (
     SupportSet,
-    prime_factors,
     reduce_unit,
     totient,
     units,
@@ -107,21 +106,14 @@ class OutCycModule:
 def restriction_matrix(x: OutCycModule, m: int, n: int) -> QMatrix:
     """Composite restriction from level n up to level m (n | m, both in S).
 
-    Composes covering steps along the prime factorization of m/n taken in
-    increasing order; path independence makes any other chain agree.
+    Composes the covering steps along ``SupportSet.chain(n, m)``, which
+    raises ValueError for levels outside the support or n not dividing m;
+    path independence makes any other path agree.
     """
-    if n not in x.support or m not in x.support:
-        raise ValueError(f"levels {n}, {m} must lie in the support")
-    if m % n:
-        raise ValueError(f"{n} does not divide {m}")
+    levels = x.support.chain(n, m)
     mat = QMatrix.identity(x.dim(n))
-    cur = n
-    rest = m // n
-    for p in prime_factors(rest):
-        while rest % p == 0:
-            mat = x.restriction_step(cur, cur * p) @ mat
-            cur *= p
-            rest //= p
+    for a, b in zip(levels, levels[1:]):
+        mat = x.restriction_step(a, b) @ mat
     return mat
 
 
@@ -178,19 +170,15 @@ def validate_squares(x: OutCycModule) -> list[str]:
 
 
 def validate_paths(x: OutCycModule) -> list[str]:
-    """Composites along different prime orders must agree."""
+    """Composites along different prime orders must agree on every square
+    of ``SupportSet.squares``."""
     out: list[str] = []
-    mset = set(x.support)
-    for n in x.support:
-        qs = sorted({p for m in x.support.multiples_of(n) for p in prime_factors(m // n) if m != n})
-        for i, q in enumerate(qs):
-            for qp in qs[i + 1:]:
-                top = n * q * qp
-                if top in mset and n * q in mset and n * qp in mset:
-                    left = x.restriction_step(n * q, top) @ x.restriction_step(n, n * q)
-                    right = x.restriction_step(n * qp, top) @ x.restriction_step(n, n * qp)
-                    if left != right:
-                        out.append(f"path independence fails: {n} -> {top} via {q} vs {qp}")
+    for n, q, r in x.support.squares():
+        top = n * q * r
+        left = x.restriction_step(n * q, top) @ x.restriction_step(n, n * q)
+        right = x.restriction_step(n * r, top) @ x.restriction_step(n, n * r)
+        if left != right:
+            out.append(f"path independence fails: {n} -> {top} via {q} vs {r}")
     return out
 
 
@@ -255,27 +243,12 @@ def free_module(n: int, support: SupportSet) -> OutCycModule:
     """
     if n not in support:
         raise ValueError(f"{n} not in support")
-    un = units(n)
-    d = len(un)
+    d = totient(n)
     dims = {m: (d if m % n == 0 else 0) for m in support}
-    actions: dict[int, dict[int, QMatrix]] = {}
-    restrictions: dict[tuple[int, int], QMatrix] = {}
-    for m in support:
-        um = units(m)
-        if m % n:
-            actions[m] = {l: QMatrix.zeros(0, 0) for l in um}
-            continue
-        acts = {}
-        for l in um:
-            lbar = reduce_unit(m, n, l)
-            a = QMatrix.zeros(d, d)
-            for u in un:
-                a[un.index(un.mul(u, lbar)), un.index(u)] = 1
-            acts[l] = a
-        actions[m] = acts
-    for a, b in support.covering_pairs():
-        restrictions[(a, b)] = (QMatrix.identity(d) if a % n == 0
-                                else QMatrix.zeros(dims[b], dims[a]))
+    actions = {m: {l: (QMatrix.zeros(0, 0) if m % n else regular_action(n, reduce_unit(m, n, l)))
+                   for l in units(m)} for m in support}
+    restrictions = {(a, b): QMatrix.identity(d) if a % n == 0 else QMatrix.zeros(dims[b], dims[a])
+                    for a, b in support.covering_pairs()}
     return OutCycModule(support, dims, actions, restrictions, name=f"free:{n}")
 
 
@@ -633,6 +606,13 @@ class InverseSystem:
         self.support = support
         self.dims = {n: int(dims.get(n, 0)) for n in support}
         self.maps = dict(maps)
+        covering = set(support.covering_pairs())
+        for pair in self.maps:
+            if pair not in covering:
+                raise ValueError(f"structure map {pair} is not a covering pair of the support")
+        missing = sorted(covering - self.maps.keys())
+        if missing:
+            raise ValueError(f"missing structure map for covering pair {missing[0]}")
         for (n, m), mat in self.maps.items():
             if mat.shape() != (self.dims[n], self.dims[m]):
                 raise ValueError(f"structure map {m}->{n} has shape {mat.shape()}, "
@@ -646,33 +626,27 @@ class InverseSystem:
         return self.maps[(n, m)]
 
     def structure(self, n: int, m: int) -> QMatrix:
-        """Composite map D(m) -> D(n) for any n | m in the support."""
-        if m % n:
-            raise ValueError(f"{n} does not divide {m}")
-        mat = QMatrix.identity(self.dims[m])
-        cur = m
-        rest = m // n
-        for p in prime_factors(rest):
-            while rest % p == 0:
-                mat = self.maps[(cur // p, cur)] @ mat
-                cur //= p
-                rest //= p
+        """Composite map D(m) -> D(n) for any n | m in the support.
+
+        Composes the structure steps along ``SupportSet.chain(n, m)``, which
+        raises ValueError for levels outside the support or n not dividing
+        m; path independence makes any other path agree.
+        """
+        levels = self.support.chain(n, m)
+        mat = QMatrix.identity(self.dims[n])
+        for a, b in zip(levels, levels[1:]):
+            mat = mat @ self.maps[(a, b)]
         return mat
 
     def validate(self) -> list[str]:
+        """Path independence on every square of ``SupportSet.squares``."""
         out = []
-        mset = set(self.support)
-        for n in self.support:
-            qs = sorted({p for m in self.support.multiples_of(n)
-                         for p in prime_factors(m // n) if m != n})
-            for i, q in enumerate(qs):
-                for qp in qs[i + 1:]:
-                    top = n * q * qp
-                    if top in mset:
-                        left = self.maps[(n, n * q)] @ self.maps[(n * q, top)]
-                        right = self.maps[(n, n * qp)] @ self.maps[(n * qp, top)]
-                        if left != right:
-                            out.append(f"path independence fails: {top} -> {n} via {q} vs {qp}")
+        for n, q, r in self.support.squares():
+            top = n * q * r
+            left = self.maps[(n, n * q)] @ self.maps[(n * q, top)]
+            right = self.maps[(n, n * r)] @ self.maps[(n * r, top)]
+            if left != right:
+                out.append(f"path independence fails: {top} -> {n} via {q} vs {r}")
         return out
 
 

@@ -30,7 +30,7 @@ from math import gcd
 from typing import Sequence
 
 from .cyclic_site import SupportSet, divisors, factorization, units
-from .linalg import Entry, QMatrix, RatLike, rat, rref
+from .linalg import Entry, QMatrix, RatLike, hstack, rat, rref
 from .modules import OutCycModule
 
 _F1 = Fraction(1)
@@ -178,72 +178,39 @@ def unit_action_matrix(n: int, l: int) -> QMatrix:
 def restrict_proj(m: int, n: int, a: RUElement) -> RUElement:
     if a.level != n:
         raise ValueError("element level does not match the source level")
-    if m % n:
-        raise ValueError(f"{n} does not divide {m}")
-    out = [Fraction(0)] * m
-    step = m // n
-    for i, c in enumerate(a.coeffs):
-        if c:
-            out[(i * step) % m] += c
-    return RUElement(m, out)
+    return RUElement(m, restrict_proj_matrix(m, n).apply(a.coeffs))
 
 
 def restrict_sub(n: int, d: int, a: RUElement) -> RUElement:
     if a.level != n:
         raise ValueError("element level does not match the source level")
-    if n % d:
-        raise ValueError(f"{d} does not divide {n}")
-    out = [Fraction(0)] * d
-    for i, c in enumerate(a.coeffs):
-        if c:
-            out[i % d] += c
-    return RUElement(d, out)
+    return RUElement(d, restrict_sub_matrix(n, d).apply(a.coeffs))
 
 
 def transfer(d: int, n: int, a: RUElement) -> RUElement:
     if a.level != d:
         raise ValueError("element level does not match the subgroup level")
-    if n % d:
-        raise ValueError(f"{d} does not divide {n}")
-    out = [Fraction(0)] * n
-    for j, c in enumerate(a.coeffs):
-        if c:
-            for i in range(j, n, d):
-                out[i] += c
-    return RUElement(n, out)
+    return RUElement(n, transfer_matrix(d, n).apply(a.coeffs))
 
 
 def unit_action(n: int, l: int, a: RUElement) -> RUElement:
     if a.level != n:
         raise ValueError("element level does not match")
-    if n == 1:
-        return a
-    if gcd(l, n) != 1:
-        raise ValueError(f"{l} is not a unit mod {n}")
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a.coeffs):
-        if c:
-            out[(i * l) % n] = c
-    return RUElement(n, out)
+    return RUElement(n, unit_action_matrix(n, l).apply(a.coeffs))
 
 
 def transfer_ideal(n: int) -> QMatrix:
     """Columns spanning the ideal generated by all proper transfers.
 
-    One column per transferred monomial tr(X^j) from each proper subgroup;
-    multiplying a transfer by any monomial is again a transferred monomial
-    from the same subgroup (projection formula), so this set spans the whole
-    ideal of products.  At n = 1 there are no proper subgroups and the span
-    is zero.
+    One column per transferred monomial tr(X^j) from each proper subgroup:
+    the columns of ``transfer_matrix(d, n)`` over the proper divisors d,
+    increasing.  Multiplying a transfer by any monomial is again a
+    transferred monomial from the same subgroup (projection formula), so
+    this set spans the whole ideal of products.  At n = 1 there are no
+    proper subgroups and the span is zero.
     """
-    cols = []
-    for d in divisors(n)[:-1]:
-        for j in range(d):
-            col = [0] * n
-            for i in range(j, n, d):
-                col[i] = 1
-            cols.append(col)
-    return QMatrix.from_columns(cols, rows=n)
+    # the n x 0 block keeps the stack nonempty at n = 1
+    return hstack(QMatrix.zeros(n, 0), *(transfer_matrix(d, n) for d in divisors(n)[:-1]))
 
 
 def crt_iso(n: int, m: int) -> QMatrix:

@@ -46,6 +46,50 @@ def test_support_rejects_holes():
 def test_covering_pairs():
     s = support_of_divisors(12)
     assert s.covering_pairs() == [(1, 2), (1, 3), (2, 4), (2, 6), (3, 6), (4, 12), (6, 12)]
+    assert s.squares() == [(1, 2, 3), (2, 2, 3)]
+
+
+def _brute_chain(n, m):
+    """n, then the prime factors of m/n with multiplicity, smallest first,
+    found by trial division by every integer, multiplied on one at a time."""
+    out, rest = [n], m // n
+    for p in range(2, rest + 1):
+        while rest % p == 0:
+            out.append(out[-1] * p)
+            rest //= p
+    return out
+
+
+@pytest.mark.parametrize("support", [support_of_divisors(2520),
+                                     divisor_closure([10, 14, 15, 21])])
+def test_chain_against_brute_force(support):
+    for m in support:
+        for n in divisors(m):
+            chain = support.chain(n, m)
+            assert chain == _brute_chain(n, m)
+            assert chain[0] == n and chain[-1] == m
+            assert all(c in support for c in chain)
+            primes = [b // a for a, b in zip(chain, chain[1:])]
+            assert all(is_prime(p) and a * p == b for a, b, p in zip(chain, chain[1:], primes))
+            assert primes == sorted(primes)
+
+
+def test_chain_refuses_levels_outside_the_support_and_non_divisors():
+    s = support_of_divisors(12)
+    assert s.chain(4, 4) == [4]
+    for n, m in [(1, 24), (5, 5), (8, 4), (3, 4), (4, 6), (12, 4)]:
+        with pytest.raises(ValueError):
+            s.chain(n, m)
+
+
+@pytest.mark.parametrize("support", [support_of_divisors(2520), support_of_divisors(12),
+                                     divisor_closure([10, 14, 15, 21]), SupportSet([1, 2, 3]),
+                                     SupportSet([1])])
+def test_squares_against_brute_force(support):
+    primes = [p for p in range(2, max(support) + 1) if is_prime(p)]
+    brute = [(n, q, r) for n in support for q in primes for r in primes
+             if q < r and n * q * r in support]
+    assert support.squares() == sorted(brute)
 
 
 def test_totient_small():

@@ -765,6 +765,12 @@ class TestSequentialTowers:
         rep = sequential_lim1(dims, maps)
         assert rep.lim1_dim == 0 and rep.mittag_leffler
 
+    def test_chain_levels_are_checked_before_any_dimension(self):
+        d = dual_system(regular_module(S12))
+        for chain in [[1, 2, 4, 8], [24, 1], [1, 3, 2], [1, 2, 6, 4], [8]]:
+            with pytest.raises(ValueError):
+                tower_along_chain(d, chain)
+
     def test_zero_maps_leave_top_free(self):
         z = QMatrix.zeros(1, 1)
         rep = sequential_lim1([1, 1, 1], [z, z])

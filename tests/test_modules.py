@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 import cycrep.modules as modules_mod
@@ -20,6 +22,7 @@ from cycrep.modules import (
     restriction_matrix,
     semifree_module,
     validate,
+    validate_paths,
     zero_module,
     zero_morphism,
 )
@@ -61,6 +64,18 @@ class TestValidation:
         broken = OutCycModule(S12, dict(reg.dims), actions, res)
         violations = validate(broken)
         assert violations and any("2->4" in v for v in violations)
+
+    def test_doubled_step_is_reported_at_its_square_both_ways(self):
+        # doubling the step 2 -> 4 keeps every restriction equivariant but
+        # breaks the square 2 -> 4, 6 -> 12, and only that one
+        reg = regular_module(S12)
+        res = {pair: reg.restriction_step(*pair) for pair in S12.covering_pairs()}
+        res[(2, 4)] = res[(2, 4)].scale(2)
+        actions = {n: {l: reg.action(n, l) for l in units(n)} for n in S12}
+        broken = OutCycModule(S12, dict(reg.dims), actions, res)
+        assert validate_paths(broken) == ["path independence fails: 2 -> 12 via 2 vs 3"]
+        assert validate(broken) == validate_paths(broken)
+        assert dual_system(broken).validate() == ["path independence fails: 12 -> 2 via 2 vs 3"]
 
     def test_a_module_without_tables_is_refused(self):
         with pytest.raises(TypeError):
@@ -290,6 +305,29 @@ class TestInverseSystems:
         direct = d.structure(1, 12)
         step = d.structure_step(1, 2) @ d.structure_step(2, 4) @ d.structure_step(4, 12)
         assert direct == step
+
+    def test_composite_structure_map_refuses_bad_levels(self):
+        d = dual_system(regular_module(S12))
+        for n, m in [(1, 24), (2, 3), (5, 5)]:
+            with pytest.raises(ValueError):
+                d.structure(n, m)
+
+    def test_missing_structure_map_is_refused_at_construction(self):
+        d = dual_system(regular_module(S12))
+        missing = re.escape("missing structure map for covering pair (1, 2)")
+        with pytest.raises(ValueError, match=missing):
+            InverseSystem(S12, d.dims, {})
+        maps = dict(d.maps)
+        del maps[(4, 12)]
+        with pytest.raises(ValueError, match=re.escape("pair (4, 12)")):
+            InverseSystem(S12, d.dims, maps)
+
+    def test_structure_map_off_the_covering_pairs_is_refused(self):
+        d = dual_system(regular_module(S12))
+        for pair in [(1, 5), (1, 4), (12, 24)]:
+            maps = {**d.maps, pair: QMatrix.zeros(1, 1)}
+            with pytest.raises(ValueError, match=re.escape(f"structure map {pair} is not")):
+                InverseSystem(S12, d.dims, maps)
 
 
 def _full_table_violations(x):
