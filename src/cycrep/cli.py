@@ -8,7 +8,9 @@ invocation: 0 only when everything asked for passed.
 A soft size cap guards against accidentally huge computations (derived
 limit complexes grow with the chain count of the poset); it counts the
 matrix entries the planned computation will store, approximately or as a
-bound, and refuses loudly rather than thrash.
+bound, and refuses loudly rather than thrash.  The bound for ``hom`` lives
+with ``hom_direct`` (``hom_ext._estimate_hom_entries``), over the same
+equations the solver writes.
 """
 
 from __future__ import annotations
@@ -17,8 +19,9 @@ import argparse
 import sys
 from typing import Any
 
-from .cyclic_site import SupportSet, divisor_closure, support_of_divisors, totient, units
+from .cyclic_site import SupportSet, divisor_closure, support_of_divisors, totient
 from .hom_ext import (
+    _estimate_hom_entries,
     dual_system,
     ext_via_resolution,
     hom_direct,
@@ -49,14 +52,18 @@ class SizeCapExceeded(RuntimeError):
 def parse_support(spec: str) -> SupportSet:
     """divisors:N, upto:N, or an explicit comma list (must be divisor-closed)."""
     spec = spec.strip()
-    if spec.startswith("divisors:"):
-        return support_of_divisors(int(spec.split(":", 1)[1]))
-    if spec.startswith("upto:"):
-        return divisor_closure(list(range(1, int(spec.split(":", 1)[1]) + 1)))
+    kind, _, bound = spec.partition(":")
     try:
-        members = [int(tok) for tok in spec.split(",") if tok.strip()]
+        if kind in ("divisors", "upto"):
+            n = int(bound)
+        else:
+            members = [int(tok) for tok in spec.split(",") if tok.strip()]
     except ValueError:
         raise ValueError(f"malformed support spec {spec!r}") from None
+    if kind == "divisors":
+        return support_of_divisors(n)
+    if kind == "upto":
+        return divisor_closure(list(range(1, n + 1)))
     if not members:
         raise ValueError("empty support spec")
     return SupportSet(members)  # rejects non-divisor-closed lists
@@ -119,32 +126,6 @@ def _cmd_validate(args, rep: Report) -> None:
     for v in violations:
         rep.check(f"violation: {v}", False)
     rep.check(f"module {args.source} valid over {list(support)}", not violations)
-
-
-def _nonzeros(a) -> int:
-    return sum(map(len, a.data))
-
-
-def _estimate_hom_entries(x, y) -> int:
-    """A bound on the nonzeros of the one sparse system ``hom_direct``
-    solves, fill-in not charged.
-
-    Each generator g of units(n) gives a row per entry (i, j) of the level
-    map, with at most the nonzeros of row i of y(g) and of column j of
-    x(g); each covering pair (n, m) gives a row per entry (i, j) of a
-    level-m-by-level-n map, with at most the nonzeros of row i of y's
-    restriction and of column j of x's.
-    """
-    support = x.support
-    total = 0
-    for n in support:
-        for g in units(n).generators():
-            total += (x.dim(n) * _nonzeros(y.action(n, g))
-                      + y.dim(n) * _nonzeros(x.action(n, g)))
-    for n, m in support.covering_pairs():
-        total += (x.dim(n) * _nonzeros(y.restriction_step(n, m))
-                  + y.dim(m) * _nonzeros(x.restriction_step(n, m)))
-    return total
 
 
 def _estimate_nerve_entries(x, max_k: int) -> int:

@@ -114,54 +114,73 @@ class CochainComplex:
 # Hom by direct linear algebra
 # ---------------------------------------------------------------------------
 
+def _offsets(keys, size) -> tuple[dict, int]:
+    """Where each key's block starts when blocks of ``size(key)`` entries are
+    stacked in key order, and the total length."""
+    offsets = {}
+    total = 0
+    for key in keys:
+        offsets[key] = total
+        total += size(key)
+    return offsets, total
+
+
+def _hom_squares(x: OutCycModule, y: OutCycModule):
+    """The equations of ``hom_direct``'s system, one ``(left, a, right, b)``
+    per equation left f_a = f_b right: Y(g) f_n = f_n X(g) for each
+    generator g of units(n), levels in support order, then R_y f_n = f_m R_x
+    for each covering pair (n, m)."""
+    for n in x.support:
+        if x.dim(n) * y.dim(n):
+            for g in units(n).generators():
+                yield y.action(n, g), n, x.action(n, g), n
+    for n, m in x.support.covering_pairs():
+        yield y.restriction_step(n, m), n, x.restriction_step(n, m), m
+
+
+def _square_rows(left: QMatrix, oa: int, right: QMatrix, ob: int) -> list[dict[int, Fraction]]:
+    """The rows of left f_a - f_b right, one per entry (i, j), where f_a and
+    f_b are stored row-major from the offsets oa and ob."""
+    da, db = right.cols, right.rows
+    right_cols = right.transpose().data
+    rows = []
+    for i, left_row in enumerate(left.data):
+        for j, right_col in enumerate(right_cols):
+            # entry (i, j): sum_s left[i,s] f_a[s,j] - sum_t f_b[i,t] right[t,j]
+            row = {oa + s * da + j: v for s, v in left_row.items()}
+            for t, v in right_col.items():
+                k = ob + i * db + t
+                row[k] = row.get(k, _F0) - v
+            rows.append(row)
+    return rows
+
+
+def _estimate_hom_entries(x: OutCycModule, y: OutCycModule) -> int:
+    """A bound on the nonzeros of the one sparse system ``hom_direct``
+    solves, fill-in not charged: a row of ``_square_rows`` holds at most
+    the nonzeros of a row of left and of a column of right."""
+    return sum(x.dim(a) * sum(map(len, left.data)) + left.rows * sum(map(len, right.data))
+               for left, a, right, _ in _hom_squares(x, y))
+
+
 def hom_direct(x: OutCycModule, y: OutCycModule) -> HomSpace:
     """Basis of the morphism space: the kernel of one sparse system.
 
     The unknowns are the entries of every level matrix f_n, row-major,
     levels in support order: the coordinates of
-    ``ModuleMorphism.stacked_vector``.  Equivariance contributes the rows
-    of Y(g) f_n - f_n X(g) for each generator g of units(n); commuting with
-    the generators is the same as commuting with every unit, because both
-    actions are multiplicative.  Naturality contributes the rows of
-    R_y f_n - f_m R_x for each covering pair (n, m).  The basis is the
+    ``ModuleMorphism.stacked_vector``.  The equations are those of
+    ``_hom_squares``: equivariance under the generators of units(n), which
+    is the same as under every unit, because both actions are
+    multiplicative, and naturality on each covering pair.  The basis is the
     reduced kernel basis of ``sparse_kernel``, written into level matrices.
     """
     if x.support != y.support:
         raise ValueError("support mismatch")
     support = x.support
-    offsets: dict[int, int] = {}
-    total = 0
-    for n in support:
-        offsets[n] = total
-        total += x.dim(n) * y.dim(n)
-
+    offsets, total = _offsets(support, lambda n: x.dim(n) * y.dim(n))
     rows: list[dict[int, Fraction]] = []
-    for n in support:
-        dx, dy, o = x.dim(n), y.dim(n), offsets[n]
-        if not dx * dy:
-            continue
-        for g in units(n).generators():
-            ay_rows = y.action(n, g).data
-            ax_cols = x.action(n, g).transpose().data
-            for i in range(dy):
-                for j in range(dx):
-                    # entry (i, j): sum_s Y[i,s] f[s,j] - sum_t f[i,t] X[t,j]
-                    row = {o + s * dx + j: v for s, v in ay_rows[i].items()}
-                    for t, v in ax_cols[j].items():
-                        k = o + i * dx + t
-                        row[k] = row.get(k, _F0) - v
-                    rows.append(row)
-    for n, m in support.covering_pairs():
-        dxn, dxm = x.dim(n), x.dim(m)
-        ry_rows = y.restriction_step(n, m).data
-        rx_cols = x.restriction_step(n, m).transpose().data
-        for i, ry_row in enumerate(ry_rows):
-            for j in range(dxn):
-                # entry (i, j): sum_s Ry[i,s] f_n[s,j] - sum_t f_m[i,t] Rx[t,j]
-                row = {offsets[n] + s * dxn + j: v for s, v in ry_row.items()}
-                for t, v in rx_cols[j].items():
-                    row[offsets[m] + i * dxm + t] = -v
-                rows.append(row)
+    for left, a, right, b in _hom_squares(x, y):
+        rows.extend(_square_rows(left, offsets[a], right, offsets[b]))
 
     vecs, _ = sparse_kernel(rows, total)
     levels = [n for n in support if x.dim(n) * y.dim(n)]
@@ -180,6 +199,17 @@ def hom_direct(x: OutCycModule, y: OutCycModule) -> HomSpace:
 # Hom through the inverse limit of the dual system
 # ---------------------------------------------------------------------------
 
+def _difference_rows(oa: int, s: QMatrix, ob: int) -> list[dict[int, Entry]]:
+    """The rows of x_a - S x_b, one per row of S, with x_a and x_b stored
+    from the offsets oa and ob."""
+    rows = []
+    for i, s_row in enumerate(s.data):
+        row: dict[int, Entry] = {ob + j: -v for j, v in s_row.items()}
+        row[oa + i] = _F1
+        rows.append(row)
+    return rows
+
+
 def limit_basis(d: InverseSystem) -> list[dict[int, list[Fraction]]]:
     """Basis of the inverse limit: compatible families, one form per level.
 
@@ -187,18 +217,10 @@ def limit_basis(d: InverseSystem) -> list[dict[int, list[Fraction]]]:
     per coordinate of D(n) and covering pair (n, m) with S: D(m) -> D(n),
     the unknowns being every level's form, levels in support order.
     """
-    offsets: dict[int, int] = {}
-    total = 0
-    for n in d.support:
-        offsets[n] = total
-        total += d.dim(n)
-    rows: list[dict[int, Fraction]] = []
+    offsets, total = _offsets(d.support, d.dim)
+    rows: list[dict[int, Entry]] = []
     for n, m in d.support.covering_pairs():
-        om = offsets[m]
-        for i, step_row in enumerate(d.structure_step(n, m).data):  # D(m) -> D(n)
-            row = {om + j: -v for j, v in step_row.items()}
-            row[offsets[n] + i] = _F1
-            rows.append(row)
+        rows.extend(_difference_rows(offsets[n], d.structure_step(n, m), offsets[m]))
     vecs, _ = sparse_kernel(rows, total)
     return [{n: [vec.get(offsets[n] + i, _F0) for i in range(d.dim(n))] for n in d.support}
             for vec in vecs]
@@ -279,46 +301,22 @@ def nerve_complex(d: InverseSystem, max_k: int) -> tuple[CochainComplex, list[li
     chain's bottom element.  The differential is the alternating sum of face
     maps; dropping the bottom element composes with the structure map down
     to it, every other face is a plain identity inclusion.  Each row is
-    emitted sparsely; the composite structure maps are sparse products of
-    the covering steps along ``SupportSet.chain``, as
-    ``InverseSystem.structure`` composes them, built once per (divisor,
-    multiple) pair.
+    emitted sparsely; the composite structure maps come from
+    ``InverseSystem.structure``, whose composite cache builds each (divisor,
+    multiple) pair once per system.
     """
     all_chains = [_chains(d.support, k + 1) for k in range(max_k + 2)]
-    layouts = []
-    for chains in all_chains:
-        offs = {}
-        total = 0
-        for ch in chains:
-            offs[ch] = total
-            total += d.dim(ch[0])
-        layouts.append((offs, total))
-
-    composites: dict[tuple[int, int], QMatrix] = {}
-
-    def structure(n: int, m: int) -> QMatrix:
-        """D(m) -> D(n): the first step of ``d.support.chain(n, m)``, after
-        the memoised composite along the rest of that chain."""
-        key = (n, m)
-        comp = composites.get(key)
-        if comp is None:
-            above = d.support.chain(n, m)[1]
-            comp = d.structure_step(n, above)
-            if above != m:
-                comp = comp @ structure(above, m)
-            composites[key] = comp
-        return comp
+    layouts = [_offsets(chains, lambda ch: d.dim(ch[0])) for chains in all_chains[:-1]]
 
     diffs = []
     for k in range(max_k + 1):
         offs_k, dim_k = layouts[k]
-        offs_k1, dim_k1 = layouts[k + 1]
         rows: list[dict[int, Entry]] = []
         for sigma in all_chains[k + 1]:
             d_sigma = d.dim(sigma[0])
             if not d_sigma:
                 continue
-            comp = structure(sigma[0], sigma[1]).data
+            comp = d.structure(sigma[0], sigma[1]).data
             col0 = offs_k[sigma[1:]]
             # faces 1..k+1 keep the bottom element: signed identities
             faces = [(offs_k[sigma[:i] + sigma[i + 1:]], -1 if i % 2 else 1)
@@ -397,20 +395,11 @@ def sequential_lim1(dims: Sequence[int], maps: Sequence[QMatrix]) -> TowerReport
             raise ValueError(f"map {k} has shape {m.shape()}, expected "
                              f"{(dims[k], dims[k + 1])}")
     top = len(dims) - 1
-    total_src = sum(dims)
-    total_tgt = sum(dims[:top])
-    offsets = []
-    acc = 0
-    for d in dims:
-        offsets.append(acc)
-        acc += d
-    rows = []
+    offsets, total_src = _offsets(range(len(dims)), dims.__getitem__)
+    total_tgt = total_src - dims[top]
+    rows: list[dict[int, Entry]] = []
     for k in range(top):
-        o, o1 = offsets[k], offsets[k + 1]
-        for i, r in enumerate(maps[k].data):
-            row: dict[int, Entry] = {o1 + j: -v for j, v in r.items()}
-            row[o + i] = _F1
-            rows.append(row)
+        rows.extend(_difference_rows(offsets[k], maps[k], offsets[k + 1]))
     phi = QMatrix.from_row_dicts(rows, total_src)
     r = rank(phi)
     ml = all(rank(m) == dims[k] for k, m in enumerate(maps))
@@ -848,47 +837,30 @@ def _hom_cochain(steps: list[ResolutionStep], y: OutCycModule) -> CochainComplex
     through the sum of the e y(n) and has the same rank there; the complex
     carries the dimensions of those sums, from ``_block_dims``.
     """
-    acts: dict[tuple[int, int], tuple[int, list[list[tuple[int, int]]]]] = {}
-    ress: dict[tuple[int, int], tuple[int, list[list[tuple[int, int]]]]] = {}
-
+    @lru_cache(maxsize=None)
     def y_act(n: int, u: int) -> tuple[int, list[list[tuple[int, int]]]]:
-        key = (n, u)
-        if key not in acts:
-            acts[key] = _int_matrix(y.action(n, u))
-        return acts[key]
+        return _int_matrix(y.action(n, u))
 
+    @lru_cache(maxsize=None)
     def y_res(n: int, m: int) -> tuple[int, list[list[tuple[int, int]]]]:
-        key = (n, m)
-        if key not in ress:
-            ress[key] = _int_matrix(restriction_matrix(y, m, n))
-        return ress[key]
-
-    def layout(gens: list[int]) -> tuple[list[int], int]:
-        offs = []
-        tot = 0
-        for n in gens:
-            offs.append(tot)
-            tot += y.dim(n)
-        return offs, tot
+        return _int_matrix(restriction_matrix(y, m, n))
 
     diffs: list[QMatrix] = []
     for k in range(len(steps) - 1):
         gens_k = steps[k].gens
         gens_k1 = steps[k + 1].gens
-        offs_k, dim_k = layout(gens_k)
-        offs_k1, dim_k1 = layout(gens_k1)
+        offs_k, dim_k = _offsets(range(len(gens_k)), lambda i: y.dim(gens_k[i]))
+        offs_k1, dim_k1 = _offsets(range(len(gens_k1)), lambda j: y.dim(gens_k1[j]))
         # ambient index -> (generator, unit index), per generator level
-        owners: dict[int, list[tuple[int, int]]] = {}
+        owners = {n_j: [(i, t) for i, n_i in enumerate(gens_k) if n_j % n_i == 0
+                        for t in range(len(units(n_i)))]
+                  for n_j in dict.fromkeys(gens_k1) if y.dim(n_j)}
         rows: list[dict[int, Entry]] = [{} for _ in range(dim_k1)]
         for j, (n_j, z) in enumerate(zip(gens_k1, steps[k + 1].classifier_cols)):
             # z lives in the k-th free sum at level n_j
-            dy_j = y.dim(n_j)
-            if not dy_j:
+            if not y.dim(n_j):
                 continue
-            owner = owners.get(n_j)
-            if owner is None:
-                owner = owners[n_j] = [(i, t) for i, n_i in enumerate(gens_k) if n_j % n_i == 0
-                                       for t in range(len(units(n_i)))]
+            owner = owners[n_j]
             blocks: dict[int, list[tuple[int, Fraction]]] = {}
             for pos, c in z.items():
                 i, t = owner[pos]
@@ -928,14 +900,11 @@ def _hom_cochain(steps: list[ResolutionStep], y: OutCycModule) -> CochainComplex
         diffs.append(QMatrix.from_row_dicts(rows, dim_k))
     if any(step.blocks is None for step in steps):
         return CochainComplex(diffs)
-    block_dims: dict[int, dict[tuple[int, int], int]] = {}
-    dims = []
-    for step in steps:
-        for n in step.gens:
-            if n not in block_dims:
-                block_dims[n] = _block_dims(y, n)
-        dims.append(sum(block_dims[n][blk.key] for n, blk in zip(step.gens, step.blocks)))
-    return CochainComplex(diffs, dims)
+    block_dims = {n: _block_dims(y, n)
+                  for n in dict.fromkeys(n for step in steps for n in step.gens)}
+    return CochainComplex(diffs, [sum(block_dims[n][blk.key]
+                                      for n, blk in zip(step.gens, step.blocks))
+                                  for step in steps])
 
 
 def ext_via_resolution(x: OutCycModule, y: OutCycModule, max_k: int) -> list[int]:

@@ -599,13 +599,14 @@ class InverseSystem:
     """Rational vector spaces over the support with maps from multiples to
     divisors, one matrix per covering pair."""
 
-    __slots__ = ("support", "dims", "maps")
+    __slots__ = ("support", "dims", "maps", "_composites")
 
     def __init__(self, support: SupportSet, dims: dict[int, int],
                  maps: dict[tuple[int, int], QMatrix]):
         self.support = support
         self.dims = {n: int(dims.get(n, 0)) for n in support}
         self.maps = dict(maps)
+        self._composites: dict[tuple[int, int], QMatrix] = {}
         covering = set(support.covering_pairs())
         for pair in self.maps:
             if pair not in covering:
@@ -628,14 +629,23 @@ class InverseSystem:
     def structure(self, n: int, m: int) -> QMatrix:
         """Composite map D(m) -> D(n) for any n | m in the support.
 
-        Composes the structure steps along ``SupportSet.chain(n, m)``, which
-        raises ValueError for levels outside the support or n not dividing
-        m; path independence makes any other path agree.
+        The first step of ``SupportSet.chain(n, m)``, which raises ValueError
+        for levels outside the support or n not dividing m, after the
+        composite along the rest of that chain; path independence makes any
+        other path agree.  Each composite is built once and kept in the
+        system's composite cache, so a second call returns the same matrix;
+        callers must not modify it.
         """
-        levels = self.support.chain(n, m)
-        mat = QMatrix.identity(self.dims[n])
-        for a, b in zip(levels, levels[1:]):
-            mat = mat @ self.maps[(a, b)]
+        mat = self._composites.get((n, m))
+        if mat is None:
+            levels = self.support.chain(n, m)
+            if len(levels) == 1:
+                mat = QMatrix.identity(self.dims[n])
+            else:
+                mat = self.maps[(n, levels[1])]
+                if levels[1] != m:
+                    mat = mat @ self.structure(levels[1], m)
+            self._composites[(n, m)] = mat
         return mat
 
     def validate(self) -> list[str]:

@@ -15,10 +15,11 @@ the fixed monomials are the quotient basis.  ``tau_action`` and
 ``tau_restriction`` read the level matrices from its columns, and
 ``tau_ru_module`` stores them for every unit and covering pair.
 
-``tau_level`` eliminates the ideal directly (``linalg.rref`` of the
-transferred monomials) and is kept only as an independent count of the
-quotient dimension.  At prime powers its basis coincides with the reduced
-one (the monomials X^j with p^{k-1} <= j < p^k).
+``tau_level`` eliminates the ideal directly (``linalg.sparse_kernel`` of
+the transferred monomials, whose reduced kernel vectors are the rows of the
+projection) and is kept only as an independent count of the quotient
+dimension.  At prime powers its basis coincides with the reduced one (the
+monomials X^j with p^{k-1} <= j < p^k).
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from math import gcd
 from typing import Sequence
 
 from .cyclic_site import SupportSet, divisors, factorization, units
-from .linalg import Entry, QMatrix, RatLike, hstack, rat, rref
+from .linalg import Entry, QMatrix, RatLike, hstack, rat, sparse_kernel
 from .modules import OutCycModule
 
 _F1 = Fraction(1)
@@ -240,7 +241,7 @@ class TauLevel:
 
     ``projection`` maps the ambient n-dimensional ring onto the quotient and
     kills exactly the transfer ideal; ``section`` embeds the quotient back as
-    the span of the basis monomials (the non-pivot columns of the ideal
+    the span of the basis monomials (the free columns of the ideal
     elimination, in increasing order).
     """
     level: int
@@ -258,19 +259,14 @@ def tau_level(n: int) -> TauLevel:
     dimension criterion count the quotient this way, so that they do not
     restate the presentation the module is built from.
     """
-    reduced, pivots = rref(transfer_ideal(n).transpose())
-    pivset = set(pivots)
-    basis = tuple(i for i in range(n) if i not in pivset)
-    t = len(basis)
-    proj = QMatrix.zeros(t, n)
-    for j, bj in enumerate(basis):
-        proj[j, bj] = _F1
-        for r, p in enumerate(pivots):
-            proj[j, p] = -reduced[r, bj]
+    # the reduced kernel vectors of the ideal's rows vanish on it and are 1
+    # at their own free column and 0 at the others
+    vecs, free = sparse_kernel(transfer_ideal(n).transpose().data, n)
+    t = len(free)
     section = QMatrix.zeros(n, t)
-    for j, bj in enumerate(basis):
+    for j, bj in enumerate(free):
         section[bj, j] = _F1
-    return TauLevel(n, t, proj, section, basis)
+    return TauLevel(n, t, QMatrix.from_row_dicts(vecs, n), section, tuple(free))
 
 
 # ---------------------------------------------------------------------------

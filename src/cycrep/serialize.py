@@ -264,18 +264,19 @@ def load_module(spec: str, support: SupportSet, prefer_file: bool = False,
     """Built-in names resolve before file paths unless a file is preferred.
 
     A module read from a file is parsed strictly and then validated
-    (``validate``, exact); a malformed file or any violation raises
+    (``validate``, exact); a path that cannot be read as a file (a
+    directory, say), a malformed file or any violation raises
     ``InvalidModuleFile`` carrying the list of problems.
     """
     import os
     if not prefer_file and is_builtin_name(spec):
         return module_from_name(spec, support, seed)
     if os.path.exists(spec):
-        with open(spec) as fh:
-            try:
+        try:
+            with open(spec) as fh:
                 x = module_from_json(json.load(fh))
-            except ValueError as exc:
-                raise InvalidModuleFile(spec, [str(exc)]) from None
+        except (OSError, ValueError) as exc:
+            raise InvalidModuleFile(spec, [str(exc)]) from None
         if x.support != support:
             raise ValueError(f"module file support {list(x.support)} does not match "
                              f"requested support {list(support)}")

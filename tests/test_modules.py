@@ -306,6 +306,20 @@ class TestInverseSystems:
         step = d.structure_step(1, 2) @ d.structure_step(2, 4) @ d.structure_step(4, 12)
         assert direct == step
 
+    @pytest.mark.parametrize("build", [regular_module, tau_ru_module], ids=["regular", "tauRU"])
+    def test_composites_are_the_chain_products_and_cached(self, build):
+        s = support_of_divisors(360)
+        d = dual_system(build(s))
+        for n in s:
+            for m in s.multiples_of(n):
+                levels = s.chain(n, m)
+                product = QMatrix.identity(d.dim(n))
+                for a, b in zip(levels, levels[1:]):
+                    product = product @ d.structure_step(a, b)
+                comp = d.structure(n, m)
+                assert comp == product, (n, m)
+                assert d.structure(n, m) is comp, (n, m)
+
     def test_composite_structure_map_refuses_bad_levels(self):
         d = dual_system(regular_module(S12))
         for n, m in [(1, 24), (2, 3), (5, 5)]:

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 from cycrep.cyclic_site import SupportSet, support_of_divisors
 from cycrep.linalg import QMatrix
 from cycrep.cyclic_site import units
-from cycrep.hom_ext import dual_system, hom_direct, lim_derived
+from cycrep.hom_ext import _estimate_hom_entries, dual_system, hom_direct, lim_derived
 from cycrep.modules import (atomic_module, direct_sum, free_module, random_module,
                             regular_module, semifree_module)
 from cycrep.rep_ring import RUElement
@@ -28,7 +28,7 @@ from cycrep.serialize import (
     load_module,
     dumps_canonical,
 )
-from cycrep.cli import (DEFAULT_SIZE_CAP, _estimate_hom_entries, _estimate_nerve_entries,
+from cycrep.cli import (DEFAULT_SIZE_CAP, _estimate_nerve_entries,
                         build_parser, parse_support, run)
 from oracles import reference_dumps_canonical
 
@@ -246,6 +246,27 @@ class TestBoundaryChecks:
         assert code == 1 and text.endswith("overall: FAILED")
         assert problem in text and "overall: ok" not in text
 
+    @pytest.mark.parametrize("verb", ["validate", "hom"])
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_directory_as_module_is_refused(self, tmp_path, verb, fmt):
+        # opening a directory raises IsADirectoryError, an OSError; it must
+        # come back as a failed check in the report, not as a traceback
+        path = str(tmp_path)
+        with pytest.raises(InvalidModuleFile, match="Is a directory"):
+            load_module(path, SupportSet([1]))
+        code, text = run([verb, "--support", "1", "--source", path, "--format", fmt])
+        assert code == 1
+        if fmt == "json":
+            out = json.loads(text)
+            assert out["ok"] is False
+            failed = [c["name"] for c in out["checks"] if not c["pass"]]
+        else:
+            assert text.endswith("overall: FAILED")
+            failed = [line for line in text.splitlines() if line.startswith("[FAIL]")]
+        assert any("Is a directory" in name for name in failed)
+        prefix = "violation: " if verb == "validate" else "error: "
+        assert any(prefix in name for name in failed)
+
     def test_validate_lists_each_violation(self, tmp_path):
         path = write_module_file(tmp_path, "1/2", "3/2")
         with pytest.raises(InvalidModuleFile) as info:
@@ -318,6 +339,13 @@ class TestParseSupport:
             parse_support("2,4")
         with pytest.raises(ValueError):
             parse_support("nonsense")
+
+    @pytest.mark.parametrize("spec", ["divisors:x", "upto:x", "divisors:", "upto:1.5", "1,x"])
+    def test_malformed_specs_name_the_spec(self, spec):
+        with pytest.raises(ValueError, match=re.escape(f"malformed support spec {spec!r}")):
+            parse_support(spec)
+        code, text = run(["tau-ru", "--support", spec])
+        assert code == 1 and f"error: malformed support spec {spec!r}" in text
 
 
 class TestCliRuns:
