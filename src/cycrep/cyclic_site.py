@@ -309,6 +309,13 @@ def ramanujan_sum(d: int, s: int) -> int:
     return (-1) ** len(fac) * (totient(d) // totient(q))
 
 
+@lru_cache(maxsize=None)
+def _ramanujan_row(d: int) -> tuple[int, ...]:
+    """c_d(s) for s = 0, ..., d - 1, cached: every block of order d reads
+    its weights from this row."""
+    return tuple(ramanujan_sum(d, s) for s in range(d))
+
+
 class CharacterBlock(NamedTuple):
     """One primitive idempotent e of Q[units(n)].
 
@@ -342,7 +349,7 @@ class CharacterBlock(NamedTuple):
 
     def weights(self) -> list[int]:
         """|units(n)| e as integer coefficients, in the order of units(n)."""
-        c = [ramanujan_sum(self.order, s) for s in range(self.order)]
+        c = _ramanujan_row(self.order)
         return [c[s] for s in self.exponents]
 
 

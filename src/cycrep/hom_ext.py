@@ -30,9 +30,9 @@ from typing import Optional, Sequence
 from .cyclic_site import (
     CharacterBlock,
     SupportSet,
+    _ramanujan_row,
     character_blocks,
     divisors,
-    ramanujan_sum,
     reduce_unit,
     units,
 )
@@ -99,8 +99,11 @@ class CochainComplex:
     def check_d_squared(self) -> bool:
         return all((b @ a).is_zero() for a, b in zip(self.diffs, self.diffs[1:]))
 
-    def cohomology_dims(self, up_to: int) -> list[int]:
-        ranks = [rank(d) for d in self.diffs]
+    def cohomology_dims(self, up_to: int, known: Optional[dict[int, int]] = None) -> list[int]:
+        """dim H^k for k <= up_to; ``known`` gives the ranks of differentials
+        a caller has already eliminated, by degree, and the rest are computed."""
+        known = known or {}
+        ranks = [known[k] if k in known else rank(d) for k, d in enumerate(self.diffs)]
         out = []
         for k in range(up_to + 1):
             dim_k = self.space_dim(k)
@@ -346,6 +349,11 @@ def lim_derived(d: InverseSystem, max_k: int) -> DerivedLimit:
     passed over exactly when its free column is a pivot of the coboundaries
     restricted to the free columns in reverse order.  Degree 0 keeps all.
 
+    d_0 is eliminated once: its reduced kernel is always computed, for the
+    degree-0 witnesses, and its rank is read off it by rank-nullity as the
+    column count less the free columns; the higher differentials are ranked
+    by ``CochainComplex.cohomology_dims``.
+
     Degree zero agrees with the equalizer description of the plain limit;
     that equality and d-squared-is-zero are asserted by the test suite, not
     assumed.
@@ -353,10 +361,15 @@ def lim_derived(d: InverseSystem, max_k: int) -> DerivedLimit:
     if max_k < 0:
         raise ValueError("the top degree must be nonnegative")
     cx, _ = nerve_complex(d, max_k)
-    dims = cx.cohomology_dims(max_k)
+    d0 = cx.diffs[0]
+    kernel0 = sparse_kernel(d0.data, d0.cols)
+    dims = cx.cohomology_dims(max_k, {0: d0.cols - len(kernel0[1])})
     witnesses: list[list[list[Fraction]]] = []
     for k, dk in enumerate(cx.diffs):
-        cocycles, free = sparse_kernel(dk.data, dk.cols) if dims[k] else ([], [])
+        if k == 0:
+            cocycles, free = kernel0
+        else:
+            cocycles, free = sparse_kernel(dk.data, dk.cols) if dims[k] else ([], [])
         keep: Sequence[int] = range(len(free))
         if k and free:
             # the coboundaries as rows, on the free columns in reverse order
@@ -575,7 +588,7 @@ class _BlockSum:
             size = len(units(blk.level))
             if i in coords:
                 d = blk.order
-                ram = [ramanujan_sum(d, s) for s in range(d)]
+                ram = _ramanujan_row(d)
                 vals = [sum(v * ram[(s - t) % d] for t, v in coords[i]) for s in range(d)]
                 for g, s in enumerate(blk.exponents):
                     if vals[s]:
@@ -613,12 +626,32 @@ def _apply_cols(cols: list[dict[int, Entry]], vec: Vec) -> Vec:
 
 
 class _ModuleStage:
-    """The module being resolved, as the first stage to cover."""
+    """The module being resolved, as the first stage to cover.
+
+    The cover reads the columns of the actions of one level at a time: the
+    transposed actions of the level it is at, kept until it asks for the
+    next level, which releases them before it builds its own.
+    """
 
     def __init__(self, x: OutCycModule):
         self.support = x.support
         self.x = x
         self._steps: dict[tuple[int, int], list[dict[int, Entry]]] = {}
+        self._level: Optional[tuple[int, list[list[tuple[int, int, Entry]]]]] = None
+
+    def _action_cols(self, n: int) -> list[list[tuple[int, int, Entry]]]:
+        """Column j of every action at level n, as the (t, i, A(g_t)[i, j])
+        of its nonzeros, t indexing units(n): the transposed actions, in
+        unit order, then row order, shared by the level's blocks."""
+        if self._level is None or self._level[0] != n:
+            self._level = None
+            cols: list[list[tuple[int, int, Entry]]] = [[] for _ in range(self.x.dim(n))]
+            for t, g in enumerate(units(n)):
+                for i, row in enumerate(self.x.action(n, g).data):
+                    for j, v in row.items():
+                        cols[j].append((t, i, v))
+            self._level = (n, cols)
+        return self._level[1]
 
     def dim(self, n: int) -> int:
         return self.x.dim(n)
@@ -627,16 +660,17 @@ class _ModuleStage:
         return _block_dims(self.x, n)
 
     def candidates(self, n: int, blk: CharacterBlock):
-        """|units(n)| e u_j for the unit vectors u_j, zeros skipped: column
-        j of sum_g w_g A(g), summed over the stored entries of each A(g)."""
-        cols: list[Vec] = [{} for _ in range(self.x.dim(n))]
-        for w, g in zip(blk.weights(), units(n)):
-            if w:
-                for i, r in enumerate(self.x.action(n, g).data):
-                    for j, v in r.items():
-                        acc = cols[j]
-                        acc[i] = acc.get(i, 0) + w * v
-        for acc in cols:
+        """|units(n)| e u_j for the unit vectors u_j, j increasing, zeros
+        skipped: column j of sum_g w_g A(g), built only when the cover asks
+        for it, as sum_g w_g (column j of A(g)).  The cover usually stops
+        after the first column of a block."""
+        weights = blk.weights()
+        for col in self._action_cols(n):
+            acc: Vec = {}
+            for t, i, v in col:
+                w = weights[t]
+                if w:
+                    acc[i] = acc.get(i, 0) + w * v
             vec = {i: v for i, v in acc.items() if v}
             if vec:
                 yield vec
@@ -770,7 +804,10 @@ def resolve_by_representables(x: OutCycModule, depth: int) -> list[ResolutionSte
     classifying columns of the differential into the previous term.  Each
     stage is covered by ``_minimal_cover``, so the number of generators of
     each type in each degree is an invariant of x; steps past the end of
-    the resolution are empty.
+    the resolution are empty.  The next stage is the kernel of the covering
+    map, level by level; a level whose map has exactly as many columns as
+    the stage's dimension there has a zero kernel by rank-nullity, and is
+    not eliminated.
     """
     if depth < 0:
         raise ValueError("the resolution depth must be nonnegative")
@@ -791,6 +828,12 @@ def resolve_by_representables(x: OutCycModule, depth: int) -> list[ResolutionSte
         incl: dict[int, list[dict[int, Fraction]]] = {}
         free_rows: dict[int, list[int]] = {}
         for m in support:
+            if sum(map(len, images[m])) == stage.dim(m):
+                # _minimal_cover raises unless the map is onto at every
+                # level, so with as many columns as rows its rank is
+                # stage.dim(m) and, by rank-nullity, its kernel is zero
+                incl[m], free_rows[m] = [], []
+                continue
             rows: list[Vec] = [{} for _ in range(stage.dim(m))]
             col = 0
             for vals in images[m]:

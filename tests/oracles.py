@@ -642,6 +642,26 @@ def tracker_witnesses(cx: CochainComplex, dims: list[int]) -> list[list[list[Fra
     return witnesses
 
 
+# --- the candidates of the block cover, from whole weighted sums
+
+def all_units_candidates(x: OutCycModule, n: int, blk):
+    """|units(n)| e u_j for the unit vectors u_j, zeros skipped, as
+    ``_ModuleStage.candidates`` built them before it built each column on
+    demand: column j of sum_g w_g A(g), summed over the stored entries of
+    each A(g), for the whole matrix before the first column is yielded."""
+    cols: list[dict[int, Fraction]] = [{} for _ in range(x.dim(n))]
+    for w, g in zip(blk.weights(), units(n)):
+        if w:
+            for i, r in enumerate(x.action(n, g).data):
+                for j, v in r.items():
+                    acc = cols[j]
+                    acc[i] = acc.get(i, 0) + w * v
+    for acc in cols:
+        vec = {i: v for i, v in acc.items() if v}
+        if vec:
+            yield vec
+
+
 # --- the greedy resolution by whole representables
 #
 # The cover that resolve_by_representables used before it covered each

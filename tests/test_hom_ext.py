@@ -19,6 +19,7 @@ from cycrep.modules import (
 )
 from cycrep.hom_ext import (
     CochainComplex,
+    _ModuleStage,
     _SpanTracker,
     _hom_cochain,
     ext_via_resolution,
@@ -33,8 +34,8 @@ from cycrep.hom_ext import (
 )
 from cycrep.rep_ring import tau_ru_module
 from cycrep.resolution import build_complex
-from oracles import (DenseSpanTracker, averaged_equivariant_basis, dense_hom_cochain,
-                     dense_limit_basis, dense_nerve_complex, dense_resolve_by_representables,
+from oracles import (DenseSpanTracker, all_units_candidates, averaged_equivariant_basis,
+                     dense_hom_cochain, dense_limit_basis, dense_nerve_complex, dense_resolve_by_representables,
                      equivariant_basis, flat_entries, greedy_resolve,
                      limit_family_compatible, reference_hom_via_limit_mats,
                      scaled_sum_hom_direct, scramble, simple_module, stacked_matrix,
@@ -359,6 +360,9 @@ class TestWitnessesAgainstSolveOracle:
 
     def assert_same_witnesses(self, x, max_k=2):
         out = lim_derived(dual_system(x), max_k)
+        # lim_derived ranks d_0 by rank-nullity off its reduced kernel; every
+        # differential ranked by elimination gives the same dimensions
+        assert out.dims == out.complex.cohomology_dims(max_k)
         assert out.witnesses == tracker_witnesses(out.complex, out.dims)
         assert out.witnesses == witnesses_by_solve(out.complex.diffs, out.dims)
         assert [len(w) for w in out.witnesses] == out.dims
@@ -487,15 +491,18 @@ def is_cocycle(d: QMatrix, w: list[Fraction]) -> bool:
     return (d @ QMatrix.column(w)).is_zero()
 
 
+HIGHER_EXT_CASES = [
+    ([10, 14, 15, 21], [0, 0, 1, 0]),
+    ([p * q * r for p in (2, 3) for q in (5, 7) for r in (11, 13)], [0, 0, 0, 1]),
+]
+
+
 class TestNonzeroHigherExtOnBothRoutes:
     """Ext(atom, regular) over products of three-point supports: the Ext^1
     over {1, 2, 3} convolves to a single Ext^2 over {1,2,3} x {1,5,7} and a
     single Ext^3 over {1,2,3} x {1,5,7} x {1,11,13}."""
 
-    @pytest.mark.parametrize("seeds,dims", [
-        ([10, 14, 15, 21], [0, 0, 1, 0]),
-        ([p * q * r for p in (2, 3) for q in (5, 7) for r in (11, 13)], [0, 0, 0, 1]),
-    ])
+    @pytest.mark.parametrize("seeds,dims", HIGHER_EXT_CASES)
     def test_resolution_and_derived_limits(self, seeds, dims):
         support = divisor_closure(seeds)
         x, y = atomic_module(1, 1, support), regular_module(support)
@@ -510,6 +517,42 @@ class TestNonzeroHigherExtOnBothRoutes:
         assert [len(ws) for ws in dl.witnesses] == dims
         for k, ws in enumerate(dl.witnesses):
             assert all(is_cocycle(dl.complex.diffs[k], w) for w in ws)
+
+    @pytest.mark.parametrize("seeds", [seeds for seeds, _ in HIGHER_EXT_CASES])
+    def test_generator_counts_match_greedy_ext_into_simples(self, seeds):
+        # these resolutions reach degree 2 or 3 only through kernels that
+        # are eliminated; a level whose kernel were taken as zero without
+        # elimination would lose generators.  The count of type (n, psi) in
+        # degree k is Ext^k(x, S_{n,psi}) / phi(d), here read off the greedy
+        # resolution, which has no blocks and no rank-nullity skip.  The
+        # atom and its syzygies lie in the trivial block, so the types
+        # (n, trivial) account for every generator.
+        support = divisor_closure(seeds)
+        x = atomic_module(1, 1, support)
+        steps = resolve_by_representables(x, 4)
+        greedy = greedy_resolve(x, 4)
+        totals = [0] * 4
+        for n in support:
+            trivial = character_blocks(n)[0]
+            counts = [generator_types(step).count((n, trivial.key)) for step in steps[:4]]
+            ext = _hom_cochain(greedy, simple_module(n, trivial, support)).cohomology_dims(3)
+            assert ext == counts, n
+            totals = [a + b for a, b in zip(totals, counts)]
+        assert totals == [len(step.gens) for step in steps[:4]]
+
+    def test_a_cover_short_of_a_generator_raises(self, monkeypatch):
+        # resolve_by_representables takes a level's kernel as zero when its
+        # covering map has as many columns as rows, which holds only for a
+        # map that is onto: a cover that cannot finish must raise instead
+        all_candidates = _ModuleStage.candidates
+
+        def first_only(self, n, blk):
+            yield next(all_candidates(self, n, blk))
+
+        monkeypatch.setattr(_ModuleStage, "candidates", first_only)
+        reg = regular_module(S123)
+        with pytest.raises(RuntimeError, match="covering failed"):
+            resolve_by_representables(direct_sum([reg, reg]), 2)
 
 
 sparse_entries = st.sampled_from([Fraction(0), Fraction(0), Fraction(0), Fraction(1),
@@ -691,6 +734,30 @@ class TestMinimalAgainstGreedyResolution:
         assert dims == _hom_cochain(greedy_resolve(x, top + 1), y).cohomology_dims(top)
         if y is reg:
             assert dims == lim_derived(dual_system(x), top).dims
+
+
+class TestCandidatesAgainstAllUnitsSum:
+    """_ModuleStage.candidates builds each column of sum_g w_g A(g) when the
+    cover asks for it, from the transposed actions of one level at a time;
+    the oracle sums whole matrices first.  Both must yield the same vectors,
+    entry order included, in the same order, for every block at every
+    level."""
+
+    @pytest.mark.parametrize("support", [support_of_divisors(36), support_of_divisors(60),
+                                         S123, FOUR_CYCLE])
+    def test_every_block_at_every_level(self, support):
+        mods = [regular_module(support), tau_ru_module(support),
+                atomic_module(1, 1, support), atomic_module(max(support), 2, support)]
+        mods += [semifree_module(n, support) for n in support]
+        mods += [random_module(support, seed) for seed in range(3)]
+        for x in mods:
+            stage = _ModuleStage(x)
+            # increasing levels, as the cover walks them, then a level revisited
+            for n in list(support) + [1]:
+                for blk in character_blocks(n):
+                    got = [list(v.items()) for v in stage.candidates(n, blk)]
+                    want = [list(v.items()) for v in all_units_candidates(x, n, blk)]
+                    assert got == want, (x.name, n, blk.key)
 
 
 class TestExtMetamorphic:
