@@ -20,12 +20,11 @@ the first interesting example lives over the three-element support {1,2,3}.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .cyclic_site import (
     CharacterBlock,
@@ -57,8 +56,7 @@ _F0 = Fraction(0)
 _F1 = Fraction(1)
 
 
-@dataclass
-class HomSpace:
+class HomSpace(NamedTuple):
     """A basis of the space of morphisms between two modules."""
     source: OutCycModule
     target: OutCycModule
@@ -333,8 +331,7 @@ def nerve_complex(d: InverseSystem, max_k: int) -> tuple[CochainComplex, list[li
     return CochainComplex(diffs), all_chains
 
 
-@dataclass
-class DerivedLimit:
+class DerivedLimit(NamedTuple):
     dims: list[int]
     witnesses: list[list[list[Fraction]]]
     complex: CochainComplex
@@ -385,8 +382,7 @@ def lim_derived(d: InverseSystem, max_k: int) -> DerivedLimit:
 # sequential towers
 # ---------------------------------------------------------------------------
 
-@dataclass
-class TowerReport:
+class TowerReport(NamedTuple):
     lim_dim: int
     lim1_dim: int
     mittag_leffler: bool
@@ -744,8 +740,7 @@ class _KernelStage:
         return out
 
 
-@dataclass
-class ResolutionStep:
+class ResolutionStep(NamedTuple):
     gens: list[int]                          # generator levels, with multiplicity
     classifier_cols: list[dict[int, Fraction]]  # image of each generator in the
                                              # previous step, in the units basis

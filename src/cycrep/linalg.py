@@ -284,15 +284,6 @@ def hstack(*mats: QMatrix) -> QMatrix:
     return QMatrix.from_row_dicts(out, off)
 
 
-def vstack(*mats: QMatrix) -> QMatrix:
-    if not mats:
-        raise ValueError("nothing to stack")
-    cols = mats[0].cols
-    if any(m.cols != cols for m in mats):
-        raise ValueError("column count mismatch in vstack")
-    return QMatrix.from_row_dicts([dict(r) for m in mats for r in m.data], cols)
-
-
 # ---------------------------------------------------------------------------
 # sparse fraction-free elimination core
 # ---------------------------------------------------------------------------

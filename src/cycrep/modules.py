@@ -15,8 +15,7 @@ structures, which is what makes resolutions and Ext computations possible.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .cyclic_site import (
     SupportSet,
@@ -491,8 +490,7 @@ def zero_morphism(x: OutCycModule, y: OutCycModule) -> ModuleMorphism:
     return ModuleMorphism(x, y, {n: QMatrix.zeros(y.dim(n), x.dim(n)) for n in x.support})
 
 
-@dataclass
-class MorphismFactorization:
+class MorphismFactorization(NamedTuple):
     kernel: OutCycModule
     kernel_inclusion: ModuleMorphism
     image: OutCycModule

@@ -27,8 +27,8 @@ returning a ``ModuleMorphism`` do.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .cyclic_site import (
     SupportSet,
@@ -71,8 +71,7 @@ def _classifier(p: int, k: int, scaled: bool) -> tuple[Fraction, IntSparse]:
     return scale, _reducer(n).reduce_sparse({pow(p, i, n): 1 for i in range(k)})
 
 
-@dataclass
-class ClassifierFamily:
+class ClassifierFamily(NamedTuple):
     """One quotient element per level, multiplicative over coprime factors.
 
     The element at level n is ``scales[n]`` (nonzero) times the integer
@@ -131,24 +130,21 @@ def _columns_to_matrix(n: int, cols: dict[int, IntSparse], scale: Fraction) -> Q
     return _reducer(n).columns([cols[g] for g in units(n)], scale)
 
 
-@dataclass
-class LevelCheck:
+class LevelCheck(NamedTuple):
     level: int
     dim: int
     invertible: bool
     equivariant: bool
 
 
-@dataclass
-class SquareCheck:
+class SquareCheck(NamedTuple):
     source: int
     target: int
     natural: bool
     failing_unit: int | None = None
 
 
-@dataclass
-class NormalBasisReport:
+class NormalBasisReport(NamedTuple):
     """The checks of a classifier family and the level matrices it classifies."""
     support: SupportSet
     mats: dict[int, QMatrix]

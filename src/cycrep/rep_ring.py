@@ -24,11 +24,10 @@ monomials X^j with p^{k-1} <= j < p^k).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .cyclic_site import SupportSet, divisors, factorization, units
 from .linalg import Entry, QMatrix, RatLike, hstack, rat, sparse_kernel
@@ -235,8 +234,7 @@ def crt_iso(n: int, m: int) -> QMatrix:
 # the quotient by proper transfers, eliminated
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class TauLevel:
+class TauLevel(NamedTuple):
     """Level-n quotient by the transfer ideal, found by elimination.
 
     ``projection`` maps the ambient n-dimensional ring onto the quotient and

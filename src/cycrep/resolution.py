@@ -22,9 +22,9 @@ arbitrarily high n.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from .cyclic_site import SupportSet, is_prime
 from .linalg import QMatrix, rank
@@ -54,8 +54,7 @@ def _product(t: PrimeTuple) -> int:
     return out
 
 
-@dataclass
-class PrimeComplex:
+class PrimeComplex(NamedTuple):
     """The chain modules, differentials and augmentation, built to a degree."""
     primes: tuple[int, ...]
     max_degree: int
@@ -173,15 +172,13 @@ def contraction(cx: PrimeComplex, m: int) -> list[QMatrix]:
     return out
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     passed: bool
     details: str = ""
 
 
-@dataclass
-class ResolutionReport:
+class ResolutionReport(NamedTuple):
     checks: list[CheckResult]
     convention: str = CONTRACTION_SIGN_CONVENTION
 
@@ -254,8 +251,7 @@ def verify_resolution(primes: list[int], max_degree: int,
     return ResolutionReport(checks)
 
 
-@dataclass
-class ExtWitnessReport:
+class ExtWitnessReport(NamedTuple):
     degree: int
     hom_below_dim: int
     cocycle_is_zero: bool

@@ -21,7 +21,7 @@ from cycrep.cyclic_site import factorization, reduce_unit, totient, unit_reducti
 from cycrep.hom_ext import CochainComplex, HomSpace, ResolutionStep, _chains, _SpanTracker
 from cycrep.linalg import (QMatrix, RatLike, cokernel, column_space_basis, hstack,
                            kernel_basis, kronecker, rat, rat_to_str, rank, solve, solve_matrix,
-                           sparse_kernel, vstack)
+                           sparse_kernel)
 from cycrep.modules import (InverseSystem, ModuleMorphism, MorphismFactorization,
                             OutCycModule, conjugate_module, restriction_matrix)
 from cycrep.normal_basis import LevelCheck, SquareCheck
@@ -197,6 +197,16 @@ def simple_module(n: int, blk, support) -> OutCycModule:
 
 
 # --- fixed spaces of unit actions
+
+def vstack(*mats: QMatrix) -> QMatrix:
+    """The rows of the matrices, one matrix below the other."""
+    if not mats:
+        raise ValueError("nothing to stack")
+    cols = mats[0].cols
+    if any(m.cols != cols for m in mats):
+        raise ValueError("column count mismatch in vstack")
+    return QMatrix.from_row_dicts([dict(r) for m in mats for r in m.data], cols)
+
 
 def fixed_space_dim(mats: list[QMatrix]) -> int:
     """Dimension of the joint fixed space of a list of square matrices."""

@@ -22,10 +22,10 @@ from cycrep.linalg import (
     solve,
     solve_matrix,
     sparse_kernel,
-    vstack,
 )
 from oracles import (DenseQMatrix, dense_kernel_basis, dense_rank, dense_rref_rows,
-                     dense_solve_matrix, flat_entries, greedy_resolve, stored_values)
+                     dense_solve_matrix, flat_entries, greedy_resolve, stored_values,
+                     vstack)
 
 small_entries = st.integers(min_value=-6, max_value=6)
 
