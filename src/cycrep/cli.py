@@ -231,7 +231,10 @@ def _cmd_normal_basis(args, rep: Report) -> None:
 
 def _cmd_resolution(args, rep: Report) -> None:
     support = parse_support(args.support)
-    primes = [int(p) for p in args.primes.split(",") if p.strip()]
+    try:
+        primes = [int(p) for p in args.primes.split(",") if p.strip()]
+    except ValueError:
+        raise ValueError(f"malformed primes spec {args.primes!r}") from None
     r = verify_resolution(primes, args.max_degree, support)
     rep.value("sign_convention", r.convention)
     for c in r.checks:

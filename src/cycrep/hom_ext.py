@@ -23,7 +23,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .cyclic_site import (
@@ -40,6 +40,7 @@ from .linalg import (
     QMatrix,
     _cancel,
     _int_row,
+    _int_vecmat,
     rank,
     sparse_kernel,
 )
@@ -49,7 +50,6 @@ from .modules import (
     OutCycModule,
     dual_system,
     regular_module,
-    restriction_matrix,
 )
 
 _F0 = Fraction(0)
@@ -211,7 +211,7 @@ def _difference_rows(oa: int, s: QMatrix, ob: int) -> list[dict[int, Entry]]:
     return rows
 
 
-def limit_basis(d: InverseSystem) -> list[dict[int, list[Fraction]]]:
+def limit_basis(d: InverseSystem) -> list[dict[int, list[Entry]]]:
     """Basis of the inverse limit: compatible families, one form per level.
 
     The reduced kernel basis of the sparse rows of lam_n - S lam_m, one
@@ -232,41 +232,26 @@ def hom_via_limit(x: OutCycModule) -> HomSpace:
 
     A compatible family of forms (lam_n) reconstructs to the morphism whose
     level-n matrix has, in the row of basis unit g, the form
-    lam_n composed with the action of g^{-1}.
+    lam_n composed with the action of g^{-1}: the sparse product of lam_n's
+    nonzeros with the rows of x's integer view of that action, in integers
+    over lam_n's common denominator, divided once per stored entry when the
+    denominator is not 1.
     """
     reg = regular_module(x.support)
     families = limit_basis(dual_system(x))
-    # per level, in the order of units(n): the columns of action(n, g^-1),
-    # read off its transpose and shared by all families, split into the
-    # permutation columns (j, i), a single 1 in row i, and the others
-    inv_cols: dict[int, list[tuple[list, list]]] = {}
-    for n in x.support:
-        un = units(n)
-        inv_cols[n] = []
-        for g in un:
-            perm, other = [], []
-            for j, col in enumerate(x.action(n, un.inv(g)).transpose().data):
-                items = list(col.items())
-                if len(items) == 1 and items[0][1] == 1:
-                    perm.append((j, items[0][0]))
-                else:
-                    other.append((j, items))
-            inv_cols[n].append((perm, other))
+    inverses = {n: [x.int_action(n, units(n).inv(g)) for g in units(n)] for n in x.support}
     basis = []
     for fam in families:
         mats = {}
         for n in x.support:
-            lam = fam[n]
+            lam = [(i, v) for i, v in enumerate(fam[n]) if v]
+            den_lam = lcm(*{v.denominator for _, v in lam})
+            lam = [(i, v.numerator * (den_lam // v.denominator)) for i, v in lam]
             rows = []
-            for perm, other in inv_cols[n]:
-                row: dict[int, Entry] = {j: lam[i] for j, i in perm if lam[i]}
-                for j, col in other:
-                    s = _F0
-                    for i, v in col:
-                        s += lam[i] * v
-                    if s:
-                        row[j] = s
-                rows.append(row)
+            for den_a, a_rows in inverses[n]:
+                row: dict[int, Entry] = _int_vecmat(lam, a_rows)
+                den = den_lam * den_a
+                rows.append(row if den == 1 else {j: Fraction(v, den) for j, v in row.items()})
             mats[n] = QMatrix.from_row_dicts(rows, x.dim(n))
         basis.append(ModuleMorphism(x, reg, mats))
     return HomSpace(x, reg, basis)
@@ -333,7 +318,7 @@ def nerve_complex(d: InverseSystem, max_k: int) -> tuple[CochainComplex, list[li
 
 class DerivedLimit(NamedTuple):
     dims: list[int]
-    witnesses: list[list[list[Fraction]]]
+    witnesses: list[list[list[Entry]]]
     complex: CochainComplex
 
 
@@ -361,7 +346,7 @@ def lim_derived(d: InverseSystem, max_k: int) -> DerivedLimit:
     d0 = cx.diffs[0]
     kernel0 = sparse_kernel(d0.data, d0.cols)
     dims = cx.cohomology_dims(max_k, {0: d0.cols - len(kernel0[1])})
-    witnesses: list[list[list[Fraction]]] = []
+    witnesses: list[list[list[Entry]]] = []
     for k, dk in enumerate(cx.diffs):
         if k == 0:
             cocycles, free = kernel0
@@ -700,7 +685,7 @@ class _KernelStage:
     row: the e-part of the kernel is a coordinate subspace.
     """
 
-    def __init__(self, free: _BlockSum, incl: dict[int, list[dict[int, Fraction]]],
+    def __init__(self, free: _BlockSum, incl: dict[int, list[Vec]],
                  free_rows: dict[int, list[int]]):
         self.support = free.support
         self.free = free
@@ -820,7 +805,7 @@ def resolve_by_representables(x: OutCycModule, depth: int) -> list[ResolutionSte
         # the covering map's matrix at each level, by sparse rows in stage
         # coordinates; its columns are the block sum's basis at that level
         free = _BlockSum(blocks, support)
-        incl: dict[int, list[dict[int, Fraction]]] = {}
+        incl: dict[int, list[Vec]] = {}
         free_rows: dict[int, list[int]] = {}
         for m in support:
             if sum(map(len, images[m])) == stage.dim(m):
@@ -845,18 +830,6 @@ def resolve_by_representables(x: OutCycModule, depth: int) -> list[ResolutionSte
     return steps
 
 
-def _int_matrix(a: QMatrix) -> tuple[int, list[list[tuple[int, int]]]]:
-    """A matrix as (den, rows of (col, numerator)) with den times it integral."""
-    den = 1
-    for row in a.data:
-        for v in row.values():
-            d = v.denominator
-            if d != 1:
-                den = den * d // gcd(den, d)
-    return den, [[(b, v.numerator * (den // v.denominator)) for b, v in row.items()]
-                 for row in a.data]
-
-
 def _hom_cochain(steps: list[ResolutionStep], y: OutCycModule) -> CochainComplex:
     """Apply morphisms-into-y to the resolution, in representable coordinates.
 
@@ -873,16 +846,9 @@ def _hom_cochain(steps: list[ResolutionStep], y: OutCycModule) -> CochainComplex
     For a generator e P_n the space is Hom(e P_n, y) = e y(n), inside y(n).
     Its classifying columns satisfy z = e z, so each differential factors
     through the sum of the e y(n) and has the same rank there; the complex
-    carries the dimensions of those sums, from ``_block_dims``.
+    carries the dimensions of those sums, from ``_block_dims``.  The
+    actions and restrictions are read as y's cached integer views.
     """
-    @lru_cache(maxsize=None)
-    def y_act(n: int, u: int) -> tuple[int, list[list[tuple[int, int]]]]:
-        return _int_matrix(y.action(n, u))
-
-    @lru_cache(maxsize=None)
-    def y_res(n: int, m: int) -> tuple[int, list[list[tuple[int, int]]]]:
-        return _int_matrix(restriction_matrix(y, m, n))
-
     diffs: list[QMatrix] = []
     for k in range(len(steps) - 1):
         gens_k = steps[k].gens
@@ -910,15 +876,15 @@ def _hom_cochain(steps: list[ResolutionStep], y: OutCycModule) -> CochainComplex
                 if not dy:
                     continue
                 un = units(n_i).elements
-                den_r, res_rows = y_res(n_i, n_j)
+                den_r, res_rows = y.int_restriction(n_i, n_j)
                 den = 1
                 for t, c in coeffs:
-                    d = y_act(n_i, un[t])[0] * c.denominator
+                    d = y.int_action(n_i, un[t])[0] * c.denominator
                     den = den * d // gcd(den, d)
                 # weighted = den * sum_t z_t A_t, by sparse integer rows
                 weighted: list[dict[int, int]] = [{} for _ in range(dy)]
                 for t, c in coeffs:
-                    den_a, a_rows = y_act(n_i, un[t])
+                    den_a, a_rows = y.int_action(n_i, un[t])
                     scale = c.numerator * (den // (den_a * c.denominator))
                     for a, row in enumerate(a_rows):
                         acc = weighted[a]

@@ -34,13 +34,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence, Union
 
 Rat = Fraction
 
 RatLike = Union[int, str, Fraction]
 Entry = Union[int, Fraction]  # a stored QMatrix value
+IntView = tuple[int, list[list[tuple[int, int]]]]  # (den, integer rows): _int_matrix
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -302,6 +303,48 @@ def _int_row(nz: Iterable[tuple[int, Fraction]]) -> dict[int, int]:
     return {j: v.numerator * (den // v.denominator) for j, v in nz}
 
 
+def _int_matrix(a: QMatrix) -> IntView:
+    """A matrix as (den, rows of (col, int)) with den times it integral, den
+    the lcm of its denominators: the integer view of its stored entries."""
+    den = lcm(*{v.denominator for row in a.data for v in row.values()})
+    if den == 1:
+        return 1, [[(j, v.numerator) for j, v in row.items()] for row in a.data]
+    return den, [[(j, v.numerator * (den // v.denominator)) for j, v in row.items()]
+                 for row in a.data]
+
+
+def _int_vecmat(vec: Iterable[tuple[int, int]],
+                rows: list[list[tuple[int, int]]]) -> dict[int, int]:
+    """The nonzeros of the row vector ``vec``, given by its (index, int)
+    pairs, times the integer rows of a view."""
+    acc: dict[int, int] = {}
+    get = acc.get
+    for t, v in vec:
+        for j, w in rows[t]:
+            acc[j] = get(j, 0) + v * w
+    return {j: x for j, x in acc.items() if x}
+
+
+def _int_products_equal(a: IntView, b: IntView, c: IntView, d: IntView) -> bool:
+    """Whether a @ b == c @ d, for integer views of conforming matrices:
+    each side's integer product, scaled by the other side's denominators."""
+    (da, a_rows), (db, b_rows), (dc, c_rows), (dd, d_rows) = a, b, c, d
+    left, right = dc * dd, da * db
+    g = gcd(left, right)
+    left //= g
+    right //= g
+    if len(a_rows) != len(c_rows):
+        return False
+    for ar, cr in zip(a_rows, c_rows):
+        if left != 1:
+            ar = [(t, left * v) for t, v in ar]
+        if right != 1:
+            cr = [(t, right * v) for t, v in cr]
+        if _int_vecmat(ar, b_rows) != _int_vecmat(cr, d_rows):
+            return False
+    return True
+
+
 def _sparse_int_rows(m: QMatrix) -> list[dict[int, int]]:
     """The nonzero rows of ``m`` as ``{col: int}`` dicts, denominators cleared."""
     return [_int_row(r.items()) for r in m.data if r]
@@ -438,28 +481,31 @@ def rref(m: QMatrix) -> tuple[QMatrix, list[int]]:
 
 
 def _kernel_vectors(pivots: dict[int, dict[int, int]],
-                    ncols: int) -> tuple[list[dict[int, Fraction]], list[int]]:
+                    ncols: int) -> tuple[list[dict[int, Entry]], list[int]]:
     """The reduced kernel basis read off ``_reduce``'s pivot rows, and the
     free columns in increasing order: the vector for free column ``j`` has a
-    1 at ``j`` and its other nonzeros at pivot columns."""
+    1 at ``j`` and its other nonzeros at pivot columns.  An entry is an
+    ``int`` when it is integral (the free 1 included), a ``Fraction``
+    otherwise."""
     free = [j for j in range(ncols) if j not in pivots]
-    basis: dict[int, dict[int, Fraction]] = {j: {j: _ONE} for j in free}
+    basis: dict[int, dict[int, Entry]] = {j: {j: 1} for j in free}
     for c, prow in pivots.items():
         pv = prow[c]
         for j, v in prow.items():
             if j != c:
-                basis[j][c] = Fraction(-v, pv)
+                q, r = divmod(-v, pv)
+                basis[j][c] = Fraction(-v, pv) if r else q
     return [basis[j] for j in free], free
 
 
 def sparse_kernel(rows: Sequence[dict[int, Entry]],
-                  ncols: int) -> tuple[list[dict[int, Fraction]], list[int]]:
+                  ncols: int) -> tuple[list[dict[int, Entry]], list[int]]:
     """Reduced basis of the null space of a matrix given by sparse rows.
 
     ``rows`` are ``{col: value}`` dicts over ``ncols`` columns, as in a
     ``QMatrix``'s ``data``; zero values are skipped.  Returns the basis vectors as
-    ``{index: Fraction}`` dicts and the free columns, as ``_kernel_vectors``
-    describes.
+    ``{index: int or Fraction}`` dicts and the free columns, as
+    ``_kernel_vectors`` describes.
     """
     return _kernel_vectors(
         _reduce([_int_row((j, v) for j, v in row.items() if v) for row in rows]), ncols)

@@ -23,7 +23,8 @@ from .cyclic_site import (
     totient,
     units,
 )
-from .linalg import QMatrix, column_space_basis, kernel_basis, cokernel, solve_matrix
+from .linalg import (IntView, QMatrix, _int_matrix, _int_products_equal, column_space_basis,
+                     kernel_basis, cokernel, solve_matrix)
 
 
 class OutCycModule:
@@ -32,10 +33,13 @@ class OutCycModule:
     Every module stores its matrices: one action table per level and one
     restriction matrix per covering pair.  A level table may hold only 1
     and the generators of units(n): ``action`` completes it on the first
-    request for another unit (see there).
+    request for another unit (see there).  The integer views of the
+    matrices (``linalg._int_matrix``), which the Hom routes and
+    ``ModuleMorphism.validate`` compute with, are built once per module and
+    kept in its view cache; callers must not modify a view.
     """
 
-    __slots__ = ("support", "dims", "_actions", "_restrictions", "name")
+    __slots__ = ("support", "dims", "_actions", "_restrictions", "name", "_views")
 
     def __init__(
         self,
@@ -50,6 +54,7 @@ class OutCycModule:
         self._actions = actions
         self._restrictions = restrictions
         self.name = name
+        self._views: dict[tuple[int, int, bool], IntView] = {}
 
     def dim(self, n: int) -> int:
         return self.dims[n]
@@ -75,6 +80,24 @@ class OutCycModule:
     def restriction_step(self, n: int, m: int) -> QMatrix:
         """Restriction matrix for a covering pair (n, m) with m = n * prime."""
         return self._restrictions[(n, m)]
+
+    def int_action(self, n: int, l: int) -> IntView:
+        """The integer view of ``action(n, l)``, from the view cache."""
+        view = self._views.get((n, l, True))
+        if view is None:
+            view = self._views[(n, l, True)] = _int_matrix(self.action(n, l))
+        return view
+
+    def int_restriction(self, n: int, m: int) -> IntView:
+        """The integer view of the restriction from n up to m: the step of a
+        covering pair, else ``restriction_matrix(self, m, n)``, from the
+        view cache."""
+        view = self._views.get((n, m, False))
+        if view is None:
+            step = self._restrictions.get((n, m))
+            view = self._views[(n, m, False)] = _int_matrix(
+                restriction_matrix(self, m, n) if step is None else step)
+        return view
 
     def is_zero(self) -> bool:
         return all(d == 0 for d in self.dims.values())
@@ -430,25 +453,27 @@ class ModuleMorphism:
         product, so this is equivalent to checking every unit.  Modules read
         from files are validated before use (``load_module``), and every
         constructor in the package builds valid modules.
+
+        Both sides of every square are compared in integers, on the integer
+        views of the level matrices and of the modules' cached views: each
+        side's product is scaled by the other side's denominators.
         """
+        x, y = self.source, self.target
         out = []
-        bad_levels = set()
-        for n in self.source.support:
+        views = {}
+        for n in x.support:
             f = self.mats[n]
-            if f.shape() != (self.target.dim(n), self.source.dim(n)):
+            if f.shape() != (y.dim(n), x.dim(n)):
                 out.append(f"level {n} matrix has shape {f.shape()}, expected "
-                           f"{(self.target.dim(n), self.source.dim(n))}")
-                bad_levels.add(n)
+                           f"{(y.dim(n), x.dim(n))}")
                 continue
+            fv = views[n] = _int_matrix(f)
             for l in units(n).generators():
-                if f @ self.source.action(n, l) != self.target.action(n, l) @ f:
+                if not _int_products_equal(fv, x.int_action(n, l), y.int_action(n, l), fv):
                     out.append(f"equivariance fails at level {n}, unit {l}")
-        for n, m in self.source.support.covering_pairs():
-            if n in bad_levels or m in bad_levels:
-                continue
-            lhs = self.target.restriction_step(n, m) @ self.mats[n]
-            rhs = self.mats[m] @ self.source.restriction_step(n, m)
-            if lhs != rhs:
+        for n, m in x.support.covering_pairs():
+            if n in views and m in views and not _int_products_equal(
+                    y.int_restriction(n, m), views[n], views[m], x.int_restriction(n, m)):
                 out.append(f"naturality fails on restriction {n}->{m}")
         return out
 

@@ -1286,6 +1286,33 @@ def monomial_to_eliminated(n: int) -> QMatrix:
                                 rows=proj.rows)
 
 
+def fraction_morphism_violations(f) -> list[str]:
+    """``ModuleMorphism.validate`` by ``Fraction`` products of the stored
+    matrices: shapes, equivariance at the generators of each unit group,
+    and naturality on each covering pair, in the library's order and
+    wording."""
+    out = []
+    bad_levels = set()
+    for n in f.source.support:
+        mat = f.mats[n]
+        if mat.shape() != (f.target.dim(n), f.source.dim(n)):
+            out.append(f"level {n} matrix has shape {mat.shape()}, expected "
+                       f"{(f.target.dim(n), f.source.dim(n))}")
+            bad_levels.add(n)
+            continue
+        for l in units(n).generators():
+            if mat @ f.source.action(n, l) != f.target.action(n, l) @ mat:
+                out.append(f"equivariance fails at level {n}, unit {l}")
+    for n, m in f.source.support.covering_pairs():
+        if n in bad_levels or m in bad_levels:
+            continue
+        lhs = f.target.restriction_step(n, m) @ f.mats[n]
+        rhs = f.mats[m] @ f.source.restriction_step(n, m)
+        if lhs != rhs:
+            out.append(f"naturality fails on restriction {n}->{m}")
+    return out
+
+
 def reference_hom_via_limit_mats(x, families) -> list[dict[int, QMatrix]]:
     """The inverse-limit reconstruction entry by entry: the level-n matrix
     has, in the row of unit g, the form composed with the action of g^-1."""

@@ -8,6 +8,7 @@ from cycrep.cyclic_site import (SupportSet, character_blocks, divisor_closure, d
                                support_of_divisors, units)
 from cycrep.linalg import QMatrix, hstack, rank, solve
 from cycrep.modules import (
+    ModuleMorphism,
     atomic_module,
     direct_sum,
     dual_system,
@@ -36,8 +37,8 @@ from cycrep.rep_ring import tau_ru_module
 from cycrep.resolution import build_complex
 from oracles import (DenseSpanTracker, all_units_candidates, averaged_equivariant_basis,
                      dense_hom_cochain, dense_limit_basis, dense_nerve_complex, dense_resolve_by_representables,
-                     equivariant_basis, flat_entries, greedy_resolve,
-                     limit_family_compatible, reference_hom_via_limit_mats,
+                     equivariant_basis, flat_entries, fraction_morphism_violations,
+                     greedy_resolve, limit_family_compatible, reference_hom_via_limit_mats,
                      scaled_sum_hom_direct, scramble, simple_module, stacked_matrix,
                      tracker_witnesses, witnesses_by_solve)
 
@@ -262,12 +263,85 @@ class TestLimitBasisAgainstDenseSystem:
 
 
 class TestHomViaLimitAgainstReference:
+    """The sparse integer reconstruction against the entry-by-entry
+    Fraction one; the battery's scrambled modules give the families and
+    the actions denominators."""
+
     def test_battery(self):
-        for support in [S12, support_of_divisors(30), divisor_closure([8, 9])]:
+        for support in [S12, support_of_divisors(30), divisor_closure([8, 9]),
+                        support_of_divisors(60), divisor_closure([10, 14, 15, 21])]:
             for x in hom_battery(support):
                 h = hom_via_limit(x)
                 ref = reference_hom_via_limit_mats(x, limit_basis(dual_system(x)))
                 assert [f.mats for f in h.basis] == ref, x.name
+
+
+def inversion_morphism(support) -> ModuleMorphism:
+    """g -> g^-1 on the basis units(n) of the regular module at every level:
+    natural, since inversion commutes with reduction, and equivariant only
+    at levels whose units all have order at most 2."""
+    reg = regular_module(support)
+    mats = {}
+    for n in support:
+        un = units(n)
+        mat = QMatrix.zeros(len(un), len(un))
+        for g in un:
+            mat[un.index(un.inv(g)), un.index(g)] = 1
+        mats[n] = mat
+    return ModuleMorphism(reg, reg, mats)
+
+
+def perturbed(f: ModuleMorphism, k: int) -> ModuleMorphism:
+    """f with 1/2 added to one entry at one level, chosen by k."""
+    levels = [n for n in f.source.support if f.mats[n].rows * f.mats[n].cols]
+    n = levels[k % len(levels)]
+    mat = f.mats[n]
+    i, j = k % mat.rows, k % mat.cols
+    bumped = QMatrix.from_row_dicts([dict(r) for r in mat.data], mat.cols)
+    bumped[i, j] = mat[i, j] + Fraction(1, 2)
+    return ModuleMorphism(f.source, f.target, {**f.mats, n: bumped})
+
+
+class TestMorphismValidateAgainstFractions:
+    """ModuleMorphism.validate on integer views against the Fraction
+    products it replaced (oracles.fraction_morphism_violations): the same
+    violations, in the same order."""
+
+    # the scrambled modules give the maps and the bases denominators: as
+    # sources everywhere, and as targets (the fourth module of the battery
+    # on) where hom_direct into them is cheap
+    @pytest.mark.parametrize("support, targets", [
+        (S12, 6), (support_of_divisors(60), 3), (divisor_closure([10, 14, 15, 21]), 6)])
+    def test_hom_battery_bases(self, support, targets):
+        mods = hom_battery(support)
+        flagged = 0
+        for x in mods:
+            bases = [hom_via_limit(x).basis] + [hom_direct(x, y).basis for y in mods[:targets]]
+            for basis in bases:
+                for k, f in enumerate(basis):
+                    assert f.validate() == fraction_morphism_violations(f) == [], x.name
+                    if k < 2:
+                        # a perturbation is itself a morphism where the
+                        # matrix unit it adds is one
+                        bad = perturbed(f, k)
+                        violations = bad.validate()
+                        assert violations == fraction_morphism_violations(bad), x.name
+                        flagged += bool(violations)
+        assert flagged
+
+    def test_natural_but_not_equivariant(self):
+        f = inversion_morphism(support_of_divisors(60))
+        violations = f.validate()
+        assert violations == fraction_morphism_violations(f)
+        assert not any(v.startswith("naturality") for v in violations)
+        # units of order 4 live at the levels divisible by 5
+        assert {int(v.split()[4].rstrip(",")) for v in violations} == {5, 10, 15, 20, 30, 60}
+
+    def test_shape_mismatch(self):
+        f = inversion_morphism(S12)
+        bad = ModuleMorphism(f.source, f.target, {**f.mats, 4: QMatrix.zeros(1, 2)})
+        assert bad.validate() == fraction_morphism_violations(bad) == [
+            "level 4 matrix has shape (1, 2), expected (2, 2)"]
 
 
 class TestHomMetamorphic:

@@ -473,7 +473,29 @@ def assert_sparse_kernel_matches_dense(m: QMatrix, reference=None) -> None:
     assert free == [j for j in range(m.cols) if j not in pivots]
     for k, vec in enumerate(basis):
         assert all(vec.values())
+        assert_int_exactly_where_integral(vec.values())
         assert [vec.get(i, 0) for i in range(m.cols)] == dense.col(k)
+
+
+def assert_int_exactly_where_integral(values) -> None:
+    """Each value is an ``int`` when integral and a ``Fraction`` otherwise."""
+    for v in values:
+        assert type(v) is (int if Fraction(v).denominator == 1 else Fraction), v
+
+
+class TestKernelEntryTypes:
+    """The reduced kernel basis stores an entry as an ``int`` exactly when
+    the pivot divides it."""
+
+    def test_integral_and_fractional_entries(self):
+        m = QMatrix.from_rows([[2, 4, 1, 0], [0, 0, 0, 3]])
+        vecs, free = sparse_kernel(m.data, m.cols)
+        assert free == [1, 2]
+        assert vecs == [{1: 1, 0: -2}, {2: 1, 0: Fraction(-1, 2)}]
+        assert [[type(v) for v in vec.values()] for vec in vecs] == [[int, int],
+                                                                   [int, Fraction]]
+        assert_int_exactly_where_integral(stored_values(kernel_basis(m)))
+        assert kernel_basis(m) == dense_kernel_basis(m)[0]
 
 
 class TestSparseKernelAgainstDenseKernel:
@@ -528,6 +550,7 @@ def assert_reduced_forms_match_oracle(m: QMatrix) -> None:
     assert piv == pivots
     assert r == QMatrix.from_rows(rows, cols=m.cols)
     assert kernel_basis(m) == dense_kernel_basis(m)[0]
+    assert_int_exactly_where_integral(stored_values(kernel_basis(m)))
     basis, cols = column_space_basis(m)
     assert cols == pivots
     assert basis == QMatrix.from_columns([m.col(j) for j in pivots], rows=m.rows)

@@ -347,6 +347,11 @@ class TestParseSupport:
         code, text = run(["tau-ru", "--support", spec])
         assert code == 1 and f"error: malformed support spec {spec!r}" in text
 
+    @pytest.mark.parametrize("spec", ["2,x", "x", "2;3", "2.0"])
+    def test_malformed_primes_name_the_spec(self, spec):
+        code, text = run(["resolution", "--support", "1,2", "--primes", spec])
+        assert code == 1 and f"error: malformed primes spec {spec!r}" in text
+
 
 class TestCliRuns:
     def test_validate_builtin(self):
