@@ -37,8 +37,10 @@ from .cyclic_site import (
 )
 from .linalg import (
     Entry,
+    IntView,
     QMatrix,
     _cancel,
+    _int_matrix,
     _int_row,
     _int_vecmat,
     rank,
@@ -128,40 +130,56 @@ def _offsets(keys, size) -> tuple[dict, int]:
 
 def _hom_squares(x: OutCycModule, y: OutCycModule):
     """The equations of ``hom_direct``'s system, one ``(left, a, right, b)``
-    per equation left f_a = f_b right: Y(g) f_n = f_n X(g) for each
-    generator g of units(n), levels in support order, then R_y f_n = f_m R_x
-    for each covering pair (n, m)."""
+    per equation left f_a = f_b right, with left and right as the modules'
+    integer views: Y(g) f_n = f_n X(g) for each generator g of units(n),
+    levels in support order, then R_y f_n = f_m R_x for each covering pair
+    (n, m)."""
     for n in x.support:
         if x.dim(n) * y.dim(n):
             for g in units(n).generators():
-                yield y.action(n, g), n, x.action(n, g), n
+                yield y.int_action(n, g), n, x.int_action(n, g), n
     for n, m in x.support.covering_pairs():
-        yield y.restriction_step(n, m), n, x.restriction_step(n, m), m
+        yield y.int_restriction(n, m), n, x.int_restriction(n, m), m
 
 
-def _square_rows(left: QMatrix, oa: int, right: QMatrix, ob: int) -> list[dict[int, Fraction]]:
+def _square_rows(left: IntView, oa: int, right: IntView, ob: int, da: int):
     """The rows of left f_a - f_b right, one per entry (i, j), where f_a and
-    f_b are stored row-major from the offsets oa and ob."""
-    da, db = right.cols, right.rows
-    right_cols = right.transpose().data
-    rows = []
-    for i, left_row in enumerate(left.data):
+    f_b are stored row-major from the offsets oa and ob and f_a has da
+    columns: integer rows, each scaled by the denominators of the two
+    views."""
+    (dl, left_rows), (dr, right_rows) = left, right
+    g = gcd(dl, dr)
+    sl, sr = dr // g, dl // g
+    db = len(right_rows)
+    right_cols: list[list[tuple[int, int]]] = [[] for _ in range(da)]
+    for t, row in enumerate(right_rows):
+        for j, v in row:
+            right_cols[j].append((t, sr * v))
+    for i, left_row in enumerate(left_rows):
+        if sl != 1:
+            left_row = [(s, sl * v) for s, v in left_row]
         for j, right_col in enumerate(right_cols):
             # entry (i, j): sum_s left[i,s] f_a[s,j] - sum_t f_b[i,t] right[t,j]
-            row = {oa + s * da + j: v for s, v in left_row.items()}
-            for t, v in right_col.items():
+            row = {oa + s * da + j: v for s, v in left_row}
+            for t, v in right_col:
                 k = ob + i * db + t
-                row[k] = row.get(k, _F0) - v
-            rows.append(row)
-    return rows
+                row[k] = row.get(k, 0) - v
+            yield row
+
+
+def _hom_rows(x: OutCycModule, y: OutCycModule, offsets: dict[int, int]):
+    """The integer rows of ``hom_direct``'s system, square after square, with
+    f_n stored from ``offsets[n]``."""
+    for left, a, right, b in _hom_squares(x, y):
+        yield from _square_rows(left, offsets[a], right, offsets[b], x.dim(a))
 
 
 def _estimate_hom_entries(x: OutCycModule, y: OutCycModule) -> int:
     """A bound on the nonzeros of the one sparse system ``hom_direct``
     solves, fill-in not charged: a row of ``_square_rows`` holds at most
     the nonzeros of a row of left and of a column of right."""
-    return sum(x.dim(a) * sum(map(len, left.data)) + left.rows * sum(map(len, right.data))
-               for left, a, right, _ in _hom_squares(x, y))
+    return sum(x.dim(a) * sum(map(len, left_rows)) + len(left_rows) * sum(map(len, right_rows))
+               for (_, left_rows), a, (_, right_rows), _ in _hom_squares(x, y))
 
 
 def hom_direct(x: OutCycModule, y: OutCycModule) -> HomSpace:
@@ -172,18 +190,16 @@ def hom_direct(x: OutCycModule, y: OutCycModule) -> HomSpace:
     ``ModuleMorphism.stacked_vector``.  The equations are those of
     ``_hom_squares``: equivariance under the generators of units(n), which
     is the same as under every unit, because both actions are
-    multiplicative, and naturality on each covering pair.  The basis is the
-    reduced kernel basis of ``sparse_kernel``, written into level matrices.
+    multiplicative, and naturality on each covering pair.  Their integer
+    rows (``_hom_rows``) stream into ``sparse_kernel``, whose presolve
+    stores none of the many two-term rows, and its reduced kernel basis is
+    written into level matrices.
     """
     if x.support != y.support:
         raise ValueError("support mismatch")
     support = x.support
     offsets, total = _offsets(support, lambda n: x.dim(n) * y.dim(n))
-    rows: list[dict[int, Fraction]] = []
-    for left, a, right, b in _hom_squares(x, y):
-        rows.extend(_square_rows(left, offsets[a], right, offsets[b]))
-
-    vecs, _ = sparse_kernel(rows, total)
+    vecs, _ = sparse_kernel(_hom_rows(x, y, offsets), total)
     levels = [n for n in support if x.dim(n) * y.dim(n)]
     starts = [offsets[n] for n in levels]
     basis = []
@@ -233,28 +249,29 @@ def hom_via_limit(x: OutCycModule) -> HomSpace:
     A compatible family of forms (lam_n) reconstructs to the morphism whose
     level-n matrix has, in the row of basis unit g, the form
     lam_n composed with the action of g^{-1}: the sparse product of lam_n's
-    nonzeros with the rows of x's integer view of that action, in integers
+    nonzeros with the rows of the integer view of that action, in integers
     over lam_n's common denominator, divided once per stored entry when the
-    denominator is not 1.
+    denominator is not 1.  The reconstruction goes level by level, and the
+    views of a level's actions are built for it and dropped after it, not
+    kept in x's view cache.
     """
     reg = regular_module(x.support)
     families = limit_basis(dual_system(x))
-    inverses = {n: [x.int_action(n, units(n).inv(g)) for g in units(n)] for n in x.support}
-    basis = []
-    for fam in families:
-        mats = {}
-        for n in x.support:
+    mats: list[dict[int, QMatrix]] = [{} for _ in families]
+    for n in x.support:
+        un = units(n)
+        inverses = [_int_matrix(x.action(n, un.inv(g))) for g in un]
+        for fam, fam_mats in zip(families, mats):
             lam = [(i, v) for i, v in enumerate(fam[n]) if v]
             den_lam = lcm(*{v.denominator for _, v in lam})
             lam = [(i, v.numerator * (den_lam // v.denominator)) for i, v in lam]
             rows = []
-            for den_a, a_rows in inverses[n]:
+            for den_a, a_rows in inverses:
                 row: dict[int, Entry] = _int_vecmat(lam, a_rows)
                 den = den_lam * den_a
                 rows.append(row if den == 1 else {j: Fraction(v, den) for j, v in row.items()})
-            mats[n] = QMatrix.from_row_dicts(rows, x.dim(n))
-        basis.append(ModuleMorphism(x, reg, mats))
-    return HomSpace(x, reg, basis)
+            fam_mats[n] = QMatrix.from_row_dicts(rows, x.dim(n))
+    return HomSpace(x, reg, [ModuleMorphism(x, reg, m) for m in mats])
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,13 @@ Conventions, fixed once so matrices are reproducible across runs:
   requires, and within each the row with the fewest nonzeros.  The reduced
   row echelon form is unique, so the bases they return do not depend on
   that choice,
+* ``sparse_kernel`` presolves before that loop: a row a x_p + b x_q = 0
+  merges the classes of p and q by union-find, a one-term row forces its
+  class to zero, longer rows are rewritten over the class roots (each the
+  largest column of its class) until none shrinks to one or two terms, and
+  ``_reduce`` runs on what is left (the doubleton reduction of Andersen and
+  Andersen, "Presolving in linear programming", Math. Programming 71,
+  1995).  The Hom systems are mostly such rows,
 * ``rank`` alone pivots by the Markowitz rule: the column with the fewest
   nonzeros (lowest index on ties), then the row in it with the fewest
   nonzeros (lowest index on ties),
@@ -481,13 +488,14 @@ def rref(m: QMatrix) -> tuple[QMatrix, list[int]]:
 
 
 def _kernel_vectors(pivots: dict[int, dict[int, int]],
-                    ncols: int) -> tuple[list[dict[int, Entry]], list[int]]:
+                    columns: Iterable[int]) -> tuple[list[dict[int, Entry]], list[int]]:
     """The reduced kernel basis read off ``_reduce``'s pivot rows, and the
     free columns in increasing order: the vector for free column ``j`` has a
-    1 at ``j`` and its other nonzeros at pivot columns.  An entry is an
-    ``int`` when it is integral (the free 1 included), a ``Fraction``
-    otherwise."""
-    free = [j for j in range(ncols) if j not in pivots]
+    1 at ``j`` and its other nonzeros at pivot columns, in increasing order.
+    An entry is an ``int`` when it is integral (the free 1 included), a
+    ``Fraction`` otherwise.  ``columns`` are the columns of the system, in
+    increasing order."""
+    free = [j for j in columns if j not in pivots]
     basis: dict[int, dict[int, Entry]] = {j: {j: 1} for j in free}
     for c, prow in pivots.items():
         pv = prow[c]
@@ -498,17 +506,158 @@ def _kernel_vectors(pivots: dict[int, dict[int, int]],
     return [basis[j] for j in free], free
 
 
-def sparse_kernel(rows: Sequence[dict[int, Entry]],
+def _exact(x: Entry) -> Entry:
+    """An integral ``Fraction`` as its ``int``; anything else as it is."""
+    return x.numerator if type(x) is Fraction and x.denominator == 1 else x
+
+
+def _ratio(a: Entry, b: Entry) -> Entry:
+    """a / b, an ``int`` exactly when it is integral."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    return _exact(Fraction(a) / b)
+
+
+class _Classes:
+    """Union-find over columns for the presolve of ``sparse_kernel``.
+
+    Every column lies in a class whose members are multiples of its root,
+    the largest column of the class: ``up`` maps each column p that is not
+    a root to (c, f), c a larger column of its class and x_p = f x_c, and
+    the roots in ``zero`` are those of the classes forced to zero.  Factors
+    are never zero, and an ``int`` exactly where they are integral.
+    """
+
+    __slots__ = ("up", "zero")
+
+    def __init__(self) -> None:
+        self.up: dict[int, tuple[int, Entry]] = {}
+        self.zero: set[int] = set()
+
+    def find(self, p: int) -> tuple[int, Entry]:
+        """(root, f) with x_p = f x_root; compresses the path it walks."""
+        up = self.up
+        step = up.get(p)
+        if step is None:
+            return p, 1
+        q = step[0]
+        if q not in up:
+            return step
+        path = [p]
+        while q in up:
+            path.append(q)
+            q = up[q][0]
+        f: Entry = 1
+        for c in reversed(path):
+            f = _exact(up[c][1] * f)
+            up[c] = (q, f)
+        return q, f
+
+    def add(self, nz: list[tuple[int, Entry]]) -> None:
+        """Impose a row of one or two nonzero (col, value) terms: a one-term
+        row forces its class to zero, and a two-term row merges the classes
+        of its ends, or forces their shared class to zero when the row is
+        not a multiple of the relation that class already imposes."""
+        zero = self.zero
+        if len(nz) == 1:
+            zero.add(self.find(nz[0][0])[0])
+            return
+        (p, a), (q, b) = nz
+        rp, fp = self.find(p)
+        rq, fq = self.find(q)
+        if rp in zero or rq in zero:
+            zero.add(rp)
+            zero.add(rq)
+            return
+        a *= fp
+        b *= fq
+        if rp == rq:
+            if a + b:
+                zero.add(rp)
+        elif rp < rq:
+            self.up[rp] = (rq, _ratio(-b, a))
+        else:
+            self.up[rq] = (rp, _ratio(-a, b))
+
+    def substitute(self, row: dict[int, int]) -> list[tuple[int, Entry]]:
+        """The nonzero terms of a row over the roots of the classes that are
+        not zero."""
+        find, zero = self.find, self.zero
+        acc: dict[int, Entry] = {}
+        get = acc.get
+        for j, v in row.items():
+            r, f = find(j)
+            if r not in zero:
+                acc[r] = get(r, 0) + v * f
+        return [(j, v) for j, v in acc.items() if v]
+
+
+def sparse_kernel(rows: Iterable[dict[int, Entry]],
                   ncols: int) -> tuple[list[dict[int, Entry]], list[int]]:
     """Reduced basis of the null space of a matrix given by sparse rows.
 
     ``rows`` are ``{col: value}`` dicts over ``ncols`` columns, as in a
-    ``QMatrix``'s ``data``; zero values are skipped.  Returns the basis vectors as
-    ``{index: int or Fraction}`` dicts and the free columns, as
-    ``_kernel_vectors`` describes.
+    ``QMatrix``'s ``data``, in any iterable; zero values are skipped.
+    Returns the basis vectors as ``{index: int or Fraction}`` dicts and the
+    free columns, as ``_kernel_vectors`` describes.
+
+    Rows of one or two terms are solved first, by union-find
+    (``_Classes``), and never stored: a x_p + b x_q = 0 makes x_p a
+    multiple of x_q, and a x_p = 0 makes x_p zero.  The longer rows are
+    rewritten over the class roots, which may shrink some of them to one or
+    two terms in turn, until none shrinks, and identical rows are kept once;
+    ``_reduce`` eliminates what is left over the roots of the classes not
+    forced to zero, and each root's value goes to the members of its class.
+    A root is its class's largest column, so a member of a class is a pivot
+    column and every free column is a root: the expanded vectors are the
+    reduced basis of the whole system.  Without rows of one or two terms,
+    the rows go to ``_reduce`` as they are.
     """
-    return _kernel_vectors(
-        _reduce([_int_row((j, v) for j, v in row.items() if v) for row in rows]), ncols)
+    classes = _Classes()
+    kept: list[dict[int, int]] = []
+    for row in rows:
+        nz = [(j, v) for j, v in row.items() if v]
+        if len(nz) > 2:
+            kept.append(_int_row(nz))
+        elif nz:
+            classes.add(nz)
+    up, zero = classes.up, classes.zero
+    if not up and not zero:
+        return _kernel_vectors(_reduce(kept), range(ncols))
+    shrunk = True
+    while shrunk:
+        shrunk = False
+        rest: dict[frozenset[tuple[int, int]], dict[int, int]] = {}
+        for row in kept:
+            if any(j in up or j in zero for j in row):
+                nz = classes.substitute(row)
+                if len(nz) < 3:
+                    if nz:
+                        classes.add(nz)
+                        shrunk = True
+                    continue
+                row = _int_row(nz)
+            rest[frozenset(row.items())] = row
+        kept = list(rest.values())
+    vecs, free = _kernel_vectors(
+        _reduce(kept), [j for j in range(ncols) if j not in up and j not in zero])
+    members: dict[int, list[tuple[int, Entry]]] = {}
+    for p in list(up):
+        r, f = classes.find(p)
+        if r not in zero:
+            members.setdefault(r, []).append((p, f))
+    out = []
+    for vec, j in zip(vecs, free):
+        terms = [(r, v) for r, v in vec.items() if r != j]
+        for r, v in vec.items():
+            for p, f in members.get(r, ()):
+                terms.append((p, _exact(f * v)))
+        terms.sort()
+        x: dict[int, Entry] = {j: 1}
+        x.update(terms)
+        out.append(x)
+    return out, free
 
 
 def kernel_basis(m: QMatrix) -> QMatrix:
@@ -517,7 +666,7 @@ def kernel_basis(m: QMatrix) -> QMatrix:
     The basis is in reduced form: the vector for free column ``j`` has a 1
     in coordinate ``j``, its other nonzero coordinates sit at pivot columns.
     """
-    vecs, _ = _kernel_vectors(_reduce(_sparse_int_rows(m)), m.cols)
+    vecs, _ = _kernel_vectors(_reduce(_sparse_int_rows(m)), range(m.cols))
     return QMatrix.from_row_dicts(vecs, m.cols).transpose()
 
 

@@ -34,9 +34,9 @@ class OutCycModule:
     restriction matrix per covering pair.  A level table may hold only 1
     and the generators of units(n): ``action`` completes it on the first
     request for another unit (see there).  The integer views of the
-    matrices (``linalg._int_matrix``), which the Hom routes and
-    ``ModuleMorphism.validate`` compute with, are built once per module and
-    kept in its view cache; callers must not modify a view.
+    matrices (``linalg._int_matrix``), which ``hom_direct``, the Hom
+    cochains and ``ModuleMorphism.validate`` compute with, are built once
+    per module and kept in its view cache; callers must not modify a view.
     """
 
     __slots__ = ("support", "dims", "_actions", "_restrictions", "name", "_views")

@@ -19,9 +19,9 @@ from typing import Sequence
 
 from cycrep.cyclic_site import factorization, reduce_unit, totient, unit_reduction, units
 from cycrep.hom_ext import CochainComplex, HomSpace, ResolutionStep, _chains, _SpanTracker
-from cycrep.linalg import (QMatrix, RatLike, cokernel, column_space_basis, hstack,
-                           kernel_basis, kronecker, rat, rat_to_str, rank, solve, solve_matrix,
-                           sparse_kernel)
+from cycrep.linalg import (Entry, QMatrix, RatLike, _int_row, _kernel_vectors, _reduce, cokernel,
+                           column_space_basis, hstack, kernel_basis, kronecker, rat, rat_to_str,
+                           rank, solve, solve_matrix)
 from cycrep.modules import (InverseSystem, ModuleMorphism, MorphismFactorization,
                             OutCycModule, conjugate_module, restriction_matrix)
 from cycrep.normal_basis import LevelCheck, SquareCheck
@@ -406,6 +406,14 @@ def stored_values(m: QMatrix) -> list[Fraction]:
 
 # --- exact elimination and witness selection, the simple way
 
+def reduce_kernel(rows, ncols: int) -> tuple[list[dict[int, Entry]], list[int]]:
+    """The reduced kernel basis and free columns of sparse rows by one
+    ``_reduce`` of every row, as ``sparse_kernel`` computed them before its
+    union-find presolve: the same vectors, key order and entry types."""
+    return _kernel_vectors(
+        _reduce([_int_row((j, v) for j, v in row.items() if v) for row in rows]), range(ncols))
+
+
 def dense_rank(m: QMatrix) -> int:
     """Rank by plain Gaussian elimination in Fraction arithmetic, pivoting on
     the first nonzero entry of each column."""
@@ -632,7 +640,7 @@ def tracker_witnesses(cx: CochainComplex, dims: list[int]) -> list[list[list[Fra
         chosen: list[list[Fraction]] = []
         if want:
             d = cx.diffs[k]
-            vecs, _ = sparse_kernel(d.data, d.cols)
+            vecs, _ = reduce_kernel(d.data, d.cols)
             cocycles = QMatrix.from_row_dicts(vecs, d.cols)
             span = _SpanTracker()
             if k:
@@ -917,7 +925,7 @@ def greedy_resolve(x: OutCycModule, depth: int) -> list[ResolutionStep]:
                         for r, val in v.items():
                             rows[r][col] = val
                         col += 1
-            incl[m], free_rows[m] = sparse_kernel(rows, col)
+            incl[m], free_rows[m] = reduce_kernel(rows, col)
             if incl[m]:
                 all_zero = False
         stage = GreedyKernelStage(free, incl, free_rows)
@@ -1472,12 +1480,40 @@ def per_unit_morphism_factor(f) -> MorphismFactorization:
 
 # --- the Hom routes as two-stage and dense solves
 
+def fraction_hom_rows(x: OutCycModule, y: OutCycModule) -> list[dict[int, Fraction]]:
+    """The rows of ``hom_direct``'s system read from the stored matrices in
+    Fraction arithmetic, in its order: Y(g) f_n - f_n X(g) for each
+    generator g of units(n), levels in support order, then
+    R_y f_n - f_m R_x for each covering pair (n, m); the entry (i, j) of
+    left f_a - f_b right is one row, f_a and f_b stored row-major."""
+    offsets, total = {}, 0
+    for n in x.support:
+        offsets[n] = total
+        total += x.dim(n) * y.dim(n)
+    squares = [(y.action(n, g), n, x.action(n, g), n)
+               for n in x.support if x.dim(n) * y.dim(n) for g in units(n).generators()]
+    squares += [(y.restriction_step(n, m), n, x.restriction_step(n, m), m)
+                for n, m in x.support.covering_pairs()]
+    rows = []
+    for left, a, right, b in squares:
+        oa, ob, da, db = offsets[a], offsets[b], right.cols, right.rows
+        for i in range(left.rows):
+            for j in range(right.cols):
+                row = {oa + s * da + j: left[i, s] for s in range(left.cols) if left[i, s]}
+                for t in range(right.rows):
+                    if right[t, j]:
+                        k = ob + i * db + t
+                        row[k] = row.get(k, F0) - right[t, j]
+                rows.append(row)
+    return rows
+
+
 def equivariant_basis(x: OutCycModule, y: OutCycModule, n: int) -> QMatrix:
     """Columns spanning the equivariant maps x(n) -> y(n), as row-major
     flattened matrices.
 
     The null space of the stacked sparse rows of Y(g) f - f X(g) over the
-    generators g of units(n), in the reduced basis of ``sparse_kernel``.
+    generators g of units(n), in the reduced basis of ``reduce_kernel``.
     Commuting with the generators is the same as commuting with every
     unit: for valid modules both actions are multiplicative, so a map that
     commutes with two units commutes with their product.
@@ -1499,7 +1535,7 @@ def equivariant_basis(x: OutCycModule, y: OutCycModule, n: int) -> QMatrix:
                     k = i * dx + t
                     row[k] = row.get(k, F0) - v
                 rows.append(row)
-    vecs, _ = sparse_kernel(rows, size)
+    vecs, _ = reduce_kernel(rows, size)
     basis = QMatrix.zeros(size, len(vecs))
     for k, vec in enumerate(vecs):
         for i, v in vec.items():

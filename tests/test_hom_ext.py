@@ -23,6 +23,8 @@ from cycrep.hom_ext import (
     _ModuleStage,
     _SpanTracker,
     _hom_cochain,
+    _hom_rows,
+    _offsets,
     ext_via_resolution,
     hom_direct,
     hom_via_limit,
@@ -37,7 +39,8 @@ from cycrep.rep_ring import tau_ru_module
 from cycrep.resolution import build_complex
 from oracles import (DenseSpanTracker, all_units_candidates, averaged_equivariant_basis,
                      dense_hom_cochain, dense_limit_basis, dense_nerve_complex, dense_resolve_by_representables,
-                     equivariant_basis, flat_entries, fraction_morphism_violations,
+                     equivariant_basis, flat_entries, fraction_hom_rows,
+                     fraction_morphism_violations,
                      greedy_resolve, limit_family_compatible, reference_hom_via_limit_mats,
                      scaled_sum_hom_direct, scramble, simple_module, stacked_matrix,
                      tracker_witnesses, witnesses_by_solve)
@@ -99,6 +102,38 @@ class TestHomDirect:
         h = hom_direct(regular_module(S12), regular_module(S12))
         stacked = stacked_matrix(h)
         assert rank(stacked) == h.dimension
+
+
+class TestIntegerHomRows:
+    """hom_direct's integer rows against the same equations read from the
+    stored matrices in Fraction arithmetic: row for row, the same nonzeros,
+    each row scaled by one positive integer.  The scrambled modules have
+    actions and restrictions with denominators."""
+
+    @pytest.mark.parametrize("support", [S12, support_of_divisors(30), divisor_closure([8, 9])])
+    def test_rows_match_fraction_rows(self, support):
+        pairs = [(regular_module(support), regular_module(support)),
+                 (tau_ru_module(support), regular_module(support)),
+                 (random_module(support, 4), regular_module(support)),
+                 (scramble(random_module(support, 5), 6), regular_module(support)),
+                 (regular_module(support), scramble(random_module(support, 7), 8)),
+                 (scramble(regular_module(support), 9), scramble(random_module(support, 2), 3))]
+        denominators = set()
+        for x, y in pairs:
+            offsets, _ = _offsets(support, lambda n: x.dim(n) * y.dim(n))
+            rows = list(_hom_rows(x, y, offsets))
+            ref = fraction_hom_rows(x, y)
+            assert len(rows) == len(ref)
+            for row, want in zip(rows, ref):
+                row = {k: v for k, v in row.items() if v}
+                assert all(type(v) is int for v in row.values())
+                want = {k: v for k, v in want.items() if v}
+                denominators.update(v.denominator for v in want.values())
+                assert row.keys() == want.keys()
+                scales = {Fraction(v) / want[k] for k, v in row.items()}
+                assert len(scales) <= 1
+                assert all(c > 0 and c.denominator == 1 for c in scales)
+        assert max(denominators) > 1
 
 
 class TestMonolithicSystemAgreement:

@@ -24,8 +24,8 @@ from cycrep.linalg import (
     sparse_kernel,
 )
 from oracles import (DenseQMatrix, dense_kernel_basis, dense_rank, dense_rref_rows,
-                     dense_solve_matrix, flat_entries, greedy_resolve, stored_values,
-                     vstack)
+                     dense_solve_matrix, flat_entries, greedy_resolve, reduce_kernel,
+                     stored_values, vstack)
 
 small_entries = st.integers(min_value=-6, max_value=6)
 
@@ -534,6 +534,114 @@ class TestSparseKernelAgainstDenseKernel:
         assert_sparse_kernel_matches_dense(
             QMatrix.from_rows([d.row(i) for i in perm], cols=d.cols),
             dense_kernel_of_hom_cochain_matrix(k))
+
+
+nonzero_entries = st.one_of(
+    st.integers(-4, 4).filter(bool),
+    st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool),
+    st.integers(-3, 3).filter(bool).map(Fraction))
+
+
+@st.composite
+def presolve_systems(draw):
+    """Sparse rows that exercise every step of the presolve, in a drawn
+    order: two-term rows with non-unit factors, one-term rows, cycles of
+    two-term rows closed consistently or not, long rows that substitution
+    shrinks to two terms or one, long rows, duplicates (scaled or not),
+    and empty and all-zero rows.  Entries are ints, Fractions and integral
+    Fractions."""
+    ncols = draw(st.integers(1, 10))
+    col = st.integers(0, ncols - 1)
+    rows: list[dict] = []
+    for _ in range(draw(st.integers(0, 9))):
+        kind = draw(st.sampled_from(["pair", "one", "cycle", "cascade", "long", "copy",
+                                     "empty"]))
+        if kind == "pair" and ncols > 1:
+            p, q = draw(st.lists(col, min_size=2, max_size=2, unique=True))
+            rows.append({p: draw(nonzero_entries), q: draw(nonzero_entries)})
+        elif kind == "one":
+            rows.append({draw(col): draw(nonzero_entries)})
+        elif kind == "cycle" and ncols > 2:
+            # x = w solves every link; half the time the closing link is
+            # scaled at one end by c != 1, which forces the cycle to zero
+            cyc = draw(st.lists(col, min_size=3, max_size=min(ncols, 5), unique=True))
+            w = {c: draw(nonzero_entries) for c in cyc}
+            for a, b in zip(cyc, cyc[1:] + cyc[:1]):
+                s = draw(nonzero_entries)
+                rows.append({a: s * w[b], b: -s * w[a]})
+            if not draw(st.booleans()):
+                a, b = cyc[-1], cyc[0]
+                rows[-1] = {a: rows[-1][a], b: rows[-1][b] * draw(nonzero_entries.filter(
+                    lambda c: c != 1))}
+        elif kind == "cascade" and ncols > 3:
+            # x_p = c x_q makes a x_p - a c x_q vanish: the long row shrinks
+            # to its remaining one or two terms
+            p, q, *rest = draw(st.lists(col, min_size=3, max_size=4, unique=True))
+            c, a = draw(nonzero_entries), draw(nonzero_entries)
+            rows.append({p: 1, q: -c})
+            long = {p: a, q: -a * c}
+            long.update({r: draw(nonzero_entries) for r in rest})
+            rows.append(long)
+        elif kind == "long":
+            cols = draw(st.lists(col, min_size=1, max_size=5, unique=True))
+            rows.append({j: draw(nonzero_entries) for j in cols})
+        elif kind == "copy" and rows:
+            row = rows[draw(st.integers(0, len(rows) - 1))]
+            c = draw(st.sampled_from([1, -1, 2, Fraction(3, 2)]))
+            rows.append({j: c * v for j, v in row.items()})
+        elif kind == "empty":
+            rows.append(draw(st.sampled_from([{}, {0: 0}, {0: Fraction(0), ncols - 1: 0}])))
+    return draw(st.permutations(rows)), ncols
+
+
+def kernel_signature(result):
+    """Vectors as their (key, type, value) items in key order, and the free
+    columns."""
+    vecs, free = result
+    return [[(k, type(v), v) for k, v in vec.items()] for vec in vecs], free
+
+
+class TestPresolveAgainstReduceOracle:
+    """``sparse_kernel``'s union-find presolve against one ``_reduce`` of
+    every row (``oracles.reduce_kernel``): the same vectors, key order,
+    entry types and free columns."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(presolve_systems())
+    def test_presolve_systems(self, system):
+        rows, ncols = system
+        assert (kernel_signature(sparse_kernel(iter(rows), ncols))
+                == kernel_signature(reduce_kernel(rows, ncols)))
+
+    def test_pinned_systems(self):
+        half = Fraction(1, 2)
+        for rows, ncols in [
+                ([{0: 2, 1: 3}, {1: 1, 2: -half}], 3),           # a chain of factors
+                ([{0: 1, 1: -2}, {1: 1, 2: -3}, {0: 1, 2: -6}], 3),  # consistent cycle
+                ([{0: 1, 1: -2}, {1: 1, 2: -3}, {0: 1, 2: -5}], 4),  # inconsistent cycle
+                ([{1: 1, 2: 1}, {0: 1, 1: 1, 2: 1, 3: 1}, {0: 4}], 5),  # cascade to zero
+                ([{0: 1, 3: 1}, {1: 1, 3: half}, {0: 1, 1: 1, 2: 1}], 4),
+                ([{}, {0: 0}, {2: 3, 0: -3}, {2: -1, 0: 1}], 3)]:
+            assert (kernel_signature(sparse_kernel(rows, ncols))
+                    == kernel_signature(reduce_kernel(rows, ncols)))
+
+    def test_hom_and_nerve_systems(self):
+        # the systems of hom_direct and of the nerve differentials, where
+        # two-term rows are the majority
+        from cycrep.hom_ext import _hom_rows, _offsets, nerve_complex
+        from cycrep.modules import dual_system, random_module
+        from cycrep.rep_ring import tau_ru_module
+        from oracles import scramble
+        for support in [support_of_divisors(12), support_of_divisors(30)]:
+            reg = regular_module(support)
+            for x in [reg, tau_ru_module(support), scramble(random_module(support, 3), 4)]:
+                offsets, total = _offsets(support, lambda n: x.dim(n) * reg.dim(n))
+                rows = list(_hom_rows(x, reg, offsets))
+                assert (kernel_signature(sparse_kernel(rows, total))
+                        == kernel_signature(reduce_kernel(rows, total)))
+                for d in nerve_complex(dual_system(x), 1)[0].diffs:
+                    assert (kernel_signature(sparse_kernel(d.data, d.cols))
+                            == kernel_signature(reduce_kernel(d.data, d.cols)))
 
 
 @lru_cache(maxsize=None)

@@ -490,14 +490,20 @@ class TestCliRuns:
         # the terms of the one sparse system, counted entry by entry: a row
         # per generator and level-map entry, and per covering pair and entry
         # of a level-m-by-level-n map; the system hom_direct hands to
-        # sparse_kernel stores no more nonzeros than that
+        # sparse_kernel stores no more nonzeros than that.  The rows arrive
+        # as a stream, so they are counted as they pass through to the kernel
         import cycrep.hom_ext as hom_ext
         stored = []
         kernel = hom_ext.sparse_kernel
 
         def counted_kernel(rows, ncols):
-            stored.append(sum(1 for row in rows for v in row.values() if v))
-            return kernel(rows, ncols)
+            stored.append(0)
+
+            def counted():
+                for row in rows:
+                    stored[-1] += sum(1 for v in row.values() if v)
+                    yield row
+            return kernel(counted(), ncols)
 
         monkeypatch.setattr(hom_ext, "sparse_kernel", counted_kernel)
         s12, s30 = support_of_divisors(12), support_of_divisors(30)
