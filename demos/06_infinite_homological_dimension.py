@@ -39,14 +39,14 @@ for row in hs[0].to_rows():
 
 print()
 print("=== full verification ===")
-report = verify_resolution(primes, 3, support)
+report = verify_resolution(cx)
 print(f"all {len(report.checks)} checks pass: {report.ok}")
 print("sign convention:", report.convention)
 
 print()
 print("=== nonvanishing extension witnesses ===")
 for n in (1, 2):
-    witness, xi, fact = nontrivial_ext_witness(n, primes, support)
+    witness, xi, coker = nontrivial_ext_witness(cx, n)
     print(f"degree {n}: morphisms from one degree down: {witness.hom_below_dim},",
           f"cocycle nonzero: {not witness.cocycle_is_zero},",
           f"class nontrivial: {witness.nontrivial}")

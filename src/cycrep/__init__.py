@@ -51,6 +51,7 @@ from .modules import (
     ModuleMorphism,
     OutCycModule,
     atomic_module,
+    cokernel_projection,
     direct_sum,
     dual_system,
     free_module,

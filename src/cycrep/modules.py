@@ -540,6 +540,37 @@ def _induced_action(n: int, d: int, solve_at: Callable[[int], QMatrix]) -> dict[
     return {1: QMatrix.identity(d), **{g: solve_at(g) for g in units(n).generators()}}
 
 
+def cokernel_projection(f: ModuleMorphism) -> ModuleMorphism:
+    """The projection of f's target onto the levelwise cokernel of f.
+
+    The cokernel module is the projection's target.  Under the
+    precondition of ``morphism_factor`` the actions and restrictions of
+    f's target descend to it, each as the unique solution of its commuting
+    square (the projections have independent rows); the action is solved
+    at the generators of each units(n) only and stored with 1, and
+    ``OutCycModule.action`` completes the other units on request.
+    """
+    src, tgt = f.source, f.target
+    support = src.support
+    cok_data = {n: cokernel(f.mats[n]) for n in support}
+
+    def quotient_induced(p_n: QMatrix, p_m: QMatrix, carrier: QMatrix) -> QMatrix:
+        x = solve_matrix(p_n.transpose(), (p_m @ carrier).transpose())
+        if x is None:
+            raise ValueError("carrier does not descend to the quotient")
+        return x.transpose()
+
+    cok_dims = {n: cok_data[n][1] for n in support}
+    cok_actions = {n: _induced_action(n, cok_dims[n], lambda g: quotient_induced(
+                       cok_data[n][0], cok_data[n][0], tgt.action(n, g))) for n in support}
+    cok_restrictions = {(a, b): quotient_induced(cok_data[a][0], cok_data[b][0],
+                                                 tgt.restriction_step(a, b))
+                        for a, b in support.covering_pairs()}
+    cokernel_mod = OutCycModule(support, cok_dims, cok_actions, cok_restrictions,
+                                name=f"coker({src.name}->{tgt.name})")
+    return ModuleMorphism(tgt, cokernel_mod, {n: cok_data[n][0] for n in support})
+
+
 def morphism_factor(f: ModuleMorphism) -> MorphismFactorization:
     """Levelwise kernel, image and cokernel with their induced structures.
 
@@ -559,14 +590,14 @@ def morphism_factor(f: ModuleMorphism) -> MorphismFactorization:
     follows B X(g) X(l) = A(g*l) B, and that solution is unique (dually on
     the cokernel).  Nothing is left unchecked either: the group is finite,
     so every unit is a product of generators, and a subspace the
-    generators preserve is preserved by every unit.
+    generators preserve is preserved by every unit.  The cokernel and its
+    projection are ``cokernel_projection``'s.
     """
     src, tgt = f.source, f.target
     support = src.support
 
     ker_basis = {n: kernel_basis(f.mats[n]) for n in support}
     img_data = {n: column_space_basis(f.mats[n]) for n in support}
-    cok_data = {n: cokernel(f.mats[n]) for n in support}
 
     def sub_module(bases: dict[int, QMatrix], ambient: OutCycModule, name: str) -> OutCycModule:
         dims = {n: bases[n].cols for n in support}
@@ -581,20 +612,7 @@ def morphism_factor(f: ModuleMorphism) -> MorphismFactorization:
     image_mod = sub_module({n: img_data[n][0] for n in support}, tgt,
                            f"im({src.name}->{tgt.name})")
 
-    def quotient_induced(p_n: QMatrix, p_m: QMatrix, carrier: QMatrix) -> QMatrix:
-        x = solve_matrix(p_n.transpose(), (p_m @ carrier).transpose())
-        if x is None:
-            raise ValueError("carrier does not descend to the quotient")
-        return x.transpose()
-
-    cok_dims = {n: cok_data[n][1] for n in support}
-    cok_actions = {n: _induced_action(n, cok_dims[n], lambda g: quotient_induced(
-                       cok_data[n][0], cok_data[n][0], tgt.action(n, g))) for n in support}
-    cok_restrictions = {(a, b): quotient_induced(cok_data[a][0], cok_data[b][0],
-                                                 tgt.restriction_step(a, b))
-                        for a, b in support.covering_pairs()}
-    cokernel_mod = OutCycModule(support, cok_dims, cok_actions, cok_restrictions,
-                                name=f"coker({src.name}->{tgt.name})")
+    projection = cokernel_projection(f)
 
     src_to_img = {}
     for n in support:
@@ -608,9 +626,8 @@ def morphism_factor(f: ModuleMorphism) -> MorphismFactorization:
         image=image_mod,
         image_inclusion=ModuleMorphism(image_mod, tgt, {n: img_data[n][0] for n in support}),
         source_to_image=ModuleMorphism(src, image_mod, src_to_img),
-        cokernel=cokernel_mod,
-        cokernel_projection=ModuleMorphism(tgt, cokernel_mod,
-                                           {n: cok_data[n][0] for n in support}),
+        cokernel=projection.target,
+        cokernel_projection=projection,
     )
 
 

@@ -30,11 +30,10 @@ from .cyclic_site import SupportSet, is_prime
 from .linalg import QMatrix, rank
 from .modules import (
     ModuleMorphism,
-    MorphismFactorization,
     OutCycModule,
     atomic_module,
+    cokernel_projection,
     direct_sum,
-    morphism_factor,
     semifree_module,
     zero_module,
 )
@@ -82,8 +81,11 @@ def build_complex(primes: list[int], max_degree: int, support: SupportSet) -> Pr
     Degree k sums the semifree modules at the products of k distinct primes;
     the support must contain every such product up to the requested degree.
     The differential drops the i-th prime of a tuple with sign (-1)^i,
-    1-based, acting levelwise.
+    1-based, acting levelwise.  A degree below 1 has no differential and is
+    refused before anything else is checked.
     """
+    if max_degree < 1:
+        raise ValueError("the resolution must be built to degree at least 1")
     if not primes:
         raise ValueError("no ambient primes given")
     bad = [p for p in primes if not is_prime(p)]
@@ -190,16 +192,12 @@ class ResolutionReport(NamedTuple):
         return [c for c in self.checks if not c.passed]
 
 
-def verify_resolution(primes: list[int], max_degree: int,
-                      support: SupportSet) -> ResolutionReport:
+def verify_resolution(cx: PrimeComplex) -> ResolutionReport:
     """d squared, exactness of the augmented complex, and the contraction
     identity, all levelwise; failures are report entries, not exceptions.
     A level above 1 with no ambient prime factor has no contraction, and
-    fails as the check "contraction at level m".  A degree below 1 has no
-    differential to check and is refused."""
-    if max_degree < 1:
-        raise ValueError("the resolution must be built to degree at least 1")
-    cx = build_complex(primes, max_degree, support)
+    fails as the check "contraction at level m"."""
+    support, max_degree = cx.support, cx.max_degree
     checks: list[CheckResult] = []
 
     for k in range(2, max_degree + 1):
@@ -265,27 +263,28 @@ class ExtWitnessReport(NamedTuple):
                 and self.composes_to_zero)
 
 
-def nontrivial_ext_witness(n: int, primes: list[int],
-                           support: SupportSet) -> tuple[ExtWitnessReport,
-                                                         ModuleMorphism,
-                                                         MorphismFactorization]:
+def nontrivial_ext_witness(cx: PrimeComplex, n: int) -> tuple[ExtWitnessReport,
+                                                              ModuleMorphism,
+                                                              OutCycModule]:
     """The universal cocycle in degree n: the projection onto coker(d_{n+1}).
 
-    Returns the report, the cocycle itself, and the factorization carrying
-    the cokernel module.  The complex over k distinct primes ends in degree k.
+    Returns the report, the cocycle itself, and the cokernel module.  The
+    complex over k distinct primes ends in degree k, and the witness reads
+    d_{n+1}, so cx must be built to degree at least n + 1.
     """
-    if not 1 <= n <= len(set(primes)):
+    if not 1 <= n <= len(cx.primes):
         raise ValueError(f"the witness degree must be between 1 and the number "
-                         f"of distinct ambient primes, {len(set(primes))}; got {n}")
-    cx = build_complex(primes, n + 1, support)
-    fact = morphism_factor(cx.diff(n + 1))
-    xi = fact.cokernel_projection  # P_n ->> coker(d_{n+1})
-    hom_below = hom_direct(cx.modules[n - 1], fact.cokernel)
-    composed = xi.compose(cx.diff(n + 1))
+                         f"of distinct ambient primes, {len(cx.primes)}; got {n}")
+    if n + 1 > cx.max_degree:
+        raise ValueError(f"the witness in degree {n} reads d{n + 1}, but the complex "
+                         f"is built to degree {cx.max_degree}")
+    d_next = cx.diff(n + 1)
+    xi = cokernel_projection(d_next)  # P_n ->> coker(d_{n+1})
+    hom_below = hom_direct(cx.modules[n - 1], xi.target)
     report = ExtWitnessReport(
         degree=n,
         hom_below_dim=hom_below.dimension,
         cocycle_is_zero=xi.is_zero(),
-        composes_to_zero=composed.is_zero(),
+        composes_to_zero=xi.compose(d_next).is_zero(),
     )
-    return report, xi, fact
+    return report, xi, xi.target

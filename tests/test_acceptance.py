@@ -50,7 +50,7 @@ from cycrep.rep_ring import (
     transfer_matrix,
     transfer_ideal,
 )
-from cycrep.resolution import nontrivial_ext_witness, verify_resolution
+from cycrep.resolution import build_complex, nontrivial_ext_witness, verify_resolution
 
 from oracles import stacked_matrix
 
@@ -234,10 +234,11 @@ def test_criterion_09_non_directed_first_derived_limit():
 def test_criterion_10_resolution_and_witnesses():
     start = time.time()
     support = support_of_divisors(30)
-    report = verify_resolution([2, 3, 5], 3, support)
+    cx = build_complex([2, 3, 5], 3, support)
+    report = verify_resolution(cx)
     assert report.ok, report.failed()
     for n in (1, 2):
-        witness, xi, fact = nontrivial_ext_witness(n, [2, 3, 5], support)
+        witness, xi, coker = nontrivial_ext_witness(cx, n)
         assert witness.hom_below_dim == 0, (n, witness)
         assert not witness.cocycle_is_zero and witness.composes_to_zero, (n, witness)
         assert witness.nontrivial

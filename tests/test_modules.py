@@ -11,6 +11,7 @@ from cycrep.modules import (
     ModuleMorphism,
     OutCycModule,
     atomic_module,
+    cokernel_projection,
     conjugate_module,
     direct_sum,
     dual_system,
@@ -450,6 +451,12 @@ class TestFactorOnGeneratorsAgainstPerUnitSolves:
         for name in ["kernel_inclusion", "image_inclusion", "source_to_image",
                      "cokernel_projection"]:
             assert getattr(got, name).mats == getattr(want, name).mats, name
+        # the cokernel alone, as the resolution's witnesses compute it
+        proj = cokernel_projection(f)
+        assert proj.source is f.target
+        for cok in (got.cokernel, want.cokernel):
+            _assert_same_structure(proj.target, cok)
+        assert proj.mats == got.cokernel_projection.mats
 
     @pytest.mark.parametrize("primes, degree, top", [([2, 3, 5], 3, 30), ([3, 5, 7], 2, 105)])
     def test_resolution_differentials(self, primes, degree, top):
@@ -547,6 +554,10 @@ class TestActionsStoredOnGenerators:
         for a, b in [(fact.kernel, want.kernel), (fact.image, want.image),
                      (fact.cokernel, want.cokernel)]:
             _assert_same_structure(a, b)
+        cok = cokernel_projection(f).target
+        for n in S60:
+            assert _stored_units(cok, n) == _generators_and_one(n), n
+        _assert_same_structure(cok, want.cokernel)
 
     def test_criterion_battery_factors(self):
         from test_acceptance import battery

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from cycrep.cyclic_site import SupportSet, support_of_divisors
+from cycrep.cyclic_site import SupportSet, support_of_divisors, units
 from cycrep.linalg import QMatrix, rank
-from cycrep.modules import validate
+from cycrep.modules import morphism_factor, validate
 from cycrep.hom_ext import hom_direct
 from cycrep.resolution import (
     build_complex,
@@ -125,18 +125,18 @@ class TestContraction:
 
 class TestVerifyReport:
     def test_divisors_six(self):
-        rep = verify_resolution([2, 3], 2, S6)
+        rep = verify_resolution(build_complex([2, 3], 2, S6))
         assert rep.ok
         assert rep.convention == "1-based insertion position"
 
     def test_divisors_thirty(self):
-        rep = verify_resolution([2, 3, 5], 3, S30)
+        rep = verify_resolution(build_complex([2, 3, 5], 3, S30))
         assert rep.ok
 
     def test_level_without_an_ambient_prime_is_a_failed_check(self):
         # level 5 has no prime factor among 2, 3: no contraction exists
         # there, and the augmented complex is not exact at degree 0
-        rep = verify_resolution([2, 3], 2, S30)
+        rep = verify_resolution(build_complex([2, 3], 2, S30))
         assert not rep.ok
         failed = [c.name for c in rep.failed()]
         assert "contraction at level 5" in failed
@@ -145,8 +145,8 @@ class TestVerifyReport:
 
     @pytest.mark.parametrize("max_degree", [0, -1])
     def test_degree_guard(self, max_degree):
-        with pytest.raises(ValueError):
-            verify_resolution([2, 3], max_degree, S6)
+        with pytest.raises(ValueError, match="degree at least 1"):
+            verify_resolution(build_complex([2, 3], max_degree, S6))
 
     def test_level_one_exactness_is_the_augmentation(self):
         cx = build_complex([2, 3], 2, S6)
@@ -157,39 +157,94 @@ class TestVerifyReport:
 
 class TestExtWitness:
     def test_degree_one_over_six(self):
-        rep, xi, fact = nontrivial_ext_witness(1, [2, 3], S6)
+        rep, xi, coker = nontrivial_ext_witness(build_complex([2, 3], 2, S6), 1)
         assert rep.hom_below_dim == 0
         assert not rep.cocycle_is_zero
         assert rep.composes_to_zero
         assert rep.nontrivial
         # the cokernel vanishes at level 1 where the degree-0 term is generated
-        assert fact.cokernel.dim(1) == 0
+        assert coker.dim(1) == 0
 
     def test_degree_two_over_thirty(self):
-        rep, xi, fact = nontrivial_ext_witness(2, [2, 3, 5], S30)
+        rep, xi, coker = nontrivial_ext_witness(build_complex([2, 3, 5], 3, S30), 2)
         assert rep.nontrivial
 
     def test_cocycle_composes_to_zero_by_construction(self):
         # the projection onto the cokernel kills the image of the next
         # differential, making it a cocycle
-        rep, xi, fact = nontrivial_ext_witness(1, [2, 3], S6)
         cx = build_complex([2, 3], 2, S6)
+        rep, xi, coker = nontrivial_ext_witness(cx, 1)
         assert xi.compose(cx.diff(2)).is_zero()
 
     def test_hom_vanishing_is_a_real_computation(self):
         # the degree-0 term maps nowhere into the cokernel because the
         # cokernel vanishes at the generating level
-        rep, xi, fact = nontrivial_ext_witness(1, [2, 3], S6)
         cx = build_complex([2, 3], 2, S6)
-        assert hom_direct(cx.modules[0], fact.cokernel).dimension == 0
+        rep, xi, coker = nontrivial_ext_witness(cx, 1)
+        assert hom_direct(cx.modules[0], coker).dimension == 0
 
     def test_degree_guard(self):
         with pytest.raises(ValueError):
-            nontrivial_ext_witness(0, [2, 3], S6)
+            nontrivial_ext_witness(build_complex([2, 3], 2, S6), 0)
 
     def test_top_degree_is_the_prime_count(self):
         # two distinct primes: the complex ends in degree 2, which still
         # carries a witness, and nothing lies beyond it
-        assert nontrivial_ext_witness(2, [2, 3, 3], S6)[0].nontrivial
+        assert nontrivial_ext_witness(build_complex([2, 3, 3], 3, S6), 2)[0].nontrivial
         with pytest.raises(ValueError, match="distinct ambient primes, 2; got 3"):
-            nontrivial_ext_witness(3, [2, 3], S6)
+            nontrivial_ext_witness(build_complex([2, 3], 4, S6), 3)
+
+
+def _same_module(a, b):
+    assert a.support == b.support and a.dims == b.dims
+    for n in a.support:
+        for l in units(n):
+            assert a.action(n, l) == b.action(n, l), (n, l)
+    for pair in a.support.covering_pairs():
+        assert a.restriction_step(*pair) == b.restriction_step(*pair), pair
+
+
+class TestWitnessesShareOneComplex:
+    """Every witness read from one complex built to degree D equals the
+    witness from a fresh complex built to degree n + 1, the smallest that
+    carries d_{n+1}, and its cokernel is morphism_factor's."""
+
+    @pytest.mark.parametrize("top_degree", [3, 5])
+    def test_against_fresh_complexes(self, top_degree):
+        primes = [2, 3, 5]
+        shared = build_complex(primes, top_degree, S30)
+        for n in range(1, min(top_degree - 1, len(primes)) + 1):
+            fresh = build_complex(primes, n + 1, S30)
+            rep, xi, coker = nontrivial_ext_witness(shared, n)
+            rep0, xi0, coker0 = nontrivial_ext_witness(fresh, n)
+            assert rep == rep0 and rep.nontrivial, n
+            assert xi.mats == xi0.mats, n
+            _same_module(coker, coker0)
+            fact = morphism_factor(fresh.diff(n + 1))
+            assert xi.mats == fact.cokernel_projection.mats, n
+            _same_module(coker, fact.cokernel)
+            assert xi.target is coker and xi.source is shared.modules[n]
+
+    def test_guards(self):
+        cx = build_complex([2, 3, 5], 3, S30)
+        for n in (0, -1):
+            with pytest.raises(ValueError, match=f"distinct ambient primes, 3; got {n}"):
+                nontrivial_ext_witness(cx, n)
+        # d3 is the top differential of a degree-3 complex: the witness in
+        # degree 2 reads it, the one in degree 3 would need d4
+        assert nontrivial_ext_witness(cx, 2)[0].nontrivial
+        with pytest.raises(ValueError, match="degree 3 reads d4, but the complex is "
+                                             "built to degree 3"):
+            nontrivial_ext_witness(cx, 3)
+        with pytest.raises(ValueError, match="distinct ambient primes, 3; got 4"):
+            nontrivial_ext_witness(build_complex([2, 3, 5], 5, S30), 4)
+        with pytest.raises(ValueError, match="degree 1 reads d2, but the complex is "
+                                             "built to degree 1"):
+            nontrivial_ext_witness(build_complex([2, 3], 1, S6), 1)
+
+    @pytest.mark.parametrize("max_degree", [0, -1, -5])
+    def test_degree_is_checked_before_the_primes(self, max_degree):
+        # a negative degree used to reach itertools.combinations first
+        with pytest.raises(ValueError, match="the resolution must be built to degree "
+                                             "at least 1"):
+            build_complex([], max_degree, S6)

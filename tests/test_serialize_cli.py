@@ -30,6 +30,8 @@ from cycrep.serialize import (
 )
 from cycrep.cli import (DEFAULT_SIZE_CAP, _estimate_nerve_entries,
                         build_parser, parse_support, run)
+from cycrep.resolution import build_complex
+
 from oracles import reference_dumps_canonical
 
 
@@ -442,6 +444,8 @@ class TestCliRuns:
          "0b7929ccf5126db3568d02ee511455c0dcfa3185e0db645b0c0367087b64f689"),
         ("resolution --support divisors:30 --primes 2,3,5 --max-degree 3",
          "895ab44dd4eb050f01784a022b0c1567602393d3741be280e160ffc713507345"),
+        ("resolution --support divisors:1155 --primes 3,5,7,11 --max-degree 2",
+         "0230ca127cd3bc4db9d21672c846b18a47adf9157a5365335f280533ab2cd7ee"),
         ("normal-basis --support divisors:840",
          "74d48834c4beb1222962554358877be2ee25b206e8ee46eb9dd1e02982f56d70"),
     ])
@@ -470,6 +474,29 @@ class TestCliRuns:
         assert code == 1
         assert "[FAIL] error: " in text
         assert text.splitlines()[-1] == "overall: FAILED"
+
+    @pytest.mark.parametrize("degree", ["0", "-1"])
+    def test_resolution_degree_is_refused_before_building(self, degree):
+        code, text = run(["resolution", "--support", "divisors:30", "--primes", "",
+                          "--max-degree", degree])
+        assert code == 1
+        assert "[FAIL] error: the resolution must be built to degree at least 1" in text
+
+    def test_resolution_builds_its_complex_once(self, monkeypatch):
+        # the checks and every witness read one complex, built to --max-degree
+        import cycrep.cli as cli
+        built = []
+
+        def counted(primes, max_degree, support):
+            built.append(max_degree)
+            return build_complex(primes, max_degree, support)
+
+        monkeypatch.setattr(cli, "build_complex", counted)
+        code, text = run(["resolution", "--support", "divisors:30", "--primes", "2,3,5",
+                          "--max-degree", "5"])
+        assert code == 0
+        assert text.count("witness cocycle is nontrivial") == 3
+        assert built == [5]
 
     @pytest.mark.parametrize("primes, problem", [
         ("1", "[1]"), ("2,4", "[4]"), ("", "no ambient primes"), (",", "no ambient primes"),
@@ -621,3 +648,43 @@ class TestVerbOptions:
                 "report"} <= verbs
         for argv in argvs:
             build_parser().parse_args(argv)
+
+
+VERBS = ["validate", "hom", "ext", "lim", "tau-ru", "normal-basis", "resolution", "report"]
+
+
+def _parser_outcome(parser, argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        parser.parse_args(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+class TestOneVerbParser:
+    """A parser built for the verb in argv[0] holds only that verb, and
+    prints its help and errors as the full parser does."""
+
+    @pytest.mark.parametrize("verb", VERBS)
+    @pytest.mark.parametrize("rest", [["-h"], [], ["--support", "divisors:6", "--bogus", "1"]])
+    def test_help_and_errors_match_the_full_parser(self, verb, rest, capsys):
+        argv = [verb] + rest
+        got = _parser_outcome(build_parser(argv), argv, capsys)
+        assert got == _parser_outcome(build_parser(), argv, capsys)
+        assert got[0] in (0, 2) and (got[1] or got[2])
+
+    @pytest.mark.parametrize("verb", VERBS)
+    def test_only_that_verb_is_built(self, verb, capsys):
+        other = "tau-ru" if verb != "tau-ru" else "hom"
+        parser = build_parser([verb])
+        code, _, err = _parser_outcome(parser, [other, "--support", "divisors:6"], capsys)
+        assert code == 2 and "invalid choice" in err
+
+    @pytest.mark.parametrize("argv", [[], ["-h"], ["--help"], ["bogus"], ["--format", "json"]])
+    def test_anything_else_gets_the_full_parser(self, argv, capsys):
+        got = _parser_outcome(build_parser(argv), argv, capsys)
+        assert got == _parser_outcome(build_parser(), argv, capsys)
+        parser = build_parser(argv)
+        for verb in VERBS:
+            assert parser.parse_args([verb, "--support", "divisors:6", "--source", "x"]
+                                     if verb in ("validate", "hom", "ext", "lim")
+                                     else [verb, "--support", "divisors:6"]).verb == verb
