@@ -8,9 +8,9 @@ invocation: 0 only when everything asked for passed.
 A soft size cap guards against accidentally huge computations (derived
 limit complexes grow with the chain count of the poset); it counts the
 matrix entries the planned computation will store, approximately or as a
-bound, and refuses loudly rather than thrash.  The bound for ``hom`` lives
-with ``hom_direct`` (``hom_ext._estimate_hom_entries``), over the same
-equations the solver writes.
+bound, and refuses loudly rather than thrash.  Both bounds live in
+``hom_ext`` beside what they charge: ``_estimate_hom_entries`` with
+``hom_direct``, ``_estimate_nerve_entries`` with ``nerve_complex``.
 """
 
 from __future__ import annotations
@@ -22,11 +22,12 @@ from typing import Any
 from .cyclic_site import SupportSet, divisor_closure, support_of_divisors, totient
 from .hom_ext import (
     _estimate_hom_entries,
+    _estimate_nerve_entries,
     dual_system,
     ext_via_resolution,
     hom_direct,
-    hom_via_limit,
     lim_derived,
+    limit_basis,
     sequential_lim1,
     tower_along_chain,
 )
@@ -115,8 +116,7 @@ class Report:
         return "\n".join(lines)
 
 
-def _cmd_validate(args, rep: Report) -> None:
-    support = parse_support(args.support)
+def _cmd_validate(args, support: SupportSet, rep: Report) -> None:
     try:
         x = load_module(args.source, support, args.prefer_file, args.seed)
     except InvalidModuleFile as exc:
@@ -128,29 +128,7 @@ def _cmd_validate(args, rep: Report) -> None:
     rep.check(f"module {args.source} valid over {list(support)}", not violations)
 
 
-def _estimate_nerve_entries(x, max_k: int) -> int:
-    """A bound on the nonzeros of the nerve complex ``lim_derived`` builds
-    for the dual of x up to degree max_k.
-
-    The degree-k differential has dim x(s0) rows per (k+2)-element chain
-    s = (s0, s1, ...), each with at most dim x(s1) entries from the face
-    that drops s0 and one from each of the other k+1 faces.  Chains are
-    counted by their first step and the number of chains of each length
-    that start at every level.
-    """
-    support = x.support
-    above = {n: [m for m in support.multiples_of(n) if m != n] for n in support}
-    starting = {m: 1 for m in support}  # chains with k+1 elements from m
-    total = 0
-    for k in range(max_k + 1):
-        total += sum(x.dim(n) * (x.dim(m) + k + 1) * starting[m]
-                     for n in support for m in above[n])
-        starting = {n: sum(starting[m] for m in above[n]) for n in support}
-    return total
-
-
-def _cmd_hom(args, rep: Report) -> None:
-    support = parse_support(args.support)
+def _cmd_hom(args, support: SupportSet, rep: Report) -> None:
     x = load_module(args.source, support, args.prefer_file, args.seed)
     y = load_module(args.target or "regular", support, args.prefer_file, args.seed)
     _check_size_cap(_estimate_hom_entries(x, y), args.size_cap, "the morphism system")
@@ -162,14 +140,12 @@ def _cmd_hom(args, rep: Report) -> None:
     rep.check("every basis morphism is equivariant and natural",
               not any(f.validate() for f in hs.basis))
     if (args.target or "regular") == "regular":
-        hl = hom_via_limit(x)
+        hl = len(limit_basis(dual_system(x)))  # not rebuilt as morphisms
         rep.check("direct solve agrees with the inverse-limit route",
-                  hl.dimension == hs.dimension,
-                  dims=[hs.dimension, hl.dimension])
+                  hl == hs.dimension, dims=[hs.dimension, hl])
 
 
-def _cmd_ext(args, rep: Report) -> None:
-    support = parse_support(args.support)
+def _cmd_ext(args, support: SupportSet, rep: Report) -> None:
     x = load_module(args.source, support, args.prefer_file, args.seed)
     target_name = args.target or "regular"
     y = load_module(target_name, support, args.prefer_file, args.seed)
@@ -188,8 +164,7 @@ def _cmd_ext(args, rep: Report) -> None:
                   lims == dims, dims=lims)
 
 
-def _cmd_lim(args, rep: Report) -> None:
-    support = parse_support(args.support)
+def _cmd_lim(args, support: SupportSet, rep: Report) -> None:
     x = load_module(args.source, support, args.prefer_file, args.seed)
     _check_size_cap(_estimate_nerve_entries(x, args.max_degree), args.size_cap,
                     "the nerve complex")
@@ -201,16 +176,14 @@ def _cmd_lim(args, rep: Report) -> None:
     rep.check("differential squares to zero", out.complex.check_d_squared())
 
 
-def _cmd_tau_ru(args, rep: Report) -> None:
-    support = parse_support(args.support)
+def _cmd_tau_ru(args, support: SupportSet, rep: Report) -> None:
     dims = {n: tau_level(n).dim for n in support}
     rep.value("dims", {str(n): d for n, d in dims.items()})
     rep.check("quotient dimension equals the totient at every level",
               all(d == totient(n) for n, d in dims.items()))
 
 
-def _cmd_normal_basis(args, rep: Report) -> None:
-    support = parse_support(args.support)
+def _cmd_normal_basis(args, support: SupportSet, rep: Report) -> None:
     r = normal_basis_report(support)
     rep.value("ranks", {str(l.level): (l.dim if l.invertible else -1) for l in r.levels})
     rep.value("isomorphism", r.ok)
@@ -229,8 +202,7 @@ def _cmd_normal_basis(args, rep: Report) -> None:
         rep.check("unscaled family fails restriction compatibility", bool(failing))
 
 
-def _cmd_resolution(args, rep: Report) -> None:
-    support = parse_support(args.support)
+def _cmd_resolution(args, support: SupportSet, rep: Report) -> None:
     try:
         primes = [int(p) for p in args.primes.split(",") if p.strip()]
     except ValueError:
@@ -248,8 +220,7 @@ def _cmd_resolution(args, rep: Report) -> None:
                   dims=[w.hom_below_dim])
 
 
-def _cmd_report(args, rep: Report) -> None:
-    support = parse_support(args.support)
+def _cmd_report(args, support: SupportSet, rep: Report) -> None:
     reg = regular_module(support)
     rep.check("regular module valid", not validate(reg))
     rep.check("normal basis isomorphism", normal_basis_report(support).ok)
@@ -259,7 +230,7 @@ def _cmd_report(args, rep: Report) -> None:
         # only the dimensions are checked: each Hom basis is dropped as soon
         # as it is counted, so no two are ever held at once
         hd = hom_direct(x, reg).dimension
-        hl = hom_via_limit(x).dimension
+        hl = len(limit_basis(dual_system(x)))
         rep.check(f"hom oracle agreement for {name}", hd == hl, dims=[hd, hl])
         k = min(args.max_degree, 2)
         dims = ext_via_resolution(x, reg, k)
@@ -354,7 +325,7 @@ def run(argv: list[str]) -> tuple[int, str]:
     args = build_parser(argv).parse_args(argv)
     rep = Report()
     try:
-        _VERBS[args.verb][0](args, rep)
+        _VERBS[args.verb][0](args, parse_support(args.support), rep)
     except (ValueError, FileNotFoundError, SizeCapExceeded) as exc:
         rep.check(f"error: {exc}", False)
         return 1, rep.emit(args.format)

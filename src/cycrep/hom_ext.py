@@ -333,6 +333,15 @@ def nerve_complex(d: InverseSystem, max_k: int) -> tuple[CochainComplex, list[li
     return CochainComplex(diffs), all_chains
 
 
+def _estimate_nerve_entries(x: OutCycModule, max_k: int) -> int:
+    """A bound on the nonzeros of ``nerve_complex(dual_system(x), max_k)``:
+    the degree-k differential has dim x(s0) rows per (k+2)-element chain s,
+    each with at most dim x(s1) entries from the face that drops s0 and one
+    from each of the other k+1 faces."""
+    return sum(x.dim(s[0]) * (x.dim(s[1]) + k + 1)
+               for k in range(max_k + 1) for s in _chains(x.support, k + 2))
+
+
 class DerivedLimit(NamedTuple):
     dims: list[int]
     witnesses: list[list[list[Entry]]]

@@ -533,11 +533,28 @@ def _induced_on_subspace(basis_n: QMatrix, basis_m: QMatrix, carrier: QMatrix) -
     return x
 
 
-def _induced_action(n: int, d: int, solve_at: Callable[[int], QMatrix]) -> dict[int, QMatrix]:
-    """An induced action of units(n) on a d-dimensional space, stored at
-    its generators (solved) and at 1 (the identity); ``OutCycModule.action``
-    completes the other units by products when one is asked for."""
-    return {1: QMatrix.identity(d), **{g: solve_at(g) for g in units(n).generators()}}
+def _induced_module(ambient: OutCycModule, dims: dict[int, int],
+                    induced: Callable[[int, int, QMatrix], QMatrix], name: str) -> OutCycModule:
+    """The module on ``dims`` whose structure ``induced(a, b, carrier)``
+    solves from the ambient matrix carrier, level a to level b: on every
+    covering pair, and with a == b at the generators of units(a) only.
+
+    Each level table stores those and 1; ``OutCycModule.action`` completes
+    any other unit on request by the products A(g*l) = A(g) A(l) along
+    ``UnitsGroup.walk``.  The completion is exact and gives the matrices a
+    solve at every unit would: from B X(g) = A(g) B and B X(l) = A(l) B
+    follows B X(g) X(l) = A(g*l) B, and that solution is unique (dually on
+    a quotient).  Nothing is left unchecked either: the group is finite, so
+    every unit is a product of generators, and a subspace the generators
+    preserve is preserved by every unit.
+    """
+    support = ambient.support
+    actions = {n: {1: QMatrix.identity(dims[n]),
+                   **{g: induced(n, n, ambient.action(n, g)) for g in units(n).generators()}}
+               for n in support}
+    restrictions = {(a, b): induced(a, b, ambient.restriction_step(a, b))
+                    for a, b in support.covering_pairs()}
+    return OutCycModule(support, dims, actions, restrictions, name=name)
 
 
 def cokernel_projection(f: ModuleMorphism) -> ModuleMorphism:
@@ -546,29 +563,17 @@ def cokernel_projection(f: ModuleMorphism) -> ModuleMorphism:
     The cokernel module is the projection's target.  Under the
     precondition of ``morphism_factor`` the actions and restrictions of
     f's target descend to it, each as the unique solution of its commuting
-    square (the projections have independent rows); the action is solved
-    at the generators of each units(n) only and stored with 1, and
-    ``OutCycModule.action`` completes the other units on request.
+    square (the projections have independent rows), by ``_induced_module``.
     """
     src, tgt = f.source, f.target
-    support = src.support
-    cok_data = {n: cokernel(f.mats[n]) for n in support}
-
-    def quotient_induced(p_n: QMatrix, p_m: QMatrix, carrier: QMatrix) -> QMatrix:
-        x = solve_matrix(p_n.transpose(), (p_m @ carrier).transpose())
-        if x is None:
-            raise ValueError("carrier does not descend to the quotient")
-        return x.transpose()
-
-    cok_dims = {n: cok_data[n][1] for n in support}
-    cok_actions = {n: _induced_action(n, cok_dims[n], lambda g: quotient_induced(
-                       cok_data[n][0], cok_data[n][0], tgt.action(n, g))) for n in support}
-    cok_restrictions = {(a, b): quotient_induced(cok_data[a][0], cok_data[b][0],
-                                                 tgt.restriction_step(a, b))
-                        for a, b in support.covering_pairs()}
-    cokernel_mod = OutCycModule(support, cok_dims, cok_actions, cok_restrictions,
-                                name=f"coker({src.name}->{tgt.name})")
-    return ModuleMorphism(tgt, cokernel_mod, {n: cok_data[n][0] for n in support})
+    cok = {n: cokernel(f.mats[n]) for n in src.support}
+    rows = {n: p.transpose() for n, (p, _) in cok.items()}
+    # X P_a == P_b C, transposed into a subspace solve on the projections' rows
+    cokernel_mod = _induced_module(
+        tgt, {n: d for n, (_, d) in cok.items()},
+        lambda a, b, c: _induced_on_subspace(rows[b], rows[a], c.transpose()).transpose(),
+        f"coker({src.name}->{tgt.name})")
+    return ModuleMorphism(tgt, cokernel_mod, {n: p for n, (p, _) in cok.items()})
 
 
 def morphism_factor(f: ModuleMorphism) -> MorphismFactorization:
@@ -579,19 +584,8 @@ def morphism_factor(f: ModuleMorphism) -> MorphismFactorization:
     kernel and the image, naturality makes the restrictions carry them, and
     both descend to the cokernel; each induced matrix is the unique
     solution of its commuting square (the bases have independent columns,
-    the projections independent rows).
-
-    Restrictions are solved on every covering pair.  The action of units(n)
-    is solved only at the generators of units(n), and the kernel, image and
-    cokernel store just those and 1; ``OutCycModule.action`` completes any
-    other unit on request by the products A(g*l) = A(g) A(l) along
-    ``UnitsGroup.walk``.  The completion is exact and gives the matrices a
-    solve at every unit would: from B X(g) = A(g) B and B X(l) = A(l) B
-    follows B X(g) X(l) = A(g*l) B, and that solution is unique (dually on
-    the cokernel).  Nothing is left unchecked either: the group is finite,
-    so every unit is a product of generators, and a subspace the
-    generators preserve is preserved by every unit.  The cokernel and its
-    projection are ``cokernel_projection``'s.
+    the projections independent rows), by ``_induced_module``.  The
+    cokernel and its projection are ``cokernel_projection``'s.
     """
     src, tgt = f.source, f.target
     support = src.support
@@ -600,13 +594,8 @@ def morphism_factor(f: ModuleMorphism) -> MorphismFactorization:
     img_data = {n: column_space_basis(f.mats[n]) for n in support}
 
     def sub_module(bases: dict[int, QMatrix], ambient: OutCycModule, name: str) -> OutCycModule:
-        dims = {n: bases[n].cols for n in support}
-        actions = {n: _induced_action(n, dims[n], lambda g: _induced_on_subspace(
-                       bases[n], bases[n], ambient.action(n, g))) for n in support}
-        restrictions = {(a, b): _induced_on_subspace(bases[a], bases[b],
-                                                     ambient.restriction_step(a, b))
-                        for a, b in support.covering_pairs()}
-        return OutCycModule(support, dims, actions, restrictions, name=name)
+        return _induced_module(ambient, {n: bases[n].cols for n in support},
+                               lambda a, b, c: _induced_on_subspace(bases[a], bases[b], c), name)
 
     kernel_mod = sub_module(ker_basis, src, f"ker({src.name}->{tgt.name})")
     image_mod = sub_module({n: img_data[n][0] for n in support}, tgt,

@@ -1136,6 +1136,23 @@ def dense_hom_cochain(steps, y, support) -> list[QMatrix]:
     return diffs
 
 
+def reference_nerve_entries(x, max_k: int) -> int:
+    """The nerve size bound as the CLI once counted it, with its own
+    recursion instead of ``_chains``: the degree-k differential has dim x(n)
+    rows per (k+2)-element chain (n, m, ...), each with at most dim x(m) + k
+    + 1 entries, and the chains are counted by their first step and the
+    number of chains of each length that start at every level."""
+    support = x.support
+    above = {n: [m for m in support.multiples_of(n) if m != n] for n in support}
+    starting = {m: 1 for m in support}  # chains with k+1 elements from m
+    total = 0
+    for k in range(max_k + 1):
+        total += sum(x.dim(n) * (x.dim(m) + k + 1) * starting[m]
+                     for n in support for m in above[n])
+        starting = {n: sum(starting[m] for m in above[n]) for n in support}
+    return total
+
+
 def dense_nerve_complex(d, max_k: int):
     """The nerve cochain complex of ``d`` with dense differentials: one
     ``QMatrix.zeros`` per degree, filled chain by chain, with the composite

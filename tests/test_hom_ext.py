@@ -22,6 +22,7 @@ from cycrep.hom_ext import (
     CochainComplex,
     _ModuleStage,
     _SpanTracker,
+    _estimate_nerve_entries,
     _hom_cochain,
     _hom_rows,
     _offsets,
@@ -42,6 +43,7 @@ from oracles import (DenseSpanTracker, all_units_candidates, averaged_equivarian
                      equivariant_basis, flat_entries, fraction_hom_rows,
                      fraction_morphism_violations,
                      greedy_resolve, limit_family_compatible, reference_hom_via_limit_mats,
+                     reference_nerve_entries,
                      scaled_sum_hom_direct, scramble, simple_module, stacked_matrix,
                      tracker_witnesses, witnesses_by_solve)
 
@@ -536,6 +538,20 @@ class TestSparseNerveAgainstDenseOracle:
            st.integers(0, 10 ** 6))
     def test_random_sources(self, support, seed):
         self.assert_same_nerve(random_module(support, seed))
+
+
+class TestNerveEstimateAgainstChainCounting:
+    """``_estimate_nerve_entries`` sums over the chains ``nerve_complex``
+    enumerates; the reference counts them with a recursion of its own."""
+
+    @pytest.mark.parametrize("support", [S12, support_of_divisors(30),
+                                         support_of_divisors(360), support_of_divisors(2520),
+                                         SupportSet([1, 2, 3, 5, 6, 10, 15])])
+    def test_regular_random_and_atomic(self, support):
+        for x in [regular_module(support), random_module(support, 7),
+                  atomic_module(1, 1, support), atomic_module(max(support), 2, support)]:
+            for k in range(4):
+                assert _estimate_nerve_entries(x, k) == reference_nerve_entries(x, k), (x, k)
 
 
 def qmatrix_sizes(monkeypatch) -> list[int]:

@@ -11,7 +11,8 @@ from hypothesis import example, given, settings, strategies as st
 from cycrep.cyclic_site import SupportSet, support_of_divisors
 from cycrep.linalg import QMatrix
 from cycrep.cyclic_site import units
-from cycrep.hom_ext import _estimate_hom_entries, dual_system, hom_direct, lim_derived
+from cycrep.hom_ext import (_estimate_hom_entries, _estimate_nerve_entries, dual_system,
+                            hom_direct, lim_derived)
 from cycrep.modules import (atomic_module, direct_sum, free_module, random_module,
                             regular_module, semifree_module)
 from cycrep.rep_ring import RUElement
@@ -28,8 +29,7 @@ from cycrep.serialize import (
     load_module,
     dumps_canonical,
 )
-from cycrep.cli import (DEFAULT_SIZE_CAP, _estimate_nerve_entries,
-                        build_parser, parse_support, run)
+from cycrep.cli import DEFAULT_SIZE_CAP, build_parser, parse_support, run
 from cycrep.resolution import build_complex
 
 from oracles import reference_dumps_canonical
@@ -348,6 +348,18 @@ class TestParseSupport:
             parse_support(spec)
         code, text = run(["tau-ru", "--support", spec])
         assert code == 1 and f"error: malformed support spec {spec!r}" in text
+
+    @pytest.mark.parametrize("argv", [["validate", "--source", "regular"],
+                                      ["hom", "--source", "regular"],
+                                      ["ext", "--source", "regular"],
+                                      ["lim", "--source", "regular"],
+                                      ["tau-ru"], ["normal-basis"], ["resolution"], ["report"]])
+    @pytest.mark.parametrize("spec, error", [("divisors:0", "n must be positive"),
+                                             ("1,x", "malformed support spec '1,x'")])
+    def test_every_verb_refuses_a_bad_support(self, argv, spec, error):
+        # ``run`` parses the support once, for every verb, before any work
+        code, text = run([argv[0], "--support", spec, *argv[1:]])
+        assert (code, text) == (1, f"[FAIL] error: {error}\noverall: FAILED")
 
     @pytest.mark.parametrize("spec", ["2,x", "x", "2;3", "2.0"])
     def test_malformed_primes_name_the_spec(self, spec):
