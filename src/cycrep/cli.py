@@ -118,7 +118,7 @@ class Report:
 
 def _cmd_validate(args, support: SupportSet, rep: Report) -> None:
     try:
-        x = load_module(args.source, support, args.prefer_file, args.seed)
+        x = load_module(args.source, support)
     except InvalidModuleFile as exc:
         violations = exc.violations
     else:
@@ -129,13 +129,15 @@ def _cmd_validate(args, support: SupportSet, rep: Report) -> None:
 
 
 def _cmd_hom(args, support: SupportSet, rep: Report) -> None:
-    x = load_module(args.source, support, args.prefer_file, args.seed)
-    y = load_module(args.target or "regular", support, args.prefer_file, args.seed)
+    x = load_module(args.source, support)
+    y = load_module(args.target or "regular", support)
     _check_size_cap(_estimate_hom_entries(x, y), args.size_cap, "the morphism system")
     hs = hom_direct(x, y)
     rep.value("dim", hs.dimension)
-    basis = [morphism_to_json(f.source.name, f.target.name, f.mats) for f in hs.basis]
-    rep.value("results", results_to_json([hs.dimension], basis))
+    if args.format == "json":
+        # the basis morphisms; text output would print only their length
+        basis = [morphism_to_json(f.source.name, f.target.name, f.mats) for f in hs.basis]
+        rep.value("results", results_to_json([hs.dimension], basis))
     rep.check("morphism space computed", True, dims=[hs.dimension])
     rep.check("every basis morphism is equivariant and natural",
               not any(f.validate() for f in hs.basis))
@@ -146,9 +148,9 @@ def _cmd_hom(args, support: SupportSet, rep: Report) -> None:
 
 
 def _cmd_ext(args, support: SupportSet, rep: Report) -> None:
-    x = load_module(args.source, support, args.prefer_file, args.seed)
+    x = load_module(args.source, support)
     target_name = args.target or "regular"
-    y = load_module(target_name, support, args.prefer_file, args.seed)
+    y = load_module(target_name, support)
     k = args.max_degree
     # the resolution route stores sparse rows only; the nerve complex of the
     # derived-limit cross-check is what the cap charges
@@ -165,7 +167,7 @@ def _cmd_ext(args, support: SupportSet, rep: Report) -> None:
 
 
 def _cmd_lim(args, support: SupportSet, rep: Report) -> None:
-    x = load_module(args.source, support, args.prefer_file, args.seed)
+    x = load_module(args.source, support)
     _check_size_cap(_estimate_nerve_entries(x, args.max_degree), args.size_cap,
                     "the nerve complex")
     out = lim_derived(dual_system(x), args.max_degree)
@@ -224,17 +226,20 @@ def _cmd_report(args, support: SupportSet, rep: Report) -> None:
     reg = regular_module(support)
     rep.check("regular module valid", not validate(reg))
     rep.check("normal basis isomorphism", normal_basis_report(support).ok)
-    names = ["regular", "tauRU"] + [f"random:{i}" for i in range(3)]
-    for name in names:
-        x = load_module(name, support, seed=args.seed)
+    # each label and the operand it names: random:i is seeded at --seed + i
+    operands = {"regular": "regular", "tauRU": "tauRU"}
+    operands.update({f"random:{i}": f"random:{args.seed + i}" for i in range(3)})
+    for name, spec in operands.items():
+        x = reg if spec == "regular" else load_module(spec, support)
+        dx = dual_system(x)
         # only the dimensions are checked: each Hom basis is dropped as soon
         # as it is counted, so no two are ever held at once
         hd = hom_direct(x, reg).dimension
-        hl = len(limit_basis(dual_system(x)))
+        hl = len(limit_basis(dx))
         rep.check(f"hom oracle agreement for {name}", hd == hl, dims=[hd, hl])
         k = min(args.max_degree, 2)
         dims = ext_via_resolution(x, reg, k)
-        lims = lim_derived(dual_system(x), k).dims
+        lims = lim_derived(dx, k).dims
         rep.check(f"ext/derived-limit agreement for {name}", dims == lims, dims=dims)
     chain = support.chain(1, max(support))
     tower = tower_along_chain(dual_system(reg), chain)
@@ -251,18 +256,16 @@ def _common(p: argparse.ArgumentParser, source: bool = False, target: bool = Fal
     if source:
         p.add_argument("--source", required=True,
                        help="built-in name (regular, tauRU, free:n, semifree:n, "
-                            "atomic:n:d, random:n) or a module JSON file")
+                            "atomic:n:d, random:n) or a module JSON file; "
+                            "write ./name for a file named like a built-in")
     if target:
         p.add_argument("--target", default=None, help="like --source; default regular")
     if degree:
         p.add_argument("--max-degree", type=int, default=3)
     p.add_argument("--format", choices=["text", "json"], default="text")
-    if source or seed:
+    if seed:
         p.add_argument("--seed", type=int, default=0,
                        help="seed for randomized property batteries")
-    if source:
-        p.add_argument("--prefer-file", action="store_true",
-                       help="let a file path shadow a built-in module name")
     if cap:
         p.add_argument("--size-cap", type=int, default=DEFAULT_SIZE_CAP,
                        help="maximum matrix entries per computation")

@@ -216,17 +216,6 @@ def hom_direct(x: OutCycModule, y: OutCycModule) -> HomSpace:
 # Hom through the inverse limit of the dual system
 # ---------------------------------------------------------------------------
 
-def _difference_rows(oa: int, s: QMatrix, ob: int) -> list[dict[int, Entry]]:
-    """The rows of x_a - S x_b, one per row of S, with x_a and x_b stored
-    from the offsets oa and ob."""
-    rows = []
-    for i, s_row in enumerate(s.data):
-        row: dict[int, Entry] = {ob + j: -v for j, v in s_row.items()}
-        row[oa + i] = _F1
-        rows.append(row)
-    return rows
-
-
 def limit_basis(d: InverseSystem) -> list[dict[int, list[Entry]]]:
     """Basis of the inverse limit: compatible families, one form per level.
 
@@ -237,7 +226,11 @@ def limit_basis(d: InverseSystem) -> list[dict[int, list[Entry]]]:
     offsets, total = _offsets(d.support, d.dim)
     rows: list[dict[int, Entry]] = []
     for n, m in d.support.covering_pairs():
-        rows.extend(_difference_rows(offsets[n], d.structure_step(n, m), offsets[m]))
+        on, om = offsets[n], offsets[m]
+        for i, s_row in enumerate(d.structure_step(n, m).data):
+            row: dict[int, Entry] = {om + j: -v for j, v in s_row.items()}
+            row[on + i] = _F1
+            rows.append(row)
     vecs, _ = sparse_kernel(rows, total)
     return [{n: [vec.get(offsets[n] + i, _F0) for i in range(d.dim(n))] for n in d.support}
             for vec in vecs]
@@ -402,11 +395,14 @@ class TowerReport(NamedTuple):
 def sequential_lim1(dims: Sequence[int], maps: Sequence[QMatrix]) -> TowerReport:
     """lim and lim^1 of a finite tower D_0 <- D_1 <- ... <- D_K.
 
-    maps[k] is the structure map D_{k+1} -> D_k.  The two-term complex sends
-    a family (x_k) to the differences (x_k - d(x_{k+1})) for k < K; the top
-    coordinate of a finite tower is unconstrained.  The Mittag-Leffler flag
-    reports whether every structure map is surjective, which is the finite
-    shadow of the image-stabilization condition.
+    maps[k] is the structure map D_{k+1} -> D_k.  lim and lim^1 are the
+    kernel and cokernel of the difference map (x_k) -> (x_k - d_k x_{k+1}),
+    k < K, which is onto for every finite tower: given the differences, set
+    x_K = 0 and solve downward.  So lim is D_K, a family being fixed by its
+    top coordinate, and lim^1 is 0, whatever the maps (Weibel, An
+    Introduction to Homological Algebra, 3.5).  The one thing left to
+    compute is the Mittag-Leffler flag: whether every structure map is
+    onto, the finite shadow of the image-stabilization condition.
     """
     if len(maps) != len(dims) - 1:
         raise ValueError("a tower with k+1 spaces needs k maps")
@@ -414,16 +410,8 @@ def sequential_lim1(dims: Sequence[int], maps: Sequence[QMatrix]) -> TowerReport
         if m.shape() != (dims[k], dims[k + 1]):
             raise ValueError(f"map {k} has shape {m.shape()}, expected "
                              f"{(dims[k], dims[k + 1])}")
-    top = len(dims) - 1
-    offsets, total_src = _offsets(range(len(dims)), dims.__getitem__)
-    total_tgt = total_src - dims[top]
-    rows: list[dict[int, Entry]] = []
-    for k in range(top):
-        rows.extend(_difference_rows(offsets[k], maps[k], offsets[k + 1]))
-    phi = QMatrix.from_row_dicts(rows, total_src)
-    r = rank(phi)
     ml = all(rank(m) == dims[k] for k, m in enumerate(maps))
-    return TowerReport(lim_dim=total_src - r, lim1_dim=total_tgt - r, mittag_leffler=ml)
+    return TowerReport(lim_dim=dims[-1], lim1_dim=0, mittag_leffler=ml)
 
 
 def tower_along_chain(d: InverseSystem, chain: Sequence[int]) -> tuple[list[int], list[QMatrix]]:

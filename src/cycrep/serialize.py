@@ -227,12 +227,13 @@ def _parse_builtin(name: str) -> tuple[str, list[int]] | None:
 
 def is_builtin_name(name: str) -> bool:
     """Whether ``module_from_name`` reads the name as a built-in, so that a
-    file of that name is loaded only when files are preferred."""
+    file of that name loads only under a path with a directory part."""
     return _parse_builtin(name) is not None
 
 
-def module_from_name(name: str, support: SupportSet, seed: int = 0) -> OutCycModule:
-    """Resolve a built-in constructor name over the given support."""
+def module_from_name(name: str, support: SupportSet) -> OutCycModule:
+    """Resolve a built-in constructor name over the given support;
+    ``random:n`` is ``random_module(support, n)``."""
     parsed = _parse_builtin(name)
     if parsed is None:
         raise ValueError(f"unknown module name {name!r}; built-ins: {', '.join(BUILTIN_NAMES)}")
@@ -247,7 +248,7 @@ def module_from_name(name: str, support: SupportSet, seed: int = 0) -> OutCycMod
         return semifree_module(args[0], support)
     if head == "atomic":
         return atomic_module(args[0], args[1], support)
-    return random_module(support, seed + args[0])
+    return random_module(support, args[0])
 
 
 class InvalidModuleFile(ValueError):
@@ -259,29 +260,28 @@ class InvalidModuleFile(ValueError):
         self.violations = violations
 
 
-def load_module(spec: str, support: SupportSet, prefer_file: bool = False,
-                seed: int = 0) -> OutCycModule:
-    """Built-in names resolve before file paths unless a file is preferred.
+def load_module(spec: str, support: SupportSet) -> OutCycModule:
+    """A built-in name, else a module JSON file.
 
+    A spec that spells a built-in in full is one, even when a file of that
+    name exists; write such a file with a directory part (``./regular``).
     A module read from a file is parsed strictly and then validated
     (``validate``, exact); a path that cannot be read as a file (a
     directory, say), a malformed file or any violation raises
     ``InvalidModuleFile`` carrying the list of problems.
     """
     import os
-    if not prefer_file and is_builtin_name(spec):
-        return module_from_name(spec, support, seed)
-    if os.path.exists(spec):
-        try:
-            with open(spec) as fh:
-                x = module_from_json(json.load(fh))
-        except (OSError, ValueError) as exc:
-            raise InvalidModuleFile(spec, [str(exc)]) from None
-        if x.support != support:
-            raise ValueError(f"module file support {list(x.support)} does not match "
-                             f"requested support {list(support)}")
-        violations = validate(x)
-        if violations:
-            raise InvalidModuleFile(spec, violations)
-        return x
-    return module_from_name(spec, support, seed)
+    if is_builtin_name(spec) or not os.path.exists(spec):
+        return module_from_name(spec, support)
+    try:
+        with open(spec) as fh:
+            x = module_from_json(json.load(fh))
+    except (OSError, ValueError) as exc:
+        raise InvalidModuleFile(spec, [str(exc)]) from None
+    if x.support != support:
+        raise ValueError(f"module file support {list(x.support)} does not match "
+                         f"requested support {list(support)}")
+    violations = validate(x)
+    if violations:
+        raise InvalidModuleFile(spec, violations)
+    return x

@@ -18,7 +18,8 @@ from math import gcd
 from typing import Sequence
 
 from cycrep.cyclic_site import factorization, reduce_unit, totient, unit_reduction, units
-from cycrep.hom_ext import CochainComplex, HomSpace, ResolutionStep, _chains, _SpanTracker
+from cycrep.hom_ext import (CochainComplex, HomSpace, ResolutionStep, TowerReport, _chains,
+                            _SpanTracker)
 from cycrep.linalg import (Entry, QMatrix, RatLike, _int_row, _kernel_vectors, _reduce, cokernel,
                            column_space_basis, hstack, kernel_basis, kronecker, rat, rat_to_str,
                            rank, solve, solve_matrix)
@@ -1652,6 +1653,29 @@ def dense_limit_basis(d: InverseSystem) -> list[dict[int, list[Fraction]]]:
         fam = {n: [kb[offsets[n] + i, k] for i in range(d.dim(n))] for n in levels}
         out.append(fam)
     return out
+
+
+def eliminating_sequential_lim1(dims: Sequence[int], maps: Sequence[QMatrix]) -> TowerReport:
+    """lim and lim^1 of a finite tower by eliminating its difference map.
+
+    maps[k] is D_{k+1} -> D_k; the map sends (x_0, ..., x_K) to the
+    differences (x_k - maps[k] x_{k+1}) for k < K.  lim is its kernel and
+    lim^1 its cokernel, both read from one rank; the Mittag-Leffler flag is
+    whether every map is onto.  ``hom_ext.sequential_lim1`` returns the
+    closed form; this is the elimination it replaced.
+    """
+    offsets = [sum(dims[:k]) for k in range(len(dims) + 1)]
+    total_src = offsets[-1]
+    total_tgt = total_src - dims[-1]
+    rows: list[dict[int, Entry]] = []
+    for k, m in enumerate(maps):
+        for i, s_row in enumerate(m.data):
+            row: dict[int, Entry] = {offsets[k + 1] + j: -v for j, v in s_row.items()}
+            row[offsets[k] + i] = F1
+            rows.append(row)
+    r = rank(QMatrix.from_row_dicts(rows, total_src))
+    ml = all(rank(m) == dims[k] for k, m in enumerate(maps))
+    return TowerReport(lim_dim=total_src - r, lim1_dim=total_tgt - r, mittag_leffler=ml)
 
 
 # --- the normal-basis pipeline in Fraction arithmetic: every classifier

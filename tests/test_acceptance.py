@@ -52,7 +52,7 @@ from cycrep.rep_ring import (
 )
 from cycrep.resolution import build_complex, nontrivial_ext_witness, verify_resolution
 
-from oracles import stacked_matrix
+from oracles import eliminating_sequential_lim1, stacked_matrix
 
 
 def _passed(n: int, text: str) -> None:
@@ -277,6 +277,7 @@ def test_criterion_12_surjective_towers_have_no_lim1():
         for chain in chains:
             dims, maps = tower_along_chain(d, chain)
             rep = sequential_lim1(dims, maps)
+            assert rep == eliminating_sequential_lim1(dims, maps), (n_top, chain)
             assert rep.mittag_leffler, (n_top, chain)
             assert rep.lim1_dim == 0, (n_top, chain)
     _passed(12, "dual towers of the regular module along divisibility chains "

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import prod
 
@@ -40,6 +41,7 @@ from cycrep.rep_ring import tau_ru_module
 from cycrep.resolution import build_complex
 from oracles import (DenseSpanTracker, all_units_candidates, averaged_equivariant_basis,
                      dense_hom_cochain, dense_limit_basis, dense_nerve_complex, dense_resolve_by_representables,
+                     eliminating_sequential_lim1,
                      equivariant_basis, flat_entries, fraction_hom_rows,
                      fraction_morphism_violations,
                      greedy_resolve, limit_family_compatible, reference_hom_via_limit_mats,
@@ -972,6 +974,26 @@ class TestSequentialTowers:
         i = QMatrix.identity(1)
         rep = sequential_lim1([1, 1, 1], [i, i])
         assert rep.lim_dim == 1 and rep.lim1_dim == 0 and rep.mittag_leffler
+
+    def test_closed_form_agrees_with_elimination(self):
+        # 1,200 seeded towers of 1 to 6 spaces, some zero-dimensional, with
+        # zero maps, maps that are not onto and maps that are
+        rng = random.Random(26)
+        flags = set()
+        for _ in range(1200):
+            dims = [rng.randint(0, 3) for _ in range(rng.randint(1, 6))]
+            maps = []
+            for k in range(len(dims) - 1):
+                shape = (dims[k], dims[k + 1])
+                if rng.random() < 0.2:
+                    maps.append(QMatrix.zeros(*shape))
+                else:
+                    maps.append(QMatrix(*shape, [rng.choice([-2, -1, 0, 0, 1, 3, Fraction(1, 2)])
+                                                 for _ in range(shape[0] * shape[1])]))
+            got = sequential_lim1(dims, maps)
+            assert got == eliminating_sequential_lim1(dims, maps), (dims, maps)
+            flags.add(got.mittag_leffler)
+        assert flags == {True, False}
 
     def test_shape_guards(self):
         with pytest.raises(ValueError):

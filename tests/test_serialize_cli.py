@@ -302,8 +302,8 @@ class TestBuiltinNames:
         os.chdir(tmp_path)
         try:
             assert load_module("regular", s).name == "regular"  # built-in wins
-            loaded = load_module("regular", s, prefer_file=True)
-            assert loaded == custom                             # flag flips it
+            loaded = load_module("./regular", s)
+            assert loaded == custom                             # a path is a file
         finally:
             os.chdir(cwd)
 
@@ -316,8 +316,29 @@ class TestBuiltinNames:
             direct_sum([atomic_module(2, 1, s)], name="from-file"))))
         monkeypatch.chdir(tmp_path)
         assert (load_module(name, s).name != "from-file") == builtin
-        assert load_module(name, s, prefer_file=True).name == "from-file"
+        assert load_module(f"./{name}", s).name == "from-file"
         code, text = run(["validate", "--support", "divisors:4", "--source", name])
+        assert code == 0 and text.splitlines()[-1] == "overall: ok"
+
+    def test_a_path_loads_the_file_and_the_bare_name_the_builtin(self, tmp_path, monkeypatch):
+        # a file named "regular" that holds an atom: the bare name is the
+        # built-in, the path with a directory part is the file
+        s = support_of_divisors(4)
+        reg, atom = regular_module(s), atomic_module(2, 1, s)
+        (tmp_path / "regular").write_text(dumps_canonical(module_to_json(atom)))
+        monkeypatch.chdir(tmp_path)
+        seen = []
+        for spec, x in [("regular", reg), ("./regular", atom)]:
+            code, text = run(["hom", "--support", "divisors:4", "--source", spec,
+                              "--format", "json"])
+            assert code == 0 and json.loads(text)["values"]["dim"] == hom_direct(x, reg).dimension
+            code, text = run(["lim", "--support", "divisors:4", "--source", spec,
+                              "--max-degree", "1", "--format", "json"])
+            dims = json.loads(text)["values"]["dims"]
+            assert code == 0 and dims == lim_derived(dual_system(x), 1).dims
+            seen.append(dims)
+        assert seen[0] != seen[1]
+        code, text = run(["validate", "--support", "divisors:4", "--source", "./regular"])
         assert code == 0 and text.splitlines()[-1] == "overall: ok"
 
     def test_builtin_names_are_the_constructible_ones(self):
@@ -469,6 +490,38 @@ class TestCliRuns:
         assert code == 0
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("command, digest", [
+        # (n, s) = (0, 5), source and target
+        ("hom --support divisors:12 --source random:5 --target random:5 --format json",
+         "6236ea91ffb7093c250bbb2b794b9e0def241a993f330bc5b3bb160b0574a745"),
+        # (2, -1)
+        ("hom --support divisors:6 --source random:1 --format json",
+         "a57ef53e118a4b214b8e8790d3e1be0641b6f512d7d55e5d92a3bb1d46c60758"),
+        ("ext --support divisors:12 --max-degree 2 --source random:1",
+         "60b723f3f62d8b4b71ef75758ab1132b2af9fb364d4d4ffbfc46f8bcb79205c7"),
+        ("ext --support divisors:12 --max-degree 2 --source random:1 --format json",
+         "ea5fd0454455208768c3fccfcbaf33bdb58729df4bb934ab3bcdf028972d6410"),
+        # (1, 3)
+        ("lim --support divisors:12 --max-degree 2 --source random:4",
+         "1882e15206734fcabc406f039c6d4633622a260d1cd943f8784446b85d5e6353"),
+        ("lim --support divisors:12 --max-degree 2 --source random:4 --format json",
+         "88794fb0fab3a495e2a930fa438fbba917b5c8f32ac820fffa6cd95ec93f1f06"),
+        # report keeps --seed s, and its battery's random:i is seeded at s + i
+        ("report --support divisors:12 --seed 7 --format json",
+         "be36d8e9e6a6d09d384e359d17e332a366a0a16f395539649f2447f7a657037a"),
+        ("report --support divisors:12 --seed -2 --max-degree 1 --format json",
+         "4674e9bbce7e6bd081b773d6c6d29dea259360b7daa0f9a2c0b4f1e854f6d9c2"),
+    ])
+    def test_random_operands_spell_their_seed(self, command, digest):
+        # sha256 of the report written for `--seed s --source random:n` (and
+        # `--target random:n`) while the operand verbs took --seed: the
+        # operand random:{s+n} is the same module, so the bytes are the same.
+        # The report pins are that verb's output before its battery reused
+        # the regular module and each operand's dual system
+        code, text = run(command.split())
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
     def test_exit_code_on_failure(self):
         # a module file whose support mismatches the request fails loudly
         code, text = run(["validate", "--support", "divisors:12",
@@ -615,6 +668,24 @@ class TestCliRuns:
         out = json.loads(text)
         assert out["ok"] is True
 
+    def test_report_tower_check_can_fail(self, monkeypatch):
+        # one map of the dual regular tower replaced by zero: lim^1 stays 0,
+        # so the check fails through the Mittag-Leffler flag alone
+        import cycrep.cli as cli
+        real = cli.tower_along_chain
+
+        def zeroed(d, chain):
+            dims, maps = real(d, chain)
+            maps[-1] = QMatrix.zeros(*maps[-1].shape())
+            return dims, maps
+
+        monkeypatch.setattr(cli, "tower_along_chain", zeroed)
+        code, text = run(["report", "--support", "divisors:6", "--max-degree", "1"])
+        assert code == 1 and text.splitlines()[-1] == "overall: FAILED"
+        assert "[FAIL] dual regular tower has vanishing lim1" in text
+        assert [line for line in text.splitlines() if line.startswith("[FAIL]")] == \
+            [line for line in text.splitlines() if "tower" in line]
+
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -642,12 +713,16 @@ class TestVerbOptions:
         ("tau-ru", "--prefer-file"), ("normal-basis", "--prefer-file"),
         ("resolution", "--prefer-file"), ("report", "--prefer-file"),
         ("tau-ru", "--seed"), ("normal-basis", "--seed"), ("resolution", "--seed"),
+        # the operand spells both: random:n its seed, ./name a file
+        ("validate", "--seed"), ("hom", "--seed"), ("ext", "--seed"), ("lim", "--seed"),
+        ("validate", "--prefer-file"), ("hom", "--prefer-file"), ("ext", "--prefer-file"),
+        ("lim", "--prefer-file"),
     ])
     def test_unread_options_are_refused(self, verb, option):
         argv = [verb, "--support", "divisors:6", option]
         if option != "--prefer-file":
             argv.append("5")
-        if verb == "validate":
+        if verb in ("validate", "hom", "ext", "lim"):
             argv += ["--source", "regular"]
         with pytest.raises(SystemExit) as exc:
             run(argv)
