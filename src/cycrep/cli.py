@@ -16,6 +16,7 @@ bound, and refuses loudly rather than thrash.  Both bounds live in
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Any
 
@@ -337,7 +338,14 @@ def run(argv: list[str]) -> tuple[int, str]:
 
 def main() -> None:
     code, text = run(sys.argv[1:])
-    print(text)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away (``| head``): point stdout at devnull so the
+        # flush at interpreter exit cannot raise again, and fail quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
     sys.exit(code)
 
 

@@ -23,6 +23,12 @@ check stay in the integers; only the dense level matrices are rational.
 Levelwise invertibility is one sparse exact rank of the orbit columns.  The
 report carries the level matrices and builds no module; only the functions
 returning a ``ModuleMorphism`` do.
+
+Each covering square is checked at the unit 1 alone.  Both levels' orbit
+columns are checked equivariant, and inflation and the sum over a fiber of
+the unit reduction commute with the unit action, so the square's defect at
+a unit g is a lift of g applied to its defect at 1: a square fails at every
+unit or at none (``_check_naturality`` spells this out).
 """
 
 from __future__ import annotations
@@ -35,7 +41,6 @@ from .cyclic_site import (
     factorization,
     is_prime,
     totient,
-    unit_reduction,
     units,
 )
 from .linalg import QMatrix, rank
@@ -181,27 +186,36 @@ def _check_equivariance(n: int, cols: dict[int, IntSparse]) -> bool:
 def _check_naturality(n: int, m: int, ratio: Fraction,
                       cols_n: dict[int, IntSparse],
                       cols_m: dict[int, IntSparse]) -> int | None:
-    """Summation over fibers against inflation; returns a failing unit.
+    """Summation over fibers against inflation, at the unit 1; returns 1
+    when the square fails there, else None.
 
     ``ratio`` is the level-n scale over the level-m scale, a/b in lowest
-    terms, so the square commutes when a times the inflated column of g
-    equals b times the sum of the level-m columns over the fiber of g.
+    terms, so the square commutes at g when a times the inflated column of
+    g equals b times the sum of the level-m columns over the fiber of g.
+
+    The unit 1 stands for every unit when both levels' columns are
+    equivariant, which ``_check_equivariance`` checks on its own.  Take g
+    in units(n) and a lift h of it in units(m).  Inflation is equivariant
+    (X^e goes to X^{e*m/n}, and h = g mod n), so the inflated column of g
+    is h applied to the inflated column of 1.  The fiber of g is h times
+    the fiber of 1, so the fiber sum at g is h applied to the fiber sum at
+    1.  The defect at g is therefore h applied to the defect at 1, and h
+    acts invertibly: a square fails at every unit or at none.
     """
     a, b = ratio.numerator, ratio.denominator
-    red_n, red_m = _reducer(n), _reducer(m)
-    _, fibers = unit_reduction(m, n)
-    for g in units(n):
-        lhs = red_m.inflate_from(red_n, cols_n[g])
-        rhs: IntSparse = {}
-        for gt in fibers[g]:
-            for e, c in cols_m[gt].items():
-                v = rhs.get(e, 0) + c
-                if v:
-                    rhs[e] = v
-                elif e in rhs:
-                    del rhs[e]
-        if len(lhs) != len(rhs) or any(a * c != b * rhs.get(e, 0) for e, c in lhs.items()):
-            return g
+    lhs = _reducer(m).inflate_from(_reducer(n), cols_n[1])
+    rhs: IntSparse = {}
+    for h in units(m):
+        if (h - 1) % n:
+            continue  # outside the fiber of 1
+        for e, c in cols_m[h].items():
+            v = rhs.get(e, 0) + c
+            if v:
+                rhs[e] = v
+            elif e in rhs:
+                del rhs[e]
+    if len(lhs) != len(rhs) or any(a * c != b * rhs.get(e, 0) for e, c in lhs.items()):
+        return 1
     return None
 
 

@@ -288,8 +288,13 @@ class MonomialReducer:
         self.factors = []
         for p, k in factorization(n):
             self.factors.append((p, p ** k, p ** (k - 1), n // p))
-        basis = [e for e in range(n)
-                 if all(e % pk >= bound for _, pk, bound, _ in self.factors)]
+        # the fixed exponents, by CRT from each prime's upper residues
+        basis, mod = [0], 1
+        for _, pk, bound, _ in self.factors:
+            inv = pow(mod, -1, pk)
+            basis = [b + mod * ((r - b) * inv % pk) for b in basis for r in range(bound, pk)]
+            mod *= pk
+        basis.sort()
         self.basis = tuple(basis)
         self.basis_index = {e: i for i, e in enumerate(basis)}
         self._cache: dict[int, dict[int, int]] = {}
@@ -324,26 +329,39 @@ class MonomialReducer:
         to an integer vector, and so do its unit actions, inflations and
         products below.
         """
+        return self._reduce_scaled(vec, 1)
+
+    def act_unit(self, l: int, vec: dict[int, Entry]) -> dict[int, Entry]:
+        """Unit action on a reduced vector: scale exponents, reduce again."""
+        return self._reduce_scaled(vec, l)
+
+    def inflate_from(self, sub: "MonomialReducer", vec: dict[int, Entry]) -> dict[int, Entry]:
+        """Inflation of a reduced level-d vector up to this level (d | n)."""
+        return self._reduce_scaled(vec, self.n // sub.n)
+
+    def _reduce_scaled(self, vec: dict[int, Entry], mult: int) -> dict[int, Entry]:
+        """Reduce the vector with every exponent e read as e*mult mod n.
+
+        A key whose sum cancels is deleted where it cancels, and a later
+        term puts it back at the end, so the output's key order is fixed
+        by the input's; the demos print it.
+        """
+        n, cache = self.n, self._cache
         out: dict[int, Entry] = {}
         for e, c in vec.items():
             if not c:
                 continue
-            for b, s in self.reduce_exponent(e % self.n).items():
+            e = e * mult % n
+            terms = cache.get(e)
+            if terms is None:
+                terms = self.reduce_exponent(e)
+            for b, s in terms.items():
                 v = out.get(b, 0) + (c if s == 1 else -c if s == -1 else c * s)
                 if v:
                     out[b] = v
                 elif b in out:
                     del out[b]
         return out
-
-    def act_unit(self, l: int, vec: dict[int, Entry]) -> dict[int, Entry]:
-        """Unit action on a reduced vector: scale exponents, reduce again."""
-        return self.reduce_sparse({(e * l) % self.n: c for e, c in vec.items()})
-
-    def inflate_from(self, sub: "MonomialReducer", vec: dict[int, Entry]) -> dict[int, Entry]:
-        """Inflation of a reduced level-d vector up to this level (d | n)."""
-        step = self.n // sub.n
-        return self.reduce_sparse({(e * step) % self.n: c for e, c in vec.items()})
 
     def mul_sparse(self, a: dict[int, Entry], b: dict[int, Entry]) -> dict[int, Entry]:
         prod: dict[int, Entry] = {}

@@ -1678,13 +1678,54 @@ def eliminating_sequential_lim1(dims: Sequence[int], maps: Sequence[QMatrix]) ->
     return TowerReport(lim_dim=total_src - r, lim1_dim=total_tgt - r, mittag_leffler=ml)
 
 
-# --- the normal-basis pipeline in Fraction arithmetic: every classifier
-# --- element, orbit column and naturality sum carries its rational scale
+# --- the monomial rewriting that MonomialReducer's CRT basis and fused
+# --- rescale-and-reduce kernel replaced
+
+class ReferenceMonomialReducer(MonomialReducer):
+    """``MonomialReducer`` with the simple paths the fast ones replaced:
+    the basis found by testing every exponent below n, ``reduce_sparse``
+    one ``reduce_exponent`` call per term, and ``act_unit`` and
+    ``inflate_from`` building the rescaled vector before reducing it.
+    ``reduce_exponent`` and ``columns`` are inherited, and the inherited
+    ``mul_sparse`` reduces through this ``reduce_sparse``."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.factors = [(p, p ** k, p ** (k - 1), n // p) for p, k in factorization(n)]
+        basis = [e for e in range(n)
+                 if all(e % pk >= bound for _, pk, bound, _ in self.factors)]
+        self.basis = tuple(basis)
+        self.basis_index = {e: i for i, e in enumerate(basis)}
+        self._cache = {}
+
+    def reduce_sparse(self, vec: dict[int, Entry]) -> dict[int, Entry]:
+        out: dict[int, Entry] = {}
+        for e, c in vec.items():
+            if not c:
+                continue
+            for b, s in self.reduce_exponent(e % self.n).items():
+                v = out.get(b, 0) + (c if s == 1 else -c if s == -1 else c * s)
+                if v:
+                    out[b] = v
+                elif b in out:
+                    del out[b]
+        return out
+
+    def act_unit(self, l: int, vec: dict[int, Entry]) -> dict[int, Entry]:
+        return self.reduce_sparse({(e * l) % self.n: c for e, c in vec.items()})
+
+    def inflate_from(self, sub: MonomialReducer, vec: dict[int, Entry]) -> dict[int, Entry]:
+        step = self.n // sub.n
+        return self.reduce_sparse({(e * step) % self.n: c for e, c in vec.items()})
+
 
 @lru_cache(maxsize=None)
-def _monomial_reducer(n: int) -> MonomialReducer:
-    return MonomialReducer(n)
+def _monomial_reducer(n: int) -> ReferenceMonomialReducer:
+    return ReferenceMonomialReducer(n)
 
+
+# --- the normal-basis pipeline in Fraction arithmetic: every classifier
+# --- element, orbit column and naturality sum carries its rational scale
 
 def fraction_classifier(p: int, k: int, scaled: bool) -> dict[int, Fraction]:
     """The reduced (optionally scaled) orbit sum at p^k, Fraction valued."""
@@ -1734,24 +1775,40 @@ def fraction_check_equivariance(n: int, cols) -> bool:
                for l in un.generators() for g in un)
 
 
-def fraction_check_naturality(n: int, m: int, cols_n, cols_m) -> int | None:
-    """The first unit of level n whose inflated column differs from the sum
-    of the level-m columns over its fiber."""
+def per_unit_check_naturality(n: int, m: int, ratio: Fraction, cols_n, cols_m) -> int | None:
+    """The first unit g of level n at which a times the inflated column of
+    g differs from b times the sum of the level-m columns over the fiber of
+    g, where ratio = a/b in lowest terms: ``_check_naturality`` of
+    normal_basis.py at every unit, not at 1 alone."""
+    a, b = ratio.numerator, ratio.denominator
     red_n, red_m = _monomial_reducer(n), _monomial_reducer(m)
     _, fibers = unit_reduction(m, n)
     for g in units(n):
         lhs = red_m.inflate_from(red_n, cols_n[g])
-        rhs: dict[int, Fraction] = {}
+        rhs: dict[int, Entry] = {}
         for gt in fibers[g]:
             for e, c in cols_m[gt].items():
-                v = rhs.get(e, F0) + c
+                v = rhs.get(e, 0) + c
                 if v:
                     rhs[e] = v
                 elif e in rhs:
                     del rhs[e]
-        if lhs != rhs:
+        if len(lhs) != len(rhs) or any(a * c != b * rhs.get(e, 0) for e, c in lhs.items()):
             return g
     return None
+
+
+def per_unit_squares(family) -> list[SquareCheck]:
+    """The covering squares of a ``ClassifierFamily``, each checked at
+    every unit of its source level, on orbit columns of the reference
+    reducer."""
+    scales = family.scales
+    cols = {n: fraction_phi_columns(family.vectors[n], n) for n in family.support}
+    out = []
+    for n, m in family.support.covering_pairs():
+        bad = per_unit_check_naturality(n, m, scales[n] / scales[m], cols[n], cols[m])
+        out.append(SquareCheck(n, m, bad is None, bad))
+    return out
 
 
 def fraction_classifier_report(support, scaled: bool = True):
@@ -1765,7 +1822,7 @@ def fraction_classifier_report(support, scaled: bool = True):
               for n in support]
     squares = []
     for n, m in support.covering_pairs():
-        bad = fraction_check_naturality(n, m, cols[n], cols[m])
+        bad = per_unit_check_naturality(n, m, F1, cols[n], cols[m])
         squares.append(SquareCheck(n, m, bad is None, bad))
     return mats, levels, squares
 

@@ -6,8 +6,10 @@ from hypothesis import given, settings, strategies as st
 from cycrep.cyclic_site import divisor_closure, support_of_divisors, totient, units
 from cycrep.linalg import QMatrix, rank, solve
 from cycrep.modules import OutCycModule, regular_module, validate
+from cycrep import normal_basis
 from cycrep.normal_basis import (
     ClassifierFamily,
+    SquareCheck,
     _check_equivariance,
     _check_naturality,
     _check_rank,
@@ -36,6 +38,7 @@ from oracles import (
     dense_rank,
     fraction_assemble,
     fraction_classifier_report,
+    per_unit_squares,
     stored_values,
 )
 
@@ -326,3 +329,62 @@ class TestScaleNegativeControls:
         failing = [(s.source, s.target) for s in classifier_report(unit_scales).squares
                    if not s.natural]
         assert (2, 4) in failing
+
+
+def doubled_family(support):
+    """The scaled family with the scale of every other level doubled: a
+    square fails when exactly one of its levels was doubled."""
+    family = assemble(support)
+    for n in list(support)[1::2]:
+        family.scales[n] *= 2
+    return family
+
+
+FAMILIES = {"scaled": assemble, "unscaled": unscaled_family, "doubled": doubled_family}
+
+
+class TestNaturalityAtOneUnit:
+    """The squares checked at the unit 1 against every unit (oracles.py)."""
+
+    @pytest.mark.parametrize("kind", list(FAMILIES))
+    @pytest.mark.parametrize("top", [12, 360, 840])
+    def test_matches_every_unit(self, top, kind):
+        family = FAMILIES[kind](support_of_divisors(top))
+        squares = classifier_report(family).squares
+        assert squares == per_unit_squares(family)
+        assert all(s.natural for s in squares) == (kind == "scaled")
+
+    @settings(max_examples=25, deadline=None)
+    @given(seeds=st.lists(st.integers(1, 180), min_size=1, max_size=4),
+           kind=st.sampled_from(list(FAMILIES)))
+    def test_matches_every_unit_on_divisor_closures(self, seeds, kind):
+        family = FAMILIES[kind](divisor_closure(seeds))
+        assert classifier_report(family).squares == per_unit_squares(family)
+
+    @pytest.mark.parametrize("u", list(units(60)))
+    def test_one_corrupted_top_column(self, monkeypatch, u):
+        # doubling the level-60 column of u fails each square into 60 whose
+        # fiber of 1 holds u, and level 60's equivariance whatever u is
+        orbit = normal_basis._phi_columns
+
+        def corrupted(family, n):
+            cols = orbit(family, n)
+            if n == 60:
+                cols[u] = {e: 2 * c for e, c in cols[u].items()}
+            return cols
+
+        monkeypatch.setattr(normal_basis, "_phi_columns", corrupted)
+        report = normal_basis_report(S60)
+        into_top = {(s.source, s.target): s for s in report.squares if s.target == 60}
+        assert set(into_top) == {(12, 60), (20, 60), (30, 60)}
+        for (n, _), square in into_top.items():
+            in_fiber = (u - 1) % n == 0
+            assert square == SquareCheck(n, 60, not in_fiber, 1 if in_fiber else None), (n, u)
+        assert not next(l for l in report.levels if l.level == 60).equivariant
+        assert not report.ok
+
+    def test_a_check_of_no_unit_is_killed(self, monkeypatch):
+        monkeypatch.setattr(normal_basis, "_check_naturality", lambda *args: None)
+        for kind in ("unscaled", "doubled"):
+            family = FAMILIES[kind](S12)
+            assert classifier_report(family).squares != per_unit_squares(family), kind

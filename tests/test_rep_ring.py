@@ -25,9 +25,9 @@ from cycrep.rep_ring import (
     unit_action_matrix,
 )
 
-from oracles import (char_value, conjugated_tau_matrices, dense_tau_level, embed_roots,
-                     monomial_to_eliminated, roots_equal, induced_char_poly_check,
-                     stored_values)
+from oracles import (ReferenceMonomialReducer, char_value, conjugated_tau_matrices,
+                     dense_tau_level, embed_roots, monomial_to_eliminated, roots_equal,
+                     induced_char_poly_check, stored_values)
 
 
 def random_element(n, rng):
@@ -369,3 +369,63 @@ class TestMonomialReducer:
                     back[b] += c
                 diff = QMatrix.column([a - b for a, b in zip(vec, back)])
                 assert (lv.projection @ diff).is_zero()
+
+
+def zeros_dropped_at_end(red, vec, mult):
+    """A kernel that sums every term and drops the zero sums afterwards:
+    a key that cancels and then returns keeps its first place, where
+    ``reduce_sparse`` moves it to the end."""
+    out = {}
+    for e, c in vec.items():
+        for b, s in red.reduce_exponent(e * mult % red.n).items():
+            out[b] = out.get(b, 0) + c * s
+    return {b: v for b, v in out.items() if v}
+
+
+class TestAgainstReferenceReducer:
+    """The CRT basis and the fused rescale-and-reduce kernel against the
+    exponent scan and the build-then-reduce paths of oracles.py."""
+
+    def test_basis(self):
+        for n in sorted(set(range(1, 2521)) | set(divisors(5040))):
+            assert MonomialReducer(n).basis == ReferenceMonomialReducer(n).basis, n
+
+    def test_a_term_that_cancels_returns_at_the_end(self):
+        # at level 6: X^1 -> X^1, X^4 -> -X^1, X^0 -> X^5 + X^1
+        red = MonomialReducer(6)
+        vec = {1: 1, 4: 1, 0: 1}
+        assert list(red.reduce_sparse(vec).items()) == [(5, 1), (1, 1)]
+        assert list(zeros_dropped_at_end(red, vec, 1).items()) == [(1, 1), (5, 1)]
+        # the same vector as the image of the unit 5
+        assert list(red.act_unit(5, {5: 1, 2: 1, 0: 1}).items()) == [(5, 1), (1, 1)]
+
+    @pytest.mark.parametrize("n", [12, 30, 72, 210, 360, 450, 840, 2520])
+    def test_kernels_keep_the_reference_key_order(self, n):
+        # ambient vectors (any exponent below the level) and reduced ones;
+        # on reduced inputs a term can cancel and then return only when two
+        # odd primes divide n to a power above 1, as in 450 = 2 * 3^2 * 5^2
+        rng = random.Random(n)
+        fast, ref = MonomialReducer(n), ReferenceMonomialReducer(n)
+        reordered = {"reduce": 0, "act": 0, "inflate": 0}
+
+        def same(got, want, vec, mult, op):
+            assert list(got.items()) == list(want.items()), (n, op, vec, mult)
+            reordered[op] += list(want.items()) != list(zeros_dropped_at_end(ref, vec, mult).items())
+
+        def ambient(level):
+            return {e: rng.randint(-2, 2) for e in rng.sample(range(level), min(level, 40))}
+
+        for _ in range(12):
+            amb = ambient(n)
+            same(fast.reduce_sparse(amb), ref.reduce_sparse(amb), amb, 1, "reduce")
+            for vec in (amb, ref.reduce_sparse(amb)):
+                for l in rng.sample(list(units(n)), 3):
+                    same(fast.act_unit(l, vec), ref.act_unit(l, vec), vec, l, "act")
+            d = rng.choice(divisors(n)[:-1])
+            sub, ref_sub = MonomialReducer(d), ReferenceMonomialReducer(d)
+            low = ambient(d)
+            for vec in (low, ref_sub.reduce_sparse(low)):
+                same(fast.inflate_from(sub, vec), ref.inflate_from(ref_sub, vec), vec, n // d,
+                     "inflate")
+        # the seeded vectors include terms that cancel and then return
+        assert all(reordered.values()), reordered

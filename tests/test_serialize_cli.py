@@ -4,6 +4,8 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -429,6 +431,21 @@ class TestCliRuns:
         out = json.loads(text)
         assert out["values"]["isomorphism"] is True
         assert out["values"]["unscaled_failing_squares"]
+
+    def test_a_closed_pipe_exits_1_without_a_traceback(self):
+        # `cycrep normal-basis ... | head -1`: the reader leaves after one
+        # line of a 1.2 MB report
+        src = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        argv = [sys.executable, "-m", "cycrep.cli", "normal-basis", "--support", "divisors:840",
+                "--format", "json"]
+        with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as proc:
+            assert proc.stdout.readline() == b"{\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=60) == 1
+        assert err == b""
 
     def test_resolution_verb(self):
         code, text = run(["resolution", "--support", "divisors:6", "--primes", "2,3",
