@@ -168,6 +168,23 @@ def support_of_divisors(n: int) -> SupportSet:
     return SupportSet(divisors(n))
 
 
+class UnitTree(NamedTuple):
+    """A spanning tree of the Cayley graph of units(n) on its greedy
+    generators s_1, ..., s_r, and the relations of the presentation they
+    define (``UnitsGroup.tree``).
+
+    ``edges`` holds one (u, s, parent) per unit u other than 1, with
+    u = s * parent, s a generator and parent 1 or the u of an earlier edge.
+    ``relations`` holds triples (a, b, c) that stand for A(a) A(b) = A(c):
+    first the power relation (s_i, s_i^(k_i - 1), s_i^(k_i)) of each
+    generator, k_i its relative order, then the commutator
+    (s_i, s_j, s_i s_j) of each pair i < j.
+    """
+
+    edges: tuple[tuple[int, int, int], ...]
+    relations: tuple[tuple[int, int, int], ...]
+
+
 class UnitsGroup:
     """The multiplicative group of residues coprime to n.
 
@@ -175,14 +192,14 @@ class UnitsGroup:
     reduction maps stay total (residue arithmetic mod 1 would give 0).
     """
 
-    __slots__ = ("modulus", "elements", "_index", "_gens", "_walk")
+    __slots__ = ("modulus", "elements", "_index", "_gens", "_tree")
 
     def __init__(self, modulus: int, elements: Sequence[int]):
         self.modulus = modulus
         self.elements = tuple(sorted(elements))
         self._index = {u: i for i, u in enumerate(self.elements)}
         self._gens: tuple[int, ...] | None = None
-        self._walk: tuple[tuple[int, int, int], ...] | None = None
+        self._tree: UnitTree | None = None
 
     def __iter__(self):
         return iter(self.elements)
@@ -212,49 +229,56 @@ class UnitsGroup:
         Each generator is the smallest unit outside the subgroup generated
         by the earlier ones, so the set is irredundant and depends on n
         only: (7, 11) at 90, five units at 840.  It is empty when the group
-        is trivial (n = 1, 2).  A property that is closed under products
-        and holds at 1 and at every generator holds on the whole group;
-        that is what lets the unit-quantified checks and solves of the
-        package loop over these units instead of all of them.
+        is trivial (n = 1, 2).  A property of single units that is closed
+        under products and holds at 1 and at every generator holds on the
+        whole group, so the equivariance checks and solves of the package
+        loop over these units instead of all of them.  A unit table is
+        checked multiplicative, and completed from these units, along
+        ``tree``.
         """
         if self._gens is None:
-            gens: list[int] = []
-            sub = {1}
-            for u in self.elements:
-                if u in sub:
-                    continue
-                gens.append(u)
-                # the group is abelian: <sub, u> is the union of the cosets sub*u^k
-                coset, power = list(sub), u
-                while power not in sub:
-                    sub.update(self.mul(h, power) for h in coset)
-                    power = self.mul(power, u)
-            self._gens = tuple(gens)
+            self.tree()
         return self._gens
 
-    def walk(self) -> tuple[tuple[int, int, int], ...]:
-        """Every unit other than 1 and the generators, as a product, cached.
+    def tree(self) -> UnitTree:
+        """The Cayley spanning tree and relations of the greedy generators,
+        cached (see ``UnitTree``).
 
-        Triples (u, g, l) with u = g * l, g a generator and l either 1, a
-        generator or the u of an earlier triple: a breadth-first search
-        from 1 over multiplication by the generators.  A multiplicative
-        table known at 1 and at the generators is completed by one product
-        per triple, in order.
+        With H_i the subgroup generated by s_1, ..., s_i, every unit is
+        s_i^e h for one i, 0 < e < k_i and h in H_(i-1), and its parent is
+        s_i^(e-1) h; so the tree word of a unit is its normal form
+        s_r^(e_r) ... s_1^(e_1), each 0 <= e_i < k_i, and the edges come
+        in the order of those words.  Building H_i coset by coset is also
+        what picks the generators.
         """
-        if self._walk is None:
-            gens = self.generators()
-            seen = {1, *gens}
-            steps: list[tuple[int, int, int]] = []
-            queue = [1, *gens]
-            for l in queue:
-                for g in gens:
-                    u = self.mul(g, l)
-                    if u not in seen:
-                        seen.add(u)
-                        steps.append((u, g, l))
-                        queue.append(u)
-            self._walk = tuple(steps)
-        return self._walk
+        if self._tree is None:
+            n = self.modulus
+            gens: list[int] = []
+            edges: list[tuple[int, int, int]] = []
+            powers: list[tuple[int, int, int]] = []
+            members, sub = [1], {1}
+            for s in self.elements:
+                if s in sub:
+                    continue
+                power = s * s % n
+                while power not in sub:
+                    power = power * s % n
+                # the cosets s^e H_(i-1), e = 1 .. k_i - 1, each from the one before
+                layer = members[:]
+                while True:
+                    nxt = [s * h % n for h in layer]
+                    if nxt[0] == power:
+                        break
+                    edges.extend(zip(nxt, [s] * len(nxt), layer))
+                    members += nxt
+                    layer = nxt
+                sub.update(members)
+                gens.append(s)
+                powers.append((s, layer[0], power))
+            commutators = [(a, b, a * b % n) for i, a in enumerate(gens) for b in gens[i + 1:]]
+            self._gens = tuple(gens)
+            self._tree = UnitTree(tuple(edges), tuple(powers + commutators))
+        return self._tree
 
     def __repr__(self) -> str:
         return f"UnitsGroup(mod {self.modulus}, {list(self.elements)})"

@@ -40,7 +40,6 @@ from .linalg import (
     IntView,
     QMatrix,
     _cancel,
-    _int_matrix,
     _int_row,
     _int_vecmat,
     rank,
@@ -240,30 +239,42 @@ def hom_via_limit(x: OutCycModule) -> HomSpace:
     """Morphisms from x into the regular module, via the dual-system limit.
 
     A compatible family of forms (lam_n) reconstructs to the morphism whose
-    level-n matrix has, in the row of basis unit g, the form
-    lam_n composed with the action of g^{-1}: the sparse product of lam_n's
-    nonzeros with the rows of the integer view of that action, in integers
-    over lam_n's common denominator, divided once per stored entry when the
-    denominator is not 1.  The reconstruction goes level by level, and the
-    views of a level's actions are built for it and dropped after it, not
-    kept in x's view cache.
+    level-n matrix has, in the row of basis unit g, the form lam_n composed
+    with the action of g^{-1}.  The rows are built along the edges
+    (u, s, h) of ``UnitsGroup.tree``, from the row of 1, which is lam_n:
+    x is valid and units(n) is abelian, so X(u) = X(h) X(s) and the row of
+    u^{-1} is the row of h^{-1} times X(s).  Each row is the sparse product
+    of the earlier row's nonzeros with the rows of the integer view of a
+    generator's action, kept in integers over a common denominator reduced
+    by the gcd of its entries, and divided once per stored entry when that
+    denominator is not 1.  Only the generators' views are read, so x's
+    unit tables are not completed.
     """
     reg = regular_module(x.support)
     families = limit_basis(dual_system(x))
     mats: list[dict[int, QMatrix]] = [{} for _ in families]
     for n in x.support:
         un = units(n)
-        inverses = [_int_matrix(x.action(n, un.inv(g))) for g in un]
+        steps = [(un.index(un.inv(u)), x.int_action(n, s), un.index(un.inv(h)))
+                 for u, s, h in un.tree().edges]
         for fam, fam_mats in zip(families, mats):
             lam = [(i, v) for i, v in enumerate(fam[n]) if v]
             den_lam = lcm(*{v.denominator for _, v in lam})
-            lam = [(i, v.numerator * (den_lam // v.denominator)) for i, v in lam]
-            rows = []
-            for den_a, a_rows in inverses:
-                row: dict[int, Entry] = _int_vecmat(lam, a_rows)
-                den = den_lam * den_a
-                rows.append(row if den == 1 else {j: Fraction(v, den) for j, v in row.items()})
-            fam_mats[n] = QMatrix.from_row_dicts(rows, x.dim(n))
+            ints: list[tuple[int, dict[int, int]]] = [(0, {})] * len(un)
+            ints[0] = den_lam, {i: v.numerator * (den_lam // v.denominator) for i, v in lam}
+            for i, (den_a, a_rows), j in steps:
+                den, row = ints[j]
+                row = _int_vecmat(row.items(), a_rows)
+                den *= den_a
+                if den != 1:
+                    g = gcd(den, *row.values())
+                    if g != 1:
+                        den //= g
+                        row = {k: v // g for k, v in row.items()}
+                ints[i] = den, row
+            fam_mats[n] = QMatrix.from_row_dicts(
+                [row if den == 1 else {j: Fraction(v, den) for j, v in row.items()}
+                 for den, row in ints], x.dim(n))
     return HomSpace(x, reg, [ModuleMorphism(x, reg, m) for m in mats])
 
 

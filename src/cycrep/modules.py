@@ -63,9 +63,11 @@ class OutCycModule:
         """The matrix of the unit l at level n.
 
         A stored table that lacks a unit of n is completed once, in place,
-        by the products table[u] = table[g] @ table[h] along
-        ``UnitsGroup.walk``, with the identity at 1 when 1 is not stored.
-        A table whose generators all hold its identity object at 1 is filled
+        from 1 and the generators along the edges (u, s, h) of
+        ``UnitsGroup.tree``: table[u] = table[s] @ table[h] wherever h is
+        not 1, with the identity at 1 when 1 is not stored.  On a valid
+        module that is its action at every unit, since A(u) = A(s) A(h).  A
+        table whose generators all hold its identity object at 1 is filled
         with that object instead, so trivial actions keep sharing it.
         """
         table = self._actions[n]
@@ -73,8 +75,9 @@ class OutCycModule:
             un, ident = units(n), QMatrix.identity(self.dims[n])
             one = table.setdefault(1, ident)
             shared = one == ident and all(table.get(g) is one for g in un.generators())
-            for u, g, h in un.walk():
-                table[u] = one if shared else table[g] @ table[h]
+            for u, s, h in un.tree().edges:
+                if h != 1:
+                    table[u] = one if shared else table[s] @ table[h]
         return table[l]
 
     def restriction_step(self, n: int, m: int) -> QMatrix:
@@ -142,14 +145,22 @@ def restriction_matrix(x: OutCycModule, m: int, n: int) -> QMatrix:
 def validate_actions(x: OutCycModule, n: int) -> list[str]:
     """Level-n invariants: identity at 1, shapes, and multiplicativity.
 
-    Multiplicativity A(g) A(l) == A(g*l) is checked for every generator g
-    of units(n) and every unit l, |gens| * phi(n) products instead of
-    phi(n)^2.  That implies the full table: the units w with
-    A(w) A(l) == A(w*l) for every l contain 1 (A(1) is checked to be the
-    identity) and the generators, and are closed under products, because
-    A(w1*w2) A(l) = A(w1) A(w2) A(l) = A(w1) A(w2*l) = A(w1*w2*l); so they
-    are the whole group.  On a module that is not multiplicative the list
-    of violations can be shorter than the full table's, but never empty.
+    Multiplicativity A(a) A(b) == A(a*b) is checked on the edges (u, s, h)
+    of ``UnitsGroup.tree`` that do not leave 1, as A(s) A(h) == A(u), and
+    on its relations: phi(n) - 1 + r(r-1)/2 products for r generators,
+    instead of phi(n)^2.  That decides the full table.  Write M_i for
+    A(s_i).  The tree edges make A at a normal form s_r^e_r ... s_1^e_1
+    the product M_r^e_r ... M_1^e_1.  A power relation then says that
+    M_i^k_i is that product for the normal form of s_i^k_i, and a
+    commutator that M_i M_j = M_j M_i.  These are the defining relations
+    of the group: every word in the s_i collects to a normal form under
+    them, so they present a group of order at most prod k_i = phi(n),
+    which units(n) satisfies.  With A(1) = I they make each M_i
+    invertible (M_1^k_1 = I, and so on up), so by von Dyck's theorem
+    s_i -> M_i extends to a homomorphism, which agrees with A at every
+    normal form, that is at every unit.  On a module that is not
+    multiplicative the list of violations can be shorter than the full
+    table's, but never empty.
     """
     out: list[str] = []
     d = x.dim(n)
@@ -160,10 +171,11 @@ def validate_actions(x: OutCycModule, n: int) -> list[str]:
     for l, a in mats.items():
         if a.shape() != (d, d):
             out.append(f"action({l}) at level {n} has shape {a.shape()}, expected {(d, d)}")
-    for g in un.generators():
-        for l in un:
-            if mats[g] @ mats[l] != mats[un.mul(g, l)]:
-                out.append(f"action not multiplicative at level {n}: {g} * {l}")
+    tree = un.tree()
+    products = [(s, h, u) for u, s, h in tree.edges if h != 1] + list(tree.relations)
+    for a, b, c in products:
+        if mats[a] @ mats[b] != mats[c]:
+            out.append(f"action not multiplicative at level {n}: {a} * {b}")
     return out
 
 
@@ -207,9 +219,10 @@ def validate_paths(x: OutCycModule) -> list[str]:
 def validate(x: OutCycModule) -> list[str]:
     """All structural invariants; violations come back as data.
 
-    Every invariant is decided exactly: the unit-quantified ones are checked
-    on a generating set of each unit group, which is equivalent to checking
-    every unit (see ``validate_actions`` and ``validate_squares``).
+    Every invariant is decided exactly: multiplicativity along a Cayley
+    spanning tree of each unit group and on its relations, equivariance on
+    its generators, each equivalent to checking every unit (see
+    ``validate_actions`` and ``validate_squares``).
     """
     out: list[str] = []
     for n in x.support:
@@ -540,8 +553,8 @@ def _induced_module(ambient: OutCycModule, dims: dict[int, int],
     covering pair, and with a == b at the generators of units(a) only.
 
     Each level table stores those and 1; ``OutCycModule.action`` completes
-    any other unit on request by the products A(g*l) = A(g) A(l) along
-    ``UnitsGroup.walk``.  The completion is exact and gives the matrices a
+    any other unit on request by the products A(s*h) = A(s) A(h) along
+    ``UnitsGroup.tree``.  The completion is exact and gives the matrices a
     solve at every unit would: from B X(g) = A(g) B and B X(l) = A(l) B
     follows B X(g) X(l) = A(g*l) B, and that solution is unique (dually on
     a quotient).  Nothing is left unchecked either: the group is finite, so

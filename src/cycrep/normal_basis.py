@@ -167,20 +167,17 @@ def _check_equivariance(n: int, cols: dict[int, IntSparse]) -> bool:
     """Whether the action of every unit l sends the column of g to the
     column of l*g, for every g.
 
-    Checked for l over the generators of units(n) only, which is
-    equivalent: ``act_unit`` is a group action on the quotient, so if l1
-    and l2 move every column to the right place, so does l1*l2 (first l2,
-    then l1), and the generators reach every unit.  A single corrupted
-    column c_u still fails when units(n) is not trivial: at any generator l
-    the column of l^-1*u is sent somewhere other than c_u.
+    Checked on the edges (u, s, h) of ``UnitsGroup.tree`` only, as
+    s . c_h == c_u: phi(n) - 1 ``act_unit`` calls.  That is equivalent,
+    because ``act_unit`` is a group action on the quotient.  The edges,
+    taken in order (parents come first), give c_u = u . c_1 at every unit,
+    and then l . c_g = l . (g . c_1) = (l*g) . c_1 = c_(l*g); the converse
+    is the case l = s.  A single corrupted column c_u still fails when
+    units(n) is not trivial: the edge into u when u is not 1, and each
+    edge out of 1 when it is, since the action is invertible.
     """
-    red = _reducer(n)
-    un = units(n)
-    for l in un.generators():
-        for g in un:
-            if red.act_unit(l, cols[g]) != cols[un.mul(l, g)]:
-                return False
-    return True
+    act = _reducer(n).act_unit
+    return all(act(s, cols[h]) == cols[u] for u, s, h in units(n).tree().edges)
 
 
 def _check_naturality(n: int, m: int, ratio: Fraction,

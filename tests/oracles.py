@@ -14,17 +14,18 @@ import json
 import random
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from cycrep.cyclic_site import factorization, reduce_unit, totient, unit_reduction, units
 from cycrep.hom_ext import (CochainComplex, HomSpace, ResolutionStep, TowerReport, _chains,
-                            _SpanTracker)
-from cycrep.linalg import (Entry, QMatrix, RatLike, _int_row, _kernel_vectors, _reduce, cokernel,
-                           column_space_basis, hstack, kernel_basis, kronecker, rat, rat_to_str,
-                           rank, solve, solve_matrix)
+                            _SpanTracker, limit_basis)
+from cycrep.linalg import (Entry, QMatrix, RatLike, _int_matrix, _int_row, _int_vecmat,
+                           _kernel_vectors, _reduce, cokernel, column_space_basis, hstack,
+                           kernel_basis, kronecker, rat, rat_to_str, rank, solve, solve_matrix)
 from cycrep.modules import (InverseSystem, ModuleMorphism, MorphismFactorization,
-                            OutCycModule, conjugate_module, restriction_matrix)
+                            OutCycModule, conjugate_module, dual_system, regular_module,
+                            restriction_matrix)
 from cycrep.normal_basis import LevelCheck, SquareCheck
 from cycrep.rep_ring import (MonomialReducer, RUElement, restrict_proj_matrix, tau_level,
                              transfer_ideal, unit_action_matrix)
@@ -1244,6 +1245,25 @@ def all_pairs_validate_actions(x, n: int) -> list[str]:
     return out
 
 
+def generator_validate_actions(x, n: int) -> list[str]:
+    """Identity at 1, shapes, and A(g) A(l) == A(g*l) for every generator g
+    and every unit l: each Cayley edge, |gens| * phi(n) products."""
+    out: list[str] = []
+    d = x.dim(n)
+    un = units(n)
+    if x.action(n, 1) != QMatrix.identity(d):
+        out.append(f"action(1) is not the identity at level {n}")
+    mats = {l: x.action(n, l) for l in un}
+    for l, a in mats.items():
+        if a.shape() != (d, d):
+            out.append(f"action({l}) at level {n} has shape {a.shape()}, expected {(d, d)}")
+    for g in un.generators():
+        for l in un:
+            if mats[g] @ mats[l] != mats[un.mul(g, l)]:
+                out.append(f"action not multiplicative at level {n}: {g} * {l}")
+    return out
+
+
 def all_unit_validate_squares(x) -> list[str]:
     """Equivariance of every restriction against every unit upstairs."""
     out: list[str] = []
@@ -1288,6 +1308,14 @@ def all_unit_check_equivariance(reducer, n: int, cols) -> bool:
     """Every unit l sends the orbit column of g to the column of l*g."""
     un = units(n)
     return all(reducer.act_unit(l, cols[g]) == cols[un.mul(l, g)] for l in un for g in un)
+
+
+def generator_check_equivariance(reducer, n: int, cols) -> bool:
+    """Every generator l of units(n) sends the orbit column of every g to
+    the column of l*g: each Cayley edge."""
+    un = units(n)
+    return all(reducer.act_unit(l, cols[g]) == cols[un.mul(l, g)]
+               for l in un.generators() for g in un)
 
 
 def conjugated_tau_matrices(support):
@@ -1357,6 +1385,29 @@ def reference_hom_via_limit_mats(x, families) -> list[dict[int, QMatrix]]:
             mats[n] = mat
         out.append(mats)
     return out
+
+
+def every_inverse_hom_via_limit(x) -> HomSpace:
+    """``hom_via_limit`` with the row of each unit g built on its own, as
+    the sparse integer product of the form with the view of X(g^-1): one
+    view per unit, which completes x's unit tables."""
+    reg = regular_module(x.support)
+    families = limit_basis(dual_system(x))
+    mats: list[dict[int, QMatrix]] = [{} for _ in families]
+    for n in x.support:
+        un = units(n)
+        inverses = [_int_matrix(x.action(n, un.inv(g))) for g in un]
+        for fam, fam_mats in zip(families, mats):
+            lam = [(i, v) for i, v in enumerate(fam[n]) if v]
+            den_lam = lcm(*{v.denominator for _, v in lam})
+            lam = [(i, v.numerator * (den_lam // v.denominator)) for i, v in lam]
+            rows = []
+            for den_a, a_rows in inverses:
+                row: dict[int, Entry] = _int_vecmat(lam, a_rows)
+                den = den_lam * den_a
+                rows.append(row if den == 1 else {j: Fraction(v, den) for j, v in row.items()})
+            fam_mats[n] = QMatrix.from_row_dicts(rows, x.dim(n))
+    return HomSpace(x, reg, [ModuleMorphism(x, reg, m) for m in mats])
 
 
 def stacked_matrix(h: HomSpace) -> QMatrix:

@@ -233,17 +233,31 @@ def test_unit_generators_are_all_needed(fresh_unit_generators):
         assert len(sub) < len(elements) and gens[-1] not in sub, n
 
 
-def test_unit_walk_reaches_every_unit_once_from_earlier_ones():
-    for n in range(1, 400):
+def test_unit_tree_spans_in_normal_form_with_its_relations():
+    for n in sorted({*range(1, 601), *divisors(5040)}):
         un = units(n)
         gens = un.generators()
-        known = {1, *gens}
-        for u, g, l in un.walk():
-            assert g in gens and l in known and u not in known, (n, u)
-            assert u == un.mul(g, l), (n, u)
-            known.add(u)
-        assert known == set(un.elements), n
-        assert un.walk() is un.walk(), n
+        tree = un.tree()
+        assert un.tree() is tree, n
+        # relative orders k_i = [<s_1..s_i> : <s_1..s_(i-1)>], by closures
+        sizes = [len(_closure(n, gens[:i])) for i in range(len(gens) + 1)]
+        orders = [b // a for a, b in zip(sizes, sizes[1:])]
+        words = {1: (0,) * len(gens)}
+        for u, s, h in tree.edges:
+            assert s in gens and h in words and u not in words, (n, u)
+            assert u == un.mul(s, h), (n, u)
+            i = gens.index(s)
+            word = words[h][:i] + (words[h][i] + 1,) + words[h][i + 1:]
+            # s is the last generator the word uses: the parent drops one s_i
+            assert not any(word[i + 1:]) and word[i] < orders[i], (n, u, word)
+            words[u] = word
+        assert set(words) == set(un.elements) and len(tree.edges) == len(un) - 1, n
+        r = len(gens)
+        assert len(tree.relations) == r + r * (r - 1) // 2, n
+        for (a, b, c), s, k in zip(tree.relations, gens, orders):
+            assert (a, b, c) == (s, pow(s, k - 1, n), pow(s, k, n)), (n, s)
+        assert list(tree.relations[r:]) == [(a, b, un.mul(a, b)) for i, a in enumerate(gens)
+                                            for b in gens[i + 1:]], n
 
 
 # --- rational character blocks

@@ -1,10 +1,11 @@
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import cycrep.modules as modules_mod
 
-from cycrep.cyclic_site import SupportSet, support_of_divisors, totient, units
+from cycrep.cyclic_site import SupportSet, divisor_closure, support_of_divisors, totient, units
 from cycrep.linalg import QMatrix, rank, solve_matrix
 from cycrep.modules import (
     InverseSystem,
@@ -23,6 +24,7 @@ from cycrep.modules import (
     restriction_matrix,
     semifree_module,
     validate,
+    validate_actions,
     validate_paths,
     zero_module,
     zero_morphism,
@@ -33,7 +35,8 @@ from cycrep.resolution import build_complex
 from cycrep.serialize import module_to_json
 
 from oracles import (all_pairs_validate_actions, all_unit_morphism_violations,
-                     all_unit_validate_squares, fixed_space_dim, flat_entries,
+                     all_unit_validate_squares, every_inverse_hom_via_limit, fixed_space_dim,
+                     flat_entries, generator_validate_actions,
                      per_unit_conjugate_module,
                      per_unit_direct_sum, per_unit_morphism_factor, scramble,
                      scramble_transforms)
@@ -419,6 +422,105 @@ class TestGeneratorChecksAgainstFullTable:
         assert all_unit_morphism_violations(f) == [
             "equivariance fails at level 12, unit 7",
             "equivariance fails at level 12, unit 11"]
+
+
+def _tree_edges_only(x, n):
+    """``validate_actions`` without its relations: the products along the
+    tree edges alone, a variant the commutator control below must beat."""
+    return [f"action not multiplicative at level {n}: {s} * {h}"
+            for u, s, h in units(n).tree().edges
+            if h != 1 and x.action(n, s) @ x.action(n, h) != x.action(n, u)]
+
+
+def _noncommuting_level_12():
+    # units(12) = {1, 5, 7, 11} has the generators (5, 7), both of relative
+    # order 2; two reflections P, Q with P^2 = Q^2 = I and PQ != QP at
+    # level 12, zero elsewhere, stored at 1 and the generators only
+    p = QMatrix.from_rows([[1, 0], [0, -1]])
+    q = QMatrix.from_rows([[0, 1], [1, 0]])
+    assert p @ p == q @ q == QMatrix.identity(2) and p @ q != q @ p
+    dims = {n: 2 if n == 12 else 0 for n in S12}
+    actions = {n: dict.fromkeys((1, *units(n).generators()), QMatrix.zeros(0, 0)) for n in S12}
+    actions[12] = {1: QMatrix.identity(2), 5: p, 7: q}
+    res = {(a, b): QMatrix.zeros(dims[b], dims[a]) for a, b in S12.covering_pairs()}
+    return OutCycModule(S12, dims, actions, res, name="noncommuting")
+
+
+class TestTreeChecksAgainstGeneratorLoops:
+    """Multiplicativity along the Cayley tree and its relations, and the
+    Hom reconstruction along the tree, against the generator-by-unit loops
+    of oracles.py that they replaced."""
+
+    def test_battery_matches(self):
+        for x in _battery():
+            for n in x.support:
+                assert validate_actions(x, n) == generator_validate_actions(x, n), (x.name, n)
+            assert ([f.mats for f in hom_via_limit(x).basis]
+                    == [f.mats for f in every_inverse_hom_via_limit(x).basis]), x.name
+
+    @settings(max_examples=25, deadline=None)
+    @given(seeds=st.lists(st.integers(1, 60), min_size=1, max_size=3),
+           seed=st.integers(0, 10 ** 6))
+    def test_matches_on_divisor_closures(self, seeds, seed):
+        x = random_module(divisor_closure(seeds), seed)
+        for n in x.support:
+            assert validate_actions(x, n) == generator_validate_actions(x, n), n
+        assert ([f.mats for f in hom_via_limit(x).basis]
+                == [f.mats for f in every_inverse_hom_via_limit(x).basis])
+
+    @settings(max_examples=40, deadline=None)
+    @given(seeds=st.lists(st.integers(1, 60), min_size=1, max_size=3),
+           seed=st.integers(0, 10 ** 6), data=st.data())
+    def test_corrupted_unit_fails_both(self, seeds, seed, data):
+        x = random_module(divisor_closure(seeds), seed)
+        n = data.draw(st.sampled_from([m for m in x.support if x.dim(m) and len(units(m)) > 1]
+                                      or [None]))
+        if n is None:
+            return
+        l = data.draw(st.sampled_from(units(n).elements[1:]))
+        bad = _with_action(x, n, l, x.action(n, l).scale(2))
+        assert validate_actions(bad, n) != [] and generator_validate_actions(bad, n) != []
+
+    def test_hom_via_limit_leaves_unit_tables_alone(self):
+        x = random_module(S60, 5)
+        assert hom_via_limit(x).basis
+        for n in S60:
+            assert _stored_units(x, n) == _generators_and_one(n), n
+
+    def test_only_a_commutator_fails(self):
+        # completed along the tree, A(11) = Q P, so every tree edge and both
+        # power relations hold; only A(5) A(7) = A(11) fails
+        x = _noncommuting_level_12()
+        assert _tree_edges_only(x, 12) == []
+        assert validate(x) == ["action not multiplicative at level 12: 5 * 7"]
+        assert generator_validate_actions(x, 12) != []
+
+    def test_products_per_level(self, monkeypatch):
+        # phi(n) - 1 + r(r-1)/2 products per level over divisors(90), where
+        # the generator loop makes r phi(n)
+        x = regular_module(support_of_divisors(90))
+        count = 0
+        matmul = QMatrix.__matmul__
+
+        def counting(a, b):
+            nonlocal count
+            count += 1
+            return matmul(a, b)
+
+        def counted(check):
+            def run(x, n):
+                with monkeypatch.context() as m:
+                    m.setattr(QMatrix, "__matmul__", counting)
+                    return check(x, n)
+            return run
+
+        monkeypatch.setattr(modules_mod, "validate_actions", counted(validate_actions))
+        assert validate(x) == []
+        assert count == 82
+        count = 0
+        for n in x.support:
+            assert counted(generator_validate_actions)(x, n) == []
+        assert count == 152
 
 
 def _assert_same_structure(a, b):

@@ -38,6 +38,7 @@ from oracles import (
     dense_rank,
     fraction_assemble,
     fraction_classifier_report,
+    generator_check_equivariance,
     per_unit_squares,
     stored_values,
 )
@@ -204,8 +205,9 @@ class TestStoredQuotient:
             assert all(type(v) is Fraction for v in stored_values(tau.restriction_step(*pair))), pair
 
 
-class TestEquivarianceOnGenerators:
-    """The generator check against the all-units check of oracles.py."""
+class TestEquivarianceAlongTheTree:
+    """The check along the Cayley tree against the all-units check of
+    oracles.py."""
 
     @pytest.mark.parametrize("scaled", [True, False])
     def test_orbits_pass_both(self, scaled):
@@ -341,6 +343,53 @@ def doubled_family(support):
 
 
 FAMILIES = {"scaled": assemble, "unscaled": unscaled_family, "doubled": doubled_family}
+
+
+class TestEquivarianceAgainstGeneratorLoop:
+    """The check along the Cayley tree against the generator-by-unit loop
+    of oracles.py that it replaced."""
+
+    @pytest.mark.parametrize("kind", list(FAMILIES))
+    @pytest.mark.parametrize("top", [12, 360, 840])
+    def test_matches(self, top, kind):
+        family = FAMILIES[kind](support_of_divisors(top))
+        for n in family.support:
+            cols = _phi_columns(family, n)
+            assert _check_equivariance(n, cols), n
+            assert generator_check_equivariance(_reducer(n), n, cols), n
+
+    @settings(max_examples=25, deadline=None)
+    @given(seeds=st.lists(st.integers(1, 180), min_size=1, max_size=4),
+           kind=st.sampled_from(list(FAMILIES)))
+    def test_matches_on_divisor_closures(self, seeds, kind):
+        family = FAMILIES[kind](divisor_closure(seeds))
+        for n in family.support:
+            cols = _phi_columns(family, n)
+            assert _check_equivariance(n, cols) == generator_check_equivariance(
+                _reducer(n), n, cols), n
+
+    def test_every_corrupted_top_column_fails(self):
+        # the column of 1 too: each edge out of 1 then fails
+        cols = _phi_columns(assemble(S60), 60)
+        for u in units(60):
+            bad = {**cols, u: {e: 2 * c for e, c in cols[u].items()}}
+            assert not _check_equivariance(60, bad), u
+            assert not generator_check_equivariance(_reducer(60), 60, bad), u
+
+    def test_act_unit_calls_per_pass(self, monkeypatch):
+        # over divisors(840): 840 orbit columns and phi(n) - 1 per level for
+        # the check, 808 in all, where the generator loop made 3,008
+        calls = 0
+        act = MonomialReducer.act_unit
+
+        def counting(self, l, vec):
+            nonlocal calls
+            calls += 1
+            return act(self, l, vec)
+
+        monkeypatch.setattr(MonomialReducer, "act_unit", counting)
+        assert normal_basis_report(support_of_divisors(840)).ok
+        assert calls == 840 + 808
 
 
 class TestNaturalityAtOneUnit:

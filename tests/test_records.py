@@ -21,6 +21,7 @@ from cycrep.resolution import CONTRACTION_SIGN_CONVENTION
 RECORDS = {
     "cyclic_site.CharacterBlock": (
         ("level", "key", "order", "exponents", "generator"), {}),
+    "cyclic_site.UnitTree": (("edges", "relations"), {}),
     "hom_ext.HomSpace": (("source", "target", "basis"), {}),
     "hom_ext.DerivedLimit": (("dims", "witnesses", "complex"), {}),
     "hom_ext.TowerReport": (("lim_dim", "lim1_dim", "mittag_leffler"), {}),
