@@ -37,6 +37,7 @@ from .normal_basis import classifier_report, normal_basis_report, unscaled_famil
 from .rep_ring import tau_level
 from .resolution import build_complex, nontrivial_ext_witness, verify_resolution
 from .serialize import (
+    BUILTINS,
     InvalidModuleFile,
     dumps_canonical,
     load_module,
@@ -255,9 +256,9 @@ def _common(p: argparse.ArgumentParser, source: bool = False, target: bool = Fal
     p.add_argument("--support", required=True,
                    help="divisors:N | upto:N | comma list (divisor-closed)")
     if source:
+        names = ", ".join(BUILTINS).translate(str.maketrans("", "", "<>"))
         p.add_argument("--source", required=True,
-                       help="built-in name (regular, tauRU, free:n, semifree:n, "
-                            "atomic:n:d, random:n) or a module JSON file; "
+                       help=f"built-in name ({names}) or a module JSON file; "
                             "write ./name for a file named like a built-in")
     if target:
         p.add_argument("--target", default=None, help="like --source; default regular")

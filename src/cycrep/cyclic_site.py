@@ -169,16 +169,15 @@ def support_of_divisors(n: int) -> SupportSet:
 
 
 class UnitTree(NamedTuple):
-    """A spanning tree of the Cayley graph of units(n) on its greedy
-    generators s_1, ..., s_r, and the relations of the presentation they
-    define (``UnitsGroup.tree``).
+    """A spanning tree of the Cayley graph of units(n) on its generators
+    s_1, ..., s_r, of orders a_1, ..., a_r, and the relations of the
+    presentation they define (``UnitsGroup.tree``).
 
     ``edges`` holds one (u, s, parent) per unit u other than 1, with
     u = s * parent, s a generator and parent 1 or the u of an earlier edge.
     ``relations`` holds triples (a, b, c) that stand for A(a) A(b) = A(c):
-    first the power relation (s_i, s_i^(k_i - 1), s_i^(k_i)) of each
-    generator, k_i its relative order, then the commutator
-    (s_i, s_j, s_i s_j) of each pair i < j.
+    first the power relation (s_i, s_i^(a_i - 1), 1) of each generator,
+    then the commutator (s_i, s_j, s_i s_j) of each pair i < j.
     """
 
     edges: tuple[tuple[int, int, int], ...]
@@ -224,57 +223,43 @@ class UnitsGroup:
         return pow(a, -1, self.modulus)
 
     def generators(self) -> tuple[int, ...]:
-        """A generating set, increasing, chosen greedily and cached.
-
-        Each generator is the smallest unit outside the subgroup generated
-        by the earlier ones, so the set is irredundant and depends on n
-        only: (7, 11) at 90, five units at 840.  It is empty when the group
-        is trivial (n = 1, 2).  A property of single units that is closed
-        under products and holds at 1 and at every generator holds on the
-        whole group, so the equivariance checks and solves of the package
-        loop over these units instead of all of them.  A unit table is
-        checked multiplicative, and completed from these units, along
-        ``tree``.
+        """The units of ``_cyclic_factors(n)``, a basis of units(n) as a
+        direct product of cyclic groups, cached: (11, 37) at 90, five units
+        at 840.  It is empty when the group is trivial (n = 1, 2).  A
+        property of single units that is closed under products and holds at
+        1 and at every generator holds on the whole group, so the
+        equivariance checks and solves of the package loop over these units
+        instead of all of them.  A unit table is checked multiplicative, and
+        completed from these units, along ``tree``.
         """
         if self._gens is None:
             self.tree()
         return self._gens
 
     def tree(self) -> UnitTree:
-        """The Cayley spanning tree and relations of the greedy generators,
-        cached (see ``UnitTree``).
+        """The Cayley spanning tree and relations of the generators, cached
+        (see ``UnitTree``).
 
-        With H_i the subgroup generated by s_1, ..., s_i, every unit is
-        s_i^e h for one i, 0 < e < k_i and h in H_(i-1), and its parent is
-        s_i^(e-1) h; so the tree word of a unit is its normal form
-        s_r^(e_r) ... s_1^(e_1), each 0 <= e_i < k_i, and the edges come
-        in the order of those words.  Building H_i coset by coset is also
-        what picks the generators.
+        Every unit is s_r^(e_r) ... s_1^(e_1) for one exponent vector,
+        0 <= e_i < a_i; the parent of a unit lowers e_i by one at the
+        largest i with e_i > 0, so the tree word of a unit is that normal
+        form, and the edges come in the order of those words.
         """
         if self._tree is None:
             n = self.modulus
-            gens: list[int] = []
+            factors = _cyclic_factors(n)
             edges: list[tuple[int, int, int]] = []
-            powers: list[tuple[int, int, int]] = []
-            members, sub = [1], {1}
-            for s in self.elements:
-                if s in sub:
-                    continue
-                power = s * s % n
-                while power not in sub:
-                    power = power * s % n
-                # the cosets s^e H_(i-1), e = 1 .. k_i - 1, each from the one before
+            members = [1]
+            for s, a in factors:
+                # the cosets s^e <s_1, ..., s_(i-1)>, e = 1 .. a - 1, each from the one before
                 layer = members[:]
-                while True:
+                for _ in range(a - 1):
                     nxt = [s * h % n for h in layer]
-                    if nxt[0] == power:
-                        break
                     edges.extend(zip(nxt, [s] * len(nxt), layer))
                     members += nxt
                     layer = nxt
-                sub.update(members)
-                gens.append(s)
-                powers.append((s, layer[0], power))
+            gens = [s for s, _ in factors]
+            powers = [(s, pow(s, a - 1, n), 1) for s, a in factors]
             commutators = [(a, b, a * b % n) for i, a in enumerate(gens) for b in gens[i + 1:]]
             self._gens = tuple(gens)
             self._tree = UnitTree(tuple(edges), tuple(powers + commutators))
@@ -379,9 +364,9 @@ class CharacterBlock(NamedTuple):
 
 def _cyclic_factors(n: int) -> list[tuple[int, int]]:
     """(unit, order) pairs whose cyclic groups have units(n) as their direct
-    product: a primitive root for each odd prime power, -1 and 5 for 2^k,
-    each lifted by the Chinese remainder theorem to be 1 at the other
-    prime powers."""
+    product, the generators of ``UnitsGroup.tree``: a primitive root for
+    each odd prime power, -1 and 5 for 2^k, each lifted by the Chinese
+    remainder theorem to be 1 at the other prime powers."""
     out = []
     for p, k in factorization(n):
         q = p ** k
@@ -412,19 +397,18 @@ def _primitive_blocks(f: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
     {k x : k prime to d} is visited once, from its first member in
     lexicographic order.  A block has conductor f when its characters are
     nontrivial on the kernel of units(f) -> units(f/p) for every prime p.
+    The h_i are ``units(f).generators()``, and the exponent vector y of
+    each unit is read off their tree: a child adds 1 at its generator.
     """
     uf = units(f)
-    factors = _cyclic_factors(f)
-    orders = [a for _, a in factors]
+    orders = [a for _, a in _cyclic_factors(f)]
     exp = lcm(*orders)
-    logs: list[tuple[int, ...]] = [()] * len(uf)
-    for ys in product(*(range(a) for a in orders)):
-        g = 1
-        for (h, _), y in zip(factors, ys):
-            g = g * pow(h, y, f) % f
-        logs[uf.index(g)] = ys
-    kernels = [[uf.index(u) for u in uf if u % (f // p) == 1 % (f // p)]
-               for p in prime_factors(f)]
+    position = {h: i for i, h in enumerate(uf.generators())}
+    logs = {1: (0,) * len(orders)}
+    for u, h, parent in uf.tree().edges:
+        i, ys = position[h], logs[parent]
+        logs[u] = ys[:i] + (ys[i] + 1,) + ys[i + 1:]
+    kernels = [[u for u in uf if u % (f // p) == 1 % (f // p)] for p in prime_factors(f)]
     seen: set[tuple[int, ...]] = set()
     out = []
     for x in product(*(range(a) for a in orders)):
@@ -436,11 +420,11 @@ def _primitive_blocks(f: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
                 seen.add(tuple(k * xi % a for a, xi in zip(orders, x)))
         scale = [xi * (exp // a) for a, xi in zip(orders, x)]
 
-        def s(i: int) -> int:
-            return sum(c * y for c, y in zip(scale, logs[i])) % exp // (exp // d)
+        def s(u: int) -> int:
+            return sum(c * y for c, y in zip(scale, logs[u])) % exp // (exp // d)
 
-        if all(any(s(i) for i in ker) for ker in kernels):
-            out.append((d, tuple(s(i) for i in range(len(uf)))))
+        if all(any(s(u) for u in ker) for ker in kernels):
+            out.append((d, tuple(s(u) for u in uf)))
     return tuple(out)
 
 

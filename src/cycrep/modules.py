@@ -149,14 +149,11 @@ def validate_actions(x: OutCycModule, n: int) -> list[str]:
     of ``UnitsGroup.tree`` that do not leave 1, as A(s) A(h) == A(u), and
     on its relations: phi(n) - 1 + r(r-1)/2 products for r generators,
     instead of phi(n)^2.  That decides the full table.  Write M_i for
-    A(s_i).  The tree edges make A at a normal form s_r^e_r ... s_1^e_1
-    the product M_r^e_r ... M_1^e_1.  A power relation then says that
-    M_i^k_i is that product for the normal form of s_i^k_i, and a
-    commutator that M_i M_j = M_j M_i.  These are the defining relations
-    of the group: every word in the s_i collects to a normal form under
-    them, so they present a group of order at most prod k_i = phi(n),
-    which units(n) satisfies.  With A(1) = I they make each M_i
-    invertible (M_1^k_1 = I, and so on up), so by von Dyck's theorem
+    A(s_i), a_i for the order of s_i.  The tree edges make A at a normal
+    form s_r^e_r ... s_1^e_1 the product M_r^e_r ... M_1^e_1.  With
+    A(1) = I, a power relation then says M_i^a_i = I, and a commutator
+    that M_i M_j = M_j M_i.  These present the direct product of the
+    cyclic groups <s_i>, which is units(n), so by von Dyck's theorem
     s_i -> M_i extends to a homomorphism, which agrees with A at every
     normal form, that is at every unit.  On a module that is not
     multiplicative the list of violations can be shorter than the full

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from typing import Any
+from typing import Any, Callable
 
 from .cyclic_site import SupportSet, units
 from .linalg import QMatrix, rat, rat_to_str
@@ -206,21 +206,29 @@ def _write(obj: Any, nl: str, out: list[str]) -> None:
     out.append(json.dumps(obj, sort_keys=True, indent=2).replace("\n", nl))
 
 
-BUILTIN_NAMES = ("regular", "tauRU", "free:<n>", "semifree:<n>", "atomic:<n>:<d>",
-                 "random:<n>")
+# each built-in module as it is spelled, its integer arguments in angle
+# brackets, and its constructor from the support and those arguments
+BUILTINS = {
+    "regular": regular_module,
+    "tauRU": tau_ru_module,
+    "free:<n>": lambda support, n: free_module(n, support),
+    "semifree:<n>": lambda support, n: semifree_module(n, support),
+    "atomic:<n>:<d>": lambda support, n, d: atomic_module(n, d, support),
+    "random:<n>": random_module,
+}
 
 
-_BUILTIN_ARITY = {"regular": 0, "tauRU": 0, "free": 1, "semifree": 1, "atomic": 2,
-                  "random": 1}
+_BY_HEAD = {name.split(":")[0]: (name.count(":"), make) for name, make in BUILTINS.items()}
 
 
-def _parse_builtin(name: str) -> tuple[str, list[int]] | None:
+def _parse_builtin(name: str) -> tuple[Callable[..., OutCycModule], list[int]] | None:
     """The constructor and integer arguments a built-in name spells, or None."""
     head, *rest = name.split(":")
-    if _BUILTIN_ARITY.get(head) != len(rest):
+    arity, make = _BY_HEAD.get(head, (None, None))
+    if arity != len(rest):
         return None
     try:
-        return head, [int(a) for a in rest]
+        return make, [int(a) for a in rest]
     except ValueError:
         return None
 
@@ -232,23 +240,12 @@ def is_builtin_name(name: str) -> bool:
 
 
 def module_from_name(name: str, support: SupportSet) -> OutCycModule:
-    """Resolve a built-in constructor name over the given support;
-    ``random:n`` is ``random_module(support, n)``."""
+    """Resolve a built-in name (``BUILTINS``) over the given support."""
     parsed = _parse_builtin(name)
     if parsed is None:
-        raise ValueError(f"unknown module name {name!r}; built-ins: {', '.join(BUILTIN_NAMES)}")
-    head, args = parsed
-    if head == "regular":
-        return regular_module(support)
-    if head == "tauRU":
-        return tau_ru_module(support)
-    if head == "free":
-        return free_module(args[0], support)
-    if head == "semifree":
-        return semifree_module(args[0], support)
-    if head == "atomic":
-        return atomic_module(args[0], args[1], support)
-    return random_module(support, args[0])
+        raise ValueError(f"unknown module name {name!r}; built-ins: {', '.join(BUILTINS)}")
+    make, args = parsed
+    return make(support, *args)
 
 
 class InvalidModuleFile(ValueError):

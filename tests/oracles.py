@@ -14,10 +14,12 @@ import json
 import random
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import gcd, lcm
 from typing import Sequence
 
-from cycrep.cyclic_site import factorization, reduce_unit, totient, unit_reduction, units
+from cycrep.cyclic_site import (_cyclic_factors, factorization, prime_factors, reduce_unit,
+                                totient, unit_reduction, units)
 from cycrep.hom_ext import (CochainComplex, HomSpace, ResolutionStep, TowerReport, _chains,
                             _SpanTracker, limit_basis)
 from cycrep.linalg import (Entry, QMatrix, RatLike, _int_matrix, _int_row, _int_vecmat,
@@ -128,6 +130,60 @@ def brute_units(n: int) -> list[int]:
     if n == 1:
         return [1]
     return [u for u in range(1, n) if gcd(u, n) == 1]
+
+
+def greedy_unit_generators(n: int) -> tuple[int, ...]:
+    """The generating set ``UnitsGroup.generators`` was before it read
+    ``_cyclic_factors``: each generator the smallest unit outside the
+    subgroup generated by the earlier ones, so the set is increasing and
+    irredundant but not always minimal ((2, 3) at 7)."""
+    gens: list[int] = []
+    sub = {1}
+    for s in units(n):
+        if s in sub:
+            continue
+        gens.append(s)
+        frontier = sub
+        while frontier:
+            frontier = {h * s % n for h in frontier} - sub
+            sub |= frontier
+    return tuple(gens)
+
+
+def product_of_powers_blocks(f: int) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """``_primitive_blocks`` with its discrete logs found by enumerating
+    every product of powers of the ``_cyclic_factors`` of f, not read off
+    the tree of units(f); the blocks, inflated as ``character_blocks``
+    inflates them, are its reference."""
+    uf = units(f)
+    factors = _cyclic_factors(f)
+    orders = [a for _, a in factors]
+    exp = lcm(*orders)
+    logs: list[tuple[int, ...]] = [()] * len(uf)
+    for ys in product(*(range(a) for a in orders)):
+        g = 1
+        for (h, _), y in zip(factors, ys):
+            g = g * pow(h, y, f) % f
+        logs[uf.index(g)] = ys
+    kernels = [[uf.index(u) for u in uf if u % (f // p) == 1 % (f // p)]
+               for p in prime_factors(f)]
+    seen: set[tuple[int, ...]] = set()
+    out = []
+    for x in product(*(range(a) for a in orders)):
+        if x in seen:
+            continue
+        d = lcm(*(a // gcd(a, xi) for a, xi in zip(orders, x)))
+        for k in range(1, d + 1):
+            if gcd(k, d) == 1:
+                seen.add(tuple(k * xi % a for a, xi in zip(orders, x)))
+        scale = [xi * (exp // a) for a, xi in zip(orders, x)]
+
+        def s(i: int) -> int:
+            return sum(c * y for c, y in zip(scale, logs[i])) % exp // (exp // d)
+
+        if all(any(s(i) for i in ker) for ker in kernels):
+            out.append((d, tuple(s(i) for i in range(len(uf)))))
+    return tuple(out)
 
 
 def brute_cyclic_subgroup_count(n: int) -> int:

@@ -1,16 +1,19 @@
 from array import array
-from math import gcd
+from math import gcd, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fractions import Fraction
 
+from cycrep import cyclic_site
 from cycrep.cyclic_site import (
     SupportSet,
+    _cyclic_factors,
     character_blocks,
     divisor_closure,
     divisors,
+    factorization,
     is_prime,
     prime_factors,
     ramanujan_sum,
@@ -22,7 +25,8 @@ from cycrep.cyclic_site import (
 )
 
 from oracles import (brute_cyclic_subgroup_count, brute_totient, brute_units,
-                     idempotent_family_problems, reduce_root_combination)
+                     greedy_unit_generators, idempotent_family_problems,
+                     product_of_powers_blocks, reduce_root_combination)
 
 
 def test_divisor_closure_examples():
@@ -192,21 +196,30 @@ def _closure(n, gens):
     return sub
 
 
+def _order(n, g):
+    """The multiplicative order of the unit g mod n: the least divisor d of
+    phi(n) with g^d = 1."""
+    return next(d for d in divisors(totient(n)) if pow(g, d, n) == 1 % n)
+
+
 def test_unit_generators_examples():
     assert units(1).generators() == ()
     assert units(2).generators() == ()
-    assert units(12).generators() == (5, 7)
-    assert units(90).generators() == (7, 11)
+    # one generator per cyclic factor, each 1 at the other prime power:
+    # -1 mod 4 and the primitive root 2 mod 3 at 12
+    assert sorted((g % 4, g % 3) for g in units(12).generators()) == [(1, 2), (3, 1)]
+    assert units(7).generators() == (3,)
+    assert len(units(90).generators()) == 2
     assert len(units(840).generators()) == 5
 
 
 @pytest.fixture(scope="module")
 def fresh_unit_generators():
     """One sweep of fresh groups (the uncached constructor) over n <= 3000,
-    shared by the two tests below.  Per n it keeps the generators, whether
-    a second call returns the cached tuple, whether each generator is a
-    unit, and the units as a compact array; holding the groups themselves
-    would take about 270 MB."""
+    shared by the tests below.  Per n it keeps the generators, whether a
+    second call returns the cached tuple, whether each generator is a unit,
+    and the units as a compact array; holding the groups themselves would
+    take about 270 MB."""
     out = []
     for n in range(1, 3001):
         un = units.__wrapped__(n)
@@ -218,11 +231,36 @@ def fresh_unit_generators():
 
 def test_unit_generators_generate_deterministically(fresh_unit_generators):
     for n, gens, cached, are_units, elements in fresh_unit_generators:
-        assert gens == tuple(sorted(gens)) and len(set(gens)) == len(gens), n
+        assert len(set(gens)) == len(gens), n
         assert gens == units.__wrapped__(n).generators(), n
         assert cached, n
         assert are_units, n
         assert _closure(n, gens) == set(elements), n
+        assert prod(_order(n, g) for g in gens) == len(elements), n
+
+
+def _assert_direct_decomposition(n):
+    factors = _cyclic_factors(n)
+    assert tuple(g for g, _ in factors) == units(n).generators(), n
+    powers = [p ** k for p, k in factorization(n)]
+    for g, a in factors:
+        # order exactly a: g^a = 1, and no g^(a/p) for a prime p | a
+        assert pow(g, a, n) == 1 % n, (n, g)
+        assert all(pow(g, a // p, n) != 1 % n for p in prime_factors(a)), (n, g)
+        # a lift from one prime power q: 1 modulo every other
+        assert sum(g % q != 1 % q for q in powers) == 1, (n, g)
+    assert prod(a for _, a in factors) == totient(n), n
+
+
+def test_cyclic_factors_decompose_directly(fresh_unit_generators):
+    for n, gens, _, _, _ in fresh_unit_generators:
+        _assert_direct_decomposition(n)
+        assert len(gens) <= len(greedy_unit_generators(n)), n
+    for n in divisors(5040):
+        _assert_direct_decomposition(n)
+    # where the greedy set is not minimal: (2, 3) at 7, (2, 3) at 17, (3, 7) at 22
+    for n in [7, 17, 22]:
+        assert len(units(n).generators()) == 1 < len(greedy_unit_generators(n)), n
 
 
 def test_unit_generators_are_all_needed(fresh_unit_generators):
@@ -239,9 +277,7 @@ def test_unit_tree_spans_in_normal_form_with_its_relations():
         gens = un.generators()
         tree = un.tree()
         assert un.tree() is tree, n
-        # relative orders k_i = [<s_1..s_i> : <s_1..s_(i-1)>], by closures
-        sizes = [len(_closure(n, gens[:i])) for i in range(len(gens) + 1)]
-        orders = [b // a for a, b in zip(sizes, sizes[1:])]
+        orders = [_order(n, s) for s in gens]
         words = {1: (0,) * len(gens)}
         for u, s, h in tree.edges:
             assert s in gens and h in words and u not in words, (n, u)
@@ -255,7 +291,7 @@ def test_unit_tree_spans_in_normal_form_with_its_relations():
         r = len(gens)
         assert len(tree.relations) == r + r * (r - 1) // 2, n
         for (a, b, c), s, k in zip(tree.relations, gens, orders):
-            assert (a, b, c) == (s, pow(s, k - 1, n), pow(s, k, n)), (n, s)
+            assert (a, b, c) == (s, pow(s, k - 1, n), 1 % n), (n, s)
         assert list(tree.relations[r:]) == [(a, b, un.mul(a, b)) for i, a in enumerate(gens)
                                             for b in gens[i + 1:]], n
 
@@ -265,6 +301,14 @@ def test_unit_tree_spans_in_normal_form_with_its_relations():
 def test_block_count_is_the_number_of_cyclic_subgroups():
     for n in sorted(set(range(1, 401)) | set(divisors(2520))):
         assert len(character_blocks(n)) == brute_cyclic_subgroup_count(n), n
+
+
+def test_blocks_match_the_product_of_powers_logs(monkeypatch):
+    levels = sorted({*range(1, 401), *divisors(5040)})
+    got = [character_blocks(n) for n in levels]
+    monkeypatch.setattr(cyclic_site, "_primitive_blocks", product_of_powers_blocks)
+    for n, blocks in zip(levels, got):
+        assert character_blocks.__wrapped__(n) == blocks, n
 
 
 def test_ramanujan_sums_against_roots_of_unity():

@@ -417,7 +417,7 @@ class TestGeneratorChecksAgainstFullTable:
         v, w = [1, -1, 0, 0], [1, -1, -1, 1]
         mats[12] = QMatrix(4, 4, [a * b for a in v for b in w])
         f = ModuleMorphism(reg, reg, mats)
-        assert units(12).generators() == (5, 7)
+        assert sorted(units(12).generators()) == [5, 7]
         assert f.validate() == ["equivariance fails at level 12, unit 7"]
         assert all_unit_morphism_violations(f) == [
             "equivariance fails at level 12, unit 7",
@@ -433,9 +433,9 @@ def _tree_edges_only(x, n):
 
 
 def _noncommuting_level_12():
-    # units(12) = {1, 5, 7, 11} has the generators (5, 7), both of relative
-    # order 2; two reflections P, Q with P^2 = Q^2 = I and PQ != QP at
-    # level 12, zero elsewhere, stored at 1 and the generators only
+    # units(12) = {1, 5, 7, 11} has the generators 5 and 7, both of order
+    # 2; two reflections P, Q with P^2 = Q^2 = I and PQ != QP at level 12,
+    # zero elsewhere, stored at 1 and the generators only
     p = QMatrix.from_rows([[1, 0], [0, -1]])
     q = QMatrix.from_rows([[0, 1], [1, 0]])
     assert p @ p == q @ q == QMatrix.identity(2) and p @ q != q @ p
@@ -488,11 +488,13 @@ class TestTreeChecksAgainstGeneratorLoops:
             assert _stored_units(x, n) == _generators_and_one(n), n
 
     def test_only_a_commutator_fails(self):
-        # completed along the tree, A(11) = Q P, so every tree edge and both
-        # power relations hold; only A(5) A(7) = A(11) fails
+        # completed along the tree, A(11) is the product of P and Q in the
+        # order of its tree edge, so every tree edge and both power
+        # relations hold; only the commutator of the two generators fails
         x = _noncommuting_level_12()
+        a, b = units(12).generators()
         assert _tree_edges_only(x, 12) == []
-        assert validate(x) == ["action not multiplicative at level 12: 5 * 7"]
+        assert validate(x) == [f"action not multiplicative at level 12: {a} * {b}"]
         assert generator_validate_actions(x, 12) != []
 
     def test_products_per_level(self, monkeypatch):
@@ -704,19 +706,25 @@ class TestActionsStoredOnGenerators:
                 one = QMatrix.identity(x.dim(n))
                 assert all(x.action(n, l) == one for l in units(n)), (x.name, n)
 
-    def test_dependent_generators_need_the_full_table(self):
-        # units(7) is cyclic of order 6, and its greedy generators (2, 3) are
-        # dependent: 3^2 = 2 mod 7.  A(2) has order 3 and A(3) = -I commutes
-        # with it and has order 2, so the generators commute and satisfy
-        # g^ord(g) = I, yet A(3)^2 != A(2): no action of units(7) restricts
-        # to these matrices, and validation must say so.
-        assert units(7).generators() == (2, 3)
+    def test_power_relation_bounds_the_generator_order(self):
+        # units(7) is cyclic of order 6 on the one generator 3.  A quarter
+        # turn has order 4, which does not divide 6: every tree edge holds
+        # for the table completed from it, and only the power relation
+        # A(3) A(3^5) = A(1), that is A(3) A(5) = I, fails.  A rotation of
+        # order 6 stored at 3 passes.
+        assert units(7).generators() == (3,)
         s7 = SupportSet([1, 7])
-        a2 = QMatrix.from_rows([[0, -1], [1, -1]])
-        a3 = QMatrix.identity(2).scale(-1)
-        assert a2 @ a3 == a3 @ a2 and a2 @ a2 @ a2 == QMatrix.identity(2)
-        assert a3 @ a3 != a2
-        x = OutCycModule(s7, {1: 0, 7: 2}, {1: {1: QMatrix.zeros(0, 0)},
-                                           7: {1: QMatrix.identity(2), 2: a2, 3: a3}},
-                         {(1, 7): QMatrix.zeros(2, 0)})
-        assert "action not multiplicative at level 7: 3 * 3" in validate(x)
+
+        def level_7(a3):
+            return OutCycModule(s7, {1: 0, 7: 2}, {1: {1: QMatrix.zeros(0, 0)},
+                                                  7: {1: QMatrix.identity(2), 3: a3}},
+                                {(1, 7): QMatrix.zeros(2, 0)})
+
+        quarter = QMatrix.from_rows([[0, -1], [1, 0]])
+        sixth = QMatrix.from_rows([[1, -1], [1, 0]])
+        assert quarter @ quarter @ quarter @ quarter == QMatrix.identity(2)
+        bad = level_7(quarter)
+        assert validate(bad) == ["action not multiplicative at level 7: 3 * 5"]
+        assert all_pairs_validate_actions(bad, 7) != []
+        good = level_7(sixth)
+        assert validate(good) == [] and all_pairs_validate_actions(good, 7) == []
