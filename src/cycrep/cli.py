@@ -252,7 +252,7 @@ def _cmd_report(args, support: SupportSet, rep: Report) -> None:
 
 
 def _common(p: argparse.ArgumentParser, source: bool = False, target: bool = False,
-            degree: bool = False, seed: bool = False, cap: bool = False) -> None:
+            degree: str = "", seed: bool = False, cap: bool = False) -> None:
     p.add_argument("--support", required=True,
                    help="divisors:N | upto:N | comma list (divisor-closed)")
     if source:
@@ -263,7 +263,7 @@ def _common(p: argparse.ArgumentParser, source: bool = False, target: bool = Fal
     if target:
         p.add_argument("--target", default=None, help="like --source; default regular")
     if degree:
-        p.add_argument("--max-degree", type=int, default=3)
+        p.add_argument("--max-degree", type=int, default=3, help=degree)
     p.add_argument("--format", choices=["text", "json"], default="text")
     if seed:
         p.add_argument("--seed", type=int, default=0,
@@ -274,20 +274,24 @@ def _common(p: argparse.ArgumentParser, source: bool = False, target: bool = Fal
 
 
 # verb: (its command, help line, the options of ``_common`` it takes), in
-# help order
+# help order; "degree" holds the verb's help for --max-degree
 _VERBS = {
     "validate": (_cmd_validate, "check module invariants", {"source": True}),
     "hom": (_cmd_hom, "morphism space between two modules",
             {"source": True, "target": True, "cap": True}),
     "ext": (_cmd_ext, "extension groups via a resolution",
-            {"source": True, "target": True, "degree": True, "cap": True}),
+            {"source": True, "target": True, "cap": True,
+             "degree": "highest Ext degree computed (default 3)"}),
     "lim": (_cmd_lim, "derived inverse limits of the dual system",
-            {"source": True, "degree": True, "cap": True}),
+            {"source": True, "cap": True,
+             "degree": "highest derived-limit degree computed (default 3)"}),
     "tau-ru": (_cmd_tau_ru, "transfer-quotient dimensions", {}),
     "normal-basis": (_cmd_normal_basis, "verify the normal-basis isomorphism", {}),
-    "resolution": (_cmd_resolution, "verify the prime-set resolution", {"degree": True}),
+    "resolution": (_cmd_resolution, "verify the prime-set resolution",
+                   {"degree": "degree the resolution is built to (default 3)"}),
     "report": (_cmd_report, "run the standard battery over a support",
-               {"degree": True, "seed": True}),
+               {"seed": True, "degree": "Ext and the derived limits run only to "
+                                         "degree min(MAX_DEGREE, 2) (default 3)"}),
 }
 
 

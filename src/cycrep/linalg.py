@@ -79,8 +79,7 @@ class QMatrix:
     ``Fraction`` and never zero.  ``from_row_dicts`` takes such dicts as
     given; every other constructor coerces its entries through ``rat``.
     ``m[i, j] = v`` fills a matrix in place (a zero ``v`` removes the
-    entry); once a matrix has been handed on it must not be written, since
-    modules share matrix objects between units.
+    entry); once a matrix has been handed on it must not be written.
     """
 
     __slots__ = ("rows", "cols", "data")
@@ -125,10 +124,9 @@ class QMatrix:
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
-        m = cls.zeros(n, n)
-        for i, r in enumerate(m.data):
-            r[i] = _ONE
-        return m
+        if n < 0:
+            raise ValueError("negative matrix dimensions")
+        return cls.from_row_dicts([{i: _ONE} for i in range(n)], n)
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "QMatrix":

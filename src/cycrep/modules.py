@@ -66,18 +66,14 @@ class OutCycModule:
         from 1 and the generators along the edges (u, s, h) of
         ``UnitsGroup.tree``: table[u] = table[s] @ table[h] wherever h is
         not 1, with the identity at 1 when 1 is not stored.  On a valid
-        module that is its action at every unit, since A(u) = A(s) A(h).  A
-        table whose generators all hold its identity object at 1 is filled
-        with that object instead, so trivial actions keep sharing it.
+        module that is its action at every unit, since A(u) = A(s) A(h).
         """
         table = self._actions[n]
         if l not in table and l in units(n):
-            un, ident = units(n), QMatrix.identity(self.dims[n])
-            one = table.setdefault(1, ident)
-            shared = one == ident and all(table.get(g) is one for g in un.generators())
-            for u, s, h in un.tree().edges:
+            table.setdefault(1, QMatrix.identity(self.dims[n]))
+            for u, s, h in units(n).tree().edges:
                 if h != 1:
-                    table[u] = one if shared else table[s] @ table[h]
+                    table[u] = table[s] @ table[h]
         return table[l]
 
     def restriction_step(self, n: int, m: int) -> QMatrix:
@@ -284,20 +280,23 @@ def free_module(n: int, support: SupportSet) -> OutCycModule:
     return OutCycModule(support, dims, actions, restrictions, name=f"free:{n}")
 
 
+def _trivial_actions(dims: dict[int, int]) -> dict[int, dict[int, QMatrix]]:
+    """A fresh identity of each level's dimension at 1 and at each generator."""
+    return {n: {l: QMatrix.identity(d) for l in (1, *units(n).generators())}
+            for n, d in dims.items()}
+
+
 def semifree_module(n: int, support: SupportSet) -> OutCycModule:
     """One copy of Q at every level divisible by n, identity restrictions.
 
     Co-represents the unit-group invariants of the level-n value.  When the
     support contains no multiple of n this is simply the zero module.  The
-    action is trivial: 1 and the generators of each level share one
-    identity matrix object, and ``OutCycModule.action`` completes the level
-    with that object; like every ``QMatrix``, it must never be mutated.
+    action is trivial, stored as an identity at 1 and at each generator.
     """
     if n < 1:
         raise ValueError("level must be positive")
     dims = {m: (1 if m % n == 0 else 0) for m in support}
-    actions = {m: dict.fromkeys((1, *units(m).generators()), QMatrix.identity(dims[m]))
-               for m in support}
+    actions = _trivial_actions(dims)
     restrictions = {
         (a, b): (QMatrix.identity(1) if a % n == 0 else QMatrix.zeros(dims[b], dims[a]))
         for a, b in support.covering_pairs()
@@ -306,33 +305,24 @@ def semifree_module(n: int, support: SupportSet) -> OutCycModule:
 
 
 def atomic_module(n: int, d: int, support: SupportSet) -> OutCycModule:
-    """A d-dimensional trivial representation at level n only, zero elsewhere.
-
-    As in ``semifree_module``, 1 and the generators of each level share one
-    identity matrix object, which completes the level; it must never be
-    mutated in place.
-    """
+    """A d-dimensional trivial representation at level n only, zero elsewhere."""
     if n not in support:
         raise ValueError(f"{n} not in support")
     if d < 0:
         raise ValueError(f"an atom's dimension must be nonnegative, got d = {d}")
     dims = {m: (d if m == n else 0) for m in support}
-    actions = {m: dict.fromkeys((1, *units(m).generators()), QMatrix.identity(dims[m]))
-               for m in support}
+    actions = _trivial_actions(dims)
     restrictions = {(a, b): QMatrix.zeros(dims[b], dims[a])
                     for a, b in support.covering_pairs()}
     return OutCycModule(support, dims, actions, restrictions, name=f"atomic:{n}:{d}")
 
 
 def zero_module(support: SupportSet) -> OutCycModule:
-    """Zero at every level; 1 and the generators share one 0x0 matrix."""
-    return OutCycModule(
-        support,
-        {n: 0 for n in support},
-        {n: dict.fromkeys((1, *units(n).generators()), QMatrix.zeros(0, 0)) for n in support},
-        {pair: QMatrix.zeros(0, 0) for pair in support.covering_pairs()},
-        name="zero",
-    )
+    """Zero at every level."""
+    dims = {n: 0 for n in support}
+    return OutCycModule(support, dims, _trivial_actions(dims),
+                        {pair: QMatrix.zeros(0, 0) for pair in support.covering_pairs()},
+                        name="zero")
 
 
 def direct_sum(mods: Sequence[OutCycModule], name: str = "") -> OutCycModule:
@@ -340,12 +330,7 @@ def direct_sum(mods: Sequence[OutCycModule], name: str = "") -> OutCycModule:
 
     The sum stores the actions of 1 and the generators of each units(n)
     only; ``OutCycModule.action`` completes the other units on request, and
-    the block-diagonal of products is the product of block-diagonals.  Each
-    block-diagonal matrix is built once per distinct tuple of summand
-    matrix objects, so the stored units of a level whose summands share
-    their matrices (trivial actions) share one result object as well, and
-    the completion keeps sharing it; no ``QMatrix`` may be mutated in place.
-    The memo keys on ``id``s, which stay unique: the summands store them.
+    the block-diagonal of products is the product of block-diagonals.
     """
     if not mods:
         raise ValueError("empty direct sum; pass zero_module instead")
@@ -362,17 +347,9 @@ def direct_sum(mods: Sequence[OutCycModule], name: str = "") -> OutCycModule:
             co += m.cols
         return QMatrix.from_row_dicts(data, co)
 
-    memo: dict[tuple[int, ...], QMatrix] = {}
-
-    def shared_block_diag(mats: list[QMatrix]) -> QMatrix:
-        key = tuple(map(id, mats))
-        if key not in memo:
-            memo[key] = block_diag(mats)
-        return memo[key]
-
-    actions = {n: {l: shared_block_diag([m.action(n, l) for m in mods])
+    actions = {n: {l: block_diag([m.action(n, l) for m in mods])
                    for l in (1, *units(n).generators())} for n in support}
-    restrictions = {pair: shared_block_diag([m.restriction_step(*pair) for m in mods])
+    restrictions = {pair: block_diag([m.restriction_step(*pair) for m in mods])
                     for pair in support.covering_pairs()}
     return OutCycModule(support, dims, actions, restrictions,
                         name=name or "(+)".join(m.name or "?" for m in mods))

@@ -152,15 +152,10 @@ def restrict_sub_matrix(n: int, d: int) -> QMatrix:
 def transfer_matrix(d: int, n: int) -> QMatrix:
     """Induction from the subgroup of order d up to level n (d | n).
 
-    X^j goes to the sum of the X^i with i congruent to j mod d; as a matrix
-    this is the transpose of the subgroup restriction.
+    X^j goes to the sum of the X^i with i congruent to j mod d: the
+    transpose of the subgroup restriction.
     """
-    if n % d:
-        raise ValueError(f"{d} does not divide {n}")
-    out = QMatrix.zeros(n, d)
-    for i in range(n):
-        out[i, i % d] = 1
-    return out
+    return restrict_sub_matrix(n, d).transpose()
 
 
 def unit_action_matrix(n: int, l: int) -> QMatrix:

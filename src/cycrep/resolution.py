@@ -7,11 +7,17 @@ levelwise it is the (augmented) simplicial boundary of a simplex on the
 prime factors, which is why a weighted insertion operator furnishes a chain
 contraction at every level with at least one prime factor.
 
-The insertion sign convention is pinned empirically: the contraction
-identity dh + hd = id holds with 1-based insertion positions against the
-1-based differential signs, and flipping to 0-based insertion flips the
-composite to minus the identity.  The verification report records the
-convention in force.
+The contraction is the transpose of the differential divided by omega,
+the number of ambient primes dividing the level.  Inserting a prime at
+1-based position i is the transpose of dropping the i-th prime, which d
+signs (-1)^i, so h inserts each absent prime with the sign of its 1-based
+insertion position.  Levelwise, d is the sum over the omega primes p of
+the signed drop of p, and its transpose the sum of the signed insertions.
+Dropping p after inserting it, plus inserting p after dropping it, is the
+identity, while for two different primes the two orders cancel; so
+d d^T + d^T d = omega times the identity, which is dh + hd = id.  Flipping to
+0-based insertion negates h and the composite with it.  The verification
+report records the convention in force.
 
 The cokernels of the differentials carry the witness cocycles: the
 projection of the degree-n term onto coker(d_{n+1}) is a nonzero cocycle
@@ -38,8 +44,6 @@ from .modules import (
     zero_module,
 )
 from .hom_ext import hom_direct
-
-_F1 = Fraction(1)
 
 PrimeTuple = tuple[int, ...]
 
@@ -135,42 +139,23 @@ def build_complex(primes: list[int], max_degree: int, support: SupportSet) -> Pr
 def contraction(cx: PrimeComplex, m: int) -> list[QMatrix]:
     """The maps h_n from degree n to degree n+1 at level m, for m > 1.
 
-    h scales by the reciprocal of the number of prime factors and inserts
-    each absent prime with the sign of its 1-based insertion position.
+    h_n is the transpose of d_{n+1} at level m scaled by 1/omega, omega the
+    number of ambient primes dividing m (see the module docstring).
     Degrees beyond the built range would land in unbuilt modules; the list
     covers n = 0 .. max_degree - 1, plus max_degree itself whenever the
-    module one degree up is empty at this level (then h is zero there).
+    module one degree up is empty at this level, that is omega <= max_degree
+    (then h is the zero map there).
     """
     if m == 1:
         raise ValueError("the contraction is defined only at levels with a prime factor")
-    level_primes = [p for p in cx.primes if m % p == 0]
-    omega = len(level_primes)
+    omega = sum(1 for p in cx.primes if m % p == 0)
     if omega < 1:
         raise ValueError(f"level {m} has no prime factors among the ambient primes")
-    weight = Fraction(1, omega)
-    out = []
     top = cx.max_degree
-    for n in range(top + 1):
-        src = cx.level_tuples(n, m)
-        if n + 1 <= top:
-            tgt = cx.level_tuples(n + 1, m)
-        else:
-            tgt = [t for t in combinations(level_primes, n + 1)]
-            if tgt:
-                break  # cannot express h into an unbuilt nonzero module
-            tgt = []
-        tgt_index = {t: i for i, t in enumerate(tgt)}
-        mat = QMatrix.zeros(len(tgt), len(src))
-        for j, alpha in enumerate(src):
-            present = set(alpha)
-            for p in level_primes:
-                if p in present:
-                    continue
-                pos = sum(1 for q in alpha if q < p) + 1  # 1-based insertion slot
-                bigger = tuple(sorted(alpha + (p,)))
-                sign = -1 if pos % 2 else 1
-                mat[tgt_index[bigger], j] += weight * sign
-        out.append(mat)
+    out = [cx.diff_at_level(n + 1, m).transpose().scale(Fraction(1, omega))
+           for n in range(top)]
+    if omega <= top:
+        out.append(QMatrix.zeros(0, len(cx.level_tuples(top, m))))
     return out
 
 

@@ -14,7 +14,7 @@ import json
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
 from math import gcd, lcm
 from typing import Sequence
 
@@ -31,6 +31,7 @@ from cycrep.modules import (InverseSystem, ModuleMorphism, MorphismFactorization
 from cycrep.normal_basis import LevelCheck, SquareCheck
 from cycrep.rep_ring import (MonomialReducer, RUElement, restrict_proj_matrix, tau_level,
                              transfer_ideal, unit_action_matrix)
+from cycrep.resolution import PrimeComplex
 
 F0 = Fraction(0)
 F1 = Fraction(1)
@@ -1939,3 +1940,48 @@ def fraction_classifier_report(support, scaled: bool = True):
 def reference_dumps_canonical(obj) -> str:
     """The standard library's indenting encoder, with sorted keys."""
     return json.dumps(obj, sort_keys=True, indent=2)
+
+
+# --- the insertion loop that resolution.contraction (the transposed
+# differential over omega) replaced
+
+def insertion_contraction(cx: PrimeComplex, m: int) -> list[QMatrix]:
+    """The maps h_n from degree n to degree n+1 at level m, for m > 1.
+
+    h scales by the reciprocal of the number of prime factors and inserts
+    each absent prime with the sign of its 1-based insertion position.
+    Degrees beyond the built range would land in unbuilt modules; the list
+    covers n = 0 .. max_degree - 1, plus max_degree itself whenever the
+    module one degree up is empty at this level (then h is zero there).
+    """
+    if m == 1:
+        raise ValueError("the contraction is defined only at levels with a prime factor")
+    level_primes = [p for p in cx.primes if m % p == 0]
+    omega = len(level_primes)
+    if omega < 1:
+        raise ValueError(f"level {m} has no prime factors among the ambient primes")
+    weight = Fraction(1, omega)
+    out = []
+    top = cx.max_degree
+    for n in range(top + 1):
+        src = cx.level_tuples(n, m)
+        if n + 1 <= top:
+            tgt = cx.level_tuples(n + 1, m)
+        else:
+            tgt = [t for t in combinations(level_primes, n + 1)]
+            if tgt:
+                break  # cannot express h into an unbuilt nonzero module
+            tgt = []
+        tgt_index = {t: i for i, t in enumerate(tgt)}
+        mat = QMatrix.zeros(len(tgt), len(src))
+        for j, alpha in enumerate(src):
+            present = set(alpha)
+            for p in level_primes:
+                if p in present:
+                    continue
+                pos = sum(1 for q in alpha if q < p) + 1  # 1-based insertion slot
+                bigger = tuple(sorted(alpha + (p,)))
+                sign = -1 if pos % 2 else 1
+                mat[tgt_index[bigger], j] += weight * sign
+        out.append(mat)
+    return out

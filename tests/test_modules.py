@@ -536,15 +536,15 @@ def _assert_same_structure(a, b):
 
 def _mixed_parts(support):
     # a summand storing every unit, next to a conjugated one and two with
-    # shared trivial actions
+    # trivial actions stored at 1 and the generators
     return [regular_module(support), scramble(free_module(2, support), 7),
             semifree_module(2, support), atomic_module(1, 2, support)]
 
 
 class TestFactorOnGeneratorsAgainstPerUnitSolves:
     """Induced actions solved at the generators and completed by products,
-    and block-diagonal sums built once per tuple of summand matrices,
-    against the per-unit routes of oracles.py."""
+    and block-diagonal sums stored at the generators, against the per-unit
+    routes of oracles.py."""
 
     @staticmethod
     def _check(f):
@@ -592,17 +592,23 @@ class TestFactorOnGeneratorsAgainstPerUnitSolves:
         for f in hom_direct(s, reg).basis + [identity_morphism(s)]:
             self._check(f)
 
-    def test_trivial_actions_share_one_matrix_per_level(self):
-        for x in [semifree_module(1, S12), atomic_module(4, 2, S12), zero_module(S12),
-                  direct_sum([semifree_module(2, S12), atomic_module(4, 2, S12)])]:
-            for n in S12:
-                mats = {id(x.action(n, l)) for l in units(n)}
-                assert len(mats) == 1, (x.name, n)
+    @pytest.mark.parametrize("support", [S12, S60])
+    def test_completed_trivial_actions_are_identities_held_once(self, support):
+        trivial = [semifree_module(1, support), atomic_module(4, 2, support),
+                   zero_module(support),
+                   direct_sum([semifree_module(2, support), atomic_module(4, 2, support)])]
+        mixed = direct_sum(_mixed_parts(support))
+        for x in trivial + [mixed]:
+            for n in support:
+                mats = [x.action(n, l) for l in units(n)]
+                if x is not mixed:
+                    assert all(a == QMatrix.identity(x.dim(n)) for a in mats), (x.name, n)
+                assert len({id(a) for a in mats}) == len(mats), (x.name, n)
 
 
 class TestSharedMatricesAreNeverMutated:
-    """Units share matrix objects, so an in-place write anywhere would
-    corrupt every unit of a level at once."""
+    """Modules hand their stored matrices to every computation that reads
+    them, so an in-place write anywhere would corrupt the module."""
 
     def test_no_computation_writes_into_its_inputs(self):
         s = support_of_divisors(12)

@@ -1,5 +1,6 @@
 import re
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -13,6 +14,8 @@ from cycrep.resolution import (
     nontrivial_ext_witness,
     verify_resolution,
 )
+
+from oracles import insertion_contraction
 
 S6 = support_of_divisors(6)
 S30 = support_of_divisors(30)
@@ -111,6 +114,18 @@ class TestContraction:
         # identity is carried by h2 d3 alone
         assert hs[3].is_zero()
         assert hs[2] @ cx.diff_at_level(3, 30) == QMatrix.identity(1)
+
+    @pytest.mark.parametrize("primes", [[2, 3], [2, 3, 5], [3, 5, 7, 11], [2, 3, 5, 7, 11]])
+    def test_transposed_differential_matches_the_insertion_loop(self, primes):
+        # every level with an ambient prime factor, at every degree up to one
+        # past the number of primes: both top-degree branches (the zero map
+        # and the unbuilt module) run
+        support = support_of_divisors(prod(primes))
+        for max_degree in range(1, len(primes) + 2):
+            cx = build_complex(primes, max_degree, support)
+            for m in support:
+                if m > 1:
+                    assert contraction(cx, m) == insertion_contraction(cx, m), (max_degree, m)
 
     def test_opposite_insertion_parity_breaks_the_identity(self):
         # flipping to 0-based insertion signs negates h, turning dh + hd into

@@ -780,6 +780,12 @@ class TestOneVerbParser:
         assert got == _parser_outcome(build_parser(), argv, capsys)
         assert got[0] in (0, 2) and (got[1] or got[2])
 
+    def test_report_help_names_the_degree_cap(self, capsys):
+        # _cmd_report runs Ext and the derived limits to min(--max-degree, 2)
+        argv = ["report", "--help"]
+        code, out, _ = _parser_outcome(build_parser(argv), argv, capsys)
+        assert code == 0 and "min(MAX_DEGREE, 2)" in " ".join(out.split())
+
     @pytest.mark.parametrize("verb", VERBS)
     def test_only_that_verb_is_built(self, verb, capsys):
         other = "tau-ru" if verb != "tau-ru" else "hom"
