@@ -20,8 +20,8 @@ the first interesting example lives over the three-element support {1,2,3}.
 from __future__ import annotations
 
 from bisect import bisect_right
+from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from typing import NamedTuple, Optional, Sequence
@@ -31,7 +31,6 @@ from .cyclic_site import (
     SupportSet,
     _ramanujan_row,
     character_blocks,
-    divisors,
     reduce_unit,
     units,
 )
@@ -52,6 +51,7 @@ from .modules import (
     dual_system,
     regular_module,
 )
+from .rep_ring import _reducer
 
 _F0 = Fraction(0)
 _F1 = Fraction(1)
@@ -497,54 +497,25 @@ class _SpanTracker:
         return True
 
 
-@lru_cache(maxsize=None)
-def _cyclotomic(d: int) -> tuple[int, ...]:
-    """The coefficients of Phi_d, low degree first: x^d - 1 divided by
-    Phi_k for every proper divisor k of d."""
-    num = [-1] + [0] * (d - 1) + [1]
-    for k in divisors(d)[:-1]:
-        div = _cyclotomic(k)
-        quot = [0] * (len(num) - len(div) + 1)
-        for i in reversed(range(len(quot))):
-            quot[i] = num[i + len(div) - 1]  # div is monic
-            for j, c in enumerate(div):
-                num[i + j] -= quot[i] * c
-        num = quot
-    return tuple(num)
-
-
-@lru_cache(maxsize=None)
-def _x_powers(d: int) -> tuple[tuple[tuple[int, int], ...], ...]:
-    """x^j mod Phi_d for j < d + phi(d), each as its nonzero (t, int) pairs
-    in the basis 1, x, ..., x^(phi(d) - 1); x^d is 1 there."""
-    phi_d = _cyclotomic(d)
-    cur = [1] + [0] * (len(phi_d) - 2)
-    out = []
-    for _ in range(d + len(cur)):
-        out.append(tuple((t, c) for t, c in enumerate(cur) if c))
-        top = cur[-1]
-        cur = [0] + cur[:-1]
-        if top:
-            cur = [a - top * b for a, b in zip(cur, phi_d)]
-    return tuple(out)
-
-
 class _BlockSum:
     """A finite sum of block projectives e_i P_{n_i}, given by their blocks.
 
     e P_n vanishes below n, and at every multiple of n it is
-    e Q[units(n)] = Q[x]/Phi_d, in the coordinates x^t (t < phi(d)), where
-    x^t stands for e c^t with c the block's generator.  A unit u acts by
-    multiplication by x^s(u mod n), an integer matrix; a restriction keeps
-    every block and moves it to its offset at the larger level.  Vectors
-    are sparse ``{index: value}`` dicts.
+    e Q[units(n)] = Q(zeta_d), d the block's order, in the coordinates of
+    ``rep_ring.MonomialReducer(d)``: coordinate t is the basis monomial
+    b = basis[t] and stands for e c^b, with c the block's generator.  A
+    unit u acts by multiplication by c^s(u mod n), the reduced monomial of
+    b + s, an integer matrix; a restriction keeps every block and moves it
+    to its offset at the larger level.  Vectors are sparse
+    ``{index: value}`` dicts.
     """
 
-    __slots__ = ("blocks", "support", "_layout", "_owner")
+    __slots__ = ("blocks", "support", "_reducers", "_layout", "_owner")
 
     def __init__(self, blocks: list[CharacterBlock], support: SupportSet):
         self.blocks = blocks
         self.support = support
+        self._reducers = [_reducer(blk.order) for blk in blocks]
         self._layout: dict[int, list[tuple[int, int]]] = {}
         self._owner: dict[int, list[tuple[int, int]]] = {}
         for m in support:
@@ -565,12 +536,12 @@ class _BlockSum:
         out: Vec = {}
         for k, v in vec.items():
             i, t = owner[k]
-            blk = self.blocks[i]
+            blk, red = self.blocks[i], self._reducers[i]
             s = blk.exponents[units(blk.level).index(reduce_unit(m, blk.level, u))]
-            powers = _x_powers(blk.order)[t + s]
             base = k - t
-            for r, c in powers:
-                out[base + r] = out.get(base + r, 0) + c * v
+            for b, c in red.reduce_exponent((red.basis[t] + s) % blk.order).items():
+                r = base + red.basis_index[b]
+                out[r] = out.get(r, 0) + c * v
         return {k: v for k, v in out.items() if v}
 
     def res(self, n: int, m: int, vec: Vec) -> Vec:
@@ -581,12 +552,13 @@ class _BlockSum:
 
     def in_units_basis(self, m: int, vec: Vec) -> dict[int, Fraction]:
         """A vector at level m in the units basis of the whole representables
-        P_{n_i}, block after block: x^t of block i becomes e_i c_i^t, whose
-        coefficient at g is c_d(s(g) - t) / |units(n_i)|."""
+        P_{n_i}, block after block: coordinate t of block i becomes
+        e_i c_i^b, b = basis[t], whose coefficient at g is
+        c_d(s(g) - b) / |units(n_i)|."""
         coords: dict[int, list[tuple[int, Entry]]] = {}
         for k, v in vec.items():
             i, t = self._owner[m][k]
-            coords.setdefault(i, []).append((t, v))
+            coords.setdefault(i, []).append((self._reducers[i].basis[t], v))
         out: dict[int, Fraction] = {}
         base = 0
         for i, _ in self._layout[m]:
@@ -595,7 +567,7 @@ class _BlockSum:
             if i in coords:
                 d = blk.order
                 ram = _ramanujan_row(d)
-                vals = [sum(v * ram[(s - t) % d] for t, v in coords[i]) for s in range(d)]
+                vals = [sum(v * ram[(s - b) % d] for b, v in coords[i]) for s in range(d)]
                 for g, s in enumerate(blk.exponents):
                     if vals[s]:
                         out[base + g] = Fraction(vals[s]) / size
@@ -622,15 +594,6 @@ def _block_dims(m: OutCycModule, n: int) -> dict[tuple[int, int], int]:
     return out
 
 
-def _apply_cols(cols: list[dict[int, Entry]], vec: Vec) -> Vec:
-    """A matrix, given by the rows of its transpose, times a sparse vector."""
-    out: Vec = {}
-    for j, c in vec.items():
-        for i, a in cols[j].items():
-            out[i] = out.get(i, 0) + a * c
-    return {i: v for i, v in out.items() if v}
-
-
 class _ModuleStage:
     """The module being resolved, as the first stage to cover.
 
@@ -642,7 +605,7 @@ class _ModuleStage:
     def __init__(self, x: OutCycModule):
         self.support = x.support
         self.x = x
-        self._steps: dict[tuple[int, int], list[dict[int, Entry]]] = {}
+        self._steps: dict[tuple[int, int], list[list[tuple[int, Entry]]]] = {}
         self._level: Optional[tuple[int, list[list[tuple[int, int, Entry]]]]] = None
 
     def _action_cols(self, n: int) -> list[list[tuple[int, int, Entry]]]:
@@ -682,21 +645,25 @@ class _ModuleStage:
                 yield vec
 
     def images(self, n: int, blk: CharacterBlock, w: Vec) -> dict[int, list[Vec]]:
-        """c^t w for t < phi(d), pushed up to every multiple m of n one
-        covering step at a time: the last step of ``SupportSet.chain(n, m)``."""
-        act = self.x.action(n, blk.generator).transpose().data
-        vals = [w]
-        for _ in range(blk.degree - 1):
-            vals.append(_apply_cols(act, vals[-1]))
-        out = {n: vals}
+        """c^b w for the basis monomials b of the block's ``_BlockSum``
+        coordinates, pushed up to every multiple m of n one covering step at
+        a time (the last step of ``SupportSet.chain(n, m)``), all by
+        ``_int_vecmat`` on transposed matrices kept as pair lists."""
+        act = [list(r.items()) for r in self.x.action(n, blk.generator).transpose().data]
+        basis = _reducer(blk.order).basis
+        powers = [w]
+        for _ in range(basis[-1]):
+            powers.append(_int_vecmat(powers[-1].items(), act))
+        out = {n: [powers[b] for b in basis]}
         for m in self.support.multiples_of(n):
             if m == n:
                 continue
             below = self.support.chain(n, m)[-2]
             step = self._steps.get((below, m))
             if step is None:
-                step = self._steps[(below, m)] = self.x.restriction_step(below, m).transpose().data
-            out[m] = [_apply_cols(step, v) for v in out[below]]
+                step = self._steps[(below, m)] = [
+                    list(r.items()) for r in self.x.restriction_step(below, m).transpose().data]
+            out[m] = [_int_vecmat(v.items(), step) for v in out[below]]
         return out
 
 
@@ -722,10 +689,7 @@ class _KernelStage:
         return len(self.incl[n])
 
     def block_dims(self, n: int) -> dict[tuple[int, int], int]:
-        out: dict[tuple[int, int], int] = {}
-        for key in self.keys[n]:
-            out[key] = out.get(key, 0) + 1
-        return out
+        return Counter(self.keys[n])
 
     def candidates(self, n: int, blk: CharacterBlock):
         for k, key in enumerate(self.keys[n]):
@@ -739,9 +703,10 @@ class _KernelStage:
 
     def images(self, n: int, blk: CharacterBlock, w: Vec) -> dict[int, list[Vec]]:
         (k,) = w
-        acted = [self.incl[n][k]]
-        for _ in range(blk.degree - 1):
-            acted.append(self.free.act(n, blk.generator, acted[-1]))
+        vec = self.incl[n][k]
+        # c^b vec for the basis monomials b; b = 0 only when d = 1
+        acted = [self.free.act(n, pow(blk.generator, b, n), vec) if b else vec
+                 for b in _reducer(blk.order).basis]
         out = {}
         for m in self.support.multiples_of(n):
             pos = self.free_pos[m]
@@ -766,11 +731,13 @@ def _minimal_cover(stage: _ModuleStage | _KernelStage
     Walks the support upward.  At level n, for each block e, the images of
     the generators chosen so far span the part e L of the e-part e M(n)
     that lies below n; one generator e P_n is added on each candidate of
-    e M(n) outside the span until it is full, and its images c^t w,
-    t < phi(d), are independent modulo the span, because e M(n) is a
-    vector space over e Q[units(n)] = Q(zeta_d).  Returns the generators as
-    (level, block, vector) and, per level m, the images at m of each
-    generator dividing m, in order: the columns of the covering map.
+    e M(n) outside the span until it is full, and its images c^b w, b over
+    the basis monomials of ``rep_ring.MonomialReducer(d)``, are independent
+    modulo the span, because e M(n) is a vector space over
+    e Q[units(n)] = Q(zeta_d), of which the zeta_d^b are a basis over Q.
+    Returns the generators as (level, block, vector) and, per level m, the
+    images at m of each generator dividing m, in order: the columns of the
+    covering map.
     """
     support = stage.support
     spans: dict[int, dict[tuple[int, int], _SpanTracker]] = {n: {} for n in support}
@@ -902,30 +869,22 @@ def _hom_cochain(steps: list[ResolutionStep], y: OutCycModule) -> CochainComplex
                     continue
                 un = units(n_i).elements
                 den_r, res_rows = y.int_restriction(n_i, n_j)
-                den = 1
-                for t, c in coeffs:
-                    d = y.int_action(n_i, un[t])[0] * c.denominator
-                    den = den * d // gcd(den, d)
+                views = [y.int_action(n_i, un[t]) for t, _ in coeffs]
+                den = lcm(*(den_a * c.denominator for (den_a, _), (_, c) in zip(views, coeffs)))
                 # weighted = den * sum_t z_t A_t, by sparse integer rows
                 weighted: list[dict[int, int]] = [{} for _ in range(dy)]
-                for t, c in coeffs:
-                    den_a, a_rows = y.int_action(n_i, un[t])
+                for (den_a, a_rows), (_, c) in zip(views, coeffs):
                     scale = c.numerator * (den // (den_a * c.denominator))
-                    for a, row in enumerate(a_rows):
-                        acc = weighted[a]
+                    for acc, row in zip(weighted, a_rows):
                         for b, v in row:
                             acc[b] = acc.get(b, 0) + scale * v
+                weighted_rows = [list(acc.items()) for acc in weighted]
                 den *= den_r
                 c0 = offs_k[i]
                 for a, rrow in enumerate(res_rows):
-                    out: dict[int, int] = {}
-                    for s, rv in rrow:
-                        for b, w in weighted[s].items():
-                            out[b] = out.get(b, 0) + rv * w
                     row = rows[r0 + a]
-                    for b, v in out.items():
-                        if v:
-                            row[c0 + b] = v if den == 1 else Fraction(v, den)
+                    for b, v in _int_vecmat(rrow, weighted_rows).items():
+                        row[c0 + b] = v if den == 1 else Fraction(v, den)
         diffs.append(QMatrix.from_row_dicts(rows, dim_k))
     if any(step.blocks is None for step in steps):
         return CochainComplex(diffs)

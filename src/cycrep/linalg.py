@@ -318,11 +318,12 @@ def _int_matrix(a: QMatrix) -> IntView:
                  for row in a.data]
 
 
-def _int_vecmat(vec: Iterable[tuple[int, int]],
-                rows: list[list[tuple[int, int]]]) -> dict[int, int]:
-    """The nonzeros of the row vector ``vec``, given by its (index, int)
-    pairs, times the integer rows of a view."""
-    acc: dict[int, int] = {}
+def _int_vecmat(vec: Iterable[tuple[int, Entry]],
+                rows: list[list[tuple[int, Entry]]]) -> dict[int, Entry]:
+    """The nonzeros of the row vector ``vec``, given by its (index, value)
+    pairs, times sparse rows of (column, value) pairs: the integer rows of
+    a view, or ``Fraction`` rows, where the arithmetic is just as exact."""
+    acc: dict[int, Entry] = {}
     get = acc.get
     for t, v in vec:
         for j, w in rows[t]:

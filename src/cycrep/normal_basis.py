@@ -62,18 +62,18 @@ def classifying_element(p: int, k: int) -> QMatrix:
         raise ValueError("k must be nonnegative")
     if k > 0 and not is_prime(p):
         raise ValueError(f"{p} is not prime")
-    scale, vec = _classifier(p, k, scaled=True)
+    scale, vec = _classifier(p, k)
     return _reducer(p ** k).columns([vec], scale)
 
 
-def _classifier(p: int, k: int, scaled: bool) -> tuple[Fraction, IntSparse]:
-    """The scale and the reduced integer orbit sum X + X^p + ... + X^{p^{k-1}}
-    of the generator at p^k; for k = 0, the unit of level 1."""
+def _classifier(p: int, k: int) -> tuple[Fraction, IntSparse]:
+    """The scale -1/p^{k-1} and the reduced integer orbit sum
+    X + X^p + ... + X^{p^{k-1}} of the generator at p^k; for k = 0, the
+    unit of level 1."""
     if k == 0:
         return _F1, _reducer(1).reduce_sparse({0: 1})
     n = p ** k
-    scale = Fraction(-1, p ** (k - 1)) if scaled else _F1
-    return scale, _reducer(n).reduce_sparse({pow(p, i, n): 1 for i in range(k)})
+    return Fraction(-1, p ** (k - 1)), _reducer(n).reduce_sparse({pow(p, i, n): 1 for i in range(k)})
 
 
 class ClassifierFamily(NamedTuple):
@@ -86,7 +86,6 @@ class ClassifierFamily(NamedTuple):
     support: SupportSet
     scales: dict[int, Fraction]
     vectors: dict[int, IntSparse]
-    scaled: bool = True
 
     @property
     def elements(self) -> dict[int, Sparse]:
@@ -95,10 +94,10 @@ class ClassifierFamily(NamedTuple):
                 for n, s in self.scales.items()}
 
 
-def assemble(support: SupportSet, scaled: bool = True) -> ClassifierFamily:
+def assemble(support: SupportSet) -> ClassifierFamily:
     """Classifier elements for every level of the support.
 
-    Prime powers get the (optionally scaled) normal-basis generator; a
+    Prime powers get the scaled normal-basis generator; a
     composite level is the product of its prime-power generators inflated up,
     taken in increasing prime order, and its scale is the product of their
     scales.  The product does not depend on that order, which the tests
@@ -110,13 +109,13 @@ def assemble(support: SupportSet, scaled: bool = True) -> ClassifierFamily:
         red = _reducer(n)
         scale, cur = _F1, None
         for p, k in factorization(n):
-            s, local = _classifier(p, k, scaled)
+            s, local = _classifier(p, k)
             lifted = red.inflate_from(_reducer(p ** k), local)
             cur = lifted if cur is None else red.mul_sparse(cur, lifted)
             scale *= s
         scales[n] = scale
         vectors[n] = cur if cur is not None else red.reduce_sparse({0: 1})
-    return ClassifierFamily(support, scales, vectors, scaled)
+    return ClassifierFamily(support, scales, vectors)
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +154,6 @@ class NormalBasisReport(NamedTuple):
     mats: dict[int, QMatrix]
     levels: list[LevelCheck]
     squares: list[SquareCheck]
-    scaled: bool
 
     @property
     def ok(self) -> bool:
@@ -247,7 +245,7 @@ def classifier_report(family: ClassifierFamily) -> NormalBasisReport:
     for n, m in support.covering_pairs():
         bad = _check_naturality(n, m, scales[n] / scales[m], all_cols[n], all_cols[m])
         squares.append(SquareCheck(n, m, bad is None, bad))
-    return NormalBasisReport(support, mats, levels, squares, family.scaled)
+    return NormalBasisReport(support, mats, levels, squares)
 
 
 def _morphism(report: NormalBasisReport) -> ModuleMorphism:
@@ -289,10 +287,11 @@ def normal_basis_iso(support: SupportSet) -> ModuleMorphism:
 
 
 def normal_basis_report(support: SupportSet) -> NormalBasisReport:
-    return classifier_report(assemble(support, scaled=True))
+    return classifier_report(assemble(support))
 
 
 def unscaled_family(support: SupportSet) -> ClassifierFamily:
-    """The classifier family without the -1/p^{k-1} scaling; it generates
-    each cyclotomic level but cannot commute with the restrictions."""
-    return assemble(support, scaled=False)
+    """The classifier family without the -1/p^{k-1} scaling: the same orbit
+    vectors with every scale 1.  It generates each cyclotomic level but
+    cannot commute with the restrictions."""
+    return ClassifierFamily(support, dict.fromkeys(support, _F1), assemble(support).vectors)

@@ -15,6 +15,10 @@ the fixed monomials are the quotient basis.  ``tau_action`` and
 ``tau_restriction`` read the level matrices from its columns, and
 ``tau_ru_module`` stores them for every unit and covering pair.
 
+At level d the quotient is Q(zeta_d), so ``MonomialReducer`` is the one
+arithmetic of cyclotomic fields: it also serves the block projectives
+e P_n = Q(zeta_d) of ``hom_ext``'s minimal resolution, in its basis.
+
 ``tau_level`` eliminates the ideal directly (``linalg.sparse_kernel`` of
 the transferred monomials, whose reduced kernel vectors are the rows of the
 projection) and is kept only as an independent count of the quotient

@@ -69,14 +69,16 @@ class PrimeComplex(NamedTuple):
     tuples: list[list[PrimeTuple]]
 
     def diff(self, k: int) -> ModuleMorphism:
-        """d_k : P_k -> P_{k-1} for 1 <= k <= max_degree."""
+        """d_k : P_k -> P_{k-1}; a k outside 1..max_degree raises ValueError."""
+        if not 1 <= k <= self.max_degree:
+            raise ValueError(f"d_{k} is not built: degrees run from 1 to {self.max_degree}")
         return self.diffs[k - 1]
 
     def level_tuples(self, k: int, m: int) -> list[PrimeTuple]:
         return [t for t in self.tuples[k] if m % _product(t) == 0]
 
     def diff_at_level(self, k: int, m: int) -> QMatrix:
-        return self.diffs[k - 1].mats[m]
+        return self.diff(k).mats[m]
 
 
 def build_complex(primes: list[int], max_degree: int, support: SupportSet) -> PrimeComplex:

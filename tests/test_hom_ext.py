@@ -21,6 +21,7 @@ from cycrep.modules import (
 )
 from cycrep.hom_ext import (
     CochainComplex,
+    _BlockSum,
     _ModuleStage,
     _SpanTracker,
     _estimate_nerve_entries,
@@ -743,6 +744,51 @@ class TestSparseResolutionAgainstDenseOracle:
         self.assert_same_resolution(regular_module(support), x)
 
 
+def units_coords_by_block(free, m, vec):
+    """``free.in_units_basis(m, vec)`` split by block: {block index: {unit
+    of the block's level: coefficient}}, the blocks laid out in order."""
+    flat = free.in_units_basis(m, vec)
+    out, base = {}, 0
+    for i, blk in enumerate(free.blocks):
+        if m % blk.level:
+            continue
+        un = units(blk.level).elements
+        part = {g: flat[base + t] for t, g in enumerate(un) if base + t in flat}
+        if part:
+            out[i] = part
+        base += len(un)
+    return out
+
+
+class TestBlockSumIsTheRegularAction:
+    """_BlockSum against the regular representation it stands for.
+
+    Coordinate t of a block of order d is e c^b, b the t-th basis monomial
+    of ``rep_ring.MonomialReducer(d)``, and ``in_units_basis`` writes it in
+    the units basis of the whole representable P_{n_i}.  There a unit u of
+    the level acts by translation by u mod n_i and a restriction is the
+    identity, so on every unit vector of every level the block sum's action
+    and restrictions must become exactly those, block by block."""
+
+    @pytest.mark.parametrize("top", [36, 60, 72, 84, 90, 126])
+    def test_act_and_res_intertwine(self, top):
+        support = support_of_divisors(top)
+        blocks = [blk for n in support for blk in character_blocks(n)]
+        free = _BlockSum(blocks, support)
+        for m in support:
+            for k in range(sum(blk.degree for blk in blocks if m % blk.level == 0)):
+                v = {k: Fraction(1)}
+                coords = units_coords_by_block(free, m, v)
+                assert coords, (m, k)
+                for u in units(m).generators():
+                    want = {i: {1 if blocks[i].level == 1 else u * g % blocks[i].level: c
+                                for g, c in part.items()} for i, part in coords.items()}
+                    assert units_coords_by_block(free, m, free.act(m, u, v)) == want, (m, k, u)
+                for big in support.multiples_of(m):
+                    if big != m:
+                        assert units_coords_by_block(free, big, free.res(m, big, v)) == coords
+
+
 FOUR_CYCLE = divisor_closure([10, 14, 15, 21])  # P_1 above 1 is a 4-cycle
 CLOSURE_27 = divisor_closure([p * q * r for p in (2, 3) for q in (5, 7) for r in (11, 13)])
 
@@ -1024,3 +1070,14 @@ class TestUptoSupports:
             hl = hom_via_limit(x)
             assert hd.dimension == hl.dimension
             assert ext_via_resolution(x, reg, 2) == lim_derived(dual_system(x), 2).dims
+
+    def test_upto_sixty_has_nonzero_ext_two(self):
+        # upto:60 has no top element, and the atom at 1 has Ext^1 and Ext^2
+        # into both the regular module and tauRU
+        s = divisor_closure(list(range(1, 61)))
+        atom, reg = atomic_module(1, 1, s), regular_module(s)
+        dims = lim_derived(dual_system(atom), 3).dims
+        assert dims == [0, 7, 6, 0]
+        assert ext_via_resolution(atom, reg, 3) == dims
+        assert ext_via_resolution(atom, tau_ru_module(s), 3) == [0, 7, 6, 0]
+        assert _hom_cochain(resolve_by_representables(atom, 4), reg).check_d_squared()

@@ -211,7 +211,7 @@ class TestEquivarianceAlongTheTree:
 
     @pytest.mark.parametrize("scaled", [True, False])
     def test_orbits_pass_both(self, scaled):
-        family = assemble(support_of_divisors(360), scaled=scaled)
+        family = (assemble if scaled else unscaled_family)(support_of_divisors(360))
         for n in family.support:
             cols = _phi_columns(family, n)
             assert _check_equivariance(n, cols)
@@ -237,7 +237,7 @@ class TestRankAgainstDenseOracle:
 
     @pytest.mark.parametrize("scaled", [True, False])
     def test_agrees_at_every_level(self, scaled):
-        family = assemble(support_of_divisors(360), scaled=scaled)
+        family = (assemble if scaled else unscaled_family)(support_of_divisors(360))
         for n in family.support:
             cols = _phi_columns(family, n)
             want = dense_rank(_columns_to_matrix(n, cols, family.scales[n])) == totient(n)
@@ -259,7 +259,7 @@ SUPPORTS = {"12": S12, "60": S60, "360": support_of_divisors(360),
 
 
 def assert_matches_fraction_path(support, scaled):
-    family = assemble(support, scaled=scaled)
+    family = (assemble if scaled else unscaled_family)(support)
     want = fraction_assemble(support, scaled)
     # same values and the same key order, which the demo prints
     assert {n: list(x.items()) for n, x in family.elements.items()} == \

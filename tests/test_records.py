@@ -31,12 +31,12 @@ RECORDS = {
         ("kernel", "kernel_inclusion", "image", "image_inclusion", "source_to_image",
          "cokernel", "cokernel_projection"), {}),
     "normal_basis.ClassifierFamily": (
-        ("support", "scales", "vectors", "scaled"), {"scaled": True}),
+        ("support", "scales", "vectors"), {}),
     "normal_basis.LevelCheck": (("level", "dim", "invertible", "equivariant"), {}),
     "normal_basis.SquareCheck": (
         ("source", "target", "natural", "failing_unit"), {"failing_unit": None}),
     "normal_basis.NormalBasisReport": (
-        ("support", "mats", "levels", "squares", "scaled"), {}),
+        ("support", "mats", "levels", "squares"), {}),
     "rep_ring.TauLevel": (
         ("level", "dim", "projection", "section", "basis_monomials"), {}),
     "resolution.PrimeComplex": (

@@ -74,6 +74,18 @@ class TestBuildComplex:
         assert cx.level_tuples(1, 3) == [(3,)]
         assert cx.modules[2].dim(3) == 0
 
+    @pytest.mark.parametrize("k", [0, -1, 4])
+    def test_differential_degree_out_of_range_raises(self, k):
+        # d_k exists for 1 <= k <= max_degree only; diffs[k - 1] would wrap
+        # k = 0 and k = -1 round to the top differentials
+        cx = build_complex([2, 3, 5], 3, S30)
+        with pytest.raises(ValueError, match=f"d_{k} is not built"):
+            cx.diff(k)
+        with pytest.raises(ValueError, match=f"d_{k} is not built"):
+            cx.diff_at_level(k, 30)
+        assert cx.diff(3) is cx.diffs[2]
+        assert cx.diff_at_level(1, 30) is cx.diffs[0].mats[30]
+
 
 class TestContraction:
     def test_rejects_level_one(self):
