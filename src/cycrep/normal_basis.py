@@ -4,10 +4,22 @@ quotient of the representation ring.
 At the prime power p^k the quotient is the p^k-th cyclotomic field, and the
 scaled orbit sum (-1/p^{k-1}) (X + X^p + ... + X^{p^{k-1}}) is a normal
 basis generator whose scaling makes the levelwise identifications commute
-with the restriction maps; the sign handles the k = 0 case.  Composite
-levels are assembled multiplicatively over the coprime factorization, and
-the assembled family classifies a levelwise isomorphism from the regular
+with the restriction maps; the sign handles the k = 0 case.  A composite
+level is the product of its prime-power generators inflated up, and the
+assembled family classifies a levelwise isomorphism from the regular
 module.
+
+That product is read off as a tensor.  For n = q_1 ... q_s with coprime
+prime powers q_i, the Chinese remainder theorem gives the ring isomorphism
+Q[X]/(X^n - 1) = (x)_i Q[X]/(X^{q_i} - 1), X^e going to the tensor of the
+X^{e mod q_i}, and it descends to Q(zeta_n) = (x)_i Q(zeta_{q_i})
+(Washington, GTM 83, ch. 2).  Inflation from q_i, X^r -> X^{r n/q_i}, is
+the unit u_i = (n/q_i) mod q_i in the factor q_i and 1 in every other
+factor, so the product of the inflated generators is the tensor of the
+u_i-twisted local generators.  A level-n exponent is a basis exponent of
+``MonomialReducer`` exactly when each of its residues is one at its own
+prime power, so the tensor of reduced local vectors is reduced already:
+nothing is reduced at level n, and the vector is as large as the tensor.
 
 The unscaled orbit sum generates the field just as well but fails the
 restriction compatibility by a factor of p on every covering pair of
@@ -97,24 +109,35 @@ class ClassifierFamily(NamedTuple):
 def assemble(support: SupportSet) -> ClassifierFamily:
     """Classifier elements for every level of the support.
 
-    Prime powers get the scaled normal-basis generator; a
-    composite level is the product of its prime-power generators inflated up,
-    taken in increasing prime order, and its scale is the product of their
-    scales.  The product does not depend on that order, which the tests
-    assert separately.
+    Prime powers get the scaled normal-basis generator; a composite level
+    gets the product of its prime-power generators inflated up, and the
+    product of their scales.  Under Q(zeta_n) = (x)_i Q(zeta_{q_i}),
+    inflation from q_i is the unit u_i = (n/q_i) mod q_i in its own factor
+    and 1 in the others, so the product is the tensor of the u_i-twisted
+    local generators: a tuple of their terms (r_i, c_i) gives the term
+    c_1 ... c_s X^e, with e = sum r_i eps_i mod n and eps_i the idempotent
+    that is 1 mod q_i and 0 mod n/q_i.  Each such e has a basis residue at
+    every q_i, so it is a basis exponent and nothing is reduced at level n
+    (module docstring).  The keys come in tensor order, the first prime's
+    term outermost.
     """
+    twisted: dict[tuple[int, int], tuple[Fraction, IntSparse]] = {}
     scales: dict[int, Fraction] = {}
     vectors: dict[int, IntSparse] = {}
     for n in support:
-        red = _reducer(n)
-        scale, cur = _F1, None
+        scale, vec = _F1, {0: 1}
         for p, k in factorization(n):
-            s, local = _classifier(p, k)
-            lifted = red.inflate_from(_reducer(p ** k), local)
-            cur = lifted if cur is None else red.mul_sparse(cur, lifted)
+            q = p ** k
+            u = n // q % q
+            if (q, u) not in twisted:
+                s, x = _classifier(p, k)
+                twisted[q, u] = s, _reducer(q).reduce_sparse({r * u % q: c for r, c in x.items()})
+            s, local = twisted[q, u]
+            eps = n // q * pow(n // q, -1, q)
             scale *= s
+            vec = {(e + r * eps) % n: c * d for e, c in vec.items() for r, d in local.items()}
         scales[n] = scale
-        vectors[n] = cur if cur is not None else red.reduce_sparse({0: 1})
+        vectors[n] = vec
     return ClassifierFamily(support, scales, vectors)
 
 

@@ -325,8 +325,8 @@ class MonomialReducer:
         """Reduce a sparse ambient vector; keys are basis exponents.
 
         The rewriting has integer coefficients, so an integer vector reduces
-        to an integer vector, and so do its unit actions, inflations and
-        products below.
+        to an integer vector, and so do its unit actions and inflations
+        below.
         """
         return self._reduce_scaled(vec, 1)
 
@@ -360,22 +360,6 @@ class MonomialReducer:
                     out[b] = v
                 elif b in out:
                     del out[b]
-        return out
-
-    def mul_sparse(self, a: dict[int, Entry], b: dict[int, Entry]) -> dict[int, Entry]:
-        prod: dict[int, Entry] = {}
-        for e1, c1 in a.items():
-            for e2, c2 in b.items():
-                e = (e1 + e2) % self.n
-                prod[e] = prod.get(e, 0) + c1 * c2
-        return self.reduce_sparse(prod)
-
-    def ideal_generators_sparse(self) -> list[dict[int, Fraction]]:
-        """The proper-transfer generators from maximal subgroups, sparse."""
-        out = []
-        for p, _, _, n_over_p in self.factors:
-            for j in range(n_over_p):
-                out.append({(j + i * n_over_p) % self.n: _F1 for i in range(p)})
         return out
 
     def columns(self, vecs: Sequence[dict[int, Entry]], scale: Entry = 1) -> QMatrix:

@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Sequence
 
 from cycrep.cyclic_site import (_cyclic_factors, factorization, prime_factors, reduce_unit,
@@ -28,9 +28,9 @@ from cycrep.linalg import (Entry, QMatrix, RatLike, _int_matrix, _int_row, _int_
 from cycrep.modules import (InverseSystem, ModuleMorphism, MorphismFactorization,
                             OutCycModule, conjugate_module, dual_system, regular_module,
                             restriction_matrix)
-from cycrep.normal_basis import LevelCheck, SquareCheck
-from cycrep.rep_ring import (MonomialReducer, RUElement, restrict_proj_matrix, tau_level,
-                             transfer_ideal, unit_action_matrix)
+from cycrep.normal_basis import ClassifierFamily, LevelCheck, SquareCheck, _classifier
+from cycrep.rep_ring import (MonomialReducer, RUElement, _reducer, restrict_proj_matrix,
+                             tau_level, transfer_ideal, unit_action_matrix)
 from cycrep.resolution import PrimeComplex
 
 F0 = Fraction(0)
@@ -1794,8 +1794,7 @@ class ReferenceMonomialReducer(MonomialReducer):
     the basis found by testing every exponent below n, ``reduce_sparse``
     one ``reduce_exponent`` call per term, and ``act_unit`` and
     ``inflate_from`` building the rescaled vector before reducing it.
-    ``reduce_exponent`` and ``columns`` are inherited, and the inherited
-    ``mul_sparse`` reduces through this ``reduce_sparse``."""
+    ``reduce_exponent`` and ``columns`` are inherited."""
 
     def __init__(self, n: int):
         self.n = n
@@ -1832,6 +1831,28 @@ def _monomial_reducer(n: int) -> ReferenceMonomialReducer:
     return ReferenceMonomialReducer(n)
 
 
+def mul_sparse(red: MonomialReducer, a: dict[int, Entry], b: dict[int, Entry]) -> dict[int, Entry]:
+    """The product of two reduced vectors at the reducer's level: the
+    cyclic convolution of their monomials, reduced."""
+    conv: dict[int, Entry] = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = (e1 + e2) % red.n
+            conv[e] = conv.get(e, 0) + c1 * c2
+    return red.reduce_sparse(conv)
+
+
+def ideal_generators_sparse(red: MonomialReducer) -> list[dict[int, Fraction]]:
+    """The proper-transfer generators from the maximal subgroups at the
+    reducer's level, sparse: the transfers of the monomials of level n/p."""
+    n = red.n
+    out = []
+    for p, _ in factorization(n):
+        for j in range(n // p):
+            out.append({(j + i * (n // p)) % n: F1 for i in range(p)})
+    return out
+
+
 # --- the normal-basis pipeline in Fraction arithmetic: every classifier
 # --- element, orbit column and naturality sum carries its rational scale
 
@@ -1853,9 +1874,49 @@ def fraction_assemble(support, scaled: bool = True) -> dict[int, dict[int, Fract
         cur = None
         for p, k in factorization(n):
             lifted = red.inflate_from(_monomial_reducer(p ** k), fraction_classifier(p, k, scaled))
-            cur = lifted if cur is None else red.mul_sparse(cur, lifted)
+            cur = lifted if cur is None else mul_sparse(red, cur, lifted)
         elements[n] = cur if cur is not None else red.reduce_sparse({0: F1})
     return elements
+
+
+def fraction_tensor_assemble(support, scaled: bool = True) -> dict[int, dict[int, Fraction]]:
+    """Classifier elements of every level as tensors of the local
+    generators, in the documented key order of ``normal_basis.assemble``.
+
+    The local generator at q = p^k is acted on by the unit (n/q) mod q on
+    the reference reducer, and each tuple of local terms, the first
+    prime's outermost, lands on the exponent with those residues, found
+    by search over range(n) rather than by CRT idempotents.
+    """
+    elements = {}
+    for n in support:
+        qs = [p ** k for p, k in factorization(n)]
+        locals_ = [_monomial_reducer(q).act_unit(n // q % q, fraction_classifier(p, k, scaled))
+                   for (p, k), q in zip(factorization(n), qs)]
+        exponent = {tuple(e % q for q in qs): e for e in range(n)}
+        elements[n] = {exponent[tuple(r for r, _ in terms)]:
+                       prod((c for _, c in terms), start=F1)
+                       for terms in product(*(x.items() for x in locals_))}
+    return elements
+
+
+def product_assemble(support) -> ClassifierFamily:
+    """The classifier family as ``normal_basis.assemble`` built it before
+    it read the product off as a CRT tensor: each prime-power generator
+    inflated up and multiplied in increasing prime order, reduced at the
+    composite level after every product."""
+    scales, vectors = {}, {}
+    for n in support:
+        red = _reducer(n)
+        scale, cur = F1, None
+        for p, k in factorization(n):
+            s, local = _classifier(p, k)
+            lifted = red.inflate_from(_reducer(p ** k), local)
+            cur = lifted if cur is None else mul_sparse(red, cur, lifted)
+            scale *= s
+        scales[n] = scale
+        vectors[n] = cur if cur is not None else red.reduce_sparse({0: 1})
+    return ClassifierFamily(support, scales, vectors)
 
 
 def fraction_phi_columns(x: dict[int, Fraction], n: int) -> dict[int, dict[int, Fraction]]:

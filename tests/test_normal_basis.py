@@ -38,8 +38,11 @@ from oracles import (
     dense_rank,
     fraction_assemble,
     fraction_classifier_report,
+    fraction_tensor_assemble,
     generator_check_equivariance,
+    mul_sparse,
     per_unit_squares,
+    product_assemble,
     stored_values,
 )
 
@@ -103,7 +106,8 @@ class TestAssemble:
                 if n > 1 and m > 1 and gcd(n, m) == 1 and n * m in S60:
                     red = MonomialReducer(n * m)
                     lhs = elements[n * m]
-                    rhs = red.mul_sparse(
+                    rhs = mul_sparse(
+                        red,
                         red.inflate_from(MonomialReducer(n), elements[n]),
                         red.inflate_from(MonomialReducer(m), elements[m]))
                     assert lhs == rhs, (n, m)
@@ -114,7 +118,7 @@ class TestAssemble:
         elements = assemble(S12).elements
         a = red.inflate_from(MonomialReducer(4), elements[4])
         b = red.inflate_from(MonomialReducer(3), elements[3])
-        assert red.mul_sparse(a, b) == red.mul_sparse(b, a) == elements[12]
+        assert mul_sparse(red, a, b) == mul_sparse(red, b, a) == elements[12]
 
     def test_matches_explicit_product_at_six(self):
         # x_6 = inflation of x_2 times inflation of x_3, in the ambient ring
@@ -260,10 +264,11 @@ SUPPORTS = {"12": S12, "60": S60, "360": support_of_divisors(360),
 
 def assert_matches_fraction_path(support, scaled):
     family = (assemble if scaled else unscaled_family)(support)
-    want = fraction_assemble(support, scaled)
-    # same values and the same key order, which the demo prints
+    # the product's values, in the tensor's key order (first prime
+    # outermost), which the demo prints
+    assert family.elements == fraction_assemble(support, scaled)
     assert {n: list(x.items()) for n, x in family.elements.items()} == \
-        {n: list(x.items()) for n, x in want.items()}
+        {n: list(x.items()) for n, x in fraction_tensor_assemble(support, scaled).items()}
     report = classifier_report(family)
     mats, levels, squares = fraction_classifier_report(support, scaled)
     assert report.mats == mats
@@ -284,6 +289,56 @@ class TestAgainstFractionPath:
            scaled=st.booleans())
     def test_divisor_closed_supports(self, seeds, scaled):
         assert_matches_fraction_path(divisor_closure(seeds), scaled)
+
+
+def assert_matches_product(support):
+    family, want = assemble(support), product_assemble(support)
+    assert family.vectors == want.vectors
+    assert family.scales == want.scales
+    unscaled = unscaled_family(support)
+    assert unscaled.vectors == want.vectors
+    assert set(unscaled.scales.values()) == {1}
+
+
+class TestTensorAgainstProduct:
+    """The CRT tensor of the local generators against the reduced product
+    of their inflations that it replaced (oracles.py)."""
+
+    def test_divisors_up_to_600(self):
+        for top in range(1, 601):
+            assert_matches_product(support_of_divisors(top))
+
+    @pytest.mark.parametrize("top", [2520, 5040])
+    def test_large_divisor_sets(self, top):
+        assert_matches_product(support_of_divisors(top))
+
+    @settings(max_examples=25, deadline=None)
+    @given(seeds=st.lists(st.integers(1, 180), min_size=1, max_size=4))
+    def test_divisor_closed_supports(self, seeds):
+        assert_matches_product(divisor_closure(seeds))
+
+    def test_key_order_is_the_tensor_order(self):
+        # 18 = 2 * 9: the single term at 2 is outermost, then the level-9
+        # generator twisted by 2, whose terms X^8, X^5, X^6 land on 17, 5, 15
+        support = support_of_divisors(360)
+        assert list(assemble(support).vectors[18]) == [17, 5, 15]
+        assert list(product_assemble(support).vectors[18]) == [5, 17, 15]
+
+    def test_no_level_is_reduced(self, monkeypatch):
+        # the local generators are reduced at their prime powers; every
+        # level-n exponent is a basis exponent already
+        reduced = []
+        reduce = MonomialReducer.reduce_sparse
+
+        def recording(self, vec):
+            reduced.append(self.n)
+            return reduce(self, vec)
+
+        monkeypatch.setattr(MonomialReducer, "reduce_sparse", recording)
+        family = assemble(support_of_divisors(360))
+        assert reduced and all(n in (2, 4, 8, 3, 9, 5) for n in reduced)
+        for n, vec in family.vectors.items():
+            assert set(vec) <= set(_reducer(n).basis), n
 
 
 class TestIntegerArithmetic:

@@ -498,6 +498,10 @@ class TestCliRuns:
          "0230ca127cd3bc4db9d21672c846b18a47adf9157a5365335f280533ab2cd7ee"),
         ("normal-basis --support divisors:840",
          "74d48834c4beb1222962554358877be2ee25b206e8ee46eb9dd1e02982f56d70"),
+        # pinned from the composite classifiers assembled as reduced
+        # products of inflations, before they were read off as CRT tensors
+        ("normal-basis --support divisors:2520",
+         "c39203e0c8ce6e299c70a84d2a5787d9ce811e237a451e613dedec91bcfdd71f"),
     ])
     def test_golden_json_output(self, command, digest):
         # sha256 of the canonical JSON report, pinned from the output of the
@@ -506,6 +510,14 @@ class TestCliRuns:
         code, text = run(command.split() + ["--format", "json"])
         assert code == 0
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+    def test_golden_unscaled_failure_text(self):
+        # sha256 of the text report with the unscaled family's failing
+        # squares, pinned from the products of inflations like the JSON above
+        code, text = run("normal-basis --support divisors:2520 --show-unscaled-failure".split())
+        assert code == 0
+        assert hashlib.sha256(text.encode()).hexdigest() == \
+            "89d416530170cfb22ef4254684b353cbdd889912722e5bbda877cef5d61aff18"
 
     @pytest.mark.parametrize("command, digest", [
         # (n, s) = (0, 5), source and target
